@@ -39,6 +39,7 @@ from .linalg import (
     inverse,
     order_in_quotient,
     smith_normal_form,
+    solve,
 )
 from .downhill import (
     NormalizeResult,
@@ -110,6 +111,7 @@ __all__ = [
     "reduce_returning",
     "serialize",
     "smith_normal_form",
+    "solve",
     "validate",
     "verdict",
     "winding",

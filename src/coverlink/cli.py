@@ -201,6 +201,7 @@ def _selftest_checks(seed: int):
         inverse,
         order_in_quotient,
         smith_normal_form,
+        solve,
     )
 
     def check(name, got, want):
@@ -215,6 +216,7 @@ def _selftest_checks(seed: int):
         inv.to_rows(),
         [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]],
     )
+    yield check("solve-2x2", solve(m, [1, 0]), [Fraction(2, 3), Fraction(-1, 3)])
     d, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
     yield check("snf-diag", (d[0, 0], d[1, 1]), (1, 6))
     yield check("snf-product", u.mul(IntMatrix.from_rows([[2, 0], [0, 3]])).mul(v), d)

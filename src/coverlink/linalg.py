@@ -2,10 +2,12 @@
 
 Everything here runs on Python's arbitrary-precision integers or on
 ``fractions.Fraction``; there is deliberately no floating-point path.
-Determinants use fraction-free (Bareiss) elimination, inverses come out in
-adjugate form (every denominator divides ``|det|``), and the Smith normal
-form uses a fixed pivot rule (smallest absolute value, ties broken in
-row-major order) so that outputs are deterministic.
+Determinants, linear solves and inverses share one fraction-free (Bareiss)
+forward elimination; ``solve(m, b)`` eliminates ``[m | b]`` once and
+back-substitutes exactly. Solutions and inverses come out in adjugate form
+(every denominator divides ``|det|``), and the Smith normal form uses a
+fixed pivot rule (smallest absolute value, ties broken in row-major order)
+so that outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -150,19 +152,16 @@ class RationalMatrix:
         ]
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _eliminate(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) forward elimination of the rows ``a``, in place.
 
-    The 0x0 determinant is 1 (empty product), which makes the
-    empty-surgery case of the surgery formula collapse to the base
-    linking number.
+    Columns past the first n (an augmented block) are carried along; every
+    division stays exact because every entry is a minor of ``a``. Returns
+    the determinant of the leading n x n block.
     """
-    if not m.is_square:
-        raise NonSquareError(f"det of {m.rows}x{m.cols} matrix")
-    n = m.rows
     if n == 0:
         return 1
-    a = m.to_rows()
+    width = len(a[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -173,46 +172,60 @@ def det(m: IntMatrix) -> int:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact integer division: Bareiss guarantees divisibility.
+            for j in range(k + 1, width):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
 
+def _solve_columns(m: IntMatrix, extra: list[list[int]], count: int) -> list[list[Fraction]]:
+    """Solutions z of ``m z = e`` for each of the ``count`` columns e of ``extra``.
+
+    One elimination of ``[m | extra]``, then exact back-substitution.
+    """
+    if not m.is_square:
+        raise NonSquareError(f"cannot solve with a {m.rows}x{m.cols} matrix")
+    n = m.rows
+    a = [list(m.row(i)) + extra[i] for i in range(n)]
+    if _eliminate(a, n) == 0:
+        raise SingularError("matrix is singular")
+    cols = []
+    for c in range(n, n + count):
+        z = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            z[i] = (a[i][c] - sum(a[i][j] * z[j] for j in range(i + 1, n))) / Fraction(a[i][i])
+        cols.append(z)
+    return cols
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    The 0x0 determinant is 1 (empty product), which makes the
+    empty-surgery case of the surgery formula collapse to the base
+    linking number.
+    """
+    if not m.is_square:
+        raise NonSquareError(f"det of {m.rows}x{m.cols} matrix")
+    return _eliminate(m.to_rows(), m.rows)
+
+
+def solve(m: IntMatrix, b: Sequence[int]) -> list[Fraction]:
+    """Exact solution z of ``m z = b``: one elimination of ``[m | b]``.
+
+    Every denominator divides ``|det(m)|``. Raises :class:`SingularError`
+    when m is singular.
+    """
+    if len(b) != m.rows:
+        raise ValueError("vector dimension mismatch")
+    return _solve_columns(m, [[v] for v in b], 1)[0]
+
+
 def inverse(m: IntMatrix) -> RationalMatrix:
     """Exact inverse; every entry has denominator dividing ``|det(m)|``."""
-    if not m.is_square:
-        raise NonSquareError(f"inverse of {m.rows}x{m.cols} matrix")
     n = m.rows
-    d = det(m)
-    if d == 0:
-        raise SingularError("matrix is singular")
-    if n == 0:
-        return RationalMatrix(0, 0, ())
-    # Fraction-free (Bareiss) forward elimination on [m | I], then exact
-    # back-substitution. Row swaps are fine: the augmented system tracks them.
-    a = [list(m.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next(i for i in range(k + 1, n) if a[i][k] != 0)
-            a[k], a[pivot] = a[pivot], a[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, 2 * n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    cols: list[list[Fraction]] = []
-    for c in range(n):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = Fraction(a[i][n + c])
-            for j in range(i + 1, n):
-                s -= a[i][j] * x[j]
-            x[i] = s / a[i][i]
-        cols.append(x)
+    cols = _solve_columns(m, IntMatrix.identity(n).to_rows(), n)
     return RationalMatrix(n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
 
 

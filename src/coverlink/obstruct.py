@@ -2,7 +2,8 @@
 
 The pipeline lifts a compiled presentation to the m-fold cover, reads off the
 framed linking matrix A of the lifted surgery curves, and converts base
-linkings into branched-cover linkings via ``base - x^T A^{-1} y``. The
+linkings into branched-cover linkings via ``base - x^T A^{-1} y``; one exact
+solve ``z = A^{-1} x`` per degree yields every linking and eta's order. The
 verdict then asks whether the meridian lift has odd order in first homology
 and whether the linking vector is nonzero and of uniform sign; both must hold
 (and m must be a prime power) to certify the obstruction.
@@ -11,13 +12,14 @@ and whether the linking vector is nonzero and of uniform sign; both must hold
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from . import pattern as pat
-from .cover import CoverDiagram, LiftedData, build_cover, lifted_linking_matrix
-from .linalg import IntMatrix, det, inverse, order_in_quotient
+from .cover import LiftedData, build_cover, lifted_linking_matrix
+from .linalg import IntMatrix, det, solve
 from .pattern import ClaspPresentation, ClaspSpec, add_cancelling_pair
 
 DEFAULT_M_LIST = (2, 4)
@@ -87,21 +89,15 @@ def cha_ko(
     manifold is then not a rational homology sphere.
     """
     m = a.matrix if isinstance(a, FramedLinkingMatrix) else a
-    if not m.is_square:
-        raise ValueError("linking-framing matrix must be square")
     if len(x) != m.rows or len(y) != m.rows:
         raise ValueError("vector dimensions must match the matrix")
-    base = Fraction(base_lk)
-    if m.rows == 0:
-        return base
     if det(m) == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
-    inv = inverse(m)
-    correction = sum(
-        (Fraction(x[i]) * inv[i, j] * y[j] for i in range(m.rows) for j in range(m.rows)),
-        Fraction(0),
-    )
-    return base - correction
+    return Fraction(base_lk) - _dot(solve(m, y), x)
+
+
+def _dot(z: Sequence[Fraction], y: Sequence[int]) -> Fraction:
+    return sum((zi * yi for zi, yi in zip(z, y)), Fraction(0))
 
 
 def _prime_power(m: int) -> bool:
@@ -118,45 +114,38 @@ def _prime_power(m: int) -> bool:
     return True  # m itself is prime
 
 
-def _pipeline(p: ClaspPresentation, m: int) -> tuple[CoverDiagram, LiftedData]:
-    word = pat.compile(p)
-    report = pat.validate(word)
-    if not report.passed:
-        raise PatternValidationError(report)
-    cd = build_cover(word, m)
-    return cd, lifted_linking_matrix(cd)
-
-
 def _linkings_from_data(
     data: LiftedData, m: int, preferred: int = 0
-) -> tuple[tuple[Fraction, ...], IntMatrix, tuple[int, ...]]:
-    a = data.matrix
-    x = data.eta_vs_surgery[preferred % m]
-    linkings = []
-    for k in range(1, m):
-        y = data.eta_vs_surgery[(preferred + k) % m]
-        base = data.eta_linkings[(preferred % m, (preferred + k) % m)]
-        linkings.append(cha_ko(base, a, x, y))
-    return tuple(linkings), a, x
+) -> tuple[tuple[Fraction, ...], list[Fraction]]:
+    """Linkings lk(eta, t^k eta) for k = 1..m-1, and ``z = A^{-1} x``.
 
-
-def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
-    """Compute lk(eta, t^k eta) for k = 1..m-1 plus |H1| and eta's order.
-
-    Requires m to divide the cable winding and the compiled word to validate.
-    Structural failures (non-palindromic vector, even |H1| at a 2-power
-    cover) raise :class:`InvariantViolationError`: they indicate a pipeline
-    bug, never a property of the input data.
+    One solve serves every k: A is symmetric, so ``x^T A^{-1} y_k = z . y_k``.
+    The caller has checked that A is nonsingular.
     """
-    _cd, data = _pipeline(p, m)
-    linkings, a, x = _linkings_from_data(data, m)
-    report = ObstructionReport(m=m, linkings=linkings)
-    report.h1_order = abs(det(a))
-    if report.h1_order == 0:
+    x = data.eta_vs_surgery[preferred % m]
+    z = solve(data.matrix, x)
+    linkings = tuple(
+        data.eta_linkings[(preferred % m, (preferred + k) % m)]
+        - _dot(z, data.eta_vs_surgery[(preferred + k) % m])
+        for k in range(1, m)
+    )
+    return linkings, z
+
+
+def _branched(p: ClaspPresentation, m: int) -> tuple[ObstructionReport, LiftedData]:
+    """:func:`branched_linkings` plus the lifted data it was computed from."""
+    word = pat.compile(p)
+    validation = pat.validate(word)
+    if not validation.passed:
+        raise PatternValidationError(validation)
+    data = lifted_linking_matrix(build_cover(word, m))
+    h1 = abs(det(data.matrix))
+    if h1 == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
-    order = order_in_quotient(a, list(x)) if a.rows else 1
-    assert order is not None  # det != 0 forbids infinite order
-    report.eta_order = order
+    linkings, z = _linkings_from_data(data, m)
+    # For nonsingular A, d*x lies in the column span of A iff d*z is integral.
+    eta_order = math.lcm(*(q.denominator for q in z))
+    report = ObstructionReport(m=m, linkings=linkings, h1_order=h1, eta_order=eta_order)
 
     palindromic = all(linkings[k - 1] == linkings[m - k - 1] for k in range(1, m))
     report.checks.append(
@@ -183,7 +172,18 @@ def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
             raise InvariantViolationError(
                 f"parity failure at m={m}: (lk - {k0})*|H1| = {parity_val}"
             )
-    return report
+    return report, data
+
+
+def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
+    """Compute lk(eta, t^k eta) for k = 1..m-1 plus |H1| and eta's order.
+
+    Requires m to divide the cable winding and the compiled word to validate.
+    Structural failures (non-palindromic vector, even |H1| at a 2-power
+    cover) raise :class:`InvariantViolationError`: they indicate a pipeline
+    bug, never a property of the input data.
+    """
+    return _branched(p, m)[0]
 
 
 def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
@@ -257,16 +257,16 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
 def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     """Structural consistency ledger for a presentation.
 
-    Runs the 2-vs-4 cover doubling identity, oddness and divisibility of
-    |H1|, the parity forms, the lifted vector shapes, deck-relabel
-    invariance, and cancelling-pair invariance, at every applicable cover
-    degree.
+    Collects each degree's own report checks (palindrome, odd |H1|, parity
+    forms) and adds the 2-vs-4 cover doubling identity, divisibility of
+    |H1|, the lifted vector shapes, deck-relabel invariance, and
+    cancelling-pair invariance, at every applicable cover degree.
     """
     checks: list[CheckResult] = []
     n = p.n
     degrees = [m for m in (2, 4, 8) if n % m == 0]
-    reports = {m: branched_linkings(p, m) for m in degrees}
-    datas = {m: _pipeline(p, m)[1] for m in degrees}
+    runs = {m: _branched(p, m) for m in degrees}
+    reports = {m: rep for m, (rep, _data) in runs.items()}
 
     if 4 in reports:
         lk2 = reports[2].linkings[0]
@@ -286,28 +286,8 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
             )
         )
     for m in degrees:
-        rep = reports[m]
-        checks.append(
-            CheckResult(f"h1-odd-m{m}", rep.h1_order % 2 == 1, f"|H1| = {rep.h1_order}")
-        )
-        checks.append(
-            CheckResult(
-                f"palindromic-m{m}",
-                all(rep.linkings[k - 1] == rep.linkings[m - k - 1] for k in range(1, m)),
-                _fmt_linkings(rep.linkings),
-            )
-        )
-        if m in (2, 4):
-            k0 = Fraction(n, m)
-            val = (rep.linkings[m // 2 - 1] - k0) * rep.h1_order
-            checks.append(
-                CheckResult(
-                    f"parity-m{m}",
-                    val.denominator == 1 and int(val) % 2 == 0,
-                    f"(lk(m/2) - {k0})*|H1| = {val}",
-                )
-            )
-        data = datas[m]
+        rep, data = runs[m]
+        checks.extend(rep.checks)
         k = len(p.clasps)
         x = data.eta_vs_surgery[0]
         if m == 2 and k:
@@ -324,7 +304,7 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
             ok = ok and y == w4 + s + u + v4
             checks.append(CheckResult("vector-shape-m4", ok, f"x = {x}"))
         # Deck-relabel invariance: any preferred lift gives the same vector.
-        shifted, _, _ = _linkings_from_data(data, m, preferred=1)
+        shifted, _z = _linkings_from_data(data, m, preferred=1)
         checks.append(
             CheckResult(
                 f"deck-relabel-m{m}",
@@ -352,8 +332,7 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
         )
         # Zero-clasp route: the surgery formula must agree with direct counts.
         if not p.clasps:
-            cd = build_cover(pat.compile(p), m0)
-            direct = lifted_linking_matrix(cd).eta_linkings[(0, 1)]
+            direct = runs[m0][1].eta_linkings[(0, 1)]
             checks.append(
                 CheckResult(
                     f"direct-count-m{m0}",

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import coverlink.diagram
 import coverlink.linalg
+import coverlink.obstruct
 from coverlink.cli import main
 from coverlink.linalg import IntMatrix
 
@@ -165,6 +166,17 @@ def test_mutated_snf_fails_order_goldens(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL order-" in out
+
+
+def test_mutated_solve_fails_linking_goldens(capsys, monkeypatch):
+    # Deliberate mutation: a sign-flipped solve on the verdict path must break
+    # the winding-8 linking goldens.
+    real = coverlink.obstruct.solve
+    monkeypatch.setattr(coverlink.obstruct, "solve", lambda m, b: [-v for v in real(m, b)])
+    code = main(["selftest"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL w8-linkings-" in out
 
 
 def test_unknown_file_reports_error(capsys):

@@ -1,10 +1,11 @@
 """Exact linear algebra against independent oracles."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coverlink.linalg import (
@@ -18,6 +19,7 @@ from coverlink.linalg import (
     inverse,
     order_in_quotient,
     smith_normal_form,
+    solve,
 )
 
 
@@ -43,6 +45,12 @@ small_square = st.integers(1, 4).flatmap(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
     )
 ).map(IntMatrix.from_rows)
+
+square_and_vector = small_square.flatmap(
+    lambda m: st.tuples(
+        st.just(m), st.lists(st.integers(-9, 9), min_size=m.rows, max_size=m.rows)
+    )
+)
 
 
 def test_det_empty_matrix_is_one():
@@ -143,6 +151,35 @@ def test_snf_properties(m):
     for x in diag:
         prod *= x
     assert abs(prod) == abs(det(m))
+
+
+def test_solve_empty_singular_and_non_square():
+    assert solve(IntMatrix.zeros(0, 0), []) == []
+    with pytest.raises(SingularError):
+        solve(IntMatrix.from_rows([[1, 1], [1, 1]]), [1, 0])
+    with pytest.raises(NonSquareError):
+        solve(IntMatrix.zeros(2, 3), [0, 0])
+    with pytest.raises(ValueError):
+        solve(IntMatrix.identity(2), [1])
+
+
+@given(square_and_vector)
+@settings(max_examples=150, deadline=None)
+def test_solve_exact_and_matches_inverse(mb):
+    m, b = mb
+    assume(det(m) != 0)
+    z = solve(m, b)
+    assert [sum(m[i, j] * z[j] for j in range(m.rows)) for i in range(m.rows)] == b
+    assert z == inverse(m).mul_vec(b)
+
+
+@given(square_and_vector)
+@settings(max_examples=150, deadline=None)
+def test_order_is_lcm_of_solve_denominators(mx):
+    # For nonsingular m, d*x lies in the column span iff d * m^{-1} x is integral.
+    m, x = mx
+    assume(det(m) != 0)
+    assert math.lcm(*(q.denominator for q in solve(m, x))) == order_in_quotient(m, x)
 
 
 def _in_column_span(m: IntMatrix, target: list) -> bool:

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from coverlink.linalg import IntMatrix, block_circulant_split, det, inverse
+import coverlink.obstruct
+from coverlink.cover import LiftedData, build_cover, lifted_linking_matrix
+from coverlink.linalg import IntMatrix, block_circulant_split, det, inverse, order_in_quotient
 from coverlink.obstruct import (
     FramedLinkingMatrix,
     NotRationalHomologySphereError,
@@ -20,6 +22,7 @@ from coverlink.obstruct import (
     verdict,
 )
 from coverlink.pattern import ClaspPresentation, ClaspSpec, random_presentation
+from coverlink.pattern import compile as compile_presentation
 
 W8 = ClaspPresentation(
     8,
@@ -75,6 +78,39 @@ def test_cha_ko_two_block_structural_identity():
             v[i] * (g_blk[i, j] - f_blk[i, j]) * v[j] for i in range(s) for j in range(s)
         )
         assert cha_ko(base, a, x, y) == expected
+
+
+def _reference_linkings(p, m):
+    """Linkings, |H1| and eta order from a full inverse and the Smith normal form."""
+    data = lifted_linking_matrix(build_cover(compile_presentation(p), m))
+    a, x = data.matrix, data.eta_vs_surgery[0]
+    inv = inverse(a)
+    linkings = tuple(
+        data.eta_linkings[(0, k)]
+        - sum(x[i] * inv[i, j] * data.eta_vs_surgery[k][j]
+              for i in range(a.rows) for j in range(a.rows))
+        for k in range(1, m)
+    )
+    return linkings, abs(det(a)), order_in_quotient(a, list(x))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 9])
+def test_branched_linkings_match_inverse_reference(m):
+    for seed in range(20):
+        p = random_presentation(m * (1 + seed % 2), 1 + seed % 4, seed)
+        rep = branched_linkings(p, m)
+        assert (rep.linkings, rep.h1_order, rep.eta_order) == _reference_linkings(p, m)
+
+
+def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
+    # Seeded presentations all have |H1| = 1, so the verdict path gets a lift
+    # with A = diag(3, 5) and x = (1, 1): z = (1/3, 1/5), eta order 15.
+    a = IntMatrix.from_rows([[3, 0], [0, 5]])
+    lifted = LiftedData(3, ("L1^1", "L1^2"), a, ((1, 1), (0, 0), (0, 0)),
+                        {(0, 1): Fraction(0), (0, 2): Fraction(0)})
+    monkeypatch.setattr(coverlink.obstruct, "lifted_linking_matrix", lambda cd: lifted)
+    rep = branched_linkings(ClaspPresentation(3, ()), 3)
+    assert (rep.h1_order, rep.eta_order) == (15, 15) == (det(a), order_in_quotient(a, [1, 1]))
 
 
 def test_framed_matrix_requires_symmetry():
