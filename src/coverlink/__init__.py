@@ -2,8 +2,8 @@
 
 The library models patterns combinatorially, either as annular diagrams
 (event words in the cut-open complement of an unknotted axis) or as
-cable-plus-clasps presentations, builds their cyclic branched covers by
-cutting and stacking, evaluates the surgery formula exactly over the
+cable-plus-clasps presentations, reads the lifted data of their cyclic
+branched covers from one equivariant sweep of the base word, evaluates the surgery formula exactly over the
 rationals, and decides whether the lifted meridian linking numbers certify
 the sign obstruction.
 """
@@ -12,6 +12,7 @@ from .cover import (
     CoverDiagram,
     build_cover,
     deck_translate,
+    lift_data,
     lifted_eta_linkings,
     lifted_linking_matrix,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "framing",
     "inverse",
     "is_downhill",
+    "lift_data",
     "lifted_eta_linkings",
     "lifted_linking_matrix",
     "linking",

@@ -254,6 +254,15 @@ def _selftest_checks(seed: int):
         yield check(f"w8-linkings-m{deg}", tuple(rep.linkings), tuple(Fraction(x) for x in want))
         yield check(f"w8-verdict-m{deg}", rep.verdict, "Inconclusive")
 
+    # The verdict's one-sweep lift data against the m-copy cover word.
+    for deg in (2, 4, 8):
+        words = [pat.compile(pat.random_presentation(8, i, seed + i)) for i in range(1, 5)]
+        bad = sum(
+            cov.lift_data(w, deg) != cov.lifted_linking_matrix(cov.build_cover(w, deg))
+            for w in words
+        )
+        yield (f"lift-oracle-m{deg}", not bad, f"{bad} of {len(words)} lifts differ")
+
     # Seeded invariant sweeps.
     for i in range(10):
         for n in (2, 6, 10):

@@ -1,10 +1,16 @@
-"""Cut-and-stack cyclic covers of annular words.
+"""Cyclic covers of annular words: the one-sweep lift data and the cut-and-stack cover.
 
 The m-fold cover branched over the implicit axis is the same rectangle
 concatenated m times, with only the outermost seam re-glued. Components whose
 winding is divisible by m lift to exactly m closed components; the deck
-transformation shifts copies by one. All lifted linking and framing data is
-read off the cover word by the same counting rules as in the base.
+transformation shifts copies by one. So the cover adds nothing but each
+segment's sheet offset, and :func:`lift_data` reads every lifted linking and
+framing from the equivariant tally of one sweep of the base word (the
+classical equivariant lift: lk(L_a^x, L_b^y) depends only on y - x). Verdicts
+use it. :func:`build_cover` builds the m-copy cover word itself, counted by the
+same rules as the base; it serves ``coverlink cover`` and, with
+:func:`lifted_linking_matrix` and :func:`lifted_eta_linkings`, the tests as an
+oracle.
 """
 
 from __future__ import annotations
@@ -59,6 +65,15 @@ class CoverDiagram:
         return tuple(self.lift_map[(base_cid, j)] for j in range(self.m))
 
 
+def _check_windings(base_ana: WordAnalysis, m: int) -> None:
+    base_labels = base_ana.labels()
+    for comp in base_ana.components:
+        if comp.winding % m != 0:
+            raise WindingNotDivisibleError(
+                base_labels.get(comp.cid, f"component {comp.cid}"), comp.winding, m
+            )
+
+
 def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     """Concatenate m copies and label the lifts.
 
@@ -67,12 +82,7 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     if m < 1:
         raise ValueError(f"cover degree must be at least 1, got {m}")
     base_ana = analyze(base)
-    base_labels = base_ana.labels()
-    for comp in base_ana.components:
-        if comp.winding % m != 0:
-            raise WindingNotDivisibleError(
-                base_labels.get(comp.cid, f"component {comp.cid}"), comp.winding, m
-            )
+    _check_windings(base_ana, m)
 
     cover_labels: list[tuple[str, int]] = []
     events = base.events * m
@@ -145,52 +155,90 @@ class LiftedData:
 
     ``matrix`` has lifted framings on the diagonal and pairwise lift linkings
     off it; ``eta_vs_surgery[j]`` is the vector of linkings of eta lift j with
-    each surgery lift; ``eta_linkings`` are the eta-lift pairwise linkings
-    (integers here: the cover of the cable is a 3-sphere).
+    each surgery lift; ``eta_linkings[d]`` is lk(eta_0, eta_d) for deck
+    difference d, and ``eta_linkings[0]`` the framing of eta_0 (integers here:
+    the cover of the cable is a 3-sphere).
     """
 
     m: int
     labels: tuple[str, ...]
     matrix: IntMatrix
     eta_vs_surgery: tuple[tuple[int, ...], ...]
-    eta_linkings: dict[tuple[int, int], Fraction]
+    eta_linkings: tuple[Fraction, ...]
 
 
-def lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
-    ana = cd.analysis
-    base_ana = analyze(cd.base)
+def _surgery_order(base_ana: WordAnalysis, m: int) -> tuple[list[ComponentId], tuple[str, ...]]:
+    """Labelled non-eta components by name, and the lift-major lifted labels."""
     base_labels = base_ana.labels()
     surgery = sorted(
         (cid for cid, name in base_labels.items() if name != "eta"),
         key=lambda cid: base_labels[cid],
     )
-    k = len(surgery)
-    order: list[tuple[ComponentId, str]] = []
-    for a in range(cd.m):
-        for cid in surgery:
-            order.append((cd.lift(cid, a), f"{base_labels[cid]}.{a}"))
-    size = k * cd.m
+    return surgery, tuple(f"{base_labels[cid]}.{a}" for a in range(m) for cid in surgery)
+
+
+def lift_data(base: AnnularWord, m: int) -> LiftedData:
+    """The lifted data of the m-fold cover, from the base word's equivariant tally.
+
+    Equal to ``lifted_linking_matrix(build_cover(base, m))`` without building
+    the cover word. Requires m >= 1 and winding(c) divisible by m for every
+    component c.
+    """
+    if m < 1:
+        raise ValueError(f"cover degree must be at least 1, got {m}")
+    base_ana = analyze(base)
+    _check_windings(base_ana, m)
+    framing, twice = base_ana.cover_tables(m)
+
+    def lk(a: ComponentId, b: ComponentId, d: int) -> int:
+        half, rem = divmod(twice.get((a, b, d % m), 0), 2)
+        assert rem == 0, "closed curves must cross evenly"
+        return half
+
+    surgery, labels = _surgery_order(base_ana, m)
+    order = [(cid, a) for a in range(m) for cid in surgery]
+    rows = [
+        [framing[ci] if (ci, a) == (cj, b) else lk(ci, cj, b - a) for cj, b in order]
+        for ci, a in order
+    ]
+    eta = base_ana.component_by_name("eta")
+    return LiftedData(
+        m,
+        labels,
+        IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0),
+        tuple(tuple(lk(eta, cj, b - j) for cj, b in order) for j in range(m)),
+        (Fraction(framing[eta]),) + tuple(Fraction(lk(eta, eta, d)) for d in range(1, m)),
+    )
+
+
+def lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
+    """The lifted data read off the cover word itself (the oracle of :func:`lift_data`)."""
+    ana = cd.analysis
+    base_ana = analyze(cd.base)
+    surgery, labels = _surgery_order(base_ana, cd.m)
+    order = [cd.lift(cid, a) for a in range(cd.m) for cid in surgery]
+    size = len(order)
     rows = [[0] * size for _ in range(size)]
-    for i, (ci, _) in enumerate(order):
+    for i, ci in enumerate(order):
         rows[i][i] = ana.framing(ci)
         for j in range(i + 1, size):
-            cj = order[j][0]
-            lk = ana.linking(ci, cj)
+            lk = ana.linking(ci, order[j])
             assert lk.denominator == 1
             rows[i][j] = rows[j][i] = int(lk)
     eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
     eta_rows = []
     for j in range(cd.m):
         row = []
-        for ci, _ in order:
+        for ci in order:
             lk = ana.linking(eta_lifts[j], ci)
             assert lk.denominator == 1
             row.append(int(lk))
         eta_rows.append(tuple(row))
+    eta_lks = lifted_eta_linkings(cd)
     return LiftedData(
         cd.m,
-        tuple(name for _, name in order),
+        labels,
         IntMatrix.from_rows(rows) if size else IntMatrix.zeros(0, 0),
         tuple(eta_rows),
-        lifted_eta_linkings(cd),
+        (Fraction(ana.framing(eta_lifts[0])),) + tuple(eta_lks[(0, d)] for d in range(1, cd.m)),
     )

@@ -17,6 +17,9 @@ Conventions:
   ``sign = o_lower * o_upper * (-1 if upper_over else +1)``.
 * A component's framing is its writhe: signed kinks plus signed
   self-crossings.
+* The sweep also gives each segment a sheet offset (+1 per seam passage), so
+  one pass over the base word yields the crossing data of every cyclic
+  cover (``WordAnalysis.cover_tables``).
 """
 
 from __future__ import annotations
@@ -113,23 +116,48 @@ def crossing_sign(o_lower: int, o_upper: int, upper_over: bool) -> int:
 
 
 class _UnionFind:
+    """Union-find over segments whose edges carry sheet offsets.
+
+    ``offset[x]`` is x's offset to its parent: copy j of segment x lies on the
+    same cover curve as copy ``j + offset[x]`` of its parent. Offsets are 0
+    across cups and caps and +1 across the seam re-gluing. The one union that
+    closes each component's cycle records the cycle's total offset, which is
+    the component's winding up to sign, in ``period``.
+    """
+
     def __init__(self):
         self.parent: list[int] = []
+        self.offset: list[int] = []
+        self.period: dict[int, int] = {}  # root -> offset around the closed cycle
 
     def make(self) -> int:
         self.parent.append(len(self.parent))
+        self.offset.append(0)
         return len(self.parent) - 1
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    def locate(self, x: int) -> tuple[int, int]:
+        """Root of x and x's offset to it (path halving keeps offsets exact)."""
+        parent, offset = self.parent, self.offset
+        total = 0
+        while parent[x] != x:
+            p = parent[x]
+            offset[x] += offset[p]
+            parent[x] = parent[p]
+            total += offset[x]
+            x = parent[x]
+        return x, total
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+    def find(self, x: int) -> int:
+        return self.locate(x)[0]
+
+    def union(self, a: int, b: int, d: int = 0) -> None:
+        """Join a and b, with b's offset ``d`` more than a's."""
+        (ra, va), (rb, vb) = self.locate(a), self.locate(b)
+        if ra == rb:
+            self.period[ra] = vb - va - d
+        else:
             self.parent[rb] = ra
+            self.offset[rb] = va + d - vb
 
 
 @dataclass
@@ -215,7 +243,7 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
                 f"seam strand {h + 1} re-glues with orientation {o}, "
                 f"expected {word.seam_orientations[h]}"
             )
-        uf.union(seg, seam_segments[h])
+        uf.union(seam_segments[h], seg, 1)
     return _SweepResult(len(uf.parent), uf, seam_segments, crossings, kinks, snapshots)
 
 
@@ -238,7 +266,8 @@ class WordAnalysis:
     components: tuple[Component, ...]
     _comp_of_root: dict[int, ComponentId] = field(repr=False, default_factory=dict)
     _sweep: _SweepResult = field(repr=False, default=None)
-    _tables: tuple[dict, dict, dict] | None = field(repr=False, default=None)
+    _tables: tuple[dict, dict] | None = field(repr=False, default=None)
+    _tally: tuple[dict, dict] | None = field(repr=False, default=None)
 
     def component_of_segment(self, segment: int) -> ComponentId:
         return self._comp_of_root[self._sweep.uf.find(segment)]
@@ -266,40 +295,74 @@ class WordAnalysis:
     def wrapping(self, cid: ComponentId) -> int:
         return self._component(cid).wrapping
 
-    def _crossing_tables(self) -> tuple[dict, dict, dict]:
-        # One pass over all crossings and kinks; queries are then O(1).
+    def _lift_tally(self) -> tuple[dict[tuple[int, int, int], int], dict[int, int]]:
+        """Equivariant crossing data of every cyclic cover, from the base sweep alone.
+
+        Lift j of a component is the cover curve through copy j of its lowest
+        seam strand. The first map sends ``(a, b, delta)`` with a <= b to the
+        signed count of base crossings whose copy in every sheet joins lift x
+        of a to lift x + delta of b. The second is each component's signed
+        kink count.
+        """
+        if self._tally is None:
+            uf, sweep = self._sweep.uf, self._sweep
+            base = {}  # root -> offset of the component's lowest seam strand
+            for comp in self.components:
+                if comp.seam_positions:
+                    root, v = uf.locate(sweep.seam_segments[min(comp.seam_positions) - 1])
+                    base[root] = v
+
+            def lift(seg: int) -> tuple[ComponentId, int]:
+                root, v = uf.locate(seg)
+                return self._comp_of_root[root], v - base.get(root, 0)
+
+            crossings: dict[tuple[int, int, int], int] = {}
+            for lo, up, sign, _ in sweep.crossings:
+                (a, x), (b, y) = lift(lo), lift(up)
+                key = (a, b, y - x) if a <= b else (b, a, x - y)
+                crossings[key] = crossings.get(key, 0) + sign
+            kinks = {c.cid: 0 for c in self.components}
+            for seg, sign in sweep.kinks:
+                kinks[self.component_of_segment(seg)] += sign
+            self._tally = (crossings, kinks)
+        return self._tally
+
+    def _base_tables(self) -> tuple[dict, dict]:
         if self._tables is None:
-            pair_sign: dict[tuple[int, int], int] = {}
-            pair_count: dict[tuple[int, int], int] = {}
-            framing: dict[int, int] = {c.cid: 0 for c in self.components}
-            for lo, up, sign, _ in self._sweep.crossings:
-                a = self.component_of_segment(lo)
-                b = self.component_of_segment(up)
-                if a == b:
-                    framing[a] += sign
-                else:
-                    key = (a, b) if a < b else (b, a)
-                    pair_sign[key] = pair_sign.get(key, 0) + sign
-                    pair_count[key] = pair_count.get(key, 0) + 1
-            for seg, sign in self._sweep.kinks:
-                framing[self.component_of_segment(seg)] += sign
-            self._tables = (pair_sign, pair_count, framing)
+            self._tables = self.cover_tables(1)
         return self._tables
+
+    def cover_tables(self, m: int) -> tuple[dict[int, int], dict[tuple[int, int, int], int]]:
+        """Lift framings and twice the lift linkings of the m-fold cyclic cover.
+
+        ``framing[a]`` is the framing of every lift of component a, and
+        ``twice[(a, b, d)]`` twice lk(L_a^x, L_b^(x+d)) for every x (absent
+        keys are 0). The cover is a true m-fold cover of a component only
+        when m divides its winding. m = 1 gives the base word's own data.
+        """
+        crossings, kinks = self._lift_tally()
+        framing = dict(kinks)
+        twice: dict[tuple[int, int, int], int] = {}
+        for (a, b, delta), sign in crossings.items():
+            d = delta % m
+            if a == b and d == 0:
+                framing[a] += sign
+            else:
+                twice[(a, b, d)] = twice.get((a, b, d), 0) + sign
+                twice[(b, a, -d % m)] = twice.get((b, a, -d % m), 0) + sign
+        return framing, twice
 
     def linking(self, c1: ComponentId, c2: ComponentId) -> Fraction:
         if c1 == c2:
             raise SameComponentError("linking requires two distinct components")
         self._component(c1), self._component(c2)
-        pair_sign, pair_count, _ = self._crossing_tables()
-        key = (c1, c2) if c1 < c2 else (c2, c1)
-        total = pair_sign.get(key, 0)
-        half, rem = divmod(total, 2)
-        assert rem == 0 and pair_count.get(key, 0) % 2 == 0, "closed curves must cross evenly"
+        half, rem = divmod(self._base_tables()[1].get((c1, c2, 0), 0), 2)
+        assert rem == 0, "closed curves must cross evenly"
         return Fraction(half)
 
     def framing(self, cid: ComponentId) -> int:
         self._component(cid)
-        return self._crossing_tables()[2][cid]
+        return self._base_tables()[0][cid]
 
     def _component(self, cid: ComponentId) -> Component:
         if not 0 <= cid < len(self.components):
@@ -327,6 +390,7 @@ def analyze(word: AnnularWord) -> WordAnalysis:
     for cid, r in enumerate(order):
         positions = tuple(roots[r])
         winding = sum(word.seam_orientations[p - 1] for p in positions)
+        assert abs(sweep.uf.period[r]) == abs(winding), "sheet offsets must close up by the winding"
         components.append(Component(cid, positions, winding, len(positions)))
         comp_of_root[r] = cid
     return WordAnalysis(word, tuple(components), comp_of_root, sweep)

@@ -1,11 +1,12 @@
 """Surgery-formula evaluation, homology bookkeeping, and the sign verdict.
 
-The pipeline lifts a compiled presentation to the m-fold cover, reads off the
-framed linking matrix A of the lifted surgery curves, and converts base
-linkings into branched-cover linkings via ``base - x^T A^{-1} y``; one exact
-solve ``z = A^{-1} x`` per degree yields every linking and eta's order. The
-verdict then asks whether the meridian lift has odd order in first homology
-and whether the linking vector is nonzero and of uniform sign; both must hold
+The pipeline reads the m-fold cover's lift data off one sweep of the compiled
+presentation (``cover.lift_data``): the framed linking matrix A of the lifted
+surgery curves and the eta-lift linkings. It converts base linkings into
+branched-cover linkings via ``base - x^T A^{-1} y``; one exact solve
+``z = A^{-1} x`` per degree yields every linking and eta's order. The verdict
+then asks whether the meridian lift has odd order in first homology and
+whether the linking vector is nonzero and of uniform sign; both must hold
 (and m must be a prime power) to certify the obstruction.
 """
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import pattern as pat
-from .cover import LiftedData, build_cover, lifted_linking_matrix
+from .cover import LiftedData, build_cover, lift_data, lifted_eta_linkings
 from .linalg import IntMatrix, det, solve
 from .pattern import ClaspPresentation, ClaspSpec, add_cancelling_pair
 
@@ -125,7 +126,7 @@ def _linkings_from_data(
     x = data.eta_vs_surgery[preferred % m]
     z = solve(data.matrix, x)
     linkings = tuple(
-        data.eta_linkings[(preferred % m, (preferred + k) % m)]
+        data.eta_linkings[k]
         - _dot(z, data.eta_vs_surgery[(preferred + k) % m])
         for k in range(1, m)
     )
@@ -138,7 +139,7 @@ def _branched(p: ClaspPresentation, m: int) -> tuple[ObstructionReport, LiftedDa
     validation = pat.validate(word)
     if not validation.passed:
         raise PatternValidationError(validation)
-    data = lifted_linking_matrix(build_cover(word, m))
+    data = lift_data(word, m)
     h1 = abs(det(data.matrix))
     if h1 == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
@@ -330,9 +331,10 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
                 "linkings unchanged by a cancelling clasp pair",
             )
         )
-        # Zero-clasp route: the surgery formula must agree with direct counts.
+        # Zero-clasp route: the surgery formula must agree with direct counts
+        # on the m-copy cover word, independent of the verdict's lift data.
         if not p.clasps:
-            direct = runs[m0][1].eta_linkings[(0, 1)]
+            direct = lifted_eta_linkings(build_cover(pat.compile(p), m0))[(0, 1)]
             checks.append(
                 CheckResult(
                     f"direct-count-m{m0}",

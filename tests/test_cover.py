@@ -1,5 +1,10 @@
-"""Cut-and-stack covers: lift counts, deck action, and lifted data."""
+"""Cut-and-stack covers: lift counts, deck action, and lifted data.
 
+The one-sweep ``lift_data`` is checked bit for bit against the cover word.
+"""
+
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +13,12 @@ from coverlink.cover import (
     WindingNotDivisibleError,
     build_cover,
     deck_translate,
+    lift_data,
     lifted_eta_linkings,
     lifted_linking_matrix,
 )
-from coverlink.diagram import analyze
+from coverlink.diagram import Cross, _sweep, analyze
+from coverlink.downhill import normalize, random_annular_word
 from coverlink.linalg import block_circulant_split
 from coverlink.pattern import ClaspPresentation, ClaspSpec, cable_template, compile, random_presentation
 
@@ -106,7 +113,7 @@ def test_equivariance_block_circulant_and_eta_difference():
         cd = build_cover(word, m)
         data = lifted_linking_matrix(cd)
         block_circulant_split(data.matrix, m)  # raises if not block circulant
-        lks = data.eta_linkings
+        lks = lifted_eta_linkings(cd)
         for j in range(m):
             for k in range(m):
                 if j != k:
@@ -137,3 +144,79 @@ def test_cover_word_carries_lift_labels():
     cd = build_cover(cable_template(6), 2)
     names = [name for name, _ in cd.word.labels]
     assert "eta.0" in names and "eta.1" in names
+
+
+def _assert_lift_data_matches_cover(word, m):
+    got = lift_data(word, m)
+    cd = build_cover(word, m)
+    want = lifted_linking_matrix(cd)
+    assert got.m == want.m == m
+    assert got.labels == want.labels
+    assert got.matrix.to_rows() == want.matrix.to_rows()
+    assert got.eta_vs_surgery == want.eta_vs_surgery
+    assert got.eta_linkings == want.eta_linkings and len(got.eta_linkings) == m
+    lks = lifted_eta_linkings(cd)
+    assert all(lks[(j, k)] == got.eta_linkings[(k - j) % m] for j, k in lks)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lift_data_matches_cover_word_at_every_divisor(seed):
+    for n in range(2, 13):
+        for k in range(5):
+            p = random_presentation(n, k, 100 * seed + 7 * n + k)
+            word = compile(p) if k else cable_template(n)
+            for m in range(1, n + 1):
+                if n % m == 0:
+                    _assert_lift_data_matches_cover(word, m)
+
+
+def test_lift_data_matches_cover_word_on_normalized_words():
+    for seed in range(6):
+        word = compile(normalize(random_annular_word(6, seed)).presentation)
+        _assert_lift_data_matches_cover(word, 2)
+
+
+def _twist_surgery_pairs(word, rng, count):
+    """Insert full twists between adjacent strands of two distinct surgery curves.
+
+    A full twist keeps every component and winding, but changes one lift
+    linking at a single deck difference d, so the circulant block at d stops
+    being symmetric whenever 2d is not 0 mod m. No seeded compiled word
+    tried here has an asymmetric block, so without twists a transposed fill
+    of the matrix would go unnoticed.
+    """
+    ana = analyze(word)
+    eta, comp = ana.component_by_name("eta"), ana.component_of_segment
+    snapshots = _sweep(word, frozenset(range(len(word.events) + 1))).snapshots
+    spots = sorted(
+        (i, p)
+        for i, segs in snapshots.items()
+        for p in range(1, len(segs))
+        if eta != comp(segs[p - 1]) != comp(segs[p]) != eta
+    )
+    events = list(word.events)
+    for i, p in sorted(rng.sample(spots, min(count, len(spots))), reverse=True):
+        over = rng.random() < 0.5
+        events[i:i] = [Cross(p, over), Cross(p, over)]
+    return dataclasses.replace(word, events=tuple(events))
+
+
+def test_lift_data_matches_cover_word_with_asymmetric_blocks():
+    asymmetric = 0
+    for seed in range(10):
+        p = random_presentation(8, 2 + seed % 3, seed)
+        word = _twist_surgery_pairs(compile(p), random.Random(seed), 4)
+        for m in (2, 4, 8):
+            _assert_lift_data_matches_cover(word, m)
+            blocks = block_circulant_split(lift_data(word, m).matrix, m)
+            asymmetric += any(b.to_rows() != [list(r) for r in zip(*b.to_rows())] for b in blocks)
+    assert asymmetric
+
+
+def test_lift_data_winding_not_divisible_like_build_cover():
+    with pytest.raises(WindingNotDivisibleError) as got:
+        lift_data(cable_template(6), 4)
+    with pytest.raises(WindingNotDivisibleError) as want:
+        build_cover(cable_template(6), 4)
+    assert (got.value.component, got.value.winding, got.value.m) == (
+        want.value.component, want.value.winding, want.value.m) == ("eta", 6, 4)

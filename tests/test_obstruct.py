@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import coverlink.obstruct
-from coverlink.cover import LiftedData, build_cover, lifted_linking_matrix
+from coverlink.cover import LiftedData, build_cover, lifted_eta_linkings, lifted_linking_matrix
 from coverlink.linalg import IntMatrix, block_circulant_split, det, inverse, order_in_quotient
 from coverlink.obstruct import (
     FramedLinkingMatrix,
@@ -82,11 +82,12 @@ def test_cha_ko_two_block_structural_identity():
 
 def _reference_linkings(p, m):
     """Linkings, |H1| and eta order from a full inverse and the Smith normal form."""
-    data = lifted_linking_matrix(build_cover(compile_presentation(p), m))
+    cd = build_cover(compile_presentation(p), m)
+    data, eta_lks = lifted_linking_matrix(cd), lifted_eta_linkings(cd)
     a, x = data.matrix, data.eta_vs_surgery[0]
     inv = inverse(a)
     linkings = tuple(
-        data.eta_linkings[(0, k)]
+        eta_lks[(0, k)]
         - sum(x[i] * inv[i, j] * data.eta_vs_surgery[k][j]
               for i in range(a.rows) for j in range(a.rows))
         for k in range(1, m)
@@ -106,9 +107,8 @@ def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
     # Seeded presentations all have |H1| = 1, so the verdict path gets a lift
     # with A = diag(3, 5) and x = (1, 1): z = (1/3, 1/5), eta order 15.
     a = IntMatrix.from_rows([[3, 0], [0, 5]])
-    lifted = LiftedData(3, ("L1^1", "L1^2"), a, ((1, 1), (0, 0), (0, 0)),
-                        {(0, 1): Fraction(0), (0, 2): Fraction(0)})
-    monkeypatch.setattr(coverlink.obstruct, "lifted_linking_matrix", lambda cd: lifted)
+    lifted = LiftedData(3, ("L1^1", "L1^2"), a, ((1, 1), (0, 0), (0, 0)), (Fraction(0),) * 3)
+    monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
     rep = branched_linkings(ClaspPresentation(3, ()), 3)
     assert (rep.h1_order, rep.eta_order) == (15, 15) == (det(a), order_in_quotient(a, [1, 1]))
 
