@@ -217,6 +217,14 @@ def _selftest_checks(seed: int):
         [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]],
     )
     yield check("solve-2x2", solve(m, [1, 0]), [Fraction(2, 3), Fraction(-1, 3)])
+    # Indices 0 and 3 form the block [[3, 1], [1, 2]] (det 5); 1 and 2 stand alone.
+    blocks = IntMatrix.from_rows([[3, 0, 0, 1], [0, 5, 0, 0], [0, 0, 7, 0], [1, 0, 0, 2]])
+    yield check("det-blocks", det(blocks), 175)
+    yield check(
+        "solve-blocks",
+        solve(blocks, [1, 1, 1, 0]),
+        [Fraction(2, 5), Fraction(1, 5), Fraction(1, 7), Fraction(-1, 5)],
+    )
     d, u, v = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
     yield check("snf-diag", (d[0, 0], d[1, 1]), (1, 6))
     yield check("snf-product", u.mul(IntMatrix.from_rows([[2, 0], [0, 3]])).mul(v), d)

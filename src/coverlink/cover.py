@@ -91,12 +91,26 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     sweep = _sweep(word_plain, frozenset(j * n_ev for j in range(m)))
 
     # Resolve components of the plain cover word once, then name the lifts.
+    # Lift j of a component through the seam runs through copy j of its lowest
+    # seam strand. A component that never meets the seam lies in one sheet, so
+    # lift j is copy j of any of its segments: all of them are born at cups,
+    # and copy j's cups make segments in the base order after copies 0..j-1's.
     cover_ana = analyze(word_plain)
+    base_segs = base_ana._sweep.seg_count
+    born = base_segs - base.seam_width  # cup-born segments per copy
     lift_map: dict[tuple[ComponentId, int], ComponentId] = {}
     for comp in base_ana.components:
-        h = min(comp.seam_positions)
-        for j in range(m):
-            seg = sweep.snapshots[j * n_ev][h - 1]
+        if comp.seam_positions:
+            h = min(comp.seam_positions)
+            segs = [sweep.snapshots[j * n_ev][h - 1] for j in range(m)]
+        else:
+            seg = next(
+                s
+                for s in range(base.seam_width, base_segs)
+                if base_ana.component_of_segment(s) == comp.cid
+            )
+            segs = [seg + j * born for j in range(m)]
+        for j, seg in enumerate(segs):
             lift_map[(comp.cid, j)] = cover_ana.component_of_segment(seg)
     if len(set(lift_map.values())) != len(lift_map) or len(lift_map) != len(
         cover_ana.components
@@ -196,17 +210,33 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
         return half
 
     surgery, labels = _surgery_order(base_ana, m)
-    order = [(cid, a) for a in range(m) for cid in surgery]
-    rows = [
-        [framing[ci] if (ci, a) == (cj, b) else lk(ci, cj, b - a) for cj, b in order]
-        for ci, a in order
-    ]
     eta = base_ana.component_by_name("eta")
+    k = len(surgery)
+    size = k * m
+    # Lift-major index of L_c^b is b*k + (c's place in surgery). The matrix
+    # starts with framings on the diagonal; eta_row[b*k + p] is lk(eta_0, L_c^b).
+    entries = [0] * (size * size)
+    eta_row = [0] * size
+    if k:
+        index = {cid: p for p, cid in enumerate(surgery)}
+        for i in range(size):
+            entries[i * (size + 1)] = framing[surgery[i % k]]
+        for a, b, d in twice:
+            if b not in index:
+                continue
+            v = lk(a, b, d)
+            if a == eta:
+                eta_row[d * k + index[b]] = v
+            elif a in index:
+                pa, pb = index[a], index[b]
+                for x in range(m):
+                    entries[(x * k + pa) * size + (x + d) % m * k + pb] = v
     return LiftedData(
         m,
         labels,
-        IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, 0),
-        tuple(tuple(lk(eta, cj, b - j) for cj, b in order) for j in range(m)),
+        IntMatrix(size, size, tuple(entries)),
+        # The deck shifts every lift by one sheet: eta lift j sees L_c^b as eta_0 sees L_c^(b-j).
+        tuple(tuple(eta_row[size - j * k :] + eta_row[: size - j * k]) for j in range(m)),
         (Fraction(framing[eta]),) + tuple(Fraction(lk(eta, eta, d)) for d in range(1, m)),
     )
 

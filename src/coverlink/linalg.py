@@ -3,11 +3,16 @@
 Everything here runs on Python's arbitrary-precision integers or on
 ``fractions.Fraction``; there is deliberately no floating-point path.
 Determinants, linear solves and inverses share one fraction-free (Bareiss)
-forward elimination; ``solve(m, b)`` eliminates ``[m | b]`` once and
-back-substitutes exactly. Solutions and inverses come out in adjugate form
-(every denominator divides ``|det|``), and the Smith normal form uses a
-fixed pivot rule (smallest absolute value, ties broken in row-major order)
-so that outputs are deterministic.
+forward elimination, run once per connected block: the components of the
+symmetrised nonzero pattern (i ~ j when entry (i, j) or (j, i) is nonzero)
+index the diagonal blocks of a simultaneous row and column permutation of
+the matrix, which leaves the determinant unchanged. So ``det`` is the product
+of the blocks' determinants, and ``solve(m, b)`` eliminates ``[block | b]``
+per block and back-substitutes exactly; a dense matrix is one block.
+Solutions and inverses come out in adjugate form (every denominator divides
+``|det|``), and the Smith normal form uses a fixed pivot rule (smallest
+absolute value, ties broken in row-major order) so that outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 Rational = Fraction
@@ -179,28 +185,62 @@ def _eliminate(a: list[list[int]], n: int) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _blocks(m: IntMatrix) -> list[list[int]]:
+    """Connected components of the symmetrised nonzero pattern of the square m.
+
+    Indices i and j share a component when a chain of nonzero entries, read
+    in either direction, joins them. Components come in order of their least
+    index, each sorted, so a dense matrix is the single block 0..n-1.
+    """
+    n = m.rows
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for flat in compress(range(n * n), m.entries):
+        ri, rj = root(flat // n), root(flat % n)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    blocks: dict[int, list[int]] = {}
+    for i in range(n):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
+def _block_rows(m: IntMatrix, block: list[int]) -> list[list[int]]:
+    entries, n = m.entries, m.cols
+    return [[entries[i * n + j] for j in block] for i in block]
+
+
 def _solve_columns(m: IntMatrix, extra: list[list[int]], count: int) -> list[list[Fraction]]:
     """Solutions z of ``m z = e`` for each of the ``count`` columns e of ``extra``.
 
-    One elimination of ``[m | extra]``, then exact back-substitution.
+    Per block of m: one elimination of ``[block | extra rows]``, then exact
+    back-substitution scattered into z.
     """
     if not m.is_square:
         raise NonSquareError(f"cannot solve with a {m.rows}x{m.cols} matrix")
     n = m.rows
-    a = [list(m.row(i)) + extra[i] for i in range(n)]
-    if _eliminate(a, n) == 0:
-        raise SingularError("matrix is singular")
-    cols = []
-    for c in range(n, n + count):
-        z = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            z[i] = (a[i][c] - sum(a[i][j] * z[j] for j in range(i + 1, n))) / Fraction(a[i][i])
-        cols.append(z)
+    cols = [[Fraction(0)] * n for _ in range(count)]
+    for block in _blocks(m):
+        size = len(block)
+        a = [row + extra[i] for row, i in zip(_block_rows(m, block), block)]
+        if _eliminate(a, size) == 0:
+            raise SingularError("matrix is singular")
+        for c, z in enumerate(cols, start=size):
+            for r in range(size - 1, -1, -1):
+                row = a[r]
+                z[block[r]] = (
+                    row[c] - sum(row[s] * z[block[s]] for s in range(r + 1, size))
+                ) / Fraction(row[r])
     return cols
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+    """Exact determinant: the product of the Bareiss determinants of m's blocks.
 
     The 0x0 determinant is 1 (empty product), which makes the
     empty-surgery case of the surgery formula collapse to the base
@@ -208,11 +248,16 @@ def det(m: IntMatrix) -> int:
     """
     if not m.is_square:
         raise NonSquareError(f"det of {m.rows}x{m.cols} matrix")
-    return _eliminate(m.to_rows(), m.rows)
+    out = 1
+    for block in _blocks(m):
+        out *= _eliminate(_block_rows(m, block), len(block))
+        if out == 0:
+            break
+    return out
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> list[Fraction]:
-    """Exact solution z of ``m z = b``: one elimination of ``[m | b]``.
+    """Exact solution z of ``m z = b``: one elimination of ``[block | b]`` per block of m.
 
     Every denominator divides ``|det(m)|``. Raises :class:`SingularError`
     when m is singular.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -117,20 +118,28 @@ def _prime_power(m: int) -> bool:
 
 def _linkings_from_data(
     data: LiftedData, m: int, preferred: int = 0
-) -> tuple[tuple[Fraction, ...], list[Fraction]]:
-    """Linkings lk(eta, t^k eta) for k = 1..m-1, and ``z = A^{-1} x``.
+) -> tuple[tuple[Fraction, ...], int]:
+    """Linkings lk(eta, t^k eta) for k = 1..m-1, and eta's order in H1.
 
-    One solve serves every k: A is symmetric, so ``x^T A^{-1} y_k = z . y_k``.
-    The caller has checked that A is nonsingular.
+    One solve ``z = A^{-1} x`` serves every k: A is symmetric, so
+    ``x^T A^{-1} y_k = z . y_k``. For nonsingular A, d*x lies in the column
+    span of A iff d*z is integral, so eta's order is the lcm of the
+    denominators of z. Over that common denominator z = w / order with w
+    integral, and each linking is ``base_k - (w . y_k) / order``, one integer
+    dot product. The caller has checked that A is nonsingular.
     """
     x = data.eta_vs_surgery[preferred % m]
+    if not x:  # no surgery curves: the cover's linkings are the base's
+        return data.eta_linkings[1:], 1
     z = solve(data.matrix, x)
+    order = math.lcm(*(q.denominator for q in z))
+    w = [q.numerator * (order // q.denominator) for q in z]
     linkings = tuple(
         data.eta_linkings[k]
-        - _dot(z, data.eta_vs_surgery[(preferred + k) % m])
+        - Fraction(sum(map(operator.mul, w, data.eta_vs_surgery[(preferred + k) % m])), order)
         for k in range(1, m)
     )
-    return linkings, z
+    return linkings, order
 
 
 def _branched(p: ClaspPresentation, m: int) -> tuple[ObstructionReport, LiftedData]:
@@ -143,9 +152,7 @@ def _branched(p: ClaspPresentation, m: int) -> tuple[ObstructionReport, LiftedDa
     h1 = abs(det(data.matrix))
     if h1 == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
-    linkings, z = _linkings_from_data(data, m)
-    # For nonsingular A, d*x lies in the column span of A iff d*z is integral.
-    eta_order = math.lcm(*(q.denominator for q in z))
+    linkings, eta_order = _linkings_from_data(data, m)
     report = ObstructionReport(m=m, linkings=linkings, h1_order=h1, eta_order=eta_order)
 
     palindromic = all(linkings[k - 1] == linkings[m - k - 1] for k in range(1, m))
@@ -305,7 +312,7 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
             ok = ok and y == w4 + s + u + v4
             checks.append(CheckResult("vector-shape-m4", ok, f"x = {x}"))
         # Deck-relabel invariance: any preferred lift gives the same vector.
-        shifted, _z = _linkings_from_data(data, m, preferred=1)
+        shifted, _order = _linkings_from_data(data, m, preferred=1)
         checks.append(
             CheckResult(
                 f"deck-relabel-m{m}",

@@ -88,6 +88,14 @@ def test_compile_then_cover_pipeline(tmp_path, capsys):
     assert covered.startswith("annular v1")
 
 
+def test_cover_of_word_with_seam_free_component(tmp_path, capsys):
+    f = tmp_path / "loop.annular"
+    f.write_text("annular v1\nseam 1 +\nlabel eta seam 1\ncup 1\ncap 1\n")
+    code, out = run(capsys, "cover", str(f), "--m", "1")
+    assert code == 0
+    assert "# lift eta.0 component 0" in out and "# lift component1.0 component 1" in out
+
+
 def test_linkings_text(capsys):
     code, out = run(capsys, "linkings", str(CORPUS / "cable-8.pattern"), "--m", "4")
     assert code == 0
@@ -177,6 +185,16 @@ def test_mutated_solve_fails_linking_goldens(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL w8-linkings-" in out
+
+
+def test_mutated_blocks_fail_selftest(capsys, monkeypatch):
+    # Deliberate mutation: a block split that ignores coupling solves every
+    # index on its own and must break the block goldens.
+    monkeypatch.setattr(coverlink.linalg, "_blocks", lambda m: [[i] for i in range(m.rows)])
+    code = main(["selftest"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL det-blocks" in out and "FAIL solve-blocks" in out
 
 
 def test_unknown_file_reports_error(capsys):

@@ -17,7 +17,7 @@ from coverlink.cover import (
     lifted_eta_linkings,
     lifted_linking_matrix,
 )
-from coverlink.diagram import Cross, _sweep, analyze
+from coverlink.diagram import Cap, Cross, Cup, _sweep, analyze
 from coverlink.downhill import normalize, random_annular_word
 from coverlink.linalg import block_circulant_split
 from coverlink.pattern import ClaspPresentation, ClaspSpec, cable_template, compile, random_presentation
@@ -220,3 +220,21 @@ def test_lift_data_winding_not_divisible_like_build_cover():
         build_cover(cable_template(6), 4)
     assert (got.value.component, got.value.winding, got.value.m) == (
         want.value.component, want.value.winding, want.value.m) == ("eta", 6, 4)
+
+
+def test_seam_free_component_lifts_to_its_copies():
+    # A loop born and killed in one sheet, clasping the bottom cable strand
+    # once: lift j of it is copy j, which links eta's lift j and no other.
+    loop = (Cup(1), Cross(2, True), Cross(2, True), Cap(1))
+    base = cable_template(8)
+    word = dataclasses.replace(base, events=loop + base.events)
+    ana = analyze(word)
+    eta = ana.component_by_name("eta")
+    (free,) = [c.cid for c in ana.components if not c.seam_positions]
+    assert ana.linking(free, eta) == 1
+    for m in (1, 2, 4):
+        _assert_lift_data_matches_cover(word, m)
+        cd = build_cover(word, m)
+        for j in range(m):
+            got = [cd.analysis.linking(cd.lift(free, j), cd.lift(eta, x)) for x in range(m)]
+            assert got == [1 if x == j else 0 for x in range(m)], (m, j, got)

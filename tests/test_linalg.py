@@ -1,10 +1,12 @@
 """Exact linear algebra against independent oracles."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,8 @@ from coverlink.linalg import (
     NotBlockCirculantError,
     RationalMatrix,
     SingularError,
+    _blocks,
+    _eliminate,
     block_circulant_split,
     det,
     inverse,
@@ -180,6 +184,102 @@ def test_order_is_lcm_of_solve_denominators(mx):
     m, x = mx
     assume(det(m) != 0)
     assert math.lcm(*(q.denominator for q in solve(m, x))) == order_in_quotient(m, x)
+
+
+def _dense_solve(m: IntMatrix, b: list) -> list:
+    """One elimination of the whole ``[m | b]`` plus back-substitution: the dense oracle."""
+    n = m.rows
+    a = [row + [v] for row, v in zip(m.to_rows(), b)]
+    if _eliminate(a, n) == 0:
+        raise SingularError("matrix is singular")
+    z = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        z[i] = (a[i][n] - sum(a[i][j] * z[j] for j in range(i + 1, n))) / Fraction(a[i][i])
+    return z
+
+
+def _planted(rng, sizes, singular=()):
+    """A matrix with connected diagonal blocks of the given sizes, permuted.
+
+    Each off-diagonal pair inside a block is nonzero on both sides, on one
+    side only, or zero; a chain of one-sided entries keeps every block
+    connected. Blocks listed in ``singular`` get zero row sums. Rows and
+    columns then go through one random permutation; returns the matrix and
+    the index set of each block after it.
+    """
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    starts = [sum(sizes[:t]) for t in range(len(sizes))]
+    for t, (s0, size) in enumerate(zip(starts, sizes)):
+        idx = range(s0, s0 + size)
+        for i in idx:
+            rows[i][i] = rng.choice([v for v in range(-5, 6) if v] if size == 1 else range(-5, 6))
+            for j in idx:
+                if i < j:
+                    kind = rng.randrange(4)
+                    if kind in (0, 1) or j == i + 1 and kind == 3:
+                        rows[i][j] = rng.choice([-3, -2, -1, 1, 2, 3])
+                    if kind in (0, 2):
+                        rows[j][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        if t in singular:  # zero row sums: the block kills the all-ones vector
+            for i in idx:
+                rows[i][i] -= sum(rows[i][s0 : s0 + size])
+    perm = list(range(n))
+    rng.shuffle(perm)  # new index i holds old index perm[i]
+    permuted = IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    where = {old: new for new, old in enumerate(perm)}
+    blocks = sorted(sorted(where[i] for i in range(s0, s0 + size)) for s0, size in zip(starts, sizes))
+    return permuted, blocks
+
+
+def _assert_matches_dense(m: IntMatrix, rng) -> None:
+    want = _eliminate(m.to_rows(), m.rows)
+    assert det(m) == want == sympy.Matrix(m.to_rows()).det()
+    b = [rng.randint(-9, 9) for _ in range(m.rows)]
+    if want == 0:
+        with pytest.raises(SingularError):
+            solve(m, b)
+        return
+    z = solve(m, b)
+    assert [sum(m[i, j] * z[j] for j in range(m.rows)) for i in range(m.rows)] == b
+    assert z == _dense_solve(m, b)
+    identity = IntMatrix.identity(m.rows).to_rows()
+    dense_columns = [_dense_solve(m, [row[j] for row in identity]) for j in range(m.rows)]
+    assert inverse(m).to_rows() == [list(r) for r in zip(*dense_columns)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_block_det_and_solve_match_dense_on_planted_blocks(seed):
+    rng = random.Random(seed)
+    sizes = [rng.choice([1, 1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 6))]
+    coupled = [t for t, size in enumerate(sizes) if size > 1]
+    singular = {rng.choice(coupled)} if coupled and seed % 4 == 0 else set()
+    m, blocks = _planted(rng, sizes, singular)
+    assert _blocks(m) == blocks
+    _assert_matches_dense(m, rng)
+    if singular:
+        assert det(m) == 0
+
+
+def test_block_det_and_solve_edge_cases():
+    rng = random.Random(7)
+    assert _blocks(IntMatrix.zeros(0, 0)) == []
+    assert det(IntMatrix.zeros(0, 0)) == 1 and solve(IntMatrix.zeros(0, 0), []) == []
+    zero = IntMatrix.from_rows([[0]])
+    assert _blocks(zero) == [[0]]
+    _assert_matches_dense(zero, rng)
+    # One-sided coupling, either way round, still joins the two indices.
+    for rows in ([[2, 0, 1], [0, 3, 0], [0, 0, 5]], [[2, 0, 0], [0, 3, 0], [4, 0, 5]]):
+        m = IntMatrix.from_rows(rows)
+        assert _blocks(m) == [[0, 2], [1]]
+        _assert_matches_dense(m, rng)
+    # A singular 2x2 block inside a nonsingular rest.
+    m = IntMatrix.from_rows([[3, 0, 0, 0], [0, 1, 0, 2], [0, 0, 7, 0], [0, 2, 0, 4]])
+    assert _blocks(m) == [[0], [1, 3], [2]] and det(m) == 0
+    _assert_matches_dense(m, rng)
+    dense = IntMatrix.from_rows([[rng.choice([-4, -1, 2, 5]) for _ in range(6)] for _ in range(6)])
+    assert _blocks(dense) == [list(range(6))]
+    _assert_matches_dense(dense, rng)
 
 
 def _in_column_span(m: IntMatrix, target: list) -> bool:

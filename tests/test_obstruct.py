@@ -7,10 +7,17 @@ from fractions import Fraction
 import pytest
 
 import coverlink.obstruct
-from coverlink.cover import LiftedData, build_cover, lifted_eta_linkings, lifted_linking_matrix
+from coverlink.cover import (
+    LiftedData,
+    build_cover,
+    lift_data,
+    lifted_eta_linkings,
+    lifted_linking_matrix,
+)
 from coverlink.linalg import IntMatrix, block_circulant_split, det, inverse, order_in_quotient
 from coverlink.obstruct import (
     FramedLinkingMatrix,
+    _linkings_from_data,
     NotRationalHomologySphereError,
     auto_verdict,
     branched_linkings,
@@ -23,6 +30,7 @@ from coverlink.obstruct import (
 )
 from coverlink.pattern import ClaspPresentation, ClaspSpec, random_presentation
 from coverlink.pattern import compile as compile_presentation
+from test_cover import _twist_surgery_pairs
 
 W8 = ClaspPresentation(
     8,
@@ -80,9 +88,9 @@ def test_cha_ko_two_block_structural_identity():
         assert cha_ko(base, a, x, y) == expected
 
 
-def _reference_linkings(p, m):
+def _reference_linkings(word, m):
     """Linkings, |H1| and eta order from a full inverse and the Smith normal form."""
-    cd = build_cover(compile_presentation(p), m)
+    cd = build_cover(word, m)
     data, eta_lks = lifted_linking_matrix(cd), lifted_eta_linkings(cd)
     a, x = data.matrix, data.eta_vs_surgery[0]
     inv = inverse(a)
@@ -100,7 +108,37 @@ def test_branched_linkings_match_inverse_reference(m):
     for seed in range(20):
         p = random_presentation(m * (1 + seed % 2), 1 + seed % 4, seed)
         rep = branched_linkings(p, m)
-        assert (rep.linkings, rep.h1_order, rep.eta_order) == _reference_linkings(p, m)
+        want = _reference_linkings(compile_presentation(p), m)
+        assert (rep.linkings, rep.h1_order, rep.eta_order) == want
+
+
+def test_linkings_from_twisted_lifts_match_inverse_reference():
+    # Every seeded compiled word lifts to a diagonal matrix; full twists
+    # between surgery curves couple the lifts, so the solve meets real blocks.
+    coupled = 0
+    for seed in range(12):
+        p = random_presentation(8, 2 + seed % 3, seed)
+        word = _twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
+        for m in (2, 4, 8):
+            data = lift_data(word, m)
+            a = data.matrix
+            coupled += any(a[i, j] for i in range(a.rows) for j in range(a.rows) if i != j)
+            linkings, order = _linkings_from_data(data, m)
+            want, _h1, want_order = _reference_linkings(word, m)
+            assert (linkings, order) == (want, want_order), (seed, m)
+    assert coupled
+
+
+def test_linkings_from_data_coupled_block_and_unit_blocks():
+    # Lifts 0 and 2 form the coupled block [[2, 1], [1, 2]] (det 3); lifts 1
+    # and 3 are blocks of framing 3 and 5. With x = (1, 1, 0, 1),
+    # z = (2/3, 1/3, -1/3, 1/5): eta order 15, z.y_1 = 8/15, z.y_2 = 1/3.
+    a = IntMatrix.from_rows([[2, 0, 1, 0], [0, 3, 0, 0], [1, 0, 2, 0], [0, 0, 0, 5]])
+    rows = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 0))
+    lifted = LiftedData(3, ("a", "b", "c", "d"), a, rows, (Fraction(0), Fraction(1), Fraction(1)))
+    linkings, order = _linkings_from_data(lifted, 3)
+    assert linkings == (Fraction(7, 15), Fraction(2, 3))
+    assert order == 15 == order_in_quotient(a, list(rows[0]))
 
 
 def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
