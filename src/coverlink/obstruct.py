@@ -1,7 +1,8 @@
 """Surgery-formula evaluation, homology bookkeeping, and the sign verdict.
 
-The pipeline reads the m-fold cover's lift data off one sweep of the compiled
-presentation (``cover.lift_data``): the framed linking matrix A of the lifted
+A report compiles and validates its presentation once, and every degree it
+covers reads the m-fold cover's lift data off one sweep of that word
+(``cover.lift_data``): the framed linking matrix A of the lifted
 surgery curves and the eta-lift linkings. It converts base linkings into
 branched-cover linkings via ``base - x^T A^{-1} y``; one exact solve
 ``z = A^{-1} x`` per degree yields every linking and eta's order. The verdict
@@ -21,6 +22,7 @@ from typing import Sequence
 
 from . import pattern as pat
 from .cover import LiftedData, build_cover, lift_data, lifted_eta_linkings
+from .diagram import AnnularWord
 from .linalg import IntMatrix, det, solve
 from .pattern import ClaspPresentation, ClaspSpec, add_cancelling_pair
 
@@ -142,12 +144,19 @@ def _linkings_from_data(
     return linkings, order
 
 
-def _branched(p: ClaspPresentation, m: int) -> tuple[ObstructionReport, LiftedData]:
-    """:func:`branched_linkings` plus the lifted data it was computed from."""
+def _checked_word(p: ClaspPresentation) -> AnnularWord:
+    """Compile p and validate the word; raise PatternValidationError if it fails."""
     word = pat.compile(p)
     validation = pat.validate(word)
     if not validation.passed:
         raise PatternValidationError(validation)
+    return word
+
+
+def _branched(
+    p: ClaspPresentation, word: AnnularWord, m: int
+) -> tuple[ObstructionReport, LiftedData]:
+    """:func:`branched_linkings` on p's checked word, plus its lifted data."""
     data = lift_data(word, m)
     h1 = abs(det(data.matrix))
     if h1 == 0:
@@ -191,7 +200,21 @@ def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
     cover) raise :class:`InvariantViolationError`: they indicate a pipeline
     bug, never a property of the input data.
     """
-    return _branched(p, m)[0]
+    return _branched(p, _checked_word(p), m)[0]
+
+
+def _divides(p: ClaspPresentation, m: int) -> bool:
+    """Whether degree m divides p's winding; m < 2 is a caller error."""
+    if m < 2:
+        raise ValueError(f"verdict needs m >= 2, got {m}")
+    return p.n % m == 0
+
+
+def _not_dividing(p: ClaspPresentation, m: int) -> ObstructionReport:
+    report = ObstructionReport(m=m, verdict="NotApplicable")
+    report.condition1_reason = report.condition2_reason = f"m={m} does not divide winding {p.n}"
+    report.checks.append(CheckResult("m-divides-winding", False, f"{m} does not divide {p.n}"))
+    return report
 
 
 def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
@@ -201,18 +224,14 @@ def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
     winding; otherwise Obstructed iff eta's lift has odd order in H1 and the
     linking vector is nonzero with all entries of one sign.
     """
-    if m < 2:
-        raise ValueError(f"verdict needs m >= 2, got {m}")
-    if p.n % m != 0:
-        report = ObstructionReport(m=m, verdict="NotApplicable")
-        report.condition1_reason = report.condition2_reason = (
-            f"m={m} does not divide winding {p.n}"
-        )
-        report.checks.append(
-            CheckResult("m-divides-winding", False, f"{m} does not divide {p.n}")
-        )
-        return report
-    report = branched_linkings(p, m)
+    if not _divides(p, m):
+        return _not_dividing(p, m)
+    return _verdict(p, _checked_word(p), m)
+
+
+def _verdict(p: ClaspPresentation, word: AnnularWord, m: int) -> ObstructionReport:
+    """:func:`verdict` at a degree m dividing the winding, on p's checked word."""
+    report = _branched(p, word, m)[0]
     order = report.eta_order
     report.condition1 = order % 2 == 1
     report.condition1_reason = f"eta lift has order {order} in H1"
@@ -251,8 +270,22 @@ class AggregateReport:
 
 
 def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -> AggregateReport:
-    """Run the verdict for each m; the aggregate is Obstructed if any m is."""
-    reports = [verdict(p, m) for m in m_list]
+    """Run the verdict for each m; the aggregate is Obstructed if any m is.
+
+    The presentation is compiled and validated once, at the first degree
+    that divides its winding, and every later degree reuses that word. The
+    reports and the order in which errors surface are those of
+    ``[verdict(p, m) for m in m_list]``.
+    """
+    word = None
+    reports = []
+    for m in m_list:
+        if not _divides(p, m):
+            reports.append(_not_dividing(p, m))
+            continue
+        if word is None:
+            word = _checked_word(p)
+        reports.append(_verdict(p, word, m))
     if any(r.verdict == "Obstructed" for r in reports):
         agg = "Obstructed"
     elif any(r.verdict == "Inconclusive" for r in reports):
@@ -268,12 +301,15 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     Collects each degree's own report checks (palindrome, odd |H1|, parity
     forms) and adds the 2-vs-4 cover doubling identity, divisibility of
     |H1|, the lifted vector shapes, deck-relabel invariance, and
-    cancelling-pair invariance, at every applicable cover degree.
+    cancelling-pair invariance, at every applicable cover degree. One
+    checked word serves every degree and the direct count; the
+    cancelling-pair presentation is compiled on its own.
     """
     checks: list[CheckResult] = []
     n = p.n
     degrees = [m for m in (2, 4, 8) if n % m == 0]
-    runs = {m: _branched(p, m) for m in degrees}
+    word = _checked_word(p) if degrees else None
+    runs = {m: _branched(p, word, m) for m in degrees}
     reports = {m: rep for m, (rep, _data) in runs.items()}
 
     if 4 in reports:
@@ -341,7 +377,7 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
         # Zero-clasp route: the surgery formula must agree with direct counts
         # on the m-copy cover word, independent of the verdict's lift data.
         if not p.clasps:
-            direct = lifted_eta_linkings(build_cover(pat.compile(p), m0))[(0, 1)]
+            direct = lifted_eta_linkings(build_cover(word, m0))[(0, 1)]
             checks.append(
                 CheckResult(
                     f"direct-count-m{m0}",

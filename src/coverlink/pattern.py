@@ -100,7 +100,7 @@ class ClaspPresentation:
 
 
 class _Strand:
-    __slots__ = ("kind", "level", "clasp", "role", "orient")
+    __slots__ = ("kind", "level", "clasp", "role", "orient", "pos")
 
     def __init__(self, kind: str, orient: int, level: int = 0, clasp: int = -1, role: str = ""):
         self.kind = kind  # "eta" | "clasp"
@@ -108,40 +108,58 @@ class _Strand:
         self.clasp = clasp
         self.role = role
         self.orient = orient
+        self.pos = -1  # index in the assembler's stack while the strand is on it
 
 
 class _Assembler:
+    """The seam stack of a word under construction, and the events so far.
+
+    Every strand on the stack knows its own index (``pos``), so ``idx`` is
+    O(1): a crossing patches the two strands it swaps, and a cap or a cup
+    (one of each per clasp) renumbers the stack from the changed index up.
+    Compiling a word therefore costs O(events) plus O(stack) per clasp.
+    """
+
     def __init__(self, stack: list[_Strand]):
         self.stack = stack
         self.events: list[Event] = []
+        self._renumber(0)
+
+    def _renumber(self, start: int) -> None:
+        for i in range(start, len(self.stack)):
+            self.stack[i].pos = i
 
     def idx(self, s: _Strand) -> int:
-        return next(i for i, t in enumerate(self.stack) if t is s)
+        return s.pos
 
     def cross_up(self, s: _Strand, s_over: bool) -> None:
         """Cross s with the strand directly above it."""
-        i = self.idx(s)
+        i = s.pos
         other = self.stack[i + 1]
         self.events.append(Cross(i + 1, upper_over=not s_over))
         self.stack[i], self.stack[i + 1] = other, s
+        other.pos, s.pos = i, i + 1
 
     def cross_down(self, s: _Strand, s_over: bool) -> None:
-        i = self.idx(s)
+        i = s.pos
         other = self.stack[i - 1]
         self.events.append(Cross(i, upper_over=s_over))
         self.stack[i - 1], self.stack[i] = s, other
+        s.pos, other.pos = i - 1, i
 
     def cap(self, lower: _Strand) -> None:
-        i = self.idx(lower)
+        i = lower.pos
         self.events.append(Cap(i + 1))
         del self.stack[i : i + 2]
+        self._renumber(i)
 
     def cup(self, at: int, lower: _Strand, upper: _Strand) -> None:
         self.events.append(Cup(at + 1, lower.orient))
         self.stack[at:at] = [lower, upper]
+        self._renumber(at)
 
     def kink(self, s: _Strand, sign: int) -> None:
-        self.events.append(Kink(self.idx(s) + 1, sign))
+        self.events.append(Kink(s.pos + 1, sign))
 
 
 def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
@@ -171,6 +189,8 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
             seam_order.append(s)
     asm = _Assembler(list(seam_order))
     home = {s: i for i, s in enumerate(seam_order)}
+    labels = [("eta", home[etas[0]] + 1)]
+    labels += [(f"L{i + 1}", home[e] + 1) for i, e in enumerate(enters)]
 
     for i in sorted(range(len(clasps)), key=lambda i: (clasps[i].slot, i)):
         c = clasps[i]
@@ -230,13 +250,6 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
             asm.cross_down(descending, True)  # cable over gadget
 
     orientations = tuple(s.orient for s in seam_order)
-    labels = [("eta", seam_order.index(etas[0]) + 1)]
-    for i in range(len(clasps)):
-        pos = next(
-            h for h, s in enumerate(seam_order)
-            if s.kind == "clasp" and s.clasp == i and s.role == "enter"
-        )
-        labels.append((f"L{i + 1}", pos + 1))
     word = AnnularWord(orientations, tuple(asm.events), tuple(labels))
     analyze(word)  # structural self-check; raises on assembler bugs
     return word
@@ -396,9 +409,12 @@ def parse(text: str) -> ClaspPresentation:
         elif toks[0] == "cable":
             if n is not None:
                 raise PatternSyntaxError("duplicate cable line", lineno)
-            if len(toks) != 2 or not toks[1].lstrip("-").isdigit():
-                raise PatternSyntaxError("usage: cable N", lineno)
-            n = int(toks[1])
+            try:  # isdigit() also admits digits int() cannot read, such as "²"
+                if len(toks) != 2 or not toks[1].lstrip("-").isdigit():
+                    raise ValueError
+                n = int(toks[1])
+            except ValueError:
+                raise PatternSyntaxError("usage: cable N", lineno) from None
         elif toks[0] == "clasp":
             if n is None:
                 raise PatternSyntaxError("cable line must precede clasps", lineno)
@@ -460,25 +476,37 @@ def to_json(p: ClaspPresentation) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_int(value, key: str) -> int:
+    # int() would truncate 8.5 to 8 and overflow on 1e400 (read as inf).
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def from_json(text: str) -> ClaspPresentation:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PatternSyntaxError(f"invalid JSON: {exc}", exc.lineno) from exc
+    except RecursionError:
+        raise PatternSyntaxError("invalid JSON: nested too deeply", 1) from None
+    except ValueError as exc:  # an integer literal longer than int() may read
+        raise PatternSyntaxError(f"invalid JSON: {exc}", 1) from exc
     if not isinstance(doc, dict) or doc.get("pattern") != "v1":
         raise PatternSyntaxError('expected {"pattern": "v1", ...}', 1)
     try:
         clasps = tuple(
             ClaspSpec(
-                slot=int(c["slot"]),
-                gap_enter=int(c["enter"]),
-                gap_exit=int(c["exit"]),
+                slot=_json_int(c["slot"], "slot"),
+                gap_enter=_json_int(c["enter"], "enter"),
+                gap_exit=_json_int(c["exit"], "exit"),
                 weave=str(c.get("weave", "")),
-                clasp_sign=int(c.get("sign", 1)),
-                framing=int(c.get("framing", -1)),
+                clasp_sign=_json_int(c.get("sign", 1), "sign"),
+                framing=_json_int(c.get("framing", -1), "framing"),
             )
             for c in doc.get("clasps", [])
         )
-        return ClaspPresentation(int(doc["cable"]), clasps, name=str(doc.get("name", "")))
+        n = _json_int(doc["cable"], "cable")
+        return ClaspPresentation(n, clasps, name=str(doc.get("name", "")))
     except (KeyError, TypeError, ValueError, PatternError) as exc:
         raise PatternSyntaxError(str(exc), 1) from exc

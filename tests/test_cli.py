@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, determinism, and mutation sensitivity."""
 
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 import coverlink.diagram
 import coverlink.linalg
@@ -120,6 +123,35 @@ def test_corpus_runner_ordered(capsys):
     names = [line[3:] for line in out.splitlines() if line.startswith("== ")]
     assert names == sorted(names)
     assert "cable-6.pattern" in names and "w8-mixed-sign.pattern" in names
+
+
+def test_corpus_json_report_sha256(capsys):
+    # The byte-identity of the corpus reports, pinned: any change to a
+    # linking, an order, a verdict, a check or the JSON layout shows here.
+    code, out = run(capsys, "corpus", "--format", "json", "--m-list", "2,3,4,8", str(CORPUS))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c039761a5e8352941475453aef2e91958f557dada152e7cbd8f4eec21c7a765c"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"pattern": "v1", "cable": 1e400, "clasps": []}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1e400, "exit": 1}]}',
+        '{"pattern": "v1", "cable": 8.5, "clasps": []}',
+    ],
+    ids=["cable-1e400", "enter-1e400", "cable-8.5"],
+)
+def test_validate_json_non_integer_exits_2(tmp_path, capsys, doc):
+    f = tmp_path / "p.json"
+    f.write_text(doc + "\n")
+    code = main(["validate", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 1" in err and "must be an integer" in err
+    assert "Traceback" not in err
 
 
 def test_json_pattern_input(tmp_path, capsys):

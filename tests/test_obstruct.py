@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import coverlink.obstruct
+import coverlink.pattern
 from coverlink.cover import (
     LiftedData,
     build_cover,
@@ -19,6 +20,7 @@ from coverlink.obstruct import (
     FramedLinkingMatrix,
     _linkings_from_data,
     NotRationalHomologySphereError,
+    PatternValidationError,
     auto_verdict,
     branched_linkings,
     cha_ko,
@@ -220,6 +222,73 @@ def test_auto_verdict_default_degrees():
 def test_auto_verdict_w8_inconclusive():
     agg = auto_verdict(W8, (2, 4, 8))
     assert agg.aggregate == "Inconclusive"
+
+
+def _count_compiles(monkeypatch) -> list:
+    """Record every presentation ``coverlink.pattern.compile`` is called on."""
+    seen = []
+    real = coverlink.pattern.compile
+
+    def counting(p):
+        seen.append(p)
+        return real(p)
+
+    monkeypatch.setattr(coverlink.pattern, "compile", counting)
+    return seen
+
+
+def test_auto_verdict_compiles_once_across_degrees(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    cable = ClaspPresentation(64, (), name="cable-64")
+    agg = auto_verdict(cable, (2, 4, 8, 16, 32, 64))
+    assert compiled == [cable]
+    assert [r.verdict for r in agg.per_m] == ["Obstructed"] * 6
+    compiled.clear()
+    agg = auto_verdict(cable, (3, 5, 7, 9))
+    assert compiled == []
+    assert agg.aggregate == "NotApplicable"
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 12])
+def test_auto_verdict_equals_per_degree_verdicts(n):
+    ms = (3, 2, 5, 4, 8, 6, 9, 12)
+    for k in range(4):
+        for seed in range(3):
+            p = random_presentation(n, k, seed)
+            agg = auto_verdict(p, ms)
+            assert agg.per_m == [verdict(p, m) for m in ms]
+            assert [r.m for r in agg.per_m] == list(ms)
+
+
+def test_auto_verdict_error_precedence(monkeypatch):
+    bad = ClaspPresentation(4, (ClaspSpec(0, 1, 3, "oouu", 1, 1),))
+    compiled = _count_compiles(monkeypatch)
+    with pytest.raises(ValueError):  # a bad degree surfaces before validation
+        auto_verdict(bad, (1, 2))
+    assert compiled == []
+    for ms in ((3, 2), (2, 1)):
+        with pytest.raises(PatternValidationError):
+            auto_verdict(bad, ms)
+        with pytest.raises(PatternValidationError):
+            verdict(bad, 2)
+    # A good presentation still raises at m = 1 after earlier degrees ran.
+    with pytest.raises(ValueError):
+        auto_verdict(ClaspPresentation(4, ()), (2, 1))
+
+
+@pytest.mark.parametrize("p", [ClaspPresentation(8, ()), random_presentation(8, 2, 3)])
+def test_cross_checks_compile_the_presentation_and_its_cancelling_pair(monkeypatch, p):
+    compiled = _count_compiles(monkeypatch)
+    checks = cross_checks(p)
+    assert all(c.passed for c in checks)
+    assert [q.clasps[: len(p.clasps)] for q in compiled] == [p.clasps, p.clasps]
+    assert [len(q.clasps) for q in compiled] == [len(p.clasps), len(p.clasps) + 2]
+
+
+def test_cross_checks_compile_nothing_without_a_two_power_degree(monkeypatch):
+    compiled = _count_compiles(monkeypatch)
+    assert cross_checks(ClaspPresentation(9, ())) == []
+    assert compiled == []
 
 
 def test_cross_checks_all_pass():

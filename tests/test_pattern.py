@@ -1,10 +1,16 @@
 """Presentations, the gadget compiler, validation, and the DSLs."""
 
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coverlink.diagram import AnnularWord, analyze
+import coverlink.pattern
+from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
 from coverlink.pattern import (
     ClaspPresentation,
     ClaspSpec,
@@ -12,6 +18,8 @@ from coverlink.pattern import (
     PatternSyntaxError,
     SlotOutOfRangeError,
     WeaveLengthError,
+    _Assembler,
+    _compile_word,
     add_cancelling_pair,
     cable_template,
     compile,
@@ -190,3 +198,260 @@ def test_pattern_dsl_rejects_bad_directive():
     with pytest.raises(PatternSyntaxError) as exc:
         parse("pattern v1\ncable 6\nfrobnicate 1\n")
     assert exc.value.line == 3
+
+
+# ---------------------------------------------------------------------------
+# The O(1) assembler against the linear-scan assembler it replaced
+
+
+class _ScanAssembler:
+    """Oracle: the assembler that finds a strand by scanning the stack, O(n) per lookup."""
+
+    def __init__(self, stack):
+        self.stack = stack
+        self.events = []
+
+    def idx(self, s):
+        return next(i for i, t in enumerate(self.stack) if t is s)
+
+    def cross_up(self, s, s_over):
+        i = self.idx(s)
+        other = self.stack[i + 1]
+        self.events.append(Cross(i + 1, upper_over=not s_over))
+        self.stack[i], self.stack[i + 1] = other, s
+
+    def cross_down(self, s, s_over):
+        i = self.idx(s)
+        other = self.stack[i - 1]
+        self.events.append(Cross(i, upper_over=s_over))
+        self.stack[i - 1], self.stack[i] = s, other
+
+    def cap(self, lower):
+        i = self.idx(lower)
+        self.events.append(Cap(i + 1))
+        del self.stack[i : i + 2]
+
+    def cup(self, at, lower, upper):
+        self.events.append(Cup(at + 1, lower.orient))
+        self.stack[at:at] = [lower, upper]
+
+    def kink(self, s, sign):
+        self.events.append(Kink(self.idx(s) + 1, sign))
+
+
+class _CheckedAssembler(_Assembler):
+    """The O(1) assembler, checking after every step that each strand's pos is its index."""
+
+    transits = 0  # crossings between two gadget strands, over all instances
+
+    def _check(self):
+        for i, t in enumerate(self.stack):
+            assert t.pos == i  # that is, stack[s.pos] is s for every s on the stack
+
+    def idx(self, s):
+        i = super().idx(s)
+        assert self.stack[i] is s
+        return i
+
+    def cross_up(self, s, s_over):
+        if s.kind == self.stack[s.pos + 1].kind == "clasp":
+            _CheckedAssembler.transits += 1
+        super().cross_up(s, s_over)
+        self._check()
+
+    def cross_down(self, s, s_over):
+        if s.kind == self.stack[s.pos - 1].kind == "clasp":
+            _CheckedAssembler.transits += 1
+        super().cross_down(s, s_over)
+        self._check()
+
+    def cap(self, lower):
+        super().cap(lower)
+        self._check()
+
+    def cup(self, at, lower, upper):
+        super().cup(at, lower, upper)
+        self._check()
+
+    def kink(self, s, sign):
+        super().kink(s, sign)
+        self._check()
+
+
+def _compile_with(monkeypatch, assembler, n, clasps):
+    with monkeypatch.context() as mp:
+        mp.setattr(coverlink.pattern, "_Assembler", assembler)
+        return _compile_word(n, clasps)
+
+
+def test_assembler_matches_linear_scan_on_random_presentations(monkeypatch):
+    _CheckedAssembler.transits = 0
+    for n in range(2, 17):
+        for k in range(7):
+            for seed in range(3):
+                p = random_presentation(n, k, seed)
+                fast = _compile_with(monkeypatch, _CheckedAssembler, n, p.clasps)
+                assert fast == _compile_with(monkeypatch, _ScanAssembler, n, p.clasps)
+                assert fast == compile(p)
+    assert _CheckedAssembler.transits > 0  # the sample weaves gadgets past each other
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 127, 512])
+def test_assembler_matches_linear_scan_on_cables(monkeypatch, n):
+    fast = _compile_with(monkeypatch, _CheckedAssembler, n, ())
+    assert fast == _compile_with(monkeypatch, _ScanAssembler, n, ())
+    assert fast == cable_template(n)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the readers: a mutated text is a presentation or a PatternSyntaxError.
+# Parse only: a fuzzed ``cable N`` may ask for a huge N, so nothing is compiled.
+
+_CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+_DSL_TEXTS = [f.read_text() for f in sorted(_CORPUS.glob("*.pattern"))] + [
+    serialize(random_presentation(n, k, 0)) for n, k in ((2, 1), (6, 3), (9, 2))
+]
+_JSON_TEXTS = [
+    to_json(random_presentation(n, k, 1)) for n, k in ((2, 1), (6, 3), (8, 0))
+]
+_NUMBERS = st.sampled_from([
+    "1e400", "-1e400", "Infinity", "-Infinity", "NaN", "8.5", "0.5", "2.0", "\u00b2", "\u0663",
+    "9" * 5000, "--6", "+6", "0x10", "1_0", "-0", "0", "2",
+])
+_TOKENS = st.one_of(
+    _NUMBERS,
+    st.sampled_from([
+        "", " ", "\n", "#", "-", "+", "+1", "-1", "o", "u", "ou", "null", "true", "[]", "{}",
+        '"', ",", ":", "cable", "clasp", "slot", "enter", "exit", "weave", "sign", "framing",
+        "name", "pattern v1",
+    ]),
+    st.integers(-(10**30), 10**30).map(str),
+    st.text(max_size=6),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(10**30), 10**30),
+        st.sampled_from([float("inf"), float("-inf"), float("nan"), 8.5, 0.5, 2.0, 1e300]),
+        st.floats(), st.text(max_size=6),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_FUZZ = settings(
+    max_examples=300, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def _mutated(draw, texts):
+    """A valid text with a few spans replaced by tokens (insertions and deletions included).
+
+    Most spans are whole words, numbers above all, so that a value is swapped
+    for another while the text around it stays well formed.
+    """
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(1, 4))):
+        words = list(re.finditer(r'[^\s,:"\[\]{}]+', text))
+        numbers = [w for w in words if re.fullmatch(r"-?\d+", w.group())]
+        mode = draw(st.sampled_from(["number", "word", "span"]))
+        if mode == "number" and numbers:
+            i, j = draw(st.sampled_from(numbers)).span()
+            text = text[:i] + draw(_NUMBERS) + text[j:]
+            continue
+        if mode == "word" and words:
+            i, j = draw(st.sampled_from(words)).span()
+        else:
+            i = draw(st.integers(0, len(text)))
+            j = draw(st.integers(i, min(len(text), i + 8)))
+        text = text[:i] + draw(_TOKENS) + text[j:]
+    return text
+
+
+def _reads_or_rejects(reader, text):
+    try:
+        result = reader(text)
+    except PatternSyntaxError as exc:
+        assert str(exc).startswith(f"line {exc.line}: ")
+    else:
+        assert isinstance(result, ClaspPresentation)
+
+
+@_FUZZ
+@given(_mutated(_DSL_TEXTS))
+def test_parse_fuzzed_text_raises_only_syntax_errors(text):
+    _reads_or_rejects(parse, text)
+
+
+@_FUZZ
+@given(_mutated(_JSON_TEXTS))
+def test_from_json_fuzzed_text_raises_only_syntax_errors(text):
+    _reads_or_rejects(from_json, text)
+
+
+@st.composite
+def _mutated_doc(draw):
+    """A valid JSON document with a few values, anywhere in it, replaced."""
+    doc = json.loads(draw(st.sampled_from(_JSON_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if isinstance(node[key], (dict, list)) and draw(st.booleans()):
+                node = node[key]
+                continue
+            node[key] = draw(_JSON_VALUES)
+            break
+    return json.dumps(doc)
+
+
+@_FUZZ
+@given(_mutated_doc())
+def test_from_json_fuzzed_values_raise_only_syntax_errors(text):
+    _reads_or_rejects(from_json, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pattern v1\ncable \u00b2\n",
+        "pattern v1\ncable --6\n",
+        "pattern v1\ncable " + "9" * 5000 + "\n",
+        "pattern v1\ncable 6\nclasp slot \u00b2 enter 1 exit 1\n",
+    ],
+    ids=["superscript", "double-minus", "5000-digits", "clasp-superscript"],
+)
+def test_parse_rejects_digits_int_cannot_read(text):
+    with pytest.raises(PatternSyntaxError) as exc:
+        parse(text)
+    assert exc.value.line == 2 + text.count("clasp")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"pattern": "v1", "cable": 1e400, "clasps": []}',
+        '{"pattern": "v1", "cable": 8.5, "clasps": []}',
+        '{"pattern": "v1", "cable": NaN, "clasps": []}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1e400, "exit": 1}]}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0.5, "enter": 1, "exit": 1}]}',
+        '{"pattern": "v1", "cable": 8, "x": ' + "[" * 100000 + "]" * 100000 + "}",
+        '{"pattern": "v1", "cable": ' + "9" * 5000 + "}",
+    ],
+    ids=[
+        "cable-1e400", "cable-8.5", "cable-nan", "enter-1e400", "slot-0.5", "deep-nesting",
+        "5000-digits",
+    ],
+)
+def test_from_json_rejects_non_integers_and_deep_nesting(doc):
+    with pytest.raises(PatternSyntaxError) as exc:
+        from_json(doc)
+    assert exc.value.line == 1
+
+
+def test_from_json_accepts_integral_floats():
+    doc = '{"pattern": "v1", "cable": 8.0, "clasps": [{"slot": 0, "enter": 1, "exit": 1.0}]}'
+    assert from_json(doc) == ClaspPresentation(8, (ClaspSpec(0, 1, 1, ""),))
