@@ -11,7 +11,6 @@ the sign obstruction.
 from .cover import (
     CoverDiagram,
     build_cover,
-    deck_translate,
     lift_data,
     lifted_eta_linkings,
     lifted_linking_matrix,
@@ -35,7 +34,6 @@ from .linalg import (
     IntMatrix,
     Rational,
     RationalMatrix,
-    block_circulant_split,
     det,
     inverse,
     order_in_quotient,
@@ -68,7 +66,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AnnularWord",
@@ -87,7 +85,6 @@ __all__ = [
     "add_cancelling_pair",
     "analyze",
     "auto_verdict",
-    "block_circulant_split",
     "branched_linkings",
     "build_cover",
     "cable_template",
@@ -95,7 +92,6 @@ __all__ = [
     "compile_presentation",
     "components",
     "cross_checks",
-    "deck_translate",
     "det",
     "force_downhill",
     "framing",

@@ -141,14 +141,6 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     return CoverDiagram(base, m, word, lift_map, deck)
 
 
-def deck_translate(cd: CoverDiagram, cover_cid: ComponentId, k: int) -> ComponentId:
-    """Apply the deck permutation k times (k may be any integer)."""
-    out = cover_cid
-    for _ in range(k % cd.m):
-        out = cd.deck[out]
-    return out
-
-
 def lifted_eta_linkings(cd: CoverDiagram) -> dict[tuple[int, int], Fraction]:
     """Pairwise linkings of the eta lifts in the cover, keyed by lift indices."""
     ana = cd.analysis

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Kink, _sweep, analyze
+from .diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
 from .pattern import ClaspPresentation, ClaspSpec, cable_template
 
 
@@ -247,11 +247,6 @@ def _strand_heights(passages: list[_Passage], n: int) -> list[int]:
     return [heights[find(a)] for a in arc_of_passage]
 
 
-def _event_signs(word: AnnularWord) -> dict[int, int]:
-    sweep = _sweep(word)
-    return {idx: sign for _, _, sign, idx in sweep.crossings}
-
-
 @dataclass(frozen=True)
 class ChangeRecord:
     """One emitted crossing change and the clasp gadget realizing it."""
@@ -320,7 +315,8 @@ def normalize(word: AnnularWord) -> NormalizeResult:
     for pos, p in enumerate(passages):
         if p.kind in ("over", "under"):
             by_event.setdefault(p.event, []).append(pos)
-    signs = _event_signs(stripped)
+    # _curve analysed this same word, so its sweep is a cache hit.
+    signs = {idx: sign for _, _, sign, idx in analyze(stripped)._sweep.crossings}
     changes: list[ChangeRecord] = []
     for slot, ev_idx in enumerate(flips):
         pos1, pos2 = by_event[ev_idx]

@@ -34,18 +34,6 @@ class SingularError(ValueError):
     """Matrix has determinant zero."""
 
 
-class NotBlockCirculantError(ValueError):
-    """Matrix is not block circulant; carries the first offending block pair."""
-
-    def __init__(self, block_row: int, block_col: int):
-        self.block_row = block_row
-        self.block_col = block_col
-        super().__init__(
-            f"block ({block_row}, {block_col}) differs from block "
-            f"(0, {block_col - block_row}) modulo the block count"
-        )
-
-
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense row-major integer matrix."""
@@ -91,13 +79,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -391,36 +372,3 @@ def order_in_quotient(m: IntMatrix, x: Sequence[int]) -> int | None:
         order = math.lcm(order, di // math.gcd(di, yi))
     return order
 
-
-def _split_blocks(rows: list[list], q: int) -> list[list[list[list]]]:
-    n = len(rows)
-    s = n // q
-    return [
-        [[[rows[bi * s + i][bj * s + j] for j in range(s)] for i in range(s)] for bj in range(q)]
-        for bi in range(q)
-    ]
-
-
-def block_circulant_split(m: IntMatrix | RationalMatrix, q: int):
-    """Split a block-circulant matrix into its q defining blocks.
-
-    Block (i, j) of a block-circulant matrix depends only on (j - i) mod q;
-    the returned list holds blocks (0, 0), (0, 1), ..., (0, q-1) as matrices
-    of the same kind as the input. Raises :class:`NotBlockCirculantError`
-    with the first offending block pair (row-major scan) otherwise.
-    """
-    if not m.is_square:
-        raise NonSquareError("block_circulant_split needs a square matrix")
-    if q <= 0 or m.rows % q != 0:
-        raise ValueError(f"block count {q} does not divide size {m.rows}")
-    rows = m.to_rows()
-    blocks = _split_blocks(rows, q)
-    for bi in range(q):
-        for bj in range(q):
-            if blocks[bi][bj] != blocks[0][(bj - bi) % q]:
-                raise NotBlockCirculantError(bi, bj)
-    s = m.rows // q
-    if s == 0:
-        return [type(m)(0, 0, ()) for _ in range(q)]
-    factory = IntMatrix.from_rows if isinstance(m, IntMatrix) else RationalMatrix.from_rows
-    return [factory(blocks[0][d]) for d in range(q)]

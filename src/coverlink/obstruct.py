@@ -8,7 +8,9 @@ branched-cover linkings via ``base - x^T A^{-1} y``; one exact solve
 ``z = A^{-1} x`` per degree yields every linking and eta's order. The verdict
 then asks whether the meridian lift has odd order in first homology and
 whether the linking vector is nonzero and of uniform sign; both must hold
-(and m must be a prime power) to certify the obstruction.
+(and m must be a prime power) to certify the obstruction. Every report is
+first checked against one table of theorems (``_INVARIANTS``); a failed row
+is a pipeline bug and raises :class:`InvariantViolationError`.
 """
 
 from __future__ import annotations
@@ -45,21 +47,6 @@ class PatternValidationError(Exception):
 
 
 @dataclass(frozen=True)
-class FramedLinkingMatrix:
-    """Symmetric integer matrix: framings on the diagonal, linkings off it."""
-
-    matrix: IntMatrix
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        m = self.matrix
-        if not m.is_square or m.rows != len(self.labels):
-            raise ValueError("labels must match a square matrix")
-        if any(m[i, j] != m[j, i] for i in range(m.rows) for j in range(m.rows)):
-            raise ValueError("linking-framing matrix must be symmetric")
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -80,24 +67,18 @@ class ObstructionReport:
     checks: list[CheckResult] = field(default_factory=list)
 
 
-def cha_ko(
-    base_lk: Fraction | int,
-    a: FramedLinkingMatrix | IntMatrix,
-    x: Sequence[int],
-    y: Sequence[int],
-) -> Fraction:
+def cha_ko(base_lk: Fraction | int, a: IntMatrix, x: Sequence[int], y: Sequence[int]) -> Fraction:
     """Linking number after surgery: ``base - x^T A^{-1} y``, exactly.
 
     With an empty surgery link this collapses to the base linking number
     (empty determinant is 1). Raises when A is singular: the surgered
     manifold is then not a rational homology sphere.
     """
-    m = a.matrix if isinstance(a, FramedLinkingMatrix) else a
-    if len(x) != m.rows or len(y) != m.rows:
+    if len(x) != a.rows or len(y) != a.rows:
         raise ValueError("vector dimensions must match the matrix")
-    if det(m) == 0:
+    if det(a) == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
-    return Fraction(base_lk) - _dot(solve(m, y), x)
+    return Fraction(base_lk) - _dot(solve(a, y), x)
 
 
 def _dot(z: Sequence[Fraction], y: Sequence[int]) -> Fraction:
@@ -153,6 +134,32 @@ def _checked_word(p: ClaspPresentation) -> AnnularWord:
     return word
 
 
+def _palindromic(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
+    lk, m = report.linkings, report.m
+    return all(lk[k - 1] == lk[m - k - 1] for k in range(1, m)), _fmt_linkings(lk)
+
+
+def _h1_odd(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
+    return report.h1_order % 2 == 1, f"|H1| = {report.h1_order}"
+
+
+def _parity(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
+    k0 = Fraction(p.n, report.m)
+    val = (report.linkings[report.m // 2 - 1] - k0) * report.h1_order
+    return val.denominator == 1 and int(val) % 2 == 0, f"(lk - {k0})*|H1| = {val}"
+
+
+# The theorems every report is checked against, in ledger order: (name, the
+# degrees the theorem holds at or None for every degree, check(p, report) ->
+# (ok, detail)). A failure is a pipeline bug, never a property of the input.
+# The parity form is a theorem only at m = 2 and 4.
+_INVARIANTS = (
+    ("linkings-palindromic", None, _palindromic),
+    ("h1-odd", (2, 4, 8), _h1_odd),
+    ("parity-m{m}", (2, 4), _parity),
+)
+
+
 def _branched(
     p: ClaspPresentation, word: AnnularWord, m: int
 ) -> tuple[ObstructionReport, LiftedData]:
@@ -163,32 +170,13 @@ def _branched(
         raise NotRationalHomologySphereError("surgery matrix is singular")
     linkings, eta_order = _linkings_from_data(data, m)
     report = ObstructionReport(m=m, linkings=linkings, h1_order=h1, eta_order=eta_order)
-
-    palindromic = all(linkings[k - 1] == linkings[m - k - 1] for k in range(1, m))
-    report.checks.append(
-        CheckResult("linkings-palindromic", palindromic, _fmt_linkings(linkings))
-    )
-    if not palindromic:
-        raise InvariantViolationError(f"linkings not palindromic at m={m}: {linkings}")
-    if m in (2, 4, 8):
-        odd = report.h1_order % 2 == 1
-        report.checks.append(CheckResult("h1-odd", odd, f"|H1| = {report.h1_order}"))
-        if not odd:
-            raise InvariantViolationError(f"|H1| = {report.h1_order} even at m={m}")
-    if m in (2, 4):
-        # The parity form is a theorem only at these two degrees.
-        k0 = Fraction(p.n, m)
-        parity_val = (linkings[m // 2 - 1] - k0) * report.h1_order
-        ok = parity_val.denominator == 1 and int(parity_val) % 2 == 0
-        report.checks.append(
-            CheckResult(
-                f"parity-m{m}", ok, f"(lk - {k0})*|H1| = {parity_val}"
-            )
-        )
-        if not ok:
-            raise InvariantViolationError(
-                f"parity failure at m={m}: (lk - {k0})*|H1| = {parity_val}"
-            )
+    for name, degrees, check in _INVARIANTS:
+        if degrees is None or m in degrees:
+            ok, detail = check(p, report)
+            label = name.format(m=m)
+            report.checks.append(CheckResult(label, ok, detail))
+            if not ok:
+                raise InvariantViolationError(f"{label} fails at m={m}: {detail}")
     return report, data
 
 
@@ -196,25 +184,12 @@ def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
     """Compute lk(eta, t^k eta) for k = 1..m-1 plus |H1| and eta's order.
 
     Requires m to divide the cable winding and the compiled word to validate.
-    Structural failures (non-palindromic vector, even |H1| at a 2-power
-    cover) raise :class:`InvariantViolationError`: they indicate a pipeline
-    bug, never a property of the input data.
+    A failed row of the invariant table (for example a non-palindromic
+    vector, or an even |H1| at m in {2, 4, 8}) raises
+    :class:`InvariantViolationError`: it indicates a pipeline bug, never a
+    property of the input data.
     """
     return _branched(p, _checked_word(p), m)[0]
-
-
-def _divides(p: ClaspPresentation, m: int) -> bool:
-    """Whether degree m divides p's winding; m < 2 is a caller error."""
-    if m < 2:
-        raise ValueError(f"verdict needs m >= 2, got {m}")
-    return p.n % m == 0
-
-
-def _not_dividing(p: ClaspPresentation, m: int) -> ObstructionReport:
-    report = ObstructionReport(m=m, verdict="NotApplicable")
-    report.condition1_reason = report.condition2_reason = f"m={m} does not divide winding {p.n}"
-    report.checks.append(CheckResult("m-divides-winding", False, f"{m} does not divide {p.n}"))
-    return report
 
 
 def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
@@ -224,14 +199,11 @@ def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
     winding; otherwise Obstructed iff eta's lift has odd order in H1 and the
     linking vector is nonzero with all entries of one sign.
     """
-    if not _divides(p, m):
-        return _not_dividing(p, m)
-    return _verdict(p, _checked_word(p), m)
+    return auto_verdict(p, (m,)).per_m[0]
 
 
-def _verdict(p: ClaspPresentation, word: AnnularWord, m: int) -> ObstructionReport:
-    """:func:`verdict` at a degree m dividing the winding, on p's checked word."""
-    report = _branched(p, word, m)[0]
+def _decide(report: ObstructionReport) -> None:
+    """Fill in the report's two conditions and its verdict from its linkings."""
     order = report.eta_order
     report.condition1 = order % 2 == 1
     report.condition1_reason = f"eta lift has order {order} in H1"
@@ -249,16 +221,15 @@ def _verdict(p: ClaspPresentation, word: AnnularWord, m: int) -> ObstructionRepo
     else:
         report.condition2 = False
         report.condition2_reason = "condition (2) fails: mixed signs"
-    if not _prime_power(m):
+    if not _prime_power(report.m):
         report.verdict = "NotApplicable"
         report.checks.append(
-            CheckResult("m-prime-power", False, f"m={m} is not a prime power")
+            CheckResult("m-prime-power", False, f"m={report.m} is not a prime power")
         )
     elif report.condition1 and report.condition2:
         report.verdict = "Obstructed"
     else:
         report.verdict = "Inconclusive"
-    return report
 
 
 @dataclass
@@ -280,12 +251,22 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
     word = None
     reports = []
     for m in m_list:
-        if not _divides(p, m):
-            reports.append(_not_dividing(p, m))
-            continue
-        if word is None:
-            word = _checked_word(p)
-        reports.append(_verdict(p, word, m))
+        if m < 2:
+            raise ValueError(f"verdict needs m >= 2, got {m}")
+        if p.n % m:
+            report = ObstructionReport(m=m, verdict="NotApplicable")
+            report.condition1_reason = report.condition2_reason = (
+                f"m={m} does not divide winding {p.n}"
+            )
+            report.checks.append(
+                CheckResult("m-divides-winding", False, f"{m} does not divide {p.n}")
+            )
+        else:
+            if word is None:
+                word = _checked_word(p)
+            report = _branched(p, word, m)[0]
+            _decide(report)
+        reports.append(report)
     if any(r.verdict == "Obstructed" for r in reports):
         agg = "Obstructed"
     elif any(r.verdict == "Inconclusive" for r in reports):

@@ -100,13 +100,11 @@ class ClaspPresentation:
 
 
 class _Strand:
-    __slots__ = ("kind", "level", "clasp", "role", "orient", "pos")
+    __slots__ = ("kind", "clasp", "orient", "pos")
 
-    def __init__(self, kind: str, orient: int, level: int = 0, clasp: int = -1, role: str = ""):
+    def __init__(self, kind: str, orient: int, clasp: int = -1):
         self.kind = kind  # "eta" | "clasp"
-        self.level = level
         self.clasp = clasp
-        self.role = role
         self.orient = orient
         self.pos = -1  # index in the assembler's stack while the strand is on it
 
@@ -162,6 +160,27 @@ class _Assembler:
         self.events.append(Kink(s.pos + 1, sign))
 
 
+def _weave(asm: _Assembler, s: _Strand, target: int, flags: str, clasp: int) -> int:
+    """Cross s one strand at a time until it sits at index target.
+
+    A cable strand is crossed over or under as the next of ``flags`` says;
+    another gadget's strand is crossed over only if that gadget came earlier.
+    Returns how many flags were used.
+    """
+    used = 0
+    up = target > asm.idx(s)
+    while asm.idx(s) != target:
+        neighbor = asm.stack[asm.idx(s) + (1 if up else -1)]
+        if neighbor.kind == "eta":
+            over = flags[used] == "o"
+            used += 1
+        else:
+            assert neighbor.clasp != clasp
+            over = neighbor.clasp < clasp  # transit: over earlier gadgets only
+        (asm.cross_up if up else asm.cross_down)(s, over)
+    return used
+
+
 def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
     if n < 1:
         raise PatternError(f"cable winding must be at least 1, got {n}")
@@ -172,13 +191,13 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
     enters: list[_Strand] = []
     exits: list[_Strand] = []
     for i, c in enumerate(clasps):
-        e = _Strand("clasp", c.clasp_sign, clasp=i, role="enter")
-        x = _Strand("clasp", -c.clasp_sign, clasp=i, role="exit")
+        e = _Strand("clasp", c.clasp_sign, clasp=i)
+        x = _Strand("clasp", -c.clasp_sign, clasp=i)
         enters.append(e)
         exits.append(x)
         gap_members[c.gap_enter].append((0, e))
         gap_members[c.gap_exit].append((1, x))
-    etas = [_Strand("eta", 1, level=l) for l in range(1, n + 1)]
+    etas = [_Strand("eta", 1) for _ in range(n)]
     seam_order: list[_Strand] = []
     for g in range(n + 1):
         if g > 0:
@@ -198,36 +217,18 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
         asm.kink(e, c.framing)
         d = abs(c.gap_exit - c.gap_enter)
         flags_in, flags_out = c.weave[:d], c.weave[d:]
-        used = 0
-        while abs(asm.idx(e) - asm.idx(x)) > 1:
-            going_up = asm.idx(x) > asm.idx(e)
-            neighbor = asm.stack[asm.idx(e) + 1] if going_up else asm.stack[asm.idx(e) - 1]
-            if neighbor.kind == "eta":
-                over = flags_in[used] == "o"
-                used += 1
-            else:
-                assert neighbor.clasp != i
-                over = neighbor.clasp < i  # transit: over earlier gadgets only
-            (asm.cross_up if going_up else asm.cross_down)(e, over)
+        # x keeps its index while e weaves in to sit next to it.
+        xi = asm.idx(x)
+        used = _weave(asm, e, xi - 1 if xi > asm.idx(e) else xi + 1, flags_in, i)
         assert used == d, "weave must cross each intermediate cable strand once"
         ascending = asm.idx(e) < asm.idx(x)
         lower = e if ascending else x
         at = asm.idx(lower)
         asm.cap(lower)
-        e2 = _Strand("clasp", c.clasp_sign, clasp=i, role="enter")
-        x2 = _Strand("clasp", -c.clasp_sign, clasp=i, role="exit")
+        e2 = _Strand("clasp", c.clasp_sign, clasp=i)
+        x2 = _Strand("clasp", -c.clasp_sign, clasp=i)
         asm.cup(at, e2 if ascending else x2, x2 if ascending else e2)
-        used = 0
-        while asm.idx(e2) != home[e]:
-            going_up = home[e] > asm.idx(e2)
-            neighbor = asm.stack[asm.idx(e2) + 1] if going_up else asm.stack[asm.idx(e2) - 1]
-            if neighbor.kind == "eta":
-                over = flags_out[used] == "o"
-                used += 1
-            else:
-                assert neighbor.clasp != i
-                over = neighbor.clasp < i
-            (asm.cross_up if going_up else asm.cross_down)(e2, over)
+        used = _weave(asm, e2, home[e], flags_out, i)
         assert used == d
         # The reborn pair now sits exactly where the seam expects it.
         home[e2], home[x2] = home.pop(e), home.pop(x)

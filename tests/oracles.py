@@ -1,0 +1,63 @@
+"""Reference helpers the tests check program output against; the program never calls them.
+
+Import them as ``from oracles import ...``: pytest puts this directory on
+``sys.path``, as it does for ``from test_cover import ...``.
+"""
+
+from __future__ import annotations
+
+from coverlink.cover import CoverDiagram
+from coverlink.diagram import ComponentId
+from coverlink.linalg import IntMatrix, NonSquareError, RationalMatrix
+
+
+class NotBlockCirculantError(ValueError):
+    """Matrix is not block circulant; carries the first offending block pair."""
+
+    def __init__(self, block_row: int, block_col: int):
+        self.block_row = block_row
+        self.block_col = block_col
+        super().__init__(
+            f"block ({block_row}, {block_col}) differs from block "
+            f"(0, {block_col - block_row}) modulo the block count"
+        )
+
+
+def block_circulant_split(m: IntMatrix | RationalMatrix, q: int):
+    """Split a block-circulant matrix into its q defining blocks.
+
+    Block (i, j) of a block-circulant matrix depends only on (j - i) mod q;
+    the returned list holds blocks (0, 0), (0, 1), ..., (0, q-1) as matrices
+    of the same kind as the input. Raises :class:`NotBlockCirculantError`
+    with the first offending block pair (row-major scan) otherwise.
+    """
+    if not m.is_square:
+        raise NonSquareError("block_circulant_split needs a square matrix")
+    if q <= 0 or m.rows % q != 0:
+        raise ValueError(f"block count {q} does not divide size {m.rows}")
+    rows = m.to_rows()
+    s = m.rows // q
+    blocks = [
+        [[[rows[bi * s + i][bj * s + j] for j in range(s)] for i in range(s)] for bj in range(q)]
+        for bi in range(q)
+    ]
+    for bi in range(q):
+        for bj in range(q):
+            if blocks[bi][bj] != blocks[0][(bj - bi) % q]:
+                raise NotBlockCirculantError(bi, bj)
+    if s == 0:
+        return [type(m)(0, 0, ()) for _ in range(q)]
+    factory = IntMatrix.from_rows if isinstance(m, IntMatrix) else RationalMatrix.from_rows
+    return [factory(blocks[0][d]) for d in range(q)]
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, tuple(m[i, j] for j in range(m.cols) for i in range(m.rows)))
+
+
+def deck_translate(cd: CoverDiagram, cover_cid: ComponentId, k: int) -> ComponentId:
+    """Apply the deck permutation k times (k may be any integer)."""
+    out = cover_cid
+    for _ in range(k % cd.m):
+        out = cd.deck[out]
+    return out

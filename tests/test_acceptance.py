@@ -10,7 +10,6 @@ from pathlib import Path
 
 from coverlink.cover import build_cover, lifted_eta_linkings, lifted_linking_matrix
 from coverlink.diagram import analyze
-from coverlink.linalg import block_circulant_split
 from coverlink.downhill import (
     force_downhill,
     is_downhill,
@@ -33,6 +32,7 @@ from coverlink.pattern import (
     parse,
     random_presentation,
 )
+from oracles import block_circulant_split
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 SEED = 20250810

@@ -13,18 +13,17 @@ from hypothesis import strategies as st
 from coverlink.linalg import (
     IntMatrix,
     NonSquareError,
-    NotBlockCirculantError,
     RationalMatrix,
     SingularError,
     _blocks,
     _eliminate,
-    block_circulant_split,
     det,
     inverse,
     order_in_quotient,
     smith_normal_form,
     solve,
 )
+from oracles import NotBlockCirculantError, block_circulant_split, transpose
 
 
 def perm_det(m: IntMatrix) -> int:
@@ -395,7 +394,7 @@ def test_symmetric_four_block_inverse_relations():
                     row.extend(order[(bj - bi) % 4][i])
                 rows.append(row)
         m = IntMatrix.from_rows(rows)
-        assert m.to_rows() == m.transpose().to_rows()
+        assert m.to_rows() == transpose(m).to_rows()
         if det(m) == 0:
             continue
         found += 1

@@ -8,6 +8,7 @@ import pytest
 
 import coverlink.obstruct
 import coverlink.pattern
+from coverlink.cli import main
 from coverlink.cover import (
     LiftedData,
     build_cover,
@@ -15,10 +16,11 @@ from coverlink.cover import (
     lifted_eta_linkings,
     lifted_linking_matrix,
 )
-from coverlink.linalg import IntMatrix, block_circulant_split, det, inverse, order_in_quotient
+from coverlink.linalg import IntMatrix, det, inverse, order_in_quotient
 from coverlink.obstruct import (
-    FramedLinkingMatrix,
+    _INVARIANTS,
     _linkings_from_data,
+    InvariantViolationError,
     NotRationalHomologySphereError,
     PatternValidationError,
     auto_verdict,
@@ -30,8 +32,9 @@ from coverlink.obstruct import (
     report_to_json,
     verdict,
 )
-from coverlink.pattern import ClaspPresentation, ClaspSpec, random_presentation
+from coverlink.pattern import ClaspPresentation, ClaspSpec, random_presentation, serialize
 from coverlink.pattern import compile as compile_presentation
+from oracles import block_circulant_split
 from test_cover import _twist_surgery_pairs
 
 W8 = ClaspPresentation(
@@ -153,9 +156,36 @@ def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
     assert (rep.h1_order, rep.eta_order) == (15, 15) == (det(a), order_in_quotient(a, [1, 1]))
 
 
-def test_framed_matrix_requires_symmetry():
-    with pytest.raises(ValueError):
-        FramedLinkingMatrix(IntMatrix.from_rows([[0, 1], [2, 0]]), ("a", "b"))
+# One planted failure per row of the invariant table, on the (m,1)-cable at
+# degree m: (row, m, name in coverlink.obstruct to stub, stub).
+_VIOLATIONS = [
+    # A non-palindromic vector at m = 3.
+    ("linkings-palindromic", 3, "_linkings_from_data",
+     lambda data, m: ((Fraction(1), Fraction(2)), 1)),
+    # A lifted matrix with even det at m = 2: A = diag(2, 1), so |H1| = 2.
+    ("h1-odd", 2, "lift_data",
+     lambda word, m: LiftedData(2, ("L1.0", "L1.1"), IntMatrix.from_rows([[2, 0], [0, 1]]),
+                                ((0, 0), (0, 0)), (Fraction(0), Fraction(1)))),
+    # An odd parity value at m = 2, n = 2, with |H1| = 1: (2 - 1) * 1 = 1.
+    ("parity-m2", 2, "_linkings_from_data", lambda data, m: ((Fraction(2),), 1)),
+]
+
+
+def test_every_invariant_row_has_a_violation_case():
+    assert [row for row, *_ in _VIOLATIONS] == [name.format(m=2) for name, _, _ in _INVARIANTS]
+
+
+@pytest.mark.parametrize("row, m, target, stub", _VIOLATIONS, ids=[v[0] for v in _VIOLATIONS])
+def test_invariant_violation_raises_and_exits_3(monkeypatch, tmp_path, capsys, row, m, target, stub):
+    monkeypatch.setattr(coverlink.obstruct, target, stub)
+    p = ClaspPresentation(m, (), name=f"cable-{m}")
+    with pytest.raises(InvariantViolationError, match=f"^{row} fails at m={m}: "):
+        auto_verdict(p, (m,))
+    path = tmp_path / "cable.pattern"
+    path.write_text(serialize(p), encoding="utf-8")
+    assert main(["obstruct", str(path), "--m-list", str(m)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: ") and row in err
 
 
 def test_branched_linkings_cable_goldens():
