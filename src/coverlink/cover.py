@@ -205,28 +205,29 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     eta = base_ana.component_by_name("eta")
     k = len(surgery)
     size = k * m
-    # Lift-major index of L_c^b is b*k + (c's place in surgery). The matrix
-    # starts with framings on the diagonal; eta_row[b*k + p] is lk(eta_0, L_c^b).
-    entries = [0] * (size * size)
+    # Lift-major index of L_c^b is b*k + (c's place in surgery). Only the
+    # nonzero framings and linkings are stored; eta_row[b*k + p] is
+    # lk(eta_0, L_c^b).
+    nonzeros: dict[tuple[int, int], int] = {}
     eta_row = [0] * size
     if k:
         index = {cid: p for p, cid in enumerate(surgery)}
-        for i in range(size):
-            entries[i * (size + 1)] = framing[surgery[i % k]]
+        for cid, p in index.items():
+            if f := framing[cid]:
+                nonzeros.update(((x * k + p, x * k + p), f) for x in range(m))
         for a, b, d in twice:
             if b not in index:
                 continue
             v = lk(a, b, d)
             if a == eta:
                 eta_row[d * k + index[b]] = v
-            elif a in index:
+            elif a in index and v:
                 pa, pb = index[a], index[b]
-                for x in range(m):
-                    entries[(x * k + pa) * size + (x + d) % m * k + pb] = v
+                nonzeros.update(((x * k + pa, (x + d) % m * k + pb), v) for x in range(m))
     return LiftedData(
         m,
         labels,
-        IntMatrix(size, size, tuple(entries)),
+        IntMatrix(size, size, nonzeros),
         # The deck shifts every lift by one sheet: eta lift j sees L_c^b as eta_0 sees L_c^(b-j).
         tuple(tuple(eta_row[size - j * k :] + eta_row[: size - j * k]) for j in range(m)),
         (Fraction(framing[eta]),) + tuple(Fraction(lk(eta, eta, d)) for d in range(1, m)),

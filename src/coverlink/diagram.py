@@ -106,6 +106,16 @@ class AnnularWord:
             if not 1 <= pos <= self.seam_width:
                 raise ValueError(f"label {name!r} references seam strand {pos}")
 
+    def __hash__(self) -> int:
+        # analyze() is cached by word, so the word is hashed on every lookup;
+        # hash its fields once and keep the result on the frozen instance.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.seam_orientations, self.events, self.labels))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def seam_width(self) -> int:
         return len(self.seam_orientations)

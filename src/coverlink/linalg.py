@@ -1,26 +1,30 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on Python's arbitrary-precision integers or on
-``fractions.Fraction``; there is deliberately no floating-point path.
+``fractions.Fraction``; there is deliberately no floating-point path. An
+:class:`IntMatrix` stores only its nonzero entries, keyed by position, so a
+lifted surgery matrix (diagonal on every presentation) costs O(N) to build
+and to solve, not O(N^2); the dense form is derived on request.
 Determinants, linear solves and inverses share one fraction-free (Bareiss)
 forward elimination, run once per connected block: the components of the
 symmetrised nonzero pattern (i ~ j when entry (i, j) or (j, i) is nonzero)
 index the diagonal blocks of a simultaneous row and column permutation of
 the matrix, which leaves the determinant unchanged. So ``det`` is the product
 of the blocks' determinants, and ``solve(m, b)`` eliminates ``[block | b]``
-per block and back-substitutes exactly; a dense matrix is one block.
-Solutions and inverses come out in adjugate form (every denominator divides
-``|det|``), and the Smith normal form uses a fixed pivot rule (smallest
-absolute value, ties broken in row-major order) so that outputs are
-deterministic.
+per block; a dense matrix is one block. The back-substitution stays
+fraction-free too: for the block's last pivot D (its determinant up to sign)
+``D * z`` is integral by Cramer's rule, so it runs on integers with exact
+division, and each entry of z is one ``Fraction(y, D)``. Solutions and
+inverses come out in adjugate form (every denominator divides ``|det|``),
+and the Smith normal form uses a fixed pivot rule (smallest absolute value,
+ties broken in row-major order) so that outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence
 
 Rational = Fraction
@@ -36,19 +40,28 @@ class SingularError(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense row-major integer matrix."""
+    """Sparse integer matrix: ``nonzeros`` maps ``(row, col)`` to each nonzero entry.
+
+    Zeros are never stored, so two matrices are equal exactly when their
+    entries are. The map is excluded from the hash and must not be mutated
+    after construction. ``entries`` gives the dense row-major tuple.
+    """
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    nonzeros: dict[tuple[int, int], int] = field(hash=False)
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        rows, cols = self.rows, self.cols
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise TypeError("IntMatrix entries must be ints")
+        for (i, j), v in self.nonzeros.items():
+            if not isinstance(v, int):
+                raise TypeError("IntMatrix entries must be ints")
+            if not v:
+                raise ValueError(f"IntMatrix stores no zeros, got one at ({i}, {j})")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) is outside a {rows}x{cols} matrix")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -56,25 +69,36 @@ class IntMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(r, c, tuple(int(x) for row in rows for x in row))
+        nonzeros = {
+            (i, j): v for i, row in enumerate(rows) for j, x in enumerate(row) if (v := int(x))
+        }
+        return IntMatrix(r, c, nonzeros)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
+        return IntMatrix(rows, cols, {})
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The dense row-major entries."""
+        return tuple(v for row in self.to_rows() for v in row)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.nonzeros.get(ij, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        get = self.nonzeros.get
+        return tuple(get((i, j), 0) for j in range(self.cols))
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for (i, j), v in self.nonzeros.items():
+            out[i][j] = v
+        return out
 
     @property
     def is_square(self) -> bool:
@@ -83,17 +107,22 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        other_rows: dict[int, list[tuple[int, int]]] = {}
+        for (k, j), v in other.nonzeros.items():
+            other_rows.setdefault(k, []).append((j, v))
+        out: dict[tuple[int, int], int] = {}
+        for (i, k), u in self.nonzeros.items():
+            for j, v in other_rows.get(k, ()):
+                out[i, j] = out.get((i, j), 0) + u * v
+        return IntMatrix(self.rows, other.cols, {ij: v for ij, v in out.items() if v})
 
     def mul_vec(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch")
-        return [sum(self.row(i)[k] * x[k] for k in range(self.cols)) for i in range(self.rows)]
+        out = [0] * self.rows
+        for (i, k), v in self.nonzeros.items():
+            out[i] += v * x[k]
+        return out
 
 
 @dataclass(frozen=True)
@@ -170,7 +199,8 @@ def _blocks(m: IntMatrix) -> list[list[int]]:
     """Connected components of the symmetrised nonzero pattern of the square m.
 
     Indices i and j share a component when a chain of nonzero entries, read
-    in either direction, joins them. Components come in order of their least
+    in either direction, joins them. A union-find over the stored entries
+    finds them in O(N + nnz). Components come in order of their least
     index, each sorted, so a dense matrix is the single block 0..n-1.
     """
     n = m.rows
@@ -181,10 +211,11 @@ def _blocks(m: IntMatrix) -> list[list[int]]:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for flat in compress(range(n * n), m.entries):
-        ri, rj = root(flat // n), root(flat % n)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    for i, j in m.nonzeros:
+        if i != j:
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
     blocks: dict[int, list[int]] = {}
     for i in range(n):
         blocks.setdefault(root(i), []).append(i)
@@ -192,15 +223,17 @@ def _blocks(m: IntMatrix) -> list[list[int]]:
 
 
 def _block_rows(m: IntMatrix, block: list[int]) -> list[list[int]]:
-    entries, n = m.entries, m.cols
-    return [[entries[i * n + j] for j in block] for i in block]
+    get = m.nonzeros.get
+    return [[get((i, j), 0) for j in block] for i in block]
 
 
 def _solve_columns(m: IntMatrix, extra: list[list[int]], count: int) -> list[list[Fraction]]:
     """Solutions z of ``m z = e`` for each of the ``count`` columns e of ``extra``.
 
-    Per block of m: one elimination of ``[block | extra rows]``, then exact
-    back-substitution scattered into z.
+    Per block of m: one elimination of ``[block | extra rows]``, then
+    fraction-free back-substitution of ``y = D z`` for the block's last
+    pivot D (integral by Cramer's rule, so every ``//`` is exact), scattered
+    into z as ``Fraction(y, D)``.
     """
     if not m.is_square:
         raise NonSquareError(f"cannot solve with a {m.rows}x{m.cols} matrix")
@@ -211,12 +244,14 @@ def _solve_columns(m: IntMatrix, extra: list[list[int]], count: int) -> list[lis
         a = [row + extra[i] for row, i in zip(_block_rows(m, block), block)]
         if _eliminate(a, size) == 0:
             raise SingularError("matrix is singular")
+        last = a[size - 1][size - 1]
         for c, z in enumerate(cols, start=size):
+            y = [0] * size
             for r in range(size - 1, -1, -1):
                 row = a[r]
-                z[block[r]] = (
-                    row[c] - sum(row[s] * z[block[s]] for s in range(r + 1, size))
-                ) / Fraction(row[r])
+                y[r] = (last * row[c] - sum(row[s] * y[s] for s in range(r + 1, size))) // row[r]
+            for r, i in enumerate(block):
+                z[i] = Fraction(y[r], last)
     return cols
 
 

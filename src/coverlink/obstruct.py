@@ -9,8 +9,9 @@ branched-cover linkings via ``base - x^T A^{-1} y``; one exact solve
 then asks whether the meridian lift has odd order in first homology and
 whether the linking vector is nonzero and of uniform sign; both must hold
 (and m must be a prime power) to certify the obstruction. Every report is
-first checked against one table of theorems (``_INVARIANTS``); a failed row
-is a pipeline bug and raises :class:`InvariantViolationError`.
+first checked against one table of theorems (``_INVARIANTS``). A failed row
+is a pipeline bug: a verdict raises :class:`InvariantViolationError`, and
+the :func:`cross_checks` ledger records the row as failed.
 """
 
 from __future__ import annotations
@@ -163,7 +164,12 @@ _INVARIANTS = (
 def _branched(
     p: ClaspPresentation, word: AnnularWord, m: int
 ) -> tuple[ObstructionReport, LiftedData]:
-    """:func:`branched_linkings` on p's checked word, plus its lifted data."""
+    """The report of degree m on p's checked word, plus its lifted data.
+
+    Every row of the invariant table that holds at m is checked and recorded
+    in the report's ledger, failed or not; :func:`_checked_report` raises on
+    a failed row, :func:`cross_checks` only records it.
+    """
     data = lift_data(word, m)
     h1 = abs(det(data.matrix))
     if h1 == 0:
@@ -173,11 +179,17 @@ def _branched(
     for name, degrees, check in _INVARIANTS:
         if degrees is None or m in degrees:
             ok, detail = check(p, report)
-            label = name.format(m=m)
-            report.checks.append(CheckResult(label, ok, detail))
-            if not ok:
-                raise InvariantViolationError(f"{label} fails at m={m}: {detail}")
+            report.checks.append(CheckResult(name.format(m=m), ok, detail))
     return report, data
+
+
+def _checked_report(p: ClaspPresentation, word: AnnularWord, m: int) -> ObstructionReport:
+    """The report of degree m; its first failed invariant row raises InvariantViolationError."""
+    report = _branched(p, word, m)[0]
+    for c in report.checks:
+        if not c.passed:
+            raise InvariantViolationError(f"{c.name} fails at m={m}: {c.detail}")
+    return report
 
 
 def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
@@ -189,7 +201,7 @@ def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
     :class:`InvariantViolationError`: it indicates a pipeline bug, never a
     property of the input data.
     """
-    return _branched(p, _checked_word(p), m)[0]
+    return _checked_report(p, _checked_word(p), m)
 
 
 def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
@@ -264,7 +276,7 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
         else:
             if word is None:
                 word = _checked_word(p)
-            report = _branched(p, word, m)[0]
+            report = _checked_report(p, word, m)
             _decide(report)
         reports.append(report)
     if any(r.verdict == "Obstructed" for r in reports):
@@ -280,11 +292,11 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     """Structural consistency ledger for a presentation.
 
     Collects each degree's own report checks (palindrome, odd |H1|, parity
-    forms) and adds the 2-vs-4 cover doubling identity, divisibility of
-    |H1|, the lifted vector shapes, deck-relabel invariance, and
-    cancelling-pair invariance, at every applicable cover degree. One
-    checked word serves every degree and the direct count; the
-    cancelling-pair presentation is compiled on its own.
+    forms), recording a failed row rather than raising, and adds the 2-vs-4
+    cover doubling identity, divisibility of |H1|, the lifted vector shapes,
+    deck-relabel invariance, and cancelling-pair invariance, at every
+    applicable cover degree. One checked word serves every degree and the
+    direct count; the cancelling-pair presentation is compiled on its own.
     """
     checks: list[CheckResult] = []
     n = p.n
@@ -351,7 +363,8 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
         checks.append(
             CheckResult(
                 f"cancelling-pair-m{m0}",
-                branched_linkings(doubled, m0).linkings == reports[m0].linkings,
+                _branched(doubled, _checked_word(doubled), m0)[0].linkings
+                == reports[m0].linkings,
                 "linkings unchanged by a cancelling clasp pair",
             )
         )

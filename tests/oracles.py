@@ -45,14 +45,12 @@ def block_circulant_split(m: IntMatrix | RationalMatrix, q: int):
         for bj in range(q):
             if blocks[bi][bj] != blocks[0][(bj - bi) % q]:
                 raise NotBlockCirculantError(bi, bj)
-    if s == 0:
-        return [type(m)(0, 0, ()) for _ in range(q)]
     factory = IntMatrix.from_rows if isinstance(m, IntMatrix) else RationalMatrix.from_rows
     return [factory(blocks[0][d]) for d in range(q)]
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(m.cols, m.rows, tuple(m[i, j] for j in range(m.cols) for i in range(m.rows)))
+    return IntMatrix(m.cols, m.rows, {(j, i): v for (i, j), v in m.nonzeros.items()})
 
 
 def deck_translate(cd: CoverDiagram, cover_cid: ComponentId, k: int) -> ComponentId:

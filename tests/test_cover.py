@@ -18,6 +18,7 @@ from coverlink.cover import (
 )
 from coverlink.diagram import Cap, Cross, Cup, _sweep, analyze
 from coverlink.downhill import normalize, random_annular_word
+from coverlink.linalg import _blocks
 from coverlink.pattern import ClaspPresentation, ClaspSpec, cable_template, compile, random_presentation
 from oracles import block_circulant_split, deck_translate
 
@@ -149,11 +150,9 @@ def _assert_lift_data_matches_cover(word, m):
     got = lift_data(word, m)
     cd = build_cover(word, m)
     want = lifted_linking_matrix(cd)
-    assert got.m == want.m == m
-    assert got.labels == want.labels
-    assert got.matrix.to_rows() == want.matrix.to_rows()
-    assert got.eta_vs_surgery == want.eta_vs_surgery
-    assert got.eta_linkings == want.eta_linkings and len(got.eta_linkings) == m
+    # Whole objects: the sparse matrix stores exactly the cover word's nonzeros.
+    assert got == want and hash(got) == hash(want)
+    assert got.m == m and len(got.eta_linkings) == m
     lks = lifted_eta_linkings(cd)
     assert all(lks[(j, k)] == got.eta_linkings[(k - j) % m] for j, k in lks)
 
@@ -201,15 +200,17 @@ def _twist_surgery_pairs(word, rng, count):
 
 
 def test_lift_data_matches_cover_word_with_asymmetric_blocks():
-    asymmetric = 0
+    asymmetric = coupled = 0
     for seed in range(10):
         p = random_presentation(8, 2 + seed % 3, seed)
         word = _twist_surgery_pairs(compile(p), random.Random(seed), 4)
         for m in (2, 4, 8):
             _assert_lift_data_matches_cover(word, m)
-            blocks = block_circulant_split(lift_data(word, m).matrix, m)
+            a = lift_data(word, m).matrix
+            blocks = block_circulant_split(a, m)
             asymmetric += any(b.to_rows() != [list(r) for r in zip(*b.to_rows())] for b in blocks)
-    assert asymmetric
+            coupled += any(len(block) > 1 for block in _blocks(a))
+    assert asymmetric and coupled
 
 
 def test_lift_data_winding_not_divisible_like_build_cover():

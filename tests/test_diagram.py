@@ -1,14 +1,21 @@
 """Annular word mechanics: parsing, components, and the counting rules."""
 
+import contextlib
+import dataclasses
+import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coverlink.cli import main
 from coverlink.diagram import (
     AnnularWord,
     Cap,
     Cross,
     Cup,
+    DiagramError,
     DiagramSyntaxError,
     Kink,
     OrientationMismatch,
@@ -24,7 +31,11 @@ from coverlink.diagram import (
     winding,
     wrapping,
 )
-from coverlink.pattern import cable_template
+from coverlink.downhill import random_annular_word
+from coverlink.obstruct import auto_verdict
+from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
+from coverlink.pattern import compile as compile_presentation
+from test_pattern import _FUZZ, _NUMBERS, _mutated
 
 
 def test_parse_serialize_round_trip():
@@ -173,3 +184,61 @@ def test_labels_resolve_to_components():
     word = cable_template(6)
     ana = analyze(word)
     assert ana.labels() == {ana.component_by_name("eta"): "eta"}
+
+
+def test_equal_words_hash_equal_and_hash_once():
+    word = cable_template(6)
+    again = parse(serialize(word))
+    assert again == word and again is not word
+    assert hash(again) == hash(word) == hash((word.seam_orientations, word.events, word.labels))
+    assert hash(AnnularWord((1,), (Kink(1, 1),))) != hash(AnnularWord((1,), (Kink(1, -1),)))
+    # The hash is kept on the word; fields, equality and repr are the dataclass's own.
+    assert "_hash" in vars(word) and "_hash" not in repr(word)
+    assert [f.name for f in dataclasses.fields(word)] == ["seam_orientations", "events", "labels"]
+
+
+def test_cable_op_analyze_hits_and_misses():
+    # One cable report at every prime-power degree analyzes its word once.
+    analyze.cache_clear()
+    auto_verdict(ClaspPresentation(64, (), name="cable-64"), (2, 4, 8, 16, 32, 64))
+    info = analyze.cache_info()
+    assert (info.hits, info.misses) == (7, 1)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the annular reader: a mutated text is a word or a DiagramError, and
+# ``coverlink validate`` on it exits 0 or 2 without a traceback.
+
+_WORD_TEXTS = [
+    serialize(compile_presentation(random_presentation(n, k, 0))) for n, k in ((2, 1), (4, 2))
+] + [serialize(random_annular_word(4, seed)) for seed in range(2)] + [
+    serialize(cable_template(3)),
+    "annular v1\nseam 3 +-+\nlabel eta seam 3\ncup 2 -\nx 2 over\ncap 2\nkink 1 -\n",
+]
+_WORD_TOKENS = st.one_of(
+    _NUMBERS,
+    st.sampled_from([
+        "", " ", "\n", "#", "-", "+", "+-", "-+", "x", "over", "under", "cup", "cap", "kink",
+        "label", "seam", "eta", "annular v1",
+    ]),
+    st.text(max_size=6),
+)
+
+
+@_FUZZ
+@given(st.one_of(_mutated(_WORD_TEXTS, _WORD_TOKENS), st.text(max_size=40)))
+def test_parse_fuzzed_text_raises_only_diagram_errors(tmp_path_factory, text):
+    try:
+        word = parse(text)
+    except DiagramSyntaxError as exc:
+        assert str(exc).startswith(f"line {exc.line}, col {exc.col}: ")
+    except DiagramError as exc:  # a well-formed word that fails its type check
+        assert str(exc)
+    else:
+        assert isinstance(word, AnnularWord)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()

@@ -412,3 +412,104 @@ def test_rational_matrix_block_split():
     blocks = block_circulant_split(m, 2)
     assert blocks[0].to_rows() == [[Fraction(1, 2)]]
     assert blocks[1].to_rows() == [[Fraction(1, 3)]]
+
+
+# ---------------------------------------------------------------------------
+# Sparse storage: only nonzeros are stored, and every dense view agrees.
+
+
+def test_int_matrix_rejects_bad_stored_entries():
+    with pytest.raises(TypeError):
+        IntMatrix(2, 2, {(0, 0): 1.5})
+    with pytest.raises(TypeError):
+        IntMatrix(2, 2, {(1, 0): Fraction(1)})
+    for key in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+            IntMatrix(2, 2, {key: 1})
+    with pytest.raises(ValueError, match="stores no zeros"):
+        IntMatrix(2, 2, {(0, 1): 0})
+    with pytest.raises(ValueError):
+        IntMatrix(-1, 2, {})
+
+
+def test_int_matrix_stores_nonzeros_and_compares_by_value():
+    m = IntMatrix.from_rows([[0, 2, 0], [-1, 0, 0]])
+    assert m.nonzeros == {(0, 1): 2, (1, 0): -1}
+    assert m == IntMatrix(2, 3, {(1, 0): -1, (0, 1): 2})
+    assert hash(m) == hash(IntMatrix(2, 3, {(1, 0): -1, (0, 1): 2}))
+    assert m != IntMatrix.zeros(2, 3) and IntMatrix.zeros(2, 3).nonzeros == {}
+    assert m.entries == (0, 2, 0, -1, 0, 0)
+    assert [m.row(0), m.row(1)] == [(0, 2, 0), (-1, 0, 0)]
+    assert m[0, 1] == 2 and m[1, 2] == 0
+    assert IntMatrix.identity(3).nonzeros == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+
+
+@given(small_square, small_square, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_int_matrix_dense_views_and_products(a, b, x):
+    n = a.rows
+    rows = a.to_rows()
+    assert IntMatrix.from_rows(rows) == a
+    assert a.entries == tuple(v for row in rows for v in row)
+    assert [list(a.row(i)) for i in range(n)] == rows
+    assert rows == [[a[i, j] for j in range(n)] for i in range(n)]
+    assert a.mul_vec(x[:n]) == [sum(rows[i][k] * x[k] for k in range(n)) for i in range(n)]
+    if b.rows == n:
+        other = b.to_rows()
+        want = [[sum(r[k] * other[k][j] for k in range(n)) for j in range(n)] for r in rows]
+        assert a.mul(b) == IntMatrix.from_rows(want)
+
+
+@st.composite
+def _pivoting_block_diagonal(draw):
+    """Blocks with a zero leading entry, interleaved with their inner order kept.
+
+    A block of size s >= 2 has a[0][0] = 0 and a nonzero subdiagonal, so it is
+    one connected block whose elimination must swap rows; ``singular`` blocks
+    repeat their first row. A 1x1 block may be zero. Returns the matrix and a
+    right-hand side.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(st.integers(1, 3))
+        a = [[draw(st.integers(-3, 3)) for _ in range(s)] for _ in range(s)]
+        a[0][0] = 0
+        for i in range(1, s):
+            a[i][i - 1] = draw(st.sampled_from([-2, -1, 1, 2]))
+        if s >= 2 and draw(st.booleans()):
+            a[-1] = list(a[0])
+        blocks.append(a)
+    # Interleave: the t-th index of block b goes to the t-th slot labelled b.
+    slots = draw(st.permutations([b for b, a in enumerate(blocks) for _ in a]))
+    where, seen = {}, [0] * len(blocks)
+    for pos, b in enumerate(slots):
+        where[b, seen[b]] = pos
+        seen[b] += 1
+    n = len(slots)
+    rows = [[0] * n for _ in range(n)]
+    for b, a in enumerate(blocks):
+        for i, row in enumerate(a):
+            for j, v in enumerate(row):
+                rows[where[b, i]][where[b, j]] = v
+    return IntMatrix.from_rows(rows), draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+
+
+def _fractions(matrix) -> list:
+    return [Fraction(int(q.p), int(q.q)) for q in matrix]
+
+
+@given(_pivoting_block_diagonal())
+@settings(max_examples=150, deadline=None)
+def test_block_solve_det_inverse_match_sympy_with_pivot_swaps(mb):
+    m, b = mb
+    ref = sympy.Matrix(m.to_rows())
+    d = det(m)
+    assert d == ref.det()
+    if d == 0:
+        with pytest.raises(SingularError):
+            solve(m, b)
+        with pytest.raises(SingularError):
+            inverse(m)
+        return
+    assert solve(m, b) == _fractions(ref.LUsolve(sympy.Matrix(b)))
+    assert [x for row in inverse(m).to_rows() for x in row] == _fractions(ref.inv())

@@ -188,6 +188,43 @@ def test_invariant_violation_raises_and_exits_3(monkeypatch, tmp_path, capsys, r
     assert err.startswith("invariant violation: ") and row in err
 
 
+def test_cross_checks_record_a_failed_invariant_row(monkeypatch, tmp_path, capsys):
+    # The verdict raises on the odd parity value; the ledger records it as failed.
+    stub = lambda data, m, preferred=0: ((2,), 1)  # noqa: E731
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", stub)
+    p = ClaspPresentation(2, (), name="cable-2")
+    checks = cross_checks(p)
+    assert [c.name for c in checks[:3]] == ["linkings-palindromic", "h1-odd", "parity-m2"]
+    assert [c.passed for c in checks[:3]] == [True, True, False]
+    assert checks[2].detail == "(lk - 1)*|H1| = 1"
+    path = tmp_path / "cable.pattern"
+    path.write_text(serialize(p), encoding="utf-8")
+    assert main(["obstruct", str(path), "--m-list", "2"]) == 3
+    assert capsys.readouterr().err.startswith("invariant violation: parity-m2 fails at m=2: ")
+
+
+def test_verdict_path_never_densifies(monkeypatch):
+    def dense(*_args):
+        raise AssertionError("the verdict path asked for a dense matrix")
+
+    monkeypatch.setattr(IntMatrix, "entries", property(dense))
+    monkeypatch.setattr(IntMatrix, "to_rows", dense)
+    monkeypatch.setattr(IntMatrix, "row", dense)
+    for n, k, m in ((8, 8, 8), (64, 16, 64), (128, 32, 128)):
+        rep = auto_verdict(random_presentation(n, k, 0), (m,)).per_m[0]
+        assert rep.h1_order == 1 and len(rep.linkings) == m - 1
+    # N = 4,096: the lifted matrix is diag(+-1), stored as its N nonzeros.
+    a = lift_data(compile_presentation(random_presentation(128, 32, 0)), 128).matrix
+    off_diagonal = sum(i != j for i, j in a.nonzeros)
+    assert a.rows == 4096 and len(a.nonzeros) <= a.rows + off_diagonal
+    assert off_diagonal == 0 and set(a.nonzeros.values()) <= {-1, 1}
+    # Full twists couple the lifts into blocks of up to 16 at m = 8.
+    p = random_presentation(8, 3, 4)
+    word = _twist_surgery_pairs(compile_presentation(p), random.Random(4), 4)
+    monkeypatch.setattr(coverlink.obstruct, "_checked_word", lambda q: word)
+    assert [r.h1_order for r in auto_verdict(p, (2, 4, 8)).per_m] == [85, 10285, 109113565]
+
+
 def test_branched_linkings_cable_goldens():
     assert branched_linkings(ClaspPresentation(6, ()), 2).linkings == (Fraction(3),)
     rep = branched_linkings(ClaspPresentation(8, ()), 4)

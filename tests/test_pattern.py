@@ -344,7 +344,7 @@ _FUZZ = settings(
 
 
 @st.composite
-def _mutated(draw, texts):
+def _mutated(draw, texts, tokens=_TOKENS):
     """A valid text with a few spans replaced by tokens (insertions and deletions included).
 
     Most spans are whole words, numbers above all, so that a value is swapped
@@ -364,7 +364,7 @@ def _mutated(draw, texts):
         else:
             i = draw(st.integers(0, len(text)))
             j = draw(st.integers(i, min(len(text), i + 8)))
-        text = text[:i] + draw(_TOKENS) + text[j:]
+        text = text[:i] + draw(tokens) + text[j:]
     return text
 
 
