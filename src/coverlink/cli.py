@@ -126,7 +126,9 @@ def cmd_cover(args) -> int:
 
 def cmd_linkings(args) -> int:
     p = _load_pattern(args.file, args.json)
-    report = obs.verdict(p, args.m)
+    report = obs.verdict(p, args.m)  # rejects m < 2 first
+    if p.n % args.m:
+        raise ValueError(f"{args.file}: m={args.m} does not divide winding {p.n}")
     if args.format == "json":
         agg = obs.AggregateReport(p.name or "unnamed", p.n, [report], report.verdict)
         sys.stdout.write(obs.report_to_json(agg))

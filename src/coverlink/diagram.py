@@ -274,13 +274,15 @@ class WordAnalysis:
 
     word: AnnularWord
     components: tuple[Component, ...]
-    _comp_of_root: dict[int, ComponentId] = field(repr=False, default_factory=dict)
     _sweep: _SweepResult = field(repr=False, default=None)
+    # The flat lift table: each segment's component and sheet (from its lowest seam strand).
+    _segment_component: list[ComponentId] = field(repr=False, default_factory=list)
+    _segment_sheet: list[int] = field(repr=False, default_factory=list)
     _tables: tuple[dict, dict] | None = field(repr=False, default=None)
     _tally: tuple[dict, dict] | None = field(repr=False, default=None)
 
     def component_of_segment(self, segment: int) -> ComponentId:
-        return self._comp_of_root[self._sweep.uf.find(segment)]
+        return self._segment_component[segment]
 
     def component_of_seam(self, position: int) -> ComponentId:
         if not 1 <= position <= self.word.seam_width:
@@ -312,28 +314,18 @@ class WordAnalysis:
         seam strand. The first map sends ``(a, b, delta)`` with a <= b to the
         signed count of base crossings whose copy in every sheet joins lift x
         of a to lift x + delta of b. The second is each component's signed
-        kink count.
+        kink count. Both are read off the flat lift table ``analyze`` built.
         """
         if self._tally is None:
-            uf, sweep = self._sweep.uf, self._sweep
-            base = {}  # root -> offset of the component's lowest seam strand
-            for comp in self.components:
-                if comp.seam_positions:
-                    root, v = uf.locate(sweep.seam_segments[min(comp.seam_positions) - 1])
-                    base[root] = v
-
-            def lift(seg: int) -> tuple[ComponentId, int]:
-                root, v = uf.locate(seg)
-                return self._comp_of_root[root], v - base.get(root, 0)
-
+            comp, sheet = self._segment_component, self._segment_sheet
             crossings: dict[tuple[int, int, int], int] = {}
-            for lo, up, sign, _ in sweep.crossings:
-                (a, x), (b, y) = lift(lo), lift(up)
-                key = (a, b, y - x) if a <= b else (b, a, x - y)
+            for lo, up, sign, _ in self._sweep.crossings:
+                a, b = comp[lo], comp[up]
+                key = (a, b, sheet[up] - sheet[lo]) if a <= b else (b, a, sheet[lo] - sheet[up])
                 crossings[key] = crossings.get(key, 0) + sign
             kinks = {c.cid: 0 for c in self.components}
-            for seg, sign in sweep.kinks:
-                kinks[self.component_of_segment(seg)] += sign
+            for seg, sign in self._sweep.kinks:
+                kinks[comp[seg]] += sign
             self._tally = (crossings, kinks)
         return self._tally
 
@@ -384,26 +376,27 @@ class WordAnalysis:
 def analyze(word: AnnularWord) -> WordAnalysis:
     """Validate a word and compute its component structure (cached)."""
     sweep = _sweep(word)
-    roots: dict[int, list[int]] = {}
-    order: list[int] = []
+    first: dict[int, tuple[ComponentId, int]] = {}  # root -> (component, first segment's offset)
+    seg_component, seg_sheet = [], []
+    # Segments are created seam-first, bottom to top, so component ids follow
+    # a deterministic order, stable under serialization round-trips, and a
+    # component's first segment is its lowest seam strand. A component off
+    # the seam never crosses it, so all its segments lie in one sheet.
     for seg in range(sweep.seg_count):
-        r = sweep.uf.find(seg)
-        if r not in roots:
-            roots[r] = []
-            order.append(r)
-        # Segments are created seam-first, bottom to top, so this order is
-        # deterministic and stable under serialization round-trips.
+        r, v = sweep.uf.locate(seg)
+        cid, v0 = first.setdefault(r, (len(first), v))
+        seg_component.append(cid)
+        seg_sheet.append(v - v0)
+    positions: list[list[int]] = [[] for _ in first]
     for h, seg in enumerate(sweep.seam_segments):
-        roots[sweep.uf.find(seg)].append(h + 1)
+        positions[seg_component[seg]].append(h + 1)
     components = []
-    comp_of_root: dict[int, ComponentId] = {}
-    for cid, r in enumerate(order):
-        positions = tuple(roots[r])
-        winding = sum(word.seam_orientations[p - 1] for p in positions)
+    for r, (cid, _) in first.items():
+        seam = tuple(positions[cid])
+        winding = sum(word.seam_orientations[p - 1] for p in seam)
         assert abs(sweep.uf.period[r]) == abs(winding), "sheet offsets must close up by the winding"
-        components.append(Component(cid, positions, winding, len(positions)))
-        comp_of_root[r] = cid
-    return WordAnalysis(word, tuple(components), comp_of_root, sweep)
+        components.append(Component(cid, seam, winding, len(seam)))
+    return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet)
 
 
 def components(word: AnnularWord) -> tuple[Component, ...]:

@@ -9,15 +9,18 @@ Determinants, linear solves and inverses share one fraction-free (Bareiss)
 forward elimination, run once per connected block: the components of the
 symmetrised nonzero pattern (i ~ j when entry (i, j) or (j, i) is nonzero)
 index the diagonal blocks of a simultaneous row and column permutation of
-the matrix, which leaves the determinant unchanged. So ``det`` is the product
-of the blocks' determinants, and ``solve(m, b)`` eliminates ``[block | b]``
-per block; a dense matrix is one block. The back-substitution stays
-fraction-free too: for the block's last pivot D (its determinant up to sign)
-``D * z`` is integral by Cramer's rule, so it runs on integers with exact
-division, and each entry of z is one ``Fraction(y, D)``. Solutions and
-inverses come out in adjugate form (every denominator divides ``|det|``),
-and the Smith normal form uses a fixed pivot rule (smallest absolute value,
-ties broken in row-major order) so that outputs are deterministic.
+the matrix, which leaves the determinant unchanged. A matrix finds its
+blocks once, on first use; a dense matrix is one block, and a 1x1 block is
+its diagonal entry. So ``det`` is the product of the blocks' determinants,
+and a solve eliminates ``[block | b]`` per block. The back-substitution is
+fraction-free too: for the block's last pivot D ``D * z`` is integral by
+Cramer's rule, so it runs on integers with exact division.
+``solve_numerators`` eliminates only the blocks where b is nonzero and
+returns z as integer numerators over the lcm of z's denominators. Solutions
+and inverses come out in adjugate form (every denominator divides
+``|det|``), and the Smith normal form uses a fixed pivot rule (smallest
+absolute value, ties broken in row-major order) so that outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 Rational = Fraction
@@ -44,7 +48,8 @@ class IntMatrix:
 
     Zeros are never stored, so two matrices are equal exactly when their
     entries are. The map is excluded from the hash and must not be mutated
-    after construction. ``entries`` gives the dense row-major tuple.
+    after construction (the block split is cached on first use). ``entries``
+    gives the dense row-major tuple.
     """
 
     rows: int
@@ -69,9 +74,10 @@ class IntMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        nonzeros = {
-            (i, j): v for i, row in enumerate(rows) for j, x in enumerate(row) if (v := int(x))
-        }
+        nonzeros = {(i, j): int(x) for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+        for (i, j), v in nonzeros.items():
+            if v != rows[i][j]:
+                raise TypeError(f"entry ({i}, {j}) = {rows[i][j]!r} is not an integer")
         return IntMatrix(r, c, nonzeros)
 
     @staticmethod
@@ -103,6 +109,11 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    @cached_property
+    def _split(self) -> list[list[int]]:
+        """``_blocks(self)``, found once and shared by ``det`` and the solves."""
+        return _blocks(self)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -227,67 +238,104 @@ def _block_rows(m: IntMatrix, block: list[int]) -> list[list[int]]:
     return [[get((i, j), 0) for j in block] for i in block]
 
 
-def _solve_columns(m: IntMatrix, extra: list[list[int]], count: int) -> list[list[Fraction]]:
-    """Solutions z of ``m z = e`` for each of the ``count`` columns e of ``extra``.
+def _solve_block(
+    m: IntMatrix, block: list[int], extra: list[list[int]]
+) -> tuple[int, list[list[int]]]:
+    """``(D, ys)`` for one block of ``m z = e``, per column e of ``extra`` (a row per index).
 
-    Per block of m: one elimination of ``[block | extra rows]``, then
-    fraction-free back-substitution of ``y = D z`` for the block's last
-    pivot D (integral by Cramer's rule, so every ``//`` is exact), scattered
-    into z as ``Fraction(y, D)``.
+    D is the block's last pivot and ``ys[c][r] = D * z[block[r]]`` for column
+    c: one elimination of ``[block | extra]``, then fraction-free
+    back-substitution (every ``//`` is exact). A 1x1 block is its diagonal
+    entry. Raises :class:`SingularError` when the block is singular.
     """
-    if not m.is_square:
-        raise NonSquareError(f"cannot solve with a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    cols = [[Fraction(0)] * n for _ in range(count)]
-    for block in _blocks(m):
-        size = len(block)
-        a = [row + extra[i] for row, i in zip(_block_rows(m, block), block)]
-        if _eliminate(a, size) == 0:
+    size = len(block)
+    if size == 1:
+        last = m.nonzeros.get((block[0], block[0]), 0)
+        if not last:
             raise SingularError("matrix is singular")
-        last = a[size - 1][size - 1]
-        for c, z in enumerate(cols, start=size):
-            y = [0] * size
-            for r in range(size - 1, -1, -1):
-                row = a[r]
-                y[r] = (last * row[c] - sum(row[s] * y[s] for s in range(r + 1, size))) // row[r]
-            for r, i in enumerate(block):
-                z[i] = Fraction(y[r], last)
-    return cols
+        return last, [[e] for e in extra[0]]
+    a = [row + e for row, e in zip(_block_rows(m, block), extra)]
+    if _eliminate(a, size) == 0:
+        raise SingularError("matrix is singular")
+    last = a[size - 1][size - 1]
+    ys = []
+    for c in range(size, len(a[0])):
+        y = [0] * size
+        for r in range(size - 1, -1, -1):
+            row = a[r]
+            y[r] = (last * row[c] - sum(row[s] * y[s] for s in range(r + 1, size))) // row[r]
+        ys.append(y)
+    return last, ys
 
 
 def det(m: IntMatrix) -> int:
     """Exact determinant: the product of the Bareiss determinants of m's blocks.
 
-    The 0x0 determinant is 1 (empty product), which makes the
-    empty-surgery case of the surgery formula collapse to the base
-    linking number.
+    A 1x1 block contributes its diagonal entry (0 when none is stored). The
+    0x0 determinant is 1 (empty product), which makes the empty-surgery case
+    of the surgery formula collapse to the base linking number.
     """
     if not m.is_square:
         raise NonSquareError(f"det of {m.rows}x{m.cols} matrix")
+    get = m.nonzeros.get
     out = 1
-    for block in _blocks(m):
-        out *= _eliminate(_block_rows(m, block), len(block))
+    for block in m._split:
+        if len(block) == 1:
+            out *= get((block[0], block[0]), 0)
+        else:
+            out *= _eliminate(_block_rows(m, block), len(block))
         if out == 0:
             break
     return out
 
 
+def solve_numerators(m: IntMatrix, b: Sequence[int]) -> tuple[dict[int, int], int]:
+    """The solution of ``m z = b`` on integers: ``(w, d)`` with ``z[i] = w.get(i, 0) / d``.
+
+    w holds the nonzero numerators and d > 0 is the lcm of z's denominators.
+    Only the blocks where b is nonzero are eliminated. On every other block z
+    is 0 because the caller has already checked that ``det(m) != 0``; a
+    singular block that b does not touch goes undetected here.
+    """
+    if not m.is_square:
+        raise NonSquareError(f"cannot solve with a {m.rows}x{m.cols} matrix")
+    if len(b) != m.rows:
+        raise ValueError("vector dimension mismatch")
+    parts, d = [], 1
+    for block in m._split:
+        if any(b[i] for i in block):
+            last, (y,) = _solve_block(m, block, [[b[i]] for i in block])
+            parts.append((block, y, last))
+            d = math.lcm(d, last // math.gcd(last, *y))
+    return {i: v * d // last for block, y, last in parts for i, v in zip(block, y) if v}, d
+
+
 def solve(m: IntMatrix, b: Sequence[int]) -> list[Fraction]:
-    """Exact solution z of ``m z = b``: one elimination of ``[block | b]`` per block of m.
+    """Exact solution z of ``m z = b``: :func:`solve_numerators` after a ``det`` check.
 
     Every denominator divides ``|det(m)|``. Raises :class:`SingularError`
     when m is singular.
     """
-    if len(b) != m.rows:
-        raise ValueError("vector dimension mismatch")
-    return _solve_columns(m, [[v] for v in b], 1)[0]
+    if det(m) == 0:
+        raise SingularError("matrix is singular")
+    w, d = solve_numerators(m, b)
+    return [Fraction(w.get(i, 0), d) for i in range(m.rows)]
 
 
 def inverse(m: IntMatrix) -> RationalMatrix:
-    """Exact inverse; every entry has denominator dividing ``|det(m)|``."""
-    n = m.rows
-    cols = _solve_columns(m, IntMatrix.identity(n).to_rows(), n)
-    return RationalMatrix(n, n, tuple(cols[j][i] for i in range(n) for j in range(n)))
+    """Exact inverse; every entry has denominator dividing ``|det(m)|``.
+
+    Column j is zero outside j's block, so a block solves for its own columns.
+    """
+    if not m.is_square:
+        raise NonSquareError(f"cannot invert a {m.rows}x{m.cols} matrix")
+    rows = [[Fraction(0)] * m.rows for _ in range(m.rows)]
+    for block in m._split:
+        last, ys = _solve_block(m, block, [[int(i == j) for j in block] for i in block])
+        for j, y in zip(block, ys):
+            for i, v in zip(block, y):
+                rows[i][j] = Fraction(v, last)
+    return RationalMatrix.from_rows(rows)
 
 
 def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:

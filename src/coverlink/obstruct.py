@@ -5,7 +5,8 @@ covers reads the m-fold cover's lift data off one sweep of that word
 (``cover.lift_data``): the framed linking matrix A of the lifted
 surgery curves and the eta-lift linkings. It converts base linkings into
 branched-cover linkings via ``base - x^T A^{-1} y``; one exact solve
-``z = A^{-1} x`` per degree yields every linking and eta's order. The verdict
+``z = A^{-1} x`` per degree, on integers over the blocks of A that x touches,
+yields every linking (one ``Fraction`` each) and eta's order. The verdict
 then asks whether the meridian lift has odd order in first homology and
 whether the linking vector is nonzero and of uniform sign; both must hold
 (and m must be a prime power) to certify the obstruction. Every report is
@@ -17,8 +18,6 @@ the :func:`cross_checks` ledger records the row as failed.
 from __future__ import annotations
 
 import json
-import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -26,7 +25,7 @@ from typing import Sequence
 from . import pattern as pat
 from .cover import LiftedData, build_cover, lift_data, lifted_eta_linkings
 from .diagram import AnnularWord
-from .linalg import IntMatrix, det, solve
+from .linalg import IntMatrix, det, solve, solve_numerators
 from .pattern import ClaspPresentation, ClaspSpec, add_cancelling_pair
 
 DEFAULT_M_LIST = (2, 4)
@@ -108,22 +107,24 @@ def _linkings_from_data(
     One solve ``z = A^{-1} x`` serves every k: A is symmetric, so
     ``x^T A^{-1} y_k = z . y_k``. For nonsingular A, d*x lies in the column
     span of A iff d*z is integral, so eta's order is the lcm of the
-    denominators of z. Over that common denominator z = w / order with w
-    integral, and each linking is ``base_k - (w . y_k) / order``, one integer
-    dot product. The caller has checked that A is nonsingular.
+    denominators of z. ``solve_numerators`` gives z = w / order with w
+    integral and nonzero only on the blocks x touches, so each linking is
+    ``base_k - (w . y_k) / order``: one integer dot product over w's support
+    and one ``Fraction``. The caller has checked that A is nonsingular.
     """
     x = data.eta_vs_surgery[preferred % m]
     if not x:  # no surgery curves: the cover's linkings are the base's
         return data.eta_linkings[1:], 1
-    z = solve(data.matrix, x)
-    order = math.lcm(*(q.denominator for q in z))
-    w = [q.numerator * (order // q.denominator) for q in z]
-    linkings = tuple(
-        data.eta_linkings[k]
-        - Fraction(sum(map(operator.mul, w, data.eta_vs_surgery[(preferred + k) % m])), order)
-        for k in range(1, m)
-    )
-    return linkings, order
+    w, order = solve_numerators(data.matrix, x)
+    linkings = []
+    for k in range(1, m):
+        y = data.eta_vs_surgery[(preferred + k) % m]
+        dot = sum(v * y[i] for i, v in w.items())
+        base = data.eta_linkings[k]
+        linkings.append(
+            Fraction(base.numerator * order - dot * base.denominator, base.denominator * order)
+        )
+    return tuple(linkings), order
 
 
 def _checked_word(p: ClaspPresentation) -> AnnularWord:

@@ -7,7 +7,7 @@ Import them as ``from oracles import ...``: pytest puts this directory on
 from __future__ import annotations
 
 from coverlink.cover import CoverDiagram
-from coverlink.diagram import ComponentId
+from coverlink.diagram import ComponentId, WordAnalysis
 from coverlink.linalg import IntMatrix, NonSquareError, RationalMatrix
 
 
@@ -59,3 +59,38 @@ def deck_translate(cd: CoverDiagram, cover_cid: ComponentId, k: int) -> Componen
     for _ in range(k % cd.m):
         out = cd.deck[out]
     return out
+
+
+def locate_lift_tally(ana: WordAnalysis):
+    """Each segment's ``(component, sheet)`` and the lift tally, by walking the union-find.
+
+    The flat lift table of ``analyze`` replaced this walk: one ``locate``
+    per crossing endpoint, with the component read off the root and the
+    sheet measured from copy 0 of the component's lowest seam strand.
+    Returns ``(lifts, (crossings, kinks))`` in the form of
+    ``WordAnalysis._lift_tally``.
+    """
+    sweep = ana._sweep
+    uf = sweep.uf
+    comp_of_root: dict[int, ComponentId] = {}
+    for seg in range(sweep.seg_count):
+        comp_of_root.setdefault(uf.find(seg), len(comp_of_root))
+    base = {}  # root -> offset of the component's lowest seam strand
+    for comp in ana.components:
+        if comp.seam_positions:
+            root, v = uf.locate(sweep.seam_segments[min(comp.seam_positions) - 1])
+            base[root] = v
+
+    def lift(seg: int) -> tuple[ComponentId, int]:
+        root, v = uf.locate(seg)
+        return comp_of_root[root], v - base.get(root, 0)
+
+    crossings: dict[tuple[int, int, int], int] = {}
+    for lo, up, sign, _ in sweep.crossings:
+        (a, x), (b, y) = lift(lo), lift(up)
+        key = (a, b, y - x) if a <= b else (b, a, x - y)
+        crossings[key] = crossings.get(key, 0) + sign
+    kinks = {c.cid: 0 for c in ana.components}
+    for seg, sign in sweep.kinks:
+        kinks[lift(seg)[0]] += sign
+    return [lift(seg) for seg in range(sweep.seg_count)], (crossings, kinks)

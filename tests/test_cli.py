@@ -105,6 +105,16 @@ def test_linkings_text(capsys):
     assert "lk(eta, t^1 eta) = 2" in out and "|H1| = 1" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("m", [3, 6])
+def test_linkings_degree_not_dividing_winding_exits_2(capsys, fmt, m):
+    path = str(CORPUS / "cable-8.pattern")
+    code = main(["linkings", path, "--m", str(m), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: m={m} does not divide winding 8\n"
+
+
 def test_normalize_round_trip(tmp_path, capsys):
     from coverlink.diagram import serialize
     from coverlink.downhill import random_annular_word
@@ -209,10 +219,16 @@ def test_mutated_snf_fails_order_goldens(capsys, monkeypatch):
 
 
 def test_mutated_solve_fails_linking_goldens(capsys, monkeypatch):
-    # Deliberate mutation: a sign-flipped solve on the verdict path must break
-    # the winding-8 linking goldens.
-    real = coverlink.obstruct.solve
-    monkeypatch.setattr(coverlink.obstruct, "solve", lambda m, b: [-v for v in real(m, b)])
+    # Deliberate mutation: a sign-flipped solve on the verdict path (negated
+    # numerators over the same denominator) must break the winding-8 linking
+    # goldens.
+    real = coverlink.obstruct.solve_numerators
+
+    def flipped(m, b):
+        w, d = real(m, b)
+        return {i: -v for i, v in w.items()}, d
+
+    monkeypatch.setattr(coverlink.obstruct, "solve_numerators", flipped)
     code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 1

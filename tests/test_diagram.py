@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,11 +32,41 @@ from coverlink.diagram import (
     winding,
     wrapping,
 )
-from coverlink.downhill import random_annular_word
+from coverlink.downhill import normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
 from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
 from coverlink.pattern import compile as compile_presentation
+from oracles import locate_lift_tally
+from test_cover import _twist_surgery_pairs
 from test_pattern import _FUZZ, _NUMBERS, _mutated
+
+
+def _lift_table_words():
+    # A kinked loop off the seam, clasping the bottom cable strand twice.
+    loop = (Cup(1), Kink(1, -1), Cross(2, True), Cross(2, True), Cap(1))
+    cable = cable_template(8)
+    yield dataclasses.replace(cable, events=loop + cable.events)
+    for seed in range(30):
+        yield compile_presentation(random_presentation(2 + seed % 7, seed % 5, seed))
+    for seed in range(15):
+        word = random_annular_word(3 + seed % 6, seed)
+        result = normalize(word)
+        yield from (word, result.word, compile_presentation(result.presentation))
+    for seed in range(12):  # the twisted-surgery words of test_obstruct
+        p = random_presentation(8, 2 + seed % 3, seed)
+        yield _twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
+
+
+def test_flat_lift_table_matches_union_find_walk():
+    analyze.cache_clear()
+    words = list(_lift_table_words())
+    assert any(c.seam_positions == () for w in words for c in analyze(w).components)
+    for word in words:
+        ana = analyze(word)
+        lifts, tally = locate_lift_tally(ana)
+        assert list(zip(ana._segment_component, ana._segment_sheet)) == lifts
+        assert [ana.component_of_segment(s) for s in range(len(lifts))] == [c for c, _ in lifts]
+        assert ana._lift_tally() == tally
 
 
 def test_parse_serialize_round_trip():

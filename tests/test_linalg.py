@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coverlink.linalg import (
@@ -22,6 +22,7 @@ from coverlink.linalg import (
     order_in_quotient,
     smith_normal_form,
     solve,
+    solve_numerators,
 )
 from oracles import NotBlockCirculantError, block_circulant_split, transpose
 
@@ -281,6 +282,80 @@ def test_block_det_and_solve_edge_cases():
     _assert_matches_dense(dense, rng)
 
 
+# Block-diagonal systems: each block with its part of b, which may be all zero.
+block_parts = st.lists(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n),
+            st.one_of(st.just([0] * n), st.lists(st.integers(-9, 9), min_size=n, max_size=n)),
+        )
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _block_diagonal(parts) -> tuple[IntMatrix, list[int]]:
+    n = sum(len(rows) for rows, _ in parts)
+    dense = [[0] * n for _ in range(n)]
+    b: list[int] = []
+    for rows, part in parts:
+        s0 = len(b)
+        for i, row in enumerate(rows):
+            dense[s0 + i][s0 : s0 + len(row)] = row
+        b += part
+    return IntMatrix.from_rows(dense), b
+
+
+@given(block_parts)
+# Pivot swaps in a coupled block with a negative determinant, next to an
+# untouched 1x1 block and an untouched coupled block.
+@example([([[0, 1], [1, 0]], [1, 2]), ([[3]], [0]), ([[0, 2, 1], [1, 0, 0], [0, 1, 1]], [0, 0, 0])])
+@example([([[-3]], [2]), ([[0, 2], [3, 1]], [0, 5])])
+@settings(max_examples=200, deadline=None)
+def test_solve_numerators_match_solve_and_sympy(parts):
+    m, b = _block_diagonal(parts)
+    assume(det(m) != 0)
+    w, d = solve_numerators(m, b)
+    z = solve(m, b)
+    assert d > 0 and all(w.values()) and set(w) <= set(range(m.rows))
+    assert [Fraction(w.get(i, 0), d) for i in range(m.rows)] == z
+    assert d == math.lcm(*(q.denominator for q in z))
+    lu = sympy.Matrix(m.to_rows()).LUsolve(sympy.Matrix(b))
+    assert z == [Fraction(int(q.p), int(q.q)) for q in lu]
+
+
+def test_solve_numerators_on_integers_and_singular_blocks():
+    # A negative 1x1 pivot and a coupled block of det -1 that needs a row swap.
+    m = IntMatrix.from_rows([[-3, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert solve_numerators(m, [2, 0, 0]) == ({0: -2}, 3)
+    assert solve_numerators(m, [0, 4, -6]) == ({1: -6, 2: 4}, 1)
+    assert solve_numerators(m, [0, 0, 0]) == ({}, 1)
+    # A singular block that b touches raises; solve checks det first.
+    singular = IntMatrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 5]])
+    with pytest.raises(SingularError):
+        solve_numerators(singular, [1, 0, 0])
+    with pytest.raises(SingularError):
+        solve(singular, [0, 0, 1])
+    with pytest.raises(NonSquareError):
+        solve_numerators(IntMatrix.zeros(1, 2), [1])
+    with pytest.raises(ValueError, match="dimension"):
+        solve_numerators(m, [1, 2])
+
+
+def test_block_split_is_found_once_per_matrix(monkeypatch):
+    import coverlink.linalg
+
+    calls = []
+    real = coverlink.linalg._blocks
+    monkeypatch.setattr(coverlink.linalg, "_blocks", lambda m: calls.append(m) or real(m))
+    m = IntMatrix.from_rows([[3, 0, 0, 1], [0, 5, 0, 0], [0, 0, 7, 0], [1, 0, 0, 2]])
+    assert det(m) == 175 and solve(m, [1, 1, 1, 0])[1] == Fraction(1, 5)
+    assert solve_numerators(m, [0, 1, 0, 0]) == ({1: 1}, 5)
+    assert inverse(m)[2, 2] == Fraction(1, 7)
+    assert calls == [m]
+
+
 def _in_column_span(m: IntMatrix, target: list) -> bool:
     # Rational solve + integrality check; independent of the SNF route.
     n = m.rows
@@ -430,6 +505,14 @@ def test_int_matrix_rejects_bad_stored_entries():
         IntMatrix(2, 2, {(0, 1): 0})
     with pytest.raises(ValueError):
         IntMatrix(-1, 2, {})
+    # from_rows rejects what the constructor rejects instead of truncating it,
+    # and keeps every integral value.
+    for bad in (1.5, Fraction(1, 2), Fraction(-7, 2), 2.000001):
+        with pytest.raises(TypeError, match="is not an integer"):
+            IntMatrix.from_rows([[1, 0], [0, bad]])
+    good = IntMatrix.from_rows([[Fraction(4, 1), sympy.Integer(-3)], [2.0, True]])
+    assert good.nonzeros == {(0, 0): 4, (0, 1): -3, (1, 0): 2, (1, 1): 1}
+    assert all(type(v) is int for v in good.nonzeros.values())
 
 
 def test_int_matrix_stores_nonzeros_and_compares_by_value():

@@ -156,6 +156,38 @@ def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
     assert (rep.h1_order, rep.eta_order) == (15, 15) == (det(a), order_in_quotient(a, [1, 1]))
 
 
+def test_verdict_degree_splits_once_and_eliminates_only_coupled_blocks(monkeypatch):
+    # Blocks {0, 2} (det 3) and {1, 4} (det 1) are coupled, {3} and {5} are
+    # 1x1. x touches {0, 2} and {3} only. So one split serves det and the
+    # solve; det eliminates both coupled blocks, the solve only {0, 2}, and no
+    # 1x1 block is eliminated: z = (1/3, 0, 1/3, 1/5, 0, 0), eta order 15.
+    import coverlink.linalg
+
+    a = IntMatrix.from_rows(
+        [
+            [2, 0, 1, 0, 0, 0],
+            [0, 1, 0, 0, 1, 0],
+            [1, 0, 2, 0, 0, 0],
+            [0, 0, 0, 5, 0, 0],
+            [0, 1, 0, 0, 2, 0],
+            [0, 0, 0, 0, 0, 7],
+        ]
+    )
+    x, y = (1, 0, 1, 1, 0, 0), (0, 3, 2, 1, 4, 1)
+    lifted = LiftedData(3, tuple("abcdef"), a, (x, y, y), (Fraction(0), Fraction(2), Fraction(2)))
+    monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
+    splits, eliminated = [], []
+    blocks, eliminate = coverlink.linalg._blocks, coverlink.linalg._eliminate
+    monkeypatch.setattr(coverlink.linalg, "_blocks", lambda m: splits.append(m) or blocks(m))
+    monkeypatch.setattr(
+        coverlink.linalg, "_eliminate", lambda rows, n: eliminated.append(n) or eliminate(rows, n)
+    )
+    rep = branched_linkings(ClaspPresentation(3, ()), 3)
+    assert splits == [a] and eliminated == [2, 2, 2]
+    assert (rep.h1_order, rep.eta_order) == (105, 15)
+    assert rep.linkings == (2 - Fraction(2, 3) - Fraction(1, 5),) * 2
+
+
 # One planted failure per row of the invariant table, on the (m,1)-cable at
 # degree m: (row, m, name in coverlink.obstruct to stub, stub).
 _VIOLATIONS = [
