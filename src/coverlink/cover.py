@@ -194,13 +194,7 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
         raise ValueError(f"cover degree must be at least 1, got {m}")
     base_ana = analyze(base)
     _check_windings(base_ana, m)
-    framing, twice = base_ana.cover_tables(m)
-
-    def lk(a: ComponentId, b: ComponentId, d: int) -> int:
-        half, rem = divmod(twice.get((a, b, d % m), 0), 2)
-        assert rem == 0, "closed curves must cross evenly"
-        return half
-
+    framing, lk = base_ana.cover_tables(m)
     surgery, labels = _surgery_order(base_ana, m)
     eta = base_ana.component_by_name("eta")
     k = len(surgery)
@@ -215,10 +209,9 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
         for cid, p in index.items():
             if f := framing[cid]:
                 nonzeros.update(((x * k + p, x * k + p), f) for x in range(m))
-        for a, b, d in twice:
+        for (a, b, d), v in lk.items():
             if b not in index:
                 continue
-            v = lk(a, b, d)
             if a == eta:
                 eta_row[d * k + index[b]] = v
             elif a in index and v:
@@ -230,7 +223,7 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
         IntMatrix(size, size, nonzeros),
         # The deck shifts every lift by one sheet: eta lift j sees L_c^b as eta_0 sees L_c^(b-j).
         tuple(tuple(eta_row[size - j * k :] + eta_row[: size - j * k]) for j in range(m)),
-        (Fraction(framing[eta]),) + tuple(Fraction(lk(eta, eta, d)) for d in range(1, m)),
+        (Fraction(framing[eta]),) + tuple(Fraction(lk.get((eta, eta, d), 0)) for d in range(1, m)),
     )
 
 

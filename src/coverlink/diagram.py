@@ -19,7 +19,8 @@ Conventions:
   self-crossings.
 * The sweep also gives each segment a sheet offset (+1 per seam passage), so
   one pass over the base word yields the crossing data of every cyclic
-  cover (``WordAnalysis.cover_tables``).
+  cover. ``WordAnalysis.cover_tables(m)`` folds that tally once per degree
+  into the halved lift linkings and the lift framings of the m-fold cover.
 """
 
 from __future__ import annotations
@@ -335,32 +336,38 @@ class WordAnalysis:
         return self._tables
 
     def cover_tables(self, m: int) -> tuple[dict[int, int], dict[tuple[int, int, int], int]]:
-        """Lift framings and twice the lift linkings of the m-fold cyclic cover.
+        """Lift framings and lift linkings of the m-fold cyclic cover.
 
         ``framing[a]`` is the framing of every lift of component a, and
-        ``twice[(a, b, d)]`` twice lk(L_a^x, L_b^(x+d)) for every x (absent
-        keys are 0). The cover is a true m-fold cover of a component only
-        when m divides its winding. m = 1 gives the base word's own data.
+        ``lk[(a, b, d)]`` is lk(L_a^x, L_b^(x+d)) for every x (absent keys
+        are 0). The tally is folded once to deltas mod m, and only the folded
+        table, at most m entries per pair, is mirrored to both orientations
+        and halved. Requires m to divide every component's winding, so that
+        every lift is a closed curve; m = 1 gives the base word's own data.
         """
         crossings, kinks = self._lift_tally()
         framing = dict(kinks)
-        twice: dict[tuple[int, int, int], int] = {}
+        folded: dict[tuple[int, int, int], int] = {}
         for (a, b, delta), sign in crossings.items():
-            d = delta % m
-            if a == b and d == 0:
-                framing[a] += sign
-            else:
-                twice[(a, b, d)] = twice.get((a, b, d), 0) + sign
-                twice[(b, a, -d % m)] = twice.get((b, a, -d % m), 0) + sign
-        return framing, twice
+            key = (a, b, delta % m)
+            folded[key] = folded.get(key, 0) + sign
+        lk: dict[tuple[int, int, int], int] = {}
+        for (a, b, d), twice in folded.items():
+            if a == b:
+                if d == 0:
+                    framing[a] += twice
+                    continue
+                # L_a^x meets L_a^(x+d) at the tally's deltas d and -d alike.
+                twice += folded.get((a, a, -d % m), 0)
+            assert twice % 2 == 0, "closed curves must cross evenly"
+            lk[(a, b, d)] = lk[(b, a, -d % m)] = twice // 2
+        return framing, lk
 
     def linking(self, c1: ComponentId, c2: ComponentId) -> Fraction:
         if c1 == c2:
             raise SameComponentError("linking requires two distinct components")
         self._component(c1), self._component(c2)
-        half, rem = divmod(self._base_tables()[1].get((c1, c2, 0), 0), 2)
-        assert rem == 0, "closed curves must cross evenly"
-        return Fraction(half)
+        return Fraction(self._base_tables()[1].get((c1, c2, 0), 0))
 
     def framing(self, cid: ComponentId) -> int:
         self._component(cid)

@@ -137,8 +137,9 @@ def _checked_word(p: ClaspPresentation) -> AnnularWord:
 
 
 def _palindromic(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
-    lk, m = report.linkings, report.m
-    return all(lk[k - 1] == lk[m - k - 1] for k in range(1, m)), _fmt_linkings(lk)
+    # Rationals in lowest terms are equal iff their texts are, and the detail needs the texts.
+    text = [format_rational(v) for v in report.linkings]
+    return text == text[::-1], "(" + ", ".join(text) + ")"
 
 
 def _h1_odd(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
@@ -220,9 +221,10 @@ def _decide(report: ObstructionReport) -> None:
     order = report.eta_order
     report.condition1 = order % 2 == 1
     report.condition1_reason = f"eta lift has order {order} in H1"
-    nonzero = any(v != 0 for v in report.linkings)
-    nonneg = all(v >= 0 for v in report.linkings)
-    nonpos = all(v <= 0 for v in report.linkings)
+    numerators = [v.numerator for v in report.linkings]  # a rational's sign is its numerator's
+    nonzero = any(numerators)
+    nonneg = all(a >= 0 for a in numerators)
+    nonpos = all(a <= 0 for a in numerators)
     if not nonzero:
         report.condition2 = False
         report.condition2_reason = "condition (2) fails: all zero"
@@ -387,9 +389,9 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
 # Report serialization
 
 
-def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def format_rational(q: Fraction | int) -> str:
+    """``"a"`` for an integer, else ``"a/b"`` in lowest terms with b > 0."""
+    return str(q)
 
 
 def _fmt_linkings(linkings: Sequence[Fraction]) -> str:

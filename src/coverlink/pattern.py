@@ -508,6 +508,10 @@ def from_json(text: str) -> ClaspPresentation:
             for c in doc.get("clasps", [])
         )
         n = _json_int(doc["cable"], "cable")
-        return ClaspPresentation(n, clasps, name=str(doc.get("name", "")))
+        name = doc.get("name", "")
+        # The text form carries a name as one token, and "#" starts a comment there.
+        if not isinstance(name, str) or name and (name.split() != [name] or "#" in name):
+            raise ValueError(f"name must be one token without '#', got {name!r}")
+        return ClaspPresentation(n, clasps, name=name)
     except (KeyError, TypeError, ValueError, PatternError) as exc:
         raise PatternSyntaxError(str(exc), 1) from exc

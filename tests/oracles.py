@@ -94,3 +94,23 @@ def locate_lift_tally(ana: WordAnalysis):
     for seg, sign in sweep.kinks:
         kinks[lift(seg)[0]] += sign
     return [lift(seg) for seg in range(sweep.seg_count)], (crossings, kinks)
+
+
+def two_orientation_cover_tables(ana: WordAnalysis, m: int):
+    """Lift framings and twice the lift linkings, writing each tally key both ways.
+
+    The fold that ``WordAnalysis.cover_tables`` replaced: every key of the
+    lift tally is reduced mod m and added to both orientations of its pair,
+    so ``twice[(a, b, d)]`` is twice lk(L_a^x, L_b^(x+d)), unhalved.
+    """
+    crossings, kinks = ana._lift_tally()
+    framing = dict(kinks)
+    twice: dict[tuple[int, int, int], int] = {}
+    for (a, b, delta), sign in crossings.items():
+        d = delta % m
+        if a == b and d == 0:
+            framing[a] += sign
+        else:
+            twice[(a, b, d)] = twice.get((a, b, d), 0) + sign
+            twice[(b, a, -d % m)] = twice.get((b, a, -d % m), 0) + sign
+    return framing, twice

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from coverlink.downhill import normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
 from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
 from coverlink.pattern import compile as compile_presentation
-from oracles import locate_lift_tally
+from oracles import locate_lift_tally, two_orientation_cover_tables
 from test_cover import _twist_surgery_pairs
 from test_pattern import _FUZZ, _NUMBERS, _mutated
 
@@ -67,6 +68,51 @@ def test_flat_lift_table_matches_union_find_walk():
         assert list(zip(ana._segment_component, ana._segment_sheet)) == lifts
         assert [ana.component_of_segment(s) for s in range(len(lifts))] == [c for c, _ in lifts]
         assert ana._lift_tally() == tally
+
+
+def _fold_words():
+    for n in range(2, 17):
+        for k in range(7):
+            yield compile_presentation(random_presentation(n, k, 100 * n + k))
+    for seed in range(15):
+        word = random_annular_word(3 + seed % 6, seed)
+        result = normalize(word)
+        yield from (word, result.word)
+    for seed in range(12):
+        p = random_presentation(8, 2 + seed % 3, seed)
+        yield _twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
+    for n in (64, 96, 128, 192, 256, 384, 512):
+        yield cable_template(n)
+
+
+def test_cover_tables_match_the_two_orientation_fold():
+    # Every divisor m of the windings' gcd (every m when all windings are 0):
+    # the one fold per key gives the oracle's framings and halved linkings.
+    analyze.cache_clear()
+    degrees_seen = set()
+    for word in _fold_words():
+        ana = analyze(word)
+        g = math.gcd(*(c.winding for c in ana.components))
+        for m in [m for m in range(1, g + 1) if g % m == 0] if g else range(1, 7):
+            framing, lk = ana.cover_tables(m)
+            framing_oracle, twice = two_orientation_cover_tables(ana, m)
+            assert framing == framing_oracle
+            assert all(v % 2 == 0 for v in twice.values())
+            assert lk == {key: v // 2 for key, v in twice.items()}
+            assert all(type(v) is int for v in (*framing.values(), *lk.values()))
+            degrees_seen.add(m)
+    assert set(range(1, 17)) | {64, 128, 256, 512} <= degrees_seen
+
+
+@pytest.mark.parametrize("key, m", [((0, 1, 0), 1), ((0, 1, 3), 4), ((0, 0, 1), 4)])
+def test_cover_tables_assert_closed_curves_cross_evenly(key, m):
+    # One crossing too many: between eta and a surgery curve, or between two eta lifts.
+    ana = analyze(compile_presentation(random_presentation(4, 2, 0)))
+    crossings, kinks = ana._lift_tally()
+    odd = {**crossings, key: crossings.get(key, 0) + 1}
+    planted = dataclasses.replace(ana, _tally=(odd, kinks))
+    with pytest.raises(AssertionError, match="closed curves must cross evenly"):
+        planted.cover_tables(m)
 
 
 def test_parse_serialize_round_trip():

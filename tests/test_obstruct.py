@@ -16,6 +16,7 @@ from coverlink.cover import (
     lifted_eta_linkings,
     lifted_linking_matrix,
 )
+from coverlink.diagram import WordAnalysis, analyze
 from coverlink.linalg import IntMatrix, det, inverse, order_in_quotient
 from coverlink.obstruct import (
     _INVARIANTS,
@@ -426,8 +427,107 @@ def test_report_json_schema_and_determinism():
 
 
 def test_format_rational():
-    assert format_rational(Fraction(3)) == "3"
-    assert format_rational(Fraction(-7, 5)) == "-7/5"
+    cases = [
+        (0, "0"),
+        (3, "3"),
+        (-4, "-4"),
+        (10**30, "1" + "0" * 30),
+        (Fraction(0), "0"),
+        (Fraction(3), "3"),
+        (Fraction(-7, 5), "-7/5"),
+        (Fraction(6, 4), "3/2"),
+        (Fraction(-1, 3), "-1/3"),
+        (Fraction(10**30, 7), "1" + "0" * 30 + "/7"),
+    ]
+    for q, text in cases:
+        assert format_rational(q) == text
+        # The numerator alone for an integer, else numerator/denominator, in lowest terms.
+        a, b = Fraction(q).as_integer_ratio()
+        assert text == (str(a) if b == 1 else f"{a}/{b}")
+
+
+_F = Fraction
+_NONNEG = "linkings all non-negative and not all zero"
+_NONPOS = "linkings all non-positive and not all zero"
+_MIXED = "condition (2) fails: mixed signs"
+# One rational linking vector per sign case: (m, eta order, linkings) and the
+# expected (condition2, condition2_reason, verdict) and palindrome row (ok, detail).
+_SIGN_CASES = {
+    "all-zero": (
+        (3, 1, (_F(0), _F(0))),
+        (False, "condition (2) fails: all zero", "Inconclusive"),
+        (True, "(0, 0)"),
+    ),
+    "non-negative-zero-halves": (
+        (4, 1, (_F(1, 2), _F(0), _F(1, 2))),
+        (True, _NONNEG, "Obstructed"),
+        (True, "(1/2, 0, 1/2)"),
+    ),
+    "non-positive-thirds": (
+        (5, 3, (_F(-1, 3), _F(-2, 3), _F(-2, 3), _F(-1, 3))),
+        (True, _NONPOS, "Obstructed"),
+        (True, "(-1/3, -2/3, -2/3, -1/3)"),
+    ),
+    "mixed-signs": (
+        (4, 2, (_F(1), _F(-1, 2), _F(1))),
+        (False, _MIXED, "Inconclusive"),
+        (True, "(1, -1/2, 1)"),
+    ),
+    "equal-in-distinct-objects": (
+        (3, 1, (_F(2, 4), _F(1, 2))),
+        (True, _NONNEG, "Obstructed"),
+        (True, "(1/2, 1/2)"),
+    ),
+    "ints-and-fractions": (
+        (5, 1, (2, _F(2), _F(4, 2), -2)),
+        (False, _MIXED, "Inconclusive"),
+        (False, "(2, 2, 2, -2)"),
+    ),
+    "non-palindromic": (
+        (3, 1, (_F(1), _F(2))),
+        (True, _NONNEG, "Obstructed"),
+        (False, "(1, 2)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIGN_CASES))
+def test_decide_and_palindrome_row_on_rational_vectors(case):
+    (m, order, linkings), decided, palindrome = _SIGN_CASES[case]
+    report = coverlink.obstruct.ObstructionReport(m=m, linkings=linkings, eta_order=order)
+    assert coverlink.obstruct._palindromic(ClaspPresentation(m, ()), report) == palindrome
+    coverlink.obstruct._decide(report)
+    assert report.condition1 == (order % 2 == 1)
+    assert report.condition1_reason == f"eta lift has order {order} in H1"
+    assert (report.condition2, report.condition2_reason, report.verdict) == decided
+    assert report.checks == []
+
+
+@pytest.mark.parametrize(
+    "p, degrees, validation_folds",
+    [
+        # A zero-clasp cable has no surgery curve, so validation reads no linking.
+        (ClaspPresentation(512, (), name="cable-512"), tuple(2**e for e in range(1, 10)), []),
+        (random_presentation(8, 3, 0), (2, 4, 8), [1]),
+    ],
+    ids=["cable-512", "clasped-8"],
+)
+def test_report_folds_the_lift_tally_once_per_degree(monkeypatch, p, degrees, validation_folds):
+    # The tally is built once per report and folded once per degree, plus
+    # once at m = 1 for the base linkings that validation reads.
+    builds, folds = [], []
+    tally, tables = WordAnalysis._lift_tally, WordAnalysis.cover_tables
+    monkeypatch.setattr(
+        WordAnalysis, "_lift_tally", lambda self: builds.append(self._tally is None) or tally(self)
+    )
+    monkeypatch.setattr(
+        WordAnalysis, "cover_tables", lambda self, m: folds.append(m) or tables(self, m)
+    )
+    analyze.cache_clear()
+    report = auto_verdict(p, degrees)
+    assert builds.count(True) == 1
+    assert folds == [*validation_folds, *degrees]
+    assert [r.m for r in report.per_m] == list(degrees)
 
 
 def test_na_rows_keep_schema_keys():

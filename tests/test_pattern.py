@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coverlink.pattern
+from coverlink.cli import main
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
 from coverlink.pattern import (
     ClaspPresentation,
@@ -186,6 +187,22 @@ def test_pattern_dsl_documented_example():
 def test_pattern_json_mirror():
     p = random_presentation(8, 2, 3)
     assert from_json(to_json(p)) == p
+
+
+@pytest.mark.parametrize(
+    "name",
+    [None, [1, 2], 7, "a b", "x#y", "a\nb", " a", "a\u2028b"],
+    ids=["null", "list", "int", "space", "hash", "newline", "leading-space", "line-separator"],
+)
+def test_from_json_rejects_names_the_text_form_cannot_carry(name, tmp_path, capsys):
+    doc = json.dumps({"pattern": "v1", "name": name, "cable": 4, "clasps": []})
+    with pytest.raises(PatternSyntaxError) as exc:
+        from_json(doc)
+    assert exc.value.line == 1
+    path = tmp_path / "named.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["obstruct", str(path), "--json"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: name must be one token")
 
 
 def test_pattern_dsl_rejects_framing_zero():
@@ -375,6 +392,8 @@ def _reads_or_rejects(reader, text):
         assert str(exc).startswith(f"line {exc.line}: ")
     else:
         assert isinstance(result, ClaspPresentation)
+        # Whatever a reader accepts, the text form carries: it parses back equal.
+        assert parse(serialize(result)) == result
 
 
 @_FUZZ
