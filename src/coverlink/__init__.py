@@ -66,7 +66,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AnnularWord",

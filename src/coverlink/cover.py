@@ -6,8 +6,10 @@ winding is divisible by m lift to exactly m closed components; the deck
 transformation shifts copies by one. So the cover adds nothing but each
 segment's sheet offset, and :func:`lift_data` reads every lifted linking and
 framing from the equivariant tally of one sweep of the base word (the
-classical equivariant lift: lk(L_a^x, L_b^y) depends only on y - x). Verdicts
-use it. :func:`build_cover` builds the m-copy cover word itself, counted by the
+classical equivariant lift: lk(L_a^x, L_b^y) depends only on y - x). By the
+same equivariance one eta lift's linkings with the surgery lifts give every
+eta lift's, so the lift data stores that one row, in integers. Verdicts use
+it. :func:`build_cover` builds the m-copy cover word itself, counted by the
 same rules as the base; it serves ``coverlink cover`` and, with
 :func:`lifted_linking_matrix` and :func:`lifted_eta_linkings`, the tests as an
 oracle.
@@ -157,51 +159,51 @@ def lifted_eta_linkings(cd: CoverDiagram) -> dict[tuple[int, int], Fraction]:
 
 @dataclass(frozen=True)
 class LiftedData:
-    """Lifted surgery data in lift-major order: L1^1..Lk^1, L1^2..Lk^2, ...
+    """Lifted surgery data in lift-major order: L1^0..Lk^0, L1^1..Lk^1, ...
 
     ``matrix`` has lifted framings on the diagonal and pairwise lift linkings
-    off it; ``eta_vs_surgery[j]`` is the vector of linkings of eta lift j with
-    each surgery lift; ``eta_linkings[d]`` is lk(eta_0, eta_d) for deck
-    difference d, and ``eta_linkings[0]`` the framing of eta_0 (integers here:
-    the cover of the cable is a 3-sphere).
+    off it. ``eta_row[b*k + p]`` is lk(eta_0, L_p^b); the deck shifts every
+    lift by one sheet, so eta lift j's row is ``eta_row`` rotated by j*k:
+    its entry i is ``eta_row[(i - j*k) % (k*m)]``. ``eta_linkings[d]`` is
+    lk(eta_0, eta_d) for deck difference d, and ``eta_linkings[0]`` the
+    framing of eta_0; the degree m is ``len(eta_linkings)``. Every entry is an
+    integer, a framing or a linking of closed curves of the cover word, read
+    before any surgery.
     """
 
-    m: int
-    labels: tuple[str, ...]
     matrix: IntMatrix
-    eta_vs_surgery: tuple[tuple[int, ...], ...]
-    eta_linkings: tuple[Fraction, ...]
+    eta_row: tuple[int, ...]
+    eta_linkings: tuple[int, ...]
 
 
-def _surgery_order(base_ana: WordAnalysis, m: int) -> tuple[list[ComponentId], tuple[str, ...]]:
-    """Labelled non-eta components by name, and the lift-major lifted labels."""
+def _surgery_order(base_ana: WordAnalysis) -> list[ComponentId]:
+    """The labelled non-eta components, by name: the order of lifts within a sheet."""
     base_labels = base_ana.labels()
-    surgery = sorted(
+    return sorted(
         (cid for cid, name in base_labels.items() if name != "eta"),
         key=lambda cid: base_labels[cid],
     )
-    return surgery, tuple(f"{base_labels[cid]}.{a}" for a in range(m) for cid in surgery)
 
 
 def lift_data(base: AnnularWord, m: int) -> LiftedData:
     """The lifted data of the m-fold cover, from the base word's equivariant tally.
 
     Equal to ``lifted_linking_matrix(build_cover(base, m))`` without building
-    the cover word. Requires m >= 1 and winding(c) divisible by m for every
-    component c.
+    the cover word: the matrix's nonzeros, eta_0's row and eta_0's linkings
+    with its deck translates, filled in O(k*m + nnz). Requires m >= 1 and
+    winding(c) divisible by m for every component c.
     """
     if m < 1:
         raise ValueError(f"cover degree must be at least 1, got {m}")
     base_ana = analyze(base)
     _check_windings(base_ana, m)
     framing, lk = base_ana.cover_tables(m)
-    surgery, labels = _surgery_order(base_ana, m)
+    surgery = _surgery_order(base_ana)
     eta = base_ana.component_by_name("eta")
     k = len(surgery)
     size = k * m
     # Lift-major index of L_c^b is b*k + (c's place in surgery). Only the
-    # nonzero framings and linkings are stored; eta_row[b*k + p] is
-    # lk(eta_0, L_c^b).
+    # nonzero framings and linkings are stored.
     nonzeros: dict[tuple[int, int], int] = {}
     eta_row = [0] * size
     if k:
@@ -218,12 +220,9 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
                 pa, pb = index[a], index[b]
                 nonzeros.update(((x * k + pa, (x + d) % m * k + pb), v) for x in range(m))
     return LiftedData(
-        m,
-        labels,
         IntMatrix(size, size, nonzeros),
-        # The deck shifts every lift by one sheet: eta lift j sees L_c^b as eta_0 sees L_c^(b-j).
-        tuple(tuple(eta_row[size - j * k :] + eta_row[: size - j * k]) for j in range(m)),
-        (Fraction(framing[eta]),) + tuple(Fraction(lk.get((eta, eta, d), 0)) for d in range(1, m)),
+        tuple(eta_row),
+        (framing[eta],) + tuple(lk.get((eta, eta, d), 0) for d in range(1, m)),
     )
 
 
@@ -231,30 +230,23 @@ def lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
     """The lifted data read off the cover word itself (the oracle of :func:`lift_data`)."""
     ana = cd.analysis
     base_ana = analyze(cd.base)
-    surgery, labels = _surgery_order(base_ana, cd.m)
-    order = [cd.lift(cid, a) for a in range(cd.m) for cid in surgery]
+    order = [cd.lift(cid, a) for a in range(cd.m) for cid in _surgery_order(base_ana)]
+    eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
+
+    def lk(a: ComponentId, b: ComponentId) -> int:
+        v = ana.linking(a, b)
+        assert v.denominator == 1
+        return int(v)
+
     size = len(order)
     rows = [[0] * size for _ in range(size)]
     for i, ci in enumerate(order):
         rows[i][i] = ana.framing(ci)
         for j in range(i + 1, size):
-            lk = ana.linking(ci, order[j])
-            assert lk.denominator == 1
-            rows[i][j] = rows[j][i] = int(lk)
-    eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
-    eta_rows = []
-    for j in range(cd.m):
-        row = []
-        for ci in order:
-            lk = ana.linking(eta_lifts[j], ci)
-            assert lk.denominator == 1
-            row.append(int(lk))
-        eta_rows.append(tuple(row))
-    eta_lks = lifted_eta_linkings(cd)
+            rows[i][j] = rows[j][i] = lk(ci, order[j])
+    eta = eta_lifts[0]
     return LiftedData(
-        cd.m,
-        labels,
         IntMatrix.from_rows(rows) if size else IntMatrix.zeros(0, 0),
-        tuple(eta_rows),
-        (Fraction(ana.framing(eta_lifts[0])),) + tuple(eta_lks[(0, d)] for d in range(1, cd.m)),
+        tuple(lk(eta, ci) for ci in order),
+        (ana.framing(eta),) + tuple(lk(eta, eta_lifts[d]) for d in range(1, cd.m)),
     )

@@ -25,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -460,9 +461,16 @@ def _sign_token(tok: str, lineno: int) -> int:
     raise DiagramSyntaxError(f"expected + or -, got {tok!r}", lineno)
 
 
+def _int_literal(tok: str, what: str) -> int:
+    """The value of an ASCII ``[+-]?[0-9]+`` token: both DSLs read numbers by this rule."""
+    if not re.fullmatch(r"[+-]?[0-9]+", tok):  # int() alone also reads "1_0" and "\u0662"
+        raise ValueError(f"{what} must be an integer, got {tok!r}")
+    return int(tok)
+
+
 def _int_token(tok: str, lineno: int, what: str) -> int:
     try:
-        return int(tok)
+        return _int_literal(tok, what)
     except ValueError:
         raise DiagramSyntaxError(f"expected {what}, got {tok!r}", lineno) from None
 

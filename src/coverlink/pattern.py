@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
+from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, _int_literal, analyze
 
 
 class PatternError(Exception):
@@ -410,10 +410,9 @@ def parse(text: str) -> ClaspPresentation:
         elif toks[0] == "cable":
             if n is not None:
                 raise PatternSyntaxError("duplicate cable line", lineno)
-            try:  # isdigit() also admits digits int() cannot read, such as "²"
-                if len(toks) != 2 or not toks[1].lstrip("-").isdigit():
-                    raise ValueError
-                n = int(toks[1])
+            try:
+                (tok,) = toks[1:]  # a ValueError unless there is exactly one
+                n = _int_literal(tok, "cable")
             except ValueError:
                 raise PatternSyntaxError("usage: cable N", lineno) from None
         elif toks[0] == "clasp":
@@ -431,16 +430,16 @@ def parse(text: str) -> ClaspPresentation:
                 raise PatternSyntaxError(f"unknown clasp keys {sorted(unknown)}", lineno)
             try:
                 sign_tok = fields.get("sign", "+")
-                if sign_tok not in "+-" or not sign_tok:
+                if sign_tok not in ("+", "-"):
                     raise ValueError(f"sign must be + or -, got {sign_tok!r}")
                 clasps.append(
                     ClaspSpec(
-                        slot=int(fields["slot"]),
-                        gap_enter=int(fields["enter"]),
-                        gap_exit=int(fields["exit"]),
+                        slot=_int_literal(fields["slot"], "slot"),
+                        gap_enter=_int_literal(fields["enter"], "enter"),
+                        gap_exit=_int_literal(fields["exit"], "exit"),
                         weave=fields.get("weave", ""),
                         clasp_sign=1 if sign_tok == "+" else -1,
-                        framing=int(fields.get("framing", "-1")),
+                        framing=_int_literal(fields.get("framing", "-1"), "framing"),
                     )
                 )
             except (KeyError, ValueError, PatternError) as exc:
@@ -478,10 +477,11 @@ def to_json(p: ClaspPresentation) -> str:
 
 
 def _json_int(value, key: str) -> int:
-    # int() would truncate 8.5 to 8 and overflow on 1e400 (read as inf).
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    # A JSON integer (not true or false) or an integral float such as 8.0;
+    # int() would also read " 8" and true, and truncate 8.5.
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def from_json(text: str) -> ClaspPresentation:

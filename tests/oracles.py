@@ -6,8 +6,8 @@ Import them as ``from oracles import ...``: pytest puts this directory on
 
 from __future__ import annotations
 
-from coverlink.cover import CoverDiagram
-from coverlink.diagram import ComponentId, WordAnalysis
+from coverlink.cover import CoverDiagram, _surgery_order
+from coverlink.diagram import ComponentId, WordAnalysis, analyze
 from coverlink.linalg import IntMatrix, NonSquareError, RationalMatrix
 
 
@@ -59,6 +59,31 @@ def deck_translate(cd: CoverDiagram, cover_cid: ComponentId, k: int) -> Componen
     for _ in range(k % cd.m):
         out = cd.deck[out]
     return out
+
+
+def cover_eta_rows(cd: CoverDiagram) -> tuple[tuple[int, ...], ...]:
+    """Every eta lift's linkings with the surgery lifts, read off the m-copy cover word.
+
+    Row j holds lk(eta_j, L_c^b) in the lift-major order of ``lift_data``
+    (sheet b, then c by name), one linking of two cover components each.
+    """
+    ana, base_ana = cd.analysis, analyze(cd.base)
+    order = [cd.lift(cid, b) for b in range(cd.m) for cid in _surgery_order(base_ana)]
+    eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
+    rows = tuple(tuple(ana.linking(eta, c) for c in order) for eta in eta_lifts)
+    assert all(v.denominator == 1 for row in rows for v in row)
+    return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def rotated_eta_rows(row: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    """The m eta lifts' rows that deck equivariance makes of eta_0's row.
+
+    The deck shifts every lift by one sheet of ``len(row) // m`` lifts, so
+    eta lift j sees lift i as eta_0 sees lift i - j sheets.
+    """
+    size = len(row)
+    cuts = [size - j * size // m for j in range(m)]
+    return tuple(row[cut:] + row[:cut] for cut in cuts)
 
 
 def locate_lift_tally(ana: WordAnalysis):

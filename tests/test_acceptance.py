@@ -8,7 +8,7 @@ rational arithmetic.
 from fractions import Fraction
 from pathlib import Path
 
-from coverlink.cover import build_cover, lifted_eta_linkings, lifted_linking_matrix
+from coverlink.cover import build_cover, lift_data, lifted_eta_linkings, lifted_linking_matrix
 from coverlink.diagram import analyze
 from coverlink.downhill import (
     force_downhill,
@@ -32,7 +32,7 @@ from coverlink.pattern import (
     parse,
     random_presentation,
 )
-from oracles import block_circulant_split
+from oracles import block_circulant_split, cover_eta_rows, rotated_eta_rows
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 SEED = 20250810
@@ -146,18 +146,12 @@ def test_criterion_6_structural_invariants():
             ok = ok and all(
                 rep.linkings[j - 1] == rep.linkings[m - j - 1] for j in range(1, m)
             )
-            x = data.eta_vs_surgery[0]
-            if m == 2 and k:
-                v = x[:k]
-                y = data.eta_vs_surgery[1]
-                ok = ok and x[k:] == tuple(-t for t in v)
-                ok = ok and y == tuple(-t for t in v) + v
-            if m == 4 and k:
-                u, v4, w4 = x[:k], x[k : 2 * k], x[2 * k : 3 * k]
-                s = tuple(-(aa + bb + cc) for aa, bb, cc in zip(u, v4, w4))
-                y = data.eta_vs_surgery[2]
-                ok = ok and x[3 * k :] == s
-                ok = ok and y == w4 + s + u + v4
+            # On the cover word: each surgery curve's lifts, over all sheets,
+            # link eta_0 as the curve links eta, that is 0; and the deck
+            # carries the verdict's one eta row to every eta lift's row.
+            rows = cover_eta_rows(cd)
+            ok = ok and all(sum(rows[0][c::k]) == 0 for c in range(k))
+            ok = ok and rows == rotated_eta_rows(lift_data(word, m).eta_row, m)
     _report("6 structural invariants (block circulant, vector shapes, palindrome)", ok)
 
 

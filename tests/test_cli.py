@@ -151,8 +151,10 @@ def test_corpus_json_report_sha256(capsys):
         '{"pattern": "v1", "cable": 1e400, "clasps": []}',
         '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1e400, "exit": 1}]}',
         '{"pattern": "v1", "cable": 8.5, "clasps": []}',
+        '{"pattern": "v1", "cable": " 8", "clasps": []}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": true, "enter": 1, "exit": 1}]}',
     ],
-    ids=["cable-1e400", "enter-1e400", "cable-8.5"],
+    ids=["cable-1e400", "enter-1e400", "cable-8.5", "cable-string", "slot-true"],
 )
 def test_validate_json_non_integer_exits_2(tmp_path, capsys, doc):
     f = tmp_path / "p.json"
@@ -162,6 +164,31 @@ def test_validate_json_non_integer_exits_2(tmp_path, capsys, doc):
     assert code == 2
     assert "line 1" in err and "must be an integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, located",
+    [
+        ("pattern v1\ncable 8\nclasp slot 0 enter 1 exit 1 sign +-\n",
+         "line 3: sign must be + or -, got '+-'"),
+        ("pattern v1\ncable 8\nclasp slot 1_0 enter 1 exit 1\n",
+         "line 3: slot must be an integer, got '1_0'"),
+        ("pattern v1\ncable 8\nclasp slot 0 enter \u0662 exit 1\n",
+         "line 3: enter must be an integer, got '\u0662'"),
+        ("pattern v1\ncable 1_0\n", "line 2: usage: cable N"),
+        ("annular v1\nseam 2 ++\nlabel eta seam 1\nx 1_0 over\n",
+         "line 4, col 1: expected gap, got '1_0'"),
+        ("annular v1\nseam 2 ++\nlabel eta seam 1\nx \u0661 over\n",
+         "line 4, col 1: expected gap, got '\u0661'"),
+    ],
+    ids=["sign-+-", "slot-1_0", "enter-arabic-indic-2", "cable-1_0", "gap-1_0", "gap-arabic-indic-1"],
+)
+def test_validate_non_canonical_number_or_sign_exits_2(tmp_path, capsys, text, located):
+    f = tmp_path / "p.txt"
+    f.write_text(text, encoding="utf-8")
+    assert main(["validate", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {located}\n"
 
 
 def test_json_pattern_input(tmp_path, capsys):

@@ -6,11 +6,14 @@ The one-sweep ``lift_data`` is checked bit for bit against the cover word.
 import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coverlink.cover
 from coverlink.cover import (
     WindingNotDivisibleError,
+    _surgery_order,
     build_cover,
     lift_data,
     lifted_eta_linkings,
@@ -20,7 +23,8 @@ from coverlink.diagram import Cap, Cross, Cup, _sweep, analyze
 from coverlink.downhill import normalize, random_annular_word
 from coverlink.linalg import _blocks
 from coverlink.pattern import ClaspPresentation, ClaspSpec, cable_template, compile, random_presentation
-from oracles import block_circulant_split, deck_translate
+from coverlink.obstruct import auto_verdict
+from oracles import block_circulant_split, cover_eta_rows, deck_translate, rotated_eta_rows
 
 
 def test_trivial_cover_is_base():
@@ -122,10 +126,13 @@ def test_equivariance_block_circulant_and_eta_difference():
 
 def test_matrix_symmetric_and_lift_major_ordering():
     p = random_presentation(6, 2, 2)
-    data = lifted_linking_matrix(build_cover(compile(p), 2))
+    word = compile(p)
+    data = lifted_linking_matrix(build_cover(word, 2))
     a = data.matrix
     assert all(a[i, j] == a[j, i] for i in range(a.rows) for j in range(a.rows))
-    assert data.labels == ("L1.0", "L2.0", "L1.1", "L2.1")
+    ana = analyze(word)
+    order = [f"{ana.labels()[c]}.{b}" for b in range(2) for c in _surgery_order(ana)]
+    assert order == ["L1.0", "L2.0", "L1.1", "L2.1"]
 
 
 def test_deck_is_m_cycle_on_eta_lifts():
@@ -152,7 +159,9 @@ def _assert_lift_data_matches_cover(word, m):
     want = lifted_linking_matrix(cd)
     # Whole objects: the sparse matrix stores exactly the cover word's nonzeros.
     assert got == want and hash(got) == hash(want)
-    assert got.m == m and len(got.eta_linkings) == m
+    assert len(got.eta_linkings) == m
+    # The one eta row gives every eta lift's row on the cover word by deck rotation.
+    assert cover_eta_rows(cd) == rotated_eta_rows(got.eta_row, m)
     lks = lifted_eta_linkings(cd)
     assert all(lks[(j, k)] == got.eta_linkings[(k - j) % m] for j, k in lks)
 
@@ -238,3 +247,20 @@ def test_seam_free_component_lifts_to_its_copies():
         for j in range(m):
             got = [cd.analysis.linking(cd.lift(free, j), cd.lift(eta, x)) for x in range(m)]
             assert got == [1 if x == j else 0 for x in range(m)], (m, j, got)
+
+
+def test_lift_data_holds_one_eta_row_and_builds_no_fraction(monkeypatch):
+    def no_fraction(*_args):
+        raise AssertionError("the verdict path built a Fraction in coverlink.cover")
+
+    monkeypatch.setattr(coverlink.cover, "Fraction", no_fraction)
+    cable = ClaspPresentation(512, (), name="cable-512")
+    clasped = random_presentation(16, 4, 0)
+    assert auto_verdict(cable, tuple(2**e for e in range(1, 10))).aggregate == "Obstructed"
+    auto_verdict(clasped, (16,))
+    for p, m in ((cable, 512), (clasped, 16)):
+        data = lift_data(compile(p), m)
+        assert len(data.eta_row) == len(p.clasps) * m and len(data.eta_linkings) == m
+        assert all(type(v) is int for v in data.eta_row + data.eta_linkings)
+    src = Path(coverlink.cover.__file__).parent
+    assert not [f.name for f in src.glob("*.py") if "eta_vs_surgery" in f.read_text()]

@@ -5,10 +5,11 @@ import dataclasses
 import io
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coverlink.cli import main
@@ -147,6 +148,21 @@ def test_parse_syntax_error_carries_location():
     with pytest.raises(DiagramSyntaxError) as exc:
         parse("annular v1\nseam 2 ++\nx nonsense over\n")
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "line, token",
+    [("x 1_0 over", "1_0"), ("x \u0661 over", "\u0661"), ("cup 0_1 +", "0_1"),
+     ("kink \u0662 -", "\u0662"), ("label eta seam 0_1", "0_1")],
+)
+def test_parse_rejects_non_canonical_numbers(line, token):
+    # The cable of winding 2 with one line swapped; "1" and "+1" read as 1.
+    text = "annular v1\nseam 2 ++\nlabel eta seam 1\nx 1 over\n"
+    assert parse(text.replace("x 1 ", "x +1 ")) == parse(text)
+    bad = text.replace("x 1 over", line) if line.startswith("x") else text + line + "\n"
+    with pytest.raises(DiagramSyntaxError, match=f"got {token!r}$") as exc:
+        parse(bad)
+    assert exc.value.line == bad.splitlines().index(line) + 1
 
 
 def test_parse_rejects_missing_header():
@@ -304,6 +320,8 @@ _WORD_TOKENS = st.one_of(
 
 @_FUZZ
 @given(st.one_of(_mutated(_WORD_TEXTS, _WORD_TOKENS), st.text(max_size=40)))
+@example("annular v1\nseam 2 ++\nlabel eta seam 1\nx 1_0 over\n")
+@example("annular v1\nseam 2 ++\nlabel eta seam 1\nx \u0661 over\n")
 def test_parse_fuzzed_text_raises_only_diagram_errors(tmp_path_factory, text):
     try:
         word = parse(text)
@@ -313,6 +331,11 @@ def test_parse_fuzzed_text_raises_only_diagram_errors(tmp_path_factory, text):
         assert str(exc)
     else:
         assert isinstance(word, AnnularWord)
+        # Every number it read is an ASCII [+-]?[0-9]+ token.
+        for line in text.splitlines():
+            toks = line.split("#", 1)[0].split()
+            if toks and toks[0] in ("seam", "x", "cup", "cap", "kink", "label"):
+                assert re.fullmatch(r"[+-]?[0-9]+", toks[3 if toks[0] == "label" else 1]), line
     path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
     path.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()

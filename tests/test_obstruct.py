@@ -1,5 +1,6 @@
 """Surgery formula, branched linkings, verdicts, and the check ledger."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -35,7 +36,7 @@ from coverlink.obstruct import (
 )
 from coverlink.pattern import ClaspPresentation, ClaspSpec, random_presentation, serialize
 from coverlink.pattern import compile as compile_presentation
-from oracles import block_circulant_split
+from oracles import block_circulant_split, cover_eta_rows
 from test_cover import _twist_surgery_pairs
 
 W8 = ClaspPresentation(
@@ -97,13 +98,12 @@ def test_cha_ko_two_block_structural_identity():
 def _reference_linkings(word, m):
     """Linkings, |H1| and eta order from a full inverse and the Smith normal form."""
     cd = build_cover(word, m)
-    data, eta_lks = lifted_linking_matrix(cd), lifted_eta_linkings(cd)
-    a, x = data.matrix, data.eta_vs_surgery[0]
+    a, eta_lks, rows = lifted_linking_matrix(cd).matrix, lifted_eta_linkings(cd), cover_eta_rows(cd)
+    x = rows[0]
     inv = inverse(a)
     linkings = tuple(
         eta_lks[(0, k)]
-        - sum(x[i] * inv[i, j] * data.eta_vs_surgery[k][j]
-              for i in range(a.rows) for j in range(a.rows))
+        - sum(x[i] * inv[i, j] * rows[k][j] for i in range(a.rows) for j in range(a.rows))
         for k in range(1, m)
     )
     return linkings, abs(det(a)), order_in_quotient(a, list(x))
@@ -135,47 +135,58 @@ def test_linkings_from_twisted_lifts_match_inverse_reference():
     assert coupled
 
 
+def _block_circulant(m, blocks):
+    """The lift-major matrix whose (sheet x, sheet x + d) block is ``blocks[d]``."""
+    k = len(blocks[0])
+    rows = [[0] * (k * m) for _ in range(k * m)]
+    for x in range(m):
+        for d, block in enumerate(blocks):
+            for p in range(k):
+                for q in range(k):
+                    rows[x * k + p][(x + d) % m * k + q] = block[p][q]
+    return IntMatrix.from_rows(rows)
+
+
 def test_linkings_from_data_coupled_block_and_unit_blocks():
-    # Lifts 0 and 2 form the coupled block [[2, 1], [1, 2]] (det 3); lifts 1
-    # and 3 are blocks of framing 3 and 5. With x = (1, 1, 0, 1),
-    # z = (2/3, 1/3, -1/3, 1/5): eta order 15, z.y_1 = 8/15, z.y_2 = 1/3.
-    a = IntMatrix.from_rows([[2, 0, 1, 0], [0, 3, 0, 0], [1, 0, 2, 0], [0, 0, 0, 5]])
-    rows = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 2, 1, 0))
-    lifted = LiftedData(3, ("a", "b", "c", "d"), a, rows, (Fraction(0), Fraction(1), Fraction(1)))
+    # Two curves over three sheets. L1 has framing 2 and links each of its
+    # other lifts once, so its lifts 0, 2, 4 form the coupled circulant block
+    # [[2, 1, 1], [1, 2, 1], [1, 1, 2]] (det 4); L2's lifts 1, 3, 5 are blocks
+    # of framing 5. With eta_row x = (1, 1, 0, 0, 0, 0),
+    # z = (3/4, 1/5, -1/4, 0, -1/4, 0): eta order 20; lift 1's row
+    # (0, 0, 1, 1, 0, 0) and lift 2's (0, 0, 0, 0, 1, 1) both give z.y = -1/4.
+    a = _block_circulant(3, ([[2, 0], [0, 5]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]))
+    lifted = LiftedData(a, (1, 1, 0, 0, 0, 0), (0, 1, 1))
     linkings, order = _linkings_from_data(lifted, 3)
-    assert linkings == (Fraction(7, 15), Fraction(2, 3))
-    assert order == 15 == order_in_quotient(a, list(rows[0]))
+    assert linkings == (Fraction(5, 4), Fraction(5, 4))
+    assert order == 20 == order_in_quotient(a, [1, 1, 0, 0, 0, 0])
 
 
 def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
     # Seeded presentations all have |H1| = 1, so the verdict path gets a lift
-    # with A = diag(3, 5) and x = (1, 1): z = (1/3, 1/5), eta order 15.
-    a = IntMatrix.from_rows([[3, 0], [0, 5]])
-    lifted = LiftedData(3, ("L1^1", "L1^2"), a, ((1, 1), (0, 0), (0, 0)), (Fraction(0),) * 3)
+    # with A = diag(3, 5) in each of three sheets and x = (1, 1) in sheet 0:
+    # z = (1/3, 1/5, 0, 0, 0, 0), eta order 15.
+    a = _block_circulant(3, ([[3, 0], [0, 5]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]))
+    x = (1, 1, 0, 0, 0, 0)
+    lifted = LiftedData(a, x, (0, 0, 0))
     monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
     rep = branched_linkings(ClaspPresentation(3, ()), 3)
-    assert (rep.h1_order, rep.eta_order) == (15, 15) == (det(a), order_in_quotient(a, [1, 1]))
+    assert (rep.h1_order, rep.eta_order) == (3375, 15) == (det(a), order_in_quotient(a, list(x)))
 
 
 def test_verdict_degree_splits_once_and_eliminates_only_coupled_blocks(monkeypatch):
-    # Blocks {0, 2} (det 3) and {1, 4} (det 1) are coupled, {3} and {5} are
-    # 1x1. x touches {0, 2} and {3} only. So one split serves det and the
-    # solve; det eliminates both coupled blocks, the solve only {0, 2}, and no
-    # 1x1 block is eliminated: z = (1/3, 0, 1/3, 1/5, 0, 0), eta order 15.
+    # Three curves over three sheets: L1 and L2 link once in each sheet, so
+    # {0, 1}, {3, 4} and {6, 7} are coupled blocks [[2, 1], [1, 2]] (det 3);
+    # L3's lifts {2}, {5}, {8} are 1x1 of framing 5. x touches {0, 1}, {2}
+    # and {5} only. So one split serves det and the solve; det eliminates all
+    # three coupled blocks, the solve only {0, 1}, and no 1x1 block is
+    # eliminated: z = (2/3, -1/3, 1/5, 0, 0, 1/5, 0, 0, 0), eta order 15, and
+    # the rows (0, 0, 0, 1, 0, 1, 0, 0, 1) and (0, 0, 1, 0, 0, 0, 1, 0, 1) of
+    # eta lifts 1 and 2 both give z.y = 1/5.
     import coverlink.linalg
 
-    a = IntMatrix.from_rows(
-        [
-            [2, 0, 1, 0, 0, 0],
-            [0, 1, 0, 0, 1, 0],
-            [1, 0, 2, 0, 0, 0],
-            [0, 0, 0, 5, 0, 0],
-            [0, 1, 0, 0, 2, 0],
-            [0, 0, 0, 0, 0, 7],
-        ]
-    )
-    x, y = (1, 0, 1, 1, 0, 0), (0, 3, 2, 1, 4, 1)
-    lifted = LiftedData(3, tuple("abcdef"), a, (x, y, y), (Fraction(0), Fraction(2), Fraction(2)))
+    zero = [[0] * 3] * 3
+    a = _block_circulant(3, ([[2, 1, 0], [1, 2, 0], [0, 0, 5]], zero, zero))
+    lifted = LiftedData(a, (1, 0, 1, 0, 0, 1, 0, 0, 0), (0, 2, 2))
     monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
     splits, eliminated = [], []
     blocks, eliminate = coverlink.linalg._blocks, coverlink.linalg._eliminate
@@ -184,9 +195,9 @@ def test_verdict_degree_splits_once_and_eliminates_only_coupled_blocks(monkeypat
         coverlink.linalg, "_eliminate", lambda rows, n: eliminated.append(n) or eliminate(rows, n)
     )
     rep = branched_linkings(ClaspPresentation(3, ()), 3)
-    assert splits == [a] and eliminated == [2, 2, 2]
-    assert (rep.h1_order, rep.eta_order) == (105, 15)
-    assert rep.linkings == (2 - Fraction(2, 3) - Fraction(1, 5),) * 2
+    assert splits == [a] and eliminated == [2, 2, 2, 2]
+    assert (rep.h1_order, rep.eta_order) == (3375, 15)
+    assert rep.linkings == (2 - Fraction(1, 5),) * 2
 
 
 # One planted failure per row of the invariant table, on the (m,1)-cable at
@@ -195,10 +206,9 @@ _VIOLATIONS = [
     # A non-palindromic vector at m = 3.
     ("linkings-palindromic", 3, "_linkings_from_data",
      lambda data, m: ((Fraction(1), Fraction(2)), 1)),
-    # A lifted matrix with even det at m = 2: A = diag(2, 1), so |H1| = 2.
+    # A lifted matrix with even det at m = 2: A = diag(2, 2), so |H1| = 4.
     ("h1-odd", 2, "lift_data",
-     lambda word, m: LiftedData(2, ("L1.0", "L1.1"), IntMatrix.from_rows([[2, 0], [0, 1]]),
-                                ((0, 0), (0, 0)), (Fraction(0), Fraction(1)))),
+     lambda word, m: LiftedData(IntMatrix.from_rows([[2, 0], [0, 2]]), (0, 0), (0, 1))),
     # An odd parity value at m = 2, n = 2, with |H1| = 1: (2 - 1) * 1 = 1.
     ("parity-m2", 2, "_linkings_from_data", lambda data, m: ((Fraction(2),), 1)),
 ]
@@ -234,6 +244,41 @@ def test_cross_checks_record_a_failed_invariant_row(monkeypatch, tmp_path, capsy
     path.write_text(serialize(p), encoding="utf-8")
     assert main(["obstruct", str(path), "--m-list", "2"]) == 3
     assert capsys.readouterr().err.startswith("invariant violation: parity-m2 fails at m=2: ")
+
+
+def test_cross_checks_record_a_nonzero_sheet_sum(monkeypatch):
+    # One curve over two sheets whose lifts link eta_0 once and not at all:
+    # its sheet sum is 1, where validation makes the base linking 0. Every
+    # other row still passes, as deck rotation keeps the linkings at (1,).
+    lifted = LiftedData(IntMatrix.from_rows([[1, 0], [0, 1]]), (1, 0), (0, 1))
+    monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
+    checks = cross_checks(ClaspPresentation(2, (), name="cable-2"))
+    assert [(c.name, c.detail) for c in checks if not c.passed] == [
+        ("vector-shape-m2", "sheet sums (1,)")
+    ]
+
+
+def test_cross_checks_record_a_mis_shifted_row_read(monkeypatch):
+    # Reads eta lift j's row shifted by j lifts rather than by j sheets.
+    real = _linkings_from_data
+
+    def misread(data, m, preferred=0):
+        row = data.eta_row
+        return real(dataclasses.replace(data, eta_row=row[preferred:] + row[:preferred]), m)
+
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", misread)
+    checks = cross_checks(random_presentation(8, 2, 1))
+    assert [c.name for c in checks if not c.passed] == [
+        "deck-relabel-m2", "deck-relabel-m4", "deck-relabel-m8"
+    ]
+
+
+def test_cross_checks_check_the_vector_shape_at_every_degree():
+    names = [c.name for c in cross_checks(random_presentation(8, 2, 1))]
+    assert [n for n in names if n.startswith("vector-shape")] == [
+        "vector-shape-m2", "vector-shape-m4", "vector-shape-m8"
+    ]
+    assert not [n for n in (c.name for c in cross_checks(ClaspPresentation(8, ()))) if "shape" in n]
 
 
 def test_verdict_path_never_densifies(monkeypatch):

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import coverlink.pattern
@@ -333,14 +333,14 @@ _JSON_TEXTS = [
 ]
 _NUMBERS = st.sampled_from([
     "1e400", "-1e400", "Infinity", "-Infinity", "NaN", "8.5", "0.5", "2.0", "\u00b2", "\u0663",
-    "9" * 5000, "--6", "+6", "0x10", "1_0", "-0", "0", "2",
+    "\u0662", "\u0661", "9" * 5000, "--6", "+6", "0x10", "1_0", "0_1", "-0", "0", "2",
 ])
 _TOKENS = st.one_of(
     _NUMBERS,
     st.sampled_from([
-        "", " ", "\n", "#", "-", "+", "+1", "-1", "o", "u", "ou", "null", "true", "[]", "{}",
-        '"', ",", ":", "cable", "clasp", "slot", "enter", "exit", "weave", "sign", "framing",
-        "name", "pattern v1",
+        "", " ", "\n", "#", "-", "+", "+-", "-+", "+1", "-1", "o", "u", "ou", "null", "true",
+        "[]", "{}", '"', ",", ":", "cable", "clasp", "slot", "enter", "exit", "weave", "sign",
+        "framing", "name", "pattern v1",
     ]),
     st.integers(-(10**30), 10**30).map(str),
     st.text(max_size=6),
@@ -349,7 +349,7 @@ _JSON_VALUES = st.recursive(
     st.one_of(
         st.none(), st.booleans(), st.integers(-(10**30), 10**30),
         st.sampled_from([float("inf"), float("-inf"), float("nan"), 8.5, 0.5, 2.0, 1e300]),
-        st.floats(), st.text(max_size=6),
+        st.floats(), st.text(max_size=6), st.sampled_from([" 8", "8", "+1", "1_0", "\u0662"]),
     ),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
@@ -385,6 +385,29 @@ def _mutated(draw, texts, tokens=_TOKENS):
     return text
 
 
+_STRICT_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _assert_numbers_canonical(reader, text):
+    """Each number and sign a reader accepted is spelled as the one strict rule allows."""
+    if reader is from_json:
+        doc = json.loads(text)
+        keys = ("slot", "enter", "exit", "sign", "framing")
+        values = [doc["cable"]]
+        values += [c[key] for c in doc.get("clasps", []) for key in keys if key in c]
+        assert all(type(v) is int or type(v) is float and v.is_integer() for v in values), values
+        return
+    for line in text.splitlines():
+        toks = line.split("#", 1)[0].split()
+        if toks[:1] == ["cable"]:
+            assert _STRICT_INT.fullmatch(toks[1]), line
+        elif toks[:1] == ["clasp"]:
+            fields = dict(zip(toks[1::2], toks[2::2]))
+            assert fields.get("sign", "+") in ("+", "-"), line
+            keys = ("slot", "enter", "exit", "framing")
+            assert all(_STRICT_INT.fullmatch(v) for key, v in fields.items() if key in keys), line
+
+
 def _reads_or_rejects(reader, text):
     try:
         result = reader(text)
@@ -394,16 +417,23 @@ def _reads_or_rejects(reader, text):
         assert isinstance(result, ClaspPresentation)
         # Whatever a reader accepts, the text form carries: it parses back equal.
         assert parse(serialize(result)) == result
+        _assert_numbers_canonical(reader, text)
 
 
 @_FUZZ
 @given(_mutated(_DSL_TEXTS))
+@example("pattern v1\ncable 8\nclasp slot 0 enter 1 exit 1 sign +-\n")
+@example("pattern v1\ncable 8\nclasp slot 1_0 enter 1 exit 1\n")
+@example("pattern v1\ncable 8\nclasp slot 0 enter \u0662 exit 1\n")
+@example("pattern v1\ncable 1_0\n")
 def test_parse_fuzzed_text_raises_only_syntax_errors(text):
     _reads_or_rejects(parse, text)
 
 
 @_FUZZ
 @given(_mutated(_JSON_TEXTS))
+@example('{"pattern": "v1", "cable": " 8", "clasps": []}')
+@example('{"pattern": "v1", "cable": 8, "clasps": [{"slot": true, "enter": 1, "exit": 1}]}')
 def test_from_json_fuzzed_text_raises_only_syntax_errors(text):
     _reads_or_rejects(from_json, text)
 
@@ -429,6 +459,7 @@ def _mutated_doc(draw):
 
 @_FUZZ
 @given(_mutated_doc())
+@example('{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": "1"}]}')
 def test_from_json_fuzzed_values_raise_only_syntax_errors(text):
     _reads_or_rejects(from_json, text)
 
@@ -440,10 +471,21 @@ def test_from_json_fuzzed_values_raise_only_syntax_errors(text):
         "pattern v1\ncable --6\n",
         "pattern v1\ncable " + "9" * 5000 + "\n",
         "pattern v1\ncable 6\nclasp slot \u00b2 enter 1 exit 1\n",
+        "pattern v1\ncable 1_0\n",
+        "pattern v1\ncable 6\nclasp slot 1_0 enter 1 exit 1\n",
+        "pattern v1\ncable 6\nclasp slot 0 enter \u0662 exit 1\n",
+        "pattern v1\ncable 6\nclasp slot 0 enter 1 exit 0_1\n",
+        "pattern v1\ncable 6\nclasp slot 0 enter 1 exit 1 framing -1_0\n",
+        "pattern v1\ncable 6\nclasp slot 0 enter 1 exit 1 sign +-\n",
+        "pattern v1\ncable 6\nclasp slot 0 enter 1 exit 1 sign -+\n",
     ],
-    ids=["superscript", "double-minus", "5000-digits", "clasp-superscript"],
+    ids=[
+        "superscript", "double-minus", "5000-digits", "clasp-superscript", "cable-1_0",
+        "slot-1_0", "enter-arabic-indic-2", "exit-0_1", "framing--1_0", "sign-+-", "sign--+",
+    ],
 )
 def test_parse_rejects_digits_int_cannot_read(text):
+    # Numbers are ASCII [+-]?[0-9]+ and signs + or -, though int() reads "1_0" and "\u0662".
     with pytest.raises(PatternSyntaxError) as exc:
         parse(text)
     assert exc.value.line == 2 + text.count("clasp")
@@ -459,10 +501,19 @@ def test_parse_rejects_digits_int_cannot_read(text):
         '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0.5, "enter": 1, "exit": 1}]}',
         '{"pattern": "v1", "cable": 8, "x": ' + "[" * 100000 + "]" * 100000 + "}",
         '{"pattern": "v1", "cable": ' + "9" * 5000 + "}",
+        '{"pattern": "v1", "cable": " 8", "clasps": []}',
+        '{"pattern": "v1", "cable": true, "clasps": []}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": true, "enter": 1, "exit": 1}]}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": "1", "exit": 1}]}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 1, '
+        '"sign": true}]}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 1, '
+        '"framing": "+1"}]}',
     ],
     ids=[
         "cable-1e400", "cable-8.5", "cable-nan", "enter-1e400", "slot-0.5", "deep-nesting",
-        "5000-digits",
+        "5000-digits", "cable-string", "cable-true", "slot-true", "enter-string", "sign-true",
+        "framing-string",
     ],
 )
 def test_from_json_rejects_non_integers_and_deep_nesting(doc):
