@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .diagram import AnnularWord, ComponentId, WordAnalysis, _sweep, analyze
 from .linalg import IntMatrix
@@ -189,9 +190,10 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     """The lifted data of the m-fold cover, from the base word's equivariant tally.
 
     Equal to ``lifted_linking_matrix(build_cover(base, m))`` without building
-    the cover word: the matrix's nonzeros, eta_0's row and eta_0's linkings
-    with its deck translates, filled in O(k*m + nnz). Requires m >= 1 and
-    winding(c) divisible by m for every component c.
+    the cover word, from the rows of ``cover_tables(m)``: eta_0's row takes
+    one slice per surgery curve, its deck linkings one slice of eta's own
+    row, and the matrix the surgery pairs' nonzero entries, in O(k*m + nnz).
+    Requires m >= 1 and winding(c) divisible by m for every component c.
     """
     if m < 1:
         raise ValueError(f"cover degree must be at least 1, got {m}")
@@ -206,23 +208,21 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     # nonzero framings and linkings are stored.
     nonzeros: dict[tuple[int, int], int] = {}
     eta_row = [0] * size
-    if k:
-        index = {cid: p for p, cid in enumerate(surgery)}
-        for cid, p in index.items():
-            if f := framing[cid]:
-                nonzeros.update(((x * k + p, x * k + p), f) for x in range(m))
-        for (a, b, d), v in lk.items():
-            if b not in index:
-                continue
-            if a == eta:
-                eta_row[d * k + index[b]] = v
-            elif a in index and v:
-                pa, pb = index[a], index[b]
+    index = {cid: p for p, cid in enumerate(surgery)}
+    for cid, p in index.items():
+        if f := framing[cid]:
+            nonzeros.update(((x * k + p, x * k + p), f) for x in range(m))
+        eta_row[p::k] = lk.get((eta, cid), [0] * m)
+    for (a, b), row in lk.items():
+        if a in index and b in index:
+            pa, pb = index[a], index[b]
+            for d in compress(range(m), row):
+                v = row[d]
                 nonzeros.update(((x * k + pa, (x + d) % m * k + pb), v) for x in range(m))
     return LiftedData(
         IntMatrix(size, size, nonzeros),
         tuple(eta_row),
-        (framing[eta],) + tuple(lk.get((eta, eta, d), 0) for d in range(1, m)),
+        (framing[eta], *lk.get((eta, eta), [0] * m)[1:]),
     )
 
 

@@ -18,9 +18,9 @@ Conventions:
 * A component's framing is its writhe: signed kinks plus signed
   self-crossings.
 * The sweep also gives each segment a sheet offset (+1 per seam passage), so
-  one pass over the base word yields the crossing data of every cyclic
-  cover. ``WordAnalysis.cover_tables(m)`` folds that tally once per degree
-  into the halved lift linkings and the lift framings of the m-fold cover.
+  one pass over the base word yields, per pair of components, one row of
+  crossing counts by sheet delta: every cyclic cover's crossing data.
+  ``WordAnalysis.cover_tables(m)`` folds each row by slices once per degree.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 
 class DiagramError(Exception):
@@ -192,13 +193,9 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
     crossings: list[tuple[int, int, int, int]] = []
     kinks: list[tuple[int, int]] = []
     snapshots: dict[int, tuple[int, ...]] = {}
-
-    def snap(idx: int) -> None:
+    for idx, ev in enumerate(word.events):
         if idx in snapshot_at:
             snapshots[idx] = tuple(seg for seg, _ in live)
-
-    for idx, ev in enumerate(word.events):
-        snap(idx)
         if isinstance(ev, Cross):
             p = ev.position
             if not 1 <= p <= len(live) - 1:
@@ -243,7 +240,8 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
             kinks.append((live[p - 1][0], ev.sign))
         else:  # pragma: no cover - exhaustive by construction
             raise TypeError(f"unknown event {ev!r}")
-    snap(len(word.events))
+    if len(word.events) in snapshot_at:
+        snapshots[len(word.events)] = tuple(seg for seg, _ in live)
 
     if len(live) != word.seam_width:
         raise SeamMismatch(
@@ -277,9 +275,11 @@ class WordAnalysis:
     word: AnnularWord
     components: tuple[Component, ...]
     _sweep: _SweepResult = field(repr=False, default=None)
-    # The flat lift table: each segment's component and sheet (from its lowest seam strand).
+    # The flat lift table: each segment's component and sheet (from its lowest seam
+    # strand), and each component's lowest and highest sheet.
     _segment_component: list[ComponentId] = field(repr=False, default_factory=list)
     _segment_sheet: list[int] = field(repr=False, default_factory=list)
+    _sheet_range: list[tuple[int, int]] = field(repr=False, default_factory=list)
     _tables: tuple[dict, dict] | None = field(repr=False, default=None)
     _tally: tuple[dict, dict] | None = field(repr=False, default=None)
 
@@ -309,26 +309,32 @@ class WordAnalysis:
     def wrapping(self, cid: ComponentId) -> int:
         return self._component(cid).wrapping
 
-    def _lift_tally(self) -> tuple[dict[tuple[int, int, int], int], dict[int, int]]:
+    def _lift_tally(self) -> tuple[dict[tuple[int, int], tuple[int, list[int]]], dict[int, int]]:
         """Equivariant crossing data of every cyclic cover, from the base sweep alone.
 
         Lift j of a component is the cover curve through copy j of its lowest
-        seam strand. The first map sends ``(a, b, delta)`` with a <= b to the
+        seam strand. The first map sends each crossing pair (a, b), a <= b, to
+        ``(lo, counts)``, sized by the two sheet ranges: ``counts[i]`` is the
         signed count of base crossings whose copy in every sheet joins lift x
-        of a to lift x + delta of b. The second is each component's signed
-        kink count. Both are read off the flat lift table ``analyze`` built.
+        of a to lift x + lo + i of b. The second is each component's signed
+        kink count. One pass reads both off the flat lift table of ``analyze``.
         """
         if self._tally is None:
-            comp, sheet = self._segment_component, self._segment_sheet
-            crossings: dict[tuple[int, int, int], int] = {}
+            comp, sheet, span = self._segment_component, self._segment_sheet, self._sheet_range
+            rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
             for lo, up, sign, _ in self._sweep.crossings:
                 a, b = comp[lo], comp[up]
-                key = (a, b, sheet[up] - sheet[lo]) if a <= b else (b, a, sheet[lo] - sheet[up])
-                crossings[key] = crossings.get(key, 0) + sign
+                if a > b:
+                    a, b, lo, up = b, a, up, lo
+                row = rows.get((a, b))
+                if row is None:
+                    (a0, a1), (b0, b1) = span[a], span[b]
+                    row = rows[a, b] = (b0 - a1, [0] * (b1 - b0 + a1 - a0 + 1))
+                row[1][sheet[up] - sheet[lo] - row[0]] += sign
             kinks = {c.cid: 0 for c in self.components}
             for seg, sign in self._sweep.kinks:
                 kinks[comp[seg]] += sign
-            self._tally = (crossings, kinks)
+            self._tally = (rows, kinks)
         return self._tally
 
     def _base_tables(self) -> tuple[dict, dict]:
@@ -336,39 +342,46 @@ class WordAnalysis:
             self._tables = self.cover_tables(1)
         return self._tables
 
-    def cover_tables(self, m: int) -> tuple[dict[int, int], dict[tuple[int, int, int], int]]:
+    def cover_tables(self, m: int) -> tuple[dict[int, int], dict[tuple[int, int], list[int]]]:
         """Lift framings and lift linkings of the m-fold cyclic cover.
 
         ``framing[a]`` is the framing of every lift of component a, and
-        ``lk[(a, b, d)]`` is lk(L_a^x, L_b^(x+d)) for every x (absent keys
-        are 0). The tally is folded once to deltas mod m, and only the folded
-        table, at most m entries per pair, is mirrored to both orientations
-        and halved. Requires m to divide every component's winding, so that
+        ``lk[(a, b)][d]`` is lk(L_a^x, L_b^(x+d)) for every x and 0 <= d < m;
+        a pair with no row does not link. Each tally row folds to deltas mod m
+        by adding its m-chunks, or by m slice sums when it has more chunks than
+        m. A component's own row adds its mirror; a pair's other orientation is
+        its mirror. Requires m to divide every component's winding, so that
         every lift is a closed curve; m = 1 gives the base word's own data.
         """
-        crossings, kinks = self._lift_tally()
+        rows, kinks = self._lift_tally()
         framing = dict(kinks)
-        folded: dict[tuple[int, int, int], int] = {}
-        for (a, b, delta), sign in crossings.items():
-            key = (a, b, delta % m)
-            folded[key] = folded.get(key, 0) + sign
-        lk: dict[tuple[int, int, int], int] = {}
-        for (a, b, d), twice in folded.items():
-            if a == b:
-                if d == 0:
-                    framing[a] += twice
-                    continue
-                # L_a^x meets L_a^(x+d) at the tally's deltas d and -d alike.
-                twice += folded.get((a, a, -d % m), 0)
-            assert twice % 2 == 0, "closed curves must cross evenly"
-            lk[(a, b, d)] = lk[(b, a, -d % m)] = twice // 2
+        lk: dict[tuple[int, int], list[int]] = {}
+        for (a, b), (lo, counts) in rows.items():
+            if not any(counts):  # the pair's crossings cancel at every delta
+                continue
+            size, s = len(counts), lo % m
+            if size > m * m:  # more chunks than residues: sum each residue's slice
+                row = [sum(counts[(r - lo) % m :: m]) for r in range(m)]
+            else:  # place the entries up to the first wrap, then add each later m-chunk
+                row = [0] * m
+                row[s : s + size] = counts[: m - s]
+                for i in range(m - s, size, m):
+                    row[: min(m, size - i)] = map(add, row, counts[i : i + m])
+            if a == b:  # L_a^x meets L_a^(x+d) at the tally's deltas d and -d alike
+                framing[a] += row[0]
+                row = [0, *map(add, row[1:], row[:0:-1])]
+            # Each odd entry leaves 1 in sum(row) - 2*sum(half).
+            lk[a, b] = half = [v >> 1 for v in row]
+            assert sum(row) == 2 * sum(half), "closed curves must cross evenly"
+            if a != b:
+                lk[b, a] = half[:1] + half[:0:-1]
         return framing, lk
 
     def linking(self, c1: ComponentId, c2: ComponentId) -> Fraction:
         if c1 == c2:
             raise SameComponentError("linking requires two distinct components")
         self._component(c1), self._component(c2)
-        return Fraction(self._base_tables()[1].get((c1, c2, 0), 0))
+        return Fraction(self._base_tables()[1].get((c1, c2), (0,))[0])
 
     def framing(self, cid: ComponentId) -> int:
         self._component(cid)
@@ -398,13 +411,16 @@ def analyze(word: AnnularWord) -> WordAnalysis:
     positions: list[list[int]] = [[] for _ in first]
     for h, seg in enumerate(sweep.seam_segments):
         positions[seg_component[seg]].append(h + 1)
-    components = []
+    # A re-gluing goes up one sheet, so a component's sheets are its seam strands' and those + 1.
+    components, sheet_range = [], []
     for r, (cid, _) in first.items():
         seam = tuple(positions[cid])
         winding = sum(word.seam_orientations[p - 1] for p in seam)
         assert abs(sweep.uf.period[r]) == abs(winding), "sheet offsets must close up by the winding"
         components.append(Component(cid, seam, winding, len(seam)))
-    return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet)
+        sheets = [seg_sheet[sweep.seam_segments[p - 1]] for p in seam]
+        sheet_range.append((min(sheets, default=0), max(sheets, default=-1) + 1))
+    return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet, sheet_range)
 
 
 def components(word: AnnularWord) -> tuple[Component, ...]:

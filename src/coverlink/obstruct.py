@@ -298,11 +298,12 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     """Structural consistency ledger for a presentation.
 
     Collects each degree's own report checks (palindrome, odd |H1|, parity
-    forms), recording a failed row rather than raising, and adds the 2-vs-4
-    cover doubling identity, divisibility of |H1|, the lifted eta vector's
-    shape, deck-relabel invariance, and cancelling-pair invariance, at every
-    applicable cover degree. One checked word serves every degree and the
-    direct count; the cancelling-pair presentation is compiled on its own.
+    forms), recording a failed row rather than raising, and adds the transfer
+    identity at each pair of degrees d | m, divisibility of |H1|, the lifted
+    eta vector's shape, deck-relabel invariance, and cancelling-pair
+    invariance, at every applicable cover degree. One checked word serves
+    every degree and the direct count; the cancelling-pair presentation is
+    compiled on its own.
     """
     checks: list[CheckResult] = []
     n = p.n
@@ -311,16 +312,17 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     runs = {m: _branched(p, word, m) for m in degrees}
     reports = {m: rep for m, (rep, _data) in runs.items()}
 
+    # Transfer: for d | m, lk_d[j] sums lk_m[k] over 0 < k < m with k = j mod d.
+    for d, m in ((2, 4), (2, 8), (4, 8)):
+        if m in reports:
+            lk_d, lk_m = reports[d].linkings, reports[m].linkings
+            sums = tuple(sum(lk_m[j - 1 :: d]) for j in range(1, d))
+            detail = f"lk_{d} = {_fmt_linkings(lk_d)}, sums {_fmt_linkings(sums)}"
+            if m == 4:  # the (2, 4) row keeps the name and detail of the doubling check
+                detail = f"lk_2 = {lk_d[0]}, 2*lk_4(adjacent) = {2 * lk_m[0]}"
+            name = "two-vs-four-doubling" if m == 4 else f"transfer-m{d}-m{m}"
+            checks.append(CheckResult(name, sums == tuple(lk_d), detail))
     if 4 in reports:
-        lk2 = reports[2].linkings[0]
-        lk4_1 = reports[4].linkings[0]
-        checks.append(
-            CheckResult(
-                "two-vs-four-doubling",
-                lk2 == 2 * lk4_1,
-                f"lk_2 = {lk2}, 2*lk_4(adjacent) = {2 * lk4_1}",
-            )
-        )
         checks.append(
             CheckResult(
                 "h1-divisibility",

@@ -186,7 +186,7 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
         raise PatternError(f"cable winding must be at least 1, got {n}")
     # Seam stack, bottom to top: gap-0 strands, cable level 1, gap-1 strands,
     # ..., cable level n, gap-n strands. Within a gap: by clasp index, enter
-    # below exit.
+    # below exit, which is the order the gaps are filled in.
     gap_members: list[list[_Strand]] = [[] for _ in range(n + 1)]
     enters: list[_Strand] = []
     exits: list[_Strand] = []
@@ -195,17 +195,14 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
         x = _Strand("clasp", -c.clasp_sign, clasp=i)
         enters.append(e)
         exits.append(x)
-        gap_members[c.gap_enter].append((0, e))
-        gap_members[c.gap_exit].append((1, x))
+        gap_members[c.gap_enter].append(e)
+        gap_members[c.gap_exit].append(x)
     etas = [_Strand("eta", 1) for _ in range(n)]
     seam_order: list[_Strand] = []
     for g in range(n + 1):
         if g > 0:
             seam_order.append(etas[g - 1])
-        for _, s in sorted(
-            ((role, s) for role, s in gap_members[g]), key=lambda rs: (rs[1].clasp, rs[0])
-        ):
-            seam_order.append(s)
+        seam_order += gap_members[g]
     asm = _Assembler(list(seam_order))
     home = {s: i for i, s in enumerate(seam_order)}
     labels = [("eta", home[etas[0]] + 1)]

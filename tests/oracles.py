@@ -121,14 +121,23 @@ def locate_lift_tally(ana: WordAnalysis):
     return [lift(seg) for seg in range(sweep.seg_count)], (crossings, kinks)
 
 
+def tally_keys(rows) -> dict[tuple[int, int, int], int]:
+    """The nonzero entries of ``{(a, b): (lo, counts)}`` rows as ``{(a, b, lo + i): counts[i]}``."""
+    out = {}
+    for (a, b), (lo, counts) in rows.items():
+        out.update(((a, b, lo + i), v) for i, v in enumerate(counts) if v)
+    return out
+
+
 def two_orientation_cover_tables(ana: WordAnalysis, m: int):
     """Lift framings and twice the lift linkings, writing each tally key both ways.
 
-    The fold that ``WordAnalysis.cover_tables`` replaced: every key of the
-    lift tally is reduced mod m and added to both orientations of its pair,
-    so ``twice[(a, b, d)]`` is twice lk(L_a^x, L_b^(x+d)), unhalved.
+    The fold two steps before ``WordAnalysis.cover_tables``: every key of
+    the keyed lift tally (from :func:`locate_lift_tally`) is reduced mod m
+    and added to both orientations of its pair, so ``twice[(a, b, d)]`` is
+    twice lk(L_a^x, L_b^(x+d)), unhalved.
     """
-    crossings, kinks = ana._lift_tally()
+    crossings, kinks = locate_lift_tally(ana)[1]
     framing = dict(kinks)
     twice: dict[tuple[int, int, int], int] = {}
     for (a, b, delta), sign in crossings.items():
@@ -139,3 +148,30 @@ def two_orientation_cover_tables(ana: WordAnalysis, m: int):
             twice[(a, b, d)] = twice.get((a, b, d), 0) + sign
             twice[(b, a, -d % m)] = twice.get((b, a, -d % m), 0) + sign
     return framing, twice
+
+
+def keyed_cover_tables(ana: WordAnalysis, m: int):
+    """Lift framings and halved lift linkings, folding the keyed tally key by key.
+
+    The fold that ``WordAnalysis.cover_tables`` replaced, on the keyed lift
+    tally of :func:`locate_lift_tally`: each key is reduced mod m once, and
+    the folded table is mirrored to both orientations and halved.
+    ``lk[(a, b, d)]`` is lk(L_a^x, L_b^(x+d)); absent keys are 0.
+    """
+    crossings, kinks = locate_lift_tally(ana)[1]
+    framing = dict(kinks)
+    folded: dict[tuple[int, int, int], int] = {}
+    for (a, b, delta), sign in crossings.items():
+        key = (a, b, delta % m)
+        folded[key] = folded.get(key, 0) + sign
+    lk: dict[tuple[int, int, int], int] = {}
+    for (a, b, d), twice in folded.items():
+        if a == b:
+            if d == 0:
+                framing[a] += twice
+                continue
+            # L_a^x meets L_a^(x+d) at the tally's deltas d and -d alike.
+            twice += folded.get((a, a, -d % m), 0)
+        assert twice % 2 == 0, "closed curves must cross evenly"
+        lk[(a, b, d)] = lk[(b, a, -d % m)] = twice // 2
+    return framing, lk

@@ -19,7 +19,7 @@ from coverlink.cover import (
     lifted_eta_linkings,
     lifted_linking_matrix,
 )
-from coverlink.diagram import Cap, Cross, Cup, _sweep, analyze
+from coverlink.diagram import AnnularWord, Cap, Cross, Cup, _sweep, analyze
 from coverlink.downhill import normalize, random_annular_word
 from coverlink.linalg import _blocks
 from coverlink.pattern import ClaspPresentation, ClaspSpec, cable_template, compile, random_presentation
@@ -32,6 +32,14 @@ def test_trivial_cover_is_base():
     cd = build_cover(word, 1)
     assert cd.word.events == word.events
     assert all(cd.deck[c] == c for c in cd.deck)
+
+
+def test_trivial_cover_of_a_word_without_events():
+    # The sweep's only snapshot is then the one taken after the last event.
+    word = AnnularWord((1, -1), (), (("eta", 1),))
+    cd = build_cover(word, 1)
+    assert cd.lift_map == {(0, 0): 0, (1, 0): 1}
+    assert _sweep(word, frozenset({0})).snapshots == {0: (0, 1)}
 
 
 def test_cable_6_double_cover_links_3():

@@ -38,7 +38,7 @@ from coverlink.downhill import normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
 from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
 from coverlink.pattern import compile as compile_presentation
-from oracles import locate_lift_tally, two_orientation_cover_tables
+from oracles import keyed_cover_tables, locate_lift_tally, tally_keys, two_orientation_cover_tables
 from test_cover import _twist_surgery_pairs
 from test_pattern import _FUZZ, _NUMBERS, _mutated
 
@@ -68,7 +68,12 @@ def test_flat_lift_table_matches_union_find_walk():
         lifts, tally = locate_lift_tally(ana)
         assert list(zip(ana._segment_component, ana._segment_sheet)) == lifts
         assert [ana.component_of_segment(s) for s in range(len(lifts))] == [c for c, _ in lifts]
-        assert ana._lift_tally() == tally
+        # The rows hold the walk's tally: every key inside its pair's row, every count in place.
+        (rows, kinks), (crossings, walk_kinks) = ana._lift_tally(), tally
+        assert kinks == walk_kinks
+        assert set(rows) == {(a, b) for a, b, _ in crossings}
+        assert all(rows[a, b][0] <= d < rows[a, b][0] + len(rows[a, b][1]) for a, b, d in crossings)
+        assert tally_keys(rows) == {key: v for key, v in crossings.items() if v}
 
 
 def _fold_words():
@@ -86,32 +91,89 @@ def _fold_words():
         yield cable_template(n)
 
 
+def _fold_path_words():
+    # Two loops off the seam, hooked once, one with a curl, before the
+    # (4,1)-cable: their pair's row and the curled loop's own row each hold
+    # one count at delta 0, so they are placed without wrapping.
+    cable = cable_template(4)
+    loops = (Cup(1), Cup(3), Cross(2, True), Cross(2, True), Cross(1, True), Cap(1), Cap(1))
+    yield dataclasses.replace(cable, events=loops + cable.events)
+    yield from _fold_words()
+
+
+def _fold_degrees(ana):
+    # Every divisor m of the windings' gcd (every m up to 6 when all windings are 0).
+    g = math.gcd(*(c.winding for c in ana.components))
+    return [m for m in range(1, g + 1) if g % m == 0] if g else range(1, 7)
+
+
+def _fold_path(a, b, lo, counts, m):
+    size, s = len(counts), lo % m
+    if a == b:
+        return "self"
+    if size > m * m:
+        return "slice sums"
+    if size > m:
+        return "chunks"
+    return "wrapped" if s + size > m else "placed"
+
+
 def test_cover_tables_match_the_two_orientation_fold():
-    # Every divisor m of the windings' gcd (every m when all windings are 0):
-    # the one fold per key gives the oracle's framings and halved linkings.
+    # The one fold per row gives the oracle's framings and halved linkings.
     analyze.cache_clear()
     degrees_seen = set()
     for word in _fold_words():
         ana = analyze(word)
-        g = math.gcd(*(c.winding for c in ana.components))
-        for m in [m for m in range(1, g + 1) if g % m == 0] if g else range(1, 7):
+        for m in _fold_degrees(ana):
             framing, lk = ana.cover_tables(m)
             framing_oracle, twice = two_orientation_cover_tables(ana, m)
             assert framing == framing_oracle
             assert all(v % 2 == 0 for v in twice.values())
-            assert lk == {key: v // 2 for key, v in twice.items()}
-            assert all(type(v) is int for v in (*framing.values(), *lk.values()))
+            rows = {pair: (0, row) for pair, row in lk.items()}
+            assert tally_keys(rows) == {key: v // 2 for key, v in twice.items() if v}
+            assert all(len(row) == m for row in lk.values())
+            entries = [v for row in lk.values() for v in row]
+            assert all(type(v) is int for v in (*framing.values(), *entries))
             degrees_seen.add(m)
     assert set(range(1, 17)) | {64, 128, 256, 512} <= degrees_seen
+
+
+def test_cover_tables_rows_match_the_key_by_key_fold():
+    # Bit for bit against the fold the rows replaced, on words that take
+    # every fold path: m slice sums, m-chunks after the first wrap, a short
+    # row wrapped or placed whole, and a component's own row.
+    analyze.cache_clear()
+    paths = set()
+    for word in _fold_path_words():
+        ana = analyze(word)
+        for m in _fold_degrees(ana):
+            framing, lk = ana.cover_tables(m)
+            framing_oracle, keyed = keyed_cover_tables(ana, m)
+            assert framing == framing_oracle
+            pairs = set(lk) | {(a, b) for a, b, _ in keyed}
+            for a, b in pairs:
+                assert lk.get((a, b), [0] * m) == [keyed.get((a, b, d), 0) for d in range(m)]
+            rows = ana._lift_tally()[0]
+            paths.update(_fold_path(a, b, lo, c, m) for (a, b), (lo, c) in rows.items() if any(c))
+    assert paths == {"slice sums", "chunks", "wrapped", "placed", "self"}
+
+
+def _plant(rows, a, b, delta):
+    # One more crossing of pair (a, b) at delta, widening the row if needed.
+    lo, counts = rows.get((a, b), (delta, [0]))
+    start, stop = min(lo, delta), max(lo + len(counts), delta + 1)
+    planted = [0] * (stop - start)
+    planted[lo - start : lo - start + len(counts)] = counts
+    planted[delta - start] += 1
+    return {**rows, (a, b): (start, planted)}
 
 
 @pytest.mark.parametrize("key, m", [((0, 1, 0), 1), ((0, 1, 3), 4), ((0, 0, 1), 4)])
 def test_cover_tables_assert_closed_curves_cross_evenly(key, m):
     # One crossing too many: between eta and a surgery curve, or between two eta lifts.
     ana = analyze(compile_presentation(random_presentation(4, 2, 0)))
-    crossings, kinks = ana._lift_tally()
-    odd = {**crossings, key: crossings.get(key, 0) + 1}
-    planted = dataclasses.replace(ana, _tally=(odd, kinks))
+    rows, kinks = ana._lift_tally()
+    planted = dataclasses.replace(ana, _tally=(_plant(rows, *key), kinks))
     with pytest.raises(AssertionError, match="closed curves must cross evenly"):
         planted.cover_tables(m)
 

@@ -281,6 +281,47 @@ def test_cross_checks_check_the_vector_shape_at_every_degree():
     assert not [n for n in (c.name for c in cross_checks(ClaspPresentation(8, ()))) if "shape" in n]
 
 
+@pytest.mark.parametrize(
+    "m, bump, failed",
+    [
+        # Palindromic bumps of one degree's linkings keep that degree's own rows
+        # and deck relabelling; only the transfer rows that read it can fail.
+        (8, (1, 0, 0, 0, 0, 0, 1), ["transfer-m2-m8", "transfer-m4-m8"]),
+        (8, (0, 1, 0, 0, 0, 1, 0), ["transfer-m4-m8"]),
+        (2, (2,), ["two-vs-four-doubling", "transfer-m2-m8"]),
+    ],
+    ids=["m8-odd-k", "m8-k-2-mod-4", "m2"],
+)
+def test_cross_checks_record_a_broken_transfer(monkeypatch, m, bump, failed):
+    real = _linkings_from_data
+
+    def bumped(data, degree, preferred=0):
+        linkings, order = real(data, degree, preferred)
+        if degree == m:
+            linkings = tuple(v + b for v, b in zip(linkings, bump))
+        return linkings, order
+
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", bumped)
+    checks = cross_checks(random_presentation(8, 2, 1))
+    assert [c.name for c in checks if not c.passed] == failed
+
+
+def test_cross_checks_check_the_transfer_at_every_divisor_pair():
+    def transfer_rows(p):
+        rows = ("two-vs-four-doubling", "transfer-")
+        return [(c.name, c.detail) for c in cross_checks(p) if c.name.startswith(rows)]
+
+    assert transfer_rows(ClaspPresentation(8, ())) == [
+        ("two-vs-four-doubling", "lk_2 = 4, 2*lk_4(adjacent) = 4"),
+        ("transfer-m2-m8", "lk_2 = (4), sums (4)"),
+        ("transfer-m4-m8", "lk_4 = (2, 2, 2), sums (2, 2, 2)"),
+    ]
+    assert [name for name, _ in transfer_rows(random_presentation(4, 2, 1))] == [
+        "two-vs-four-doubling"
+    ]
+    assert transfer_rows(random_presentation(6, 2, 1)) == []
+
+
 def test_verdict_path_never_densifies(monkeypatch):
     def dense(*_args):
         raise AssertionError("the verdict path asked for a dense matrix")
