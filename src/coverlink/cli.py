@@ -78,12 +78,20 @@ def _load_word(path: str, force_json: bool) -> dia.AnnularWord:
     return pat.compile(pat.parse(text))
 
 
+def _degree(tok: str) -> int:
+    """A cover degree, read by the DSLs' number rule (ASCII ``[+-]?[0-9]+``)."""
+    try:
+        return dia._int_literal(tok.strip(), "cover degree")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_m_list(raw: str) -> tuple[int, ...]:
     try:
-        out = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        raise ValueError(f"bad m-list {raw!r}; expected comma-separated integers") from None
-    if not out or any(m < 2 for m in out):
+        out = tuple(_degree(tok) for tok in raw.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"bad m-list {raw!r}: {exc}") from None
+    if any(m < 2 for m in out):
         raise ValueError("m-list entries must be integers >= 2")
     return out
 
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("file", help="input file")
             sp.add_argument("--json", action="store_true", help="input is the JSON pattern schema")
         if m:
-            sp.add_argument("--m", type=int, default=2, help="cover degree (default 2)")
+            sp.add_argument("--m", type=_degree, default=2, help="cover degree (default 2)")
         if m_list:
             sp.add_argument(
                 "--m-list", default="2,4", help="comma-separated cover degrees (default 2,4)"

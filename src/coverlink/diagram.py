@@ -63,24 +63,24 @@ class UnknownComponentError(DiagramError):
     """No component with the requested id or label."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cross:
     position: int
     upper_over: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cup:
     position: int
     sign: int = 1  # +1: lower newborn strand runs rightward
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cap:
     position: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kink:
     position: int
     sign: int

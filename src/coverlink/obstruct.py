@@ -13,14 +13,16 @@ vector is nonzero and of uniform sign; both must hold (and m must be a
 prime power) to certify the obstruction. Every report is first checked
 against one table of theorems (``_INVARIANTS``). A failed row is a pipeline
 bug: a verdict raises :class:`InvariantViolationError`, and
-the :func:`cross_checks` ledger records the row as failed.
+the :func:`cross_checks` ledger records the row as failed. ``json`` leaves
+its C encoder whenever ``indent`` is set, so :func:`report_to_json` writes
+the fixed report schema in ``json.dumps(indent=2)``'s layout itself.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
 from typing import Sequence
 
 from . import pattern as pat
@@ -300,10 +302,10 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     Collects each degree's own report checks (palindrome, odd |H1|, parity
     forms), recording a failed row rather than raising, and adds the transfer
     identity at each pair of degrees d | m, divisibility of |H1|, the lifted
-    eta vector's shape, deck-relabel invariance, and cancelling-pair
-    invariance, at every applicable cover degree. One checked word serves
-    every degree and the direct count; the cancelling-pair presentation is
-    compiled on its own.
+    eta vector's shape, deck-relabel invariance, the paper's mod-8 theorem
+    (``hedden-mod8``) and cancelling-pair invariance, at every applicable
+    cover degree. One checked word serves every degree and the direct count;
+    the cancelling-pair presentation is compiled on its own.
     """
     checks: list[CheckResult] = []
     n = p.n
@@ -348,6 +350,16 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
                 "linkings invariant under shifting the preferred lift",
             )
         )
+    # The paper's theorem: for even n with 8 not dividing n, the sign test
+    # obstructs at m = 2 or 4; for 8 | n, it does or every linking there is 0.
+    if 2 in reports:
+        low = [reports[m] for m in (2, 4) if m in reports]
+        for rep in low:
+            _decide(rep)
+        zero = not any(v for rep in low for v in rep.linkings)
+        ok = any(rep.verdict == "Obstructed" for rep in low) or (n % 8 == 0 and zero)
+        detail = ", ".join(f"m{rep.m} {rep.verdict}" for rep in low)
+        checks.append(CheckResult("hedden-mod8", ok, detail + (", all linkings 0" if zero else "")))
     if degrees:
         m0 = degrees[0]
         template = ClaspSpec(
@@ -417,8 +429,40 @@ def report_to_dict(agg: AggregateReport) -> dict:
     }
 
 
+_BOOL = ("false", "true")
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """Encoded items as a JSON array, laid out as ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]"
+
+
+def _json_degree(r: ObstructionReport) -> str:
+    checks = [
+        f'{{\n          "name": {_json_str(c.name)},\n          "pass": {_BOOL[c.passed]},'
+        f'\n          "detail": {_json_str(c.detail)}\n        }}'
+        for c in r.checks
+    ]
+    linkings = [_json_str(format_rational(v)) for v in r.linkings]
+    return (
+        f'{{\n      "m": {r.m},\n      "linkings": {_json_array(linkings, "      ")},'
+        f'\n      "h1": {r.h1_order},\n      "eta_order": {r.eta_order},'
+        f'\n      "condition1": {_BOOL[r.condition1]},\n      "condition2": {_BOOL[r.condition2]},'
+        f'\n      "verdict": {_json_str(r.verdict)},'
+        f'\n      "checks": {_json_array(checks, "      ")}\n    }}'
+    )
+
+
 def report_to_json(agg: AggregateReport) -> str:
-    return json.dumps(report_to_dict(agg), indent=2) + "\n"
+    """``json.dumps(report_to_dict(agg), indent=2) + "\n"``, byte for byte, in one pass."""
+    per_m = _json_array([_json_degree(r) for r in agg.per_m], "  ")
+    return (
+        f'{{\n  "pattern": {_json_str(agg.pattern)},\n  "n": {agg.n},\n  "per_m": {per_m},'
+        f'\n  "aggregate": {_json_str(agg.aggregate)}\n}}\n'
+    )
 
 
 def report_to_text(agg: AggregateReport) -> str:

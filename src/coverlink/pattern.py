@@ -109,6 +109,13 @@ class _Strand:
         self.pos = -1  # index in the assembler's stack while the strand is on it
 
 
+# Every compile takes its crossings from this one table, keyed by (position,
+# upper_over); it holds at most two per stack position ever compiled. A cable's
+# braid crossings sit at distinct positions, so only a shared table saves
+# anything. Events are immutable values: sharing them changes no word or hash.
+_CROSSES: dict[tuple[int, bool], Cross] = {}
+
+
 class _Assembler:
     """The seam stack of a word under construction, and the events so far.
 
@@ -134,14 +141,16 @@ class _Assembler:
         """Cross s with the strand directly above it."""
         i = s.pos
         other = self.stack[i + 1]
-        self.events.append(Cross(i + 1, upper_over=not s_over))
+        key = (i + 1, not s_over)
+        self.events.append(_CROSSES.get(key) or _CROSSES.setdefault(key, Cross(*key)))
         self.stack[i], self.stack[i + 1] = other, s
         other.pos, s.pos = i, i + 1
 
     def cross_down(self, s: _Strand, s_over: bool) -> None:
         i = s.pos
         other = self.stack[i - 1]
-        self.events.append(Cross(i, upper_over=s_over))
+        key = (i, s_over)
+        self.events.append(_CROSSES.get(key) or _CROSSES.setdefault(key, Cross(*key)))
         self.stack[i - 1], self.stack[i] = s, other
         s.pos, other.pos = i - 1, i
 

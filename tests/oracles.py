@@ -6,9 +6,12 @@ Import them as ``from oracles import ...``: pytest puts this directory on
 
 from __future__ import annotations
 
+import json
+
 from coverlink.cover import CoverDiagram, _surgery_order
 from coverlink.diagram import ComponentId, WordAnalysis, analyze
 from coverlink.linalg import IntMatrix, NonSquareError, RationalMatrix
+from coverlink.obstruct import AggregateReport, report_to_dict
 
 
 class NotBlockCirculantError(ValueError):
@@ -175,3 +178,8 @@ def keyed_cover_tables(ana: WordAnalysis, m: int):
         assert twice % 2 == 0, "closed curves must cross evenly"
         lk[(a, b, d)] = lk[(b, a, -d % m)] = twice // 2
     return framing, lk
+
+
+def report_json(agg: AggregateReport) -> str:
+    """The report as ``json.dumps`` writes it: what ``report_to_json`` must equal."""
+    return json.dumps(report_to_dict(agg), indent=2) + "\n"

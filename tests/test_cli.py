@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +117,39 @@ def test_linkings_degree_not_dividing_winding_exits_2(capsys, fmt, m):
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {path}: m={m} does not divide winding 8\n"
 
+
+
+@pytest.mark.parametrize(
+    "option, value, entry",
+    [
+        ("--m", "\u0662", "'\u0662'"),  # int() reads the Arabic-Indic digit two
+        ("--m-list", "2_0", "'2_0'"),  # int() reads 20
+        ("--m-list", "2,,4", "''"),
+        ("--m-list", "2,4,", "''"),
+    ],
+    ids=["arabic-indic-m", "underscore", "empty-inner", "empty-last"],
+)
+def test_cover_degrees_read_as_ascii_integers(capsys, option, value, entry):
+    command = "linkings" if option == "--m" else "obstruct"
+    try:
+        code = main([command, str(CORPUS / "cable-8.pattern"), option, value])
+    except SystemExit as exc:  # argparse rejects --m itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"cover degree must be an integer, got {entry}" in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "coverlink", "obstruct", "corpus/cable-6.pattern", "--m-list", "2"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("aggregate: Obstructed\n")
 
 def test_normalize_round_trip(tmp_path, capsys):
     from coverlink.diagram import serialize

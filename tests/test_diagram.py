@@ -194,6 +194,19 @@ def test_parse_round_trip_with_all_event_kinds():
     assert parse(serialize(word)) == word
 
 
+
+def test_events_are_slotted_values():
+    events = (Cup(2, -1), Cross(2, True), Cap(2), Kink(1, -1), Cross(1, False), Cross(1, True))
+    assert not any(hasattr(ev, "__dict__") for ev in events)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        events[1].position = 3
+    copies = tuple(dataclasses.replace(ev) for ev in events)
+    assert copies == events and all(a is not b for a, b in zip(copies, events))
+    assert [hash(a) for a in copies] == [hash(ev) for ev in events]
+    assert len(set(events + copies)) == len(events) and Cross(1, True) != Cross(1, False)
+    word = AnnularWord((1, -1, 1), events, (("eta", 3),))
+    assert parse(serialize(word)).events == events
+
 def test_empty_events_single_seam_strand():
     word = parse("annular v1\nseam 1 +\n")
     assert len(components(word)) == 1

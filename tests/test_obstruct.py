@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +19,13 @@ from coverlink.cover import (
     lifted_linking_matrix,
 )
 from coverlink.diagram import WordAnalysis, analyze
+from coverlink.downhill import normalize, random_annular_word
 from coverlink.linalg import IntMatrix, det, inverse, order_in_quotient
 from coverlink.obstruct import (
     _INVARIANTS,
     _linkings_from_data,
+    AggregateReport,
+    CheckResult,
     InvariantViolationError,
     NotRationalHomologySphereError,
     PatternValidationError,
@@ -30,13 +34,14 @@ from coverlink.obstruct import (
     cha_ko,
     cross_checks,
     format_rational,
+    ObstructionReport,
     report_to_dict,
     report_to_json,
     verdict,
 )
-from coverlink.pattern import ClaspPresentation, ClaspSpec, random_presentation, serialize
+from coverlink.pattern import ClaspPresentation, ClaspSpec, parse, random_presentation, serialize
 from coverlink.pattern import compile as compile_presentation
-from oracles import block_circulant_split, cover_eta_rows
+from oracles import block_circulant_split, cover_eta_rows, report_json
 from test_cover import _twist_surgery_pairs
 
 W8 = ClaspPresentation(
@@ -322,6 +327,52 @@ def test_cross_checks_check_the_transfer_at_every_divisor_pair():
     assert transfer_rows(random_presentation(6, 2, 1)) == []
 
 
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_cross_checks_record_a_broken_mod8_theorem(monkeypatch, n):
+    # An even eta order at every degree fails condition (1) at m = 2 and 4,
+    # and a cable's linkings are not all 0: only the theorem's row can fail.
+    real = _linkings_from_data
+
+    def even_order(data, m, preferred=0):
+        return real(data, m, preferred)[0], 2
+
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", even_order)
+    checks = cross_checks(ClaspPresentation(n, ()))
+    assert [c.name for c in checks if not c.passed] == ["hedden-mod8"]
+    degrees = ", ".join(f"m{m} Inconclusive" for m in (2, 4) if n % m == 0)
+    assert [c.detail for c in checks if c.name == "hedden-mod8"] == [degrees]
+
+
+@pytest.mark.parametrize("n, passed", [(4, False), (8, True)])
+def test_cross_checks_excuse_all_zero_linkings_only_when_8_divides_n(monkeypatch, n, passed):
+    zero = lambda data, m, preferred=0: ((0,) * (m - 1), 1)  # noqa: E731
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", zero)
+    rows = [c for c in cross_checks(ClaspPresentation(n, ())) if c.name == "hedden-mod8"]
+    detail = "m2 Inconclusive, m4 Inconclusive, all linkings 0"
+    assert [(c.passed, c.detail) for c in rows] == [(passed, detail)]
+
+
+def test_cross_checks_hold_the_mod8_theorem_on_random_and_normalized_inputs():
+    inputs = [
+        (n, s, random_presentation(n, k, s))
+        for n in range(2, 33, 2)
+        for k in range(5)
+        for s in range(4)
+    ]
+    inputs += [
+        (n, s, normalize(random_annular_word(n, s)).presentation)
+        for n in (4, 6, 8, 12, 16, 24)
+        for s in range(60)
+    ]
+    rows = [(n, s, c) for n, s, p in inputs for c in cross_checks(p) if c.name == "hedden-mod8"]
+    assert len(rows) == 680 and all(c.passed for _n, _s, c in rows)
+    # Inconclusive at both degrees happens only at 8 | n, with every linking 0.
+    zero = "m2 Inconclusive, m4 Inconclusive, all linkings 0"
+    assert [(n, s, c.detail) for n, s, c in rows if "Obstructed" not in c.detail] == [
+        (8, 28, zero), (8, 30, zero), (24, 30, zero)
+    ]
+
 def test_verdict_path_never_densifies(monkeypatch):
     def dense(*_args):
         raise AssertionError("the verdict path asked for a dense matrix")
@@ -510,6 +561,34 @@ def test_report_json_schema_and_determinism():
     }
     assert all(set(c) == {"name", "pass", "detail"} for c in row["checks"])
     assert all(isinstance(v, str) for v in row["linkings"])
+
+
+
+def _reports_to_write():
+    corpus = Path(__file__).resolve().parents[1] / "corpus"
+    for f in sorted(corpus.glob("*.pattern")):
+        p = parse(f.read_text(encoding="utf-8"))
+        yield auto_verdict(p)
+        yield auto_verdict(p, (2, 3, 4, 8))
+    # Degrees 6 and 9 add NotApplicable reports, with linkings where m | n.
+    for n in range(2, 19):
+        for k in range(5):
+            yield auto_verdict(random_presentation(n, k, 3 * n + k), (2, 3, 4, 6, 8, 9))
+    yield auto_verdict(ClaspPresentation(6, ()), ())  # "per_m": []
+    yield auto_verdict(ClaspPresentation(6, (), name='q"\\é\t\u2028'), (2, 3))
+    odd = ObstructionReport(4, (Fraction(-7, 5), 0, Fraction(10**30, 3)), 5, 3, True)
+    odd.checks.append(CheckResult("odd", False, ""))
+    yield AggregateReport("", 0, [odd, ObstructionReport(9)], "")
+
+
+def test_report_writer_matches_the_json_dumps_oracle():
+    reports = list(_reports_to_write())
+    written = [report_to_json(agg) for agg in reports]
+    assert written == [report_json(agg) for agg in reports]
+    assert len(written) == 96
+    text = "".join(written)
+    for part in ('"per_m": []', '"linkings": []', '"checks": []', '"q\\"\\\\\\u00e9\\t\\u2028"'):
+        assert part in text
 
 
 def test_format_rational():

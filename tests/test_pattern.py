@@ -1,7 +1,10 @@
 """Presentations, the gadget compiler, validation, and the DSLs."""
 
+import dataclasses
+import hashlib
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import coverlink.pattern
 from coverlink.cli import main
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
+from coverlink.diagram import serialize as serialize_word
 from coverlink.pattern import (
     ClaspPresentation,
     ClaspSpec,
@@ -85,6 +89,40 @@ def test_compile_deterministic():
     p = random_presentation(6, 3, 9)
     assert compile(p) == compile(p)
 
+
+
+def _compile_sample():
+    """Seeded presentations, each also with its slots shuffled, and large cables."""
+    for n in range(2, 17):
+        for k in range(7):
+            for seed in range(5):
+                p = random_presentation(n, k, seed)
+                slots = [c.slot for c in p.clasps]
+                random.Random(f"{n}/{k}/{seed}").shuffle(slots)
+                yield p
+                yield dataclasses.replace(
+                    p, clasps=tuple(dataclasses.replace(c, slot=s) for c, s in zip(p.clasps, slots))
+                )
+    for n in (64, 96, 128, 192, 256, 384, 512):
+        yield ClaspPresentation(n, ())
+
+
+def test_compiled_words_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for p in _compile_sample():
+        digest.update(serialize_word(compile(p)).encode())
+        count += 1
+    assert count == 1057
+    assert digest.hexdigest() == "97756ccfc96041a44bcb6cb4126166c607643dc9986649d7777c7ad45399b7da"
+
+
+def test_compiles_share_their_crossings():
+    first, second = compile(random_presentation(8, 3, 1)), compile(random_presentation(8, 3, 2))
+    crossings = {ev: ev for ev in first.events if isinstance(ev, Cross)}
+    shared = [ev for ev in second.events if ev in crossings]
+    assert shared and all(crossings[ev] is ev for ev in shared)
+    assert all(a is b for a, b in zip(cable_template(64).events, cable_template(64).events))
 
 def test_compile_injective_on_sample():
     words = {}
