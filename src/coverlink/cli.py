@@ -7,7 +7,7 @@ violations (for example an even first-homology order at a cover of degree
 2, 4 or 8), which indicate a pipeline or encoding bug rather than a property
 of the data.
 The environment variable ``HEDDEN_SEED`` overrides the default seed of the
-seeded self-test sweeps.
+seeded self-test sweeps; like ``--m``, it must be an ASCII integer.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ def _sniff(text: str) -> str:
 
 def _load_pattern(path: str, force_json: bool) -> pat.ClaspPresentation:
     text = _read(path)
-    if force_json or _sniff(text) == "json":
+    kind = "json" if force_json else _sniff(text)
+    if kind == "json":
         return pat.from_json(text)
-    if _sniff(text) != "pattern":
+    if kind != "pattern":
         raise pat.PatternSyntaxError(f"{path} is not a pattern file", 1)
     return pat.parse(text)
 
@@ -97,14 +98,7 @@ def _parse_m_list(raw: str) -> tuple[int, ...]:
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.file)
-    kind = "json" if args.json else _sniff(text)
-    if kind == "annular":
-        word = dia.parse(text)
-    else:
-        p = pat.from_json(text) if kind == "json" else pat.parse(text)
-        word = pat.compile(p)
-    report = pat.validate(word)
+    report = pat.validate(_load_word(args.file, args.json))
     for item in report.items:
         status = "ok" if item.ok else ("warning" if item.warning else "FAIL")
         print(f"{status:8} {item.name:22} {item.component:12} {item.detail}")
@@ -312,7 +306,8 @@ def _selftest_checks(seed: int):
 
 
 def cmd_selftest(_args) -> int:
-    seed = int(os.environ.get("HEDDEN_SEED", DEFAULT_SEED))
+    raw = os.environ.get("HEDDEN_SEED")
+    seed = DEFAULT_SEED if raw is None else dia._int_literal(raw.strip(), "HEDDEN_SEED")
     failures = 0
     count = 0
     for name, passed, detail in _selftest_checks(seed):

@@ -1,14 +1,15 @@
 """Normalizing a one-component annular diagram to cable-plus-clasps form.
 
-The traversal walks the curve from the bottom seam strand, flipping each
-crossing that is first reached on the under strand; a diagram in which every
-crossing is first reached on the over strand (the downhill property) is
-isotopic to the standard cable, so the flips are exactly the crossing
-changes separating the input from the cable, and each one is emitted as a
-clasp gadget. Returning strands (arcs entering and leaving the rectangle on
-the same side) are removed pairwise by merging them into their neighbors;
-the reduced word is returned in straightened canonical form, where the
-wrapping number equals the absolute winding number.
+The traversal walks the curve once, from the bottom seam strand along its
+orientation; the walk against the orientation is the same passages run
+backwards. Either walk flips each crossing that is first reached on the
+under strand; a diagram in which every crossing is first reached on the over
+strand (the downhill property) is isotopic to the standard cable, so the
+flips are exactly the crossing changes separating the input from the cable,
+and each one is emitted as a clasp gadget. Returning strands (arcs entering
+and leaving the rectangle on the same side) are removed pairwise by merging
+them into their neighbors; the reduced word is returned in straightened
+canonical form, where the wrapping number equals the absolute winding number.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
-from .pattern import ClaspPresentation, ClaspSpec, cable_template
+from .pattern import ClaspPresentation, ClaspSpec, _Assembler, _Strand, cable_template
 
 
 class MultiComponentError(Exception):
@@ -51,17 +52,12 @@ def _build_graph(word: AnnularWord):
     live: list[tuple[int, int]] = [(new_edge(), o) for o in word.seam_orientations]
     first = [e for e, _ in live]
     succ: dict[int, tuple[int, _Passage]] = {}
-    pred: dict[int, tuple[int, _Passage]] = {}
-
-    def link(a: int, b: int, passage: _Passage) -> None:
-        succ[a] = (b, passage)
-        pred[b] = (a, passage)
 
     def advance(old: int, new: int, orient: int, passage: _Passage) -> None:
         if orient == 1:
-            link(old, new, passage)
+            succ[old] = (new, passage)
         else:
-            link(new, old, passage)
+            succ[new] = (old, passage)
 
     for idx, ev in enumerate(word.events):
         if isinstance(ev, Cross):
@@ -75,17 +71,11 @@ def _build_graph(word: AnnularWord):
             lo, up = new_edge(), new_edge()
             live[ev.position - 1 : ev.position - 1] = [(lo, ev.sign), (up, -ev.sign)]
             # The curve flows in on the leftward newborn and out on the other.
-            if ev.sign == 1:
-                link(up, lo, _Passage(idx, "turn"))
-            else:
-                link(lo, up, _Passage(idx, "turn"))
+            advance(up, lo, ev.sign, _Passage(idx, "turn"))
         elif isinstance(ev, Cap):
             p = ev.position
             (lo, o_lo), (up, _) = live[p - 1], live[p]
-            if o_lo == 1:
-                link(lo, up, _Passage(idx, "turn"))
-            else:
-                link(up, lo, _Passage(idx, "turn"))
+            advance(lo, up, o_lo, _Passage(idx, "turn"))
             del live[p - 1 : p + 1]
         elif isinstance(ev, Kink):
             e, o = live[ev.position - 1]
@@ -93,38 +83,40 @@ def _build_graph(word: AnnularWord):
             advance(e, e2, o, _Passage(idx, "kink"))
             live[ev.position - 1] = (e2, o)
     for h, (e, o) in enumerate(live):
-        if o == 1:
-            link(e, first[h], _Passage(-1, "seam", direction=1))
-        else:
-            link(first[h], e, _Passage(-1, "seam", direction=-1))
-    return first, succ, pred
+        advance(e, first[h], o, _Passage(-1, "seam", direction=o))
+    return first, succ
 
 
-def _curve(word: AnnularWord, forward: bool = True) -> list[_Passage]:
-    """Ordered passages of the single closed curve.
+def _curve(word: AnnularWord) -> list[_Passage]:
+    """Ordered passages of the single closed curve, along its orientation.
 
     Starts at the bottom seam strand at the word start (the diagram's unique
-    minimal point) and follows the curve's own orientation; ``forward=False``
-    walks against it, which mirrors seam directions.
+    minimal point). The walk against the orientation from the same point is
+    :func:`_reversed` of this one.
     """
     ana = analyze(word)
     if len(ana.components) != 1:
         raise MultiComponentError(f"diagram has {len(ana.components)} components")
-    first, succ, pred = _build_graph(word)
+    first, succ = _build_graph(word)
     passages: list[_Passage] = []
     # Base point: the bottom seam strand; for a seamless circle, the first
     # edge created (the earliest cup's lower newborn).
     start = first[0] if first else 0
     edge = start
-    table = succ if forward else pred
     while True:
-        edge, passage = table[edge]
-        if passage.kind == "seam" and not forward:
-            passage = _Passage(-1, "seam", -passage.direction)
+        edge, passage = succ[edge]
         passages.append(passage)
         if edge == start:
             break
     return passages
+
+
+def _reversed(passages: list[_Passage]) -> list[_Passage]:
+    """The same closed walk run backwards: reverse order, seam directions negated."""
+    return [
+        _Passage(-1, "seam", -p.direction) if p.kind == "seam" else p
+        for p in reversed(passages)
+    ]
 
 
 def _first_visit_flips(passages: list[_Passage]) -> list[int]:
@@ -264,18 +256,15 @@ class NormalizeResult:
     changes: tuple[ChangeRecord, ...]
     word: AnnularWord  # the downhill word the changes were read from
 
-    def __iter__(self):
-        return iter((self.presentation, self.orientation))
-
 
 def normalize(word: AnnularWord) -> NormalizeResult:
     """Emit the cable-plus-clasps presentation realizing the input pattern.
 
     Kinks are stripped first (isotopies; the pattern curve carries no framing
-    data). The crossing-change traversal runs both along and against the
-    curve's orientation and keeps whichever needs fewer changes (ties prefer
-    along); the result is Reversed exactly when the emitted data describes
-    the input curve run backwards.
+    data). The crossing-change traversal reads the one walk both along and
+    against the curve's orientation and keeps whichever needs fewer changes
+    (ties prefer along); the result is Reversed exactly when the emitted data
+    describes the input curve run backwards.
     """
     stripped = AnnularWord(
         word.seam_orientations,
@@ -301,8 +290,8 @@ def normalize(word: AnnularWord) -> NormalizeResult:
         input_reversed = True
         w = -w
 
-    forward = _curve(stripped, forward=True)
-    backward = _curve(stripped, forward=False)
+    forward = _curve(stripped)
+    backward = _reversed(forward)
     flips_fwd = _first_visit_flips(forward)
     flips_bwd = _first_visit_flips(backward)
     use_backward = len(flips_bwd) < len(flips_fwd)
@@ -346,81 +335,55 @@ def random_annular_word(n: int, seed: int) -> AnnularWord:
     wrapping by two and creating returning arcs), with random over/under
     flags everywhere and random extra crossing pairs.
     """
-
-    class _S:
-        __slots__ = ("orient",)
-
-        def __init__(self, orient: int):
-            self.orient = orient
-
     rng = random.Random(("annular", n, seed).__repr__())
     fingers = rng.randint(0, 2)
-    etas = [_S(1) for _ in range(n)]
+    seam_order = [_Strand("eta", 1) for _ in range(n)]
     finger_pairs = []
-    seam_order: list[_S] = list(etas)
     for _ in range(fingers):
-        t_in, t_out = _S(1), _S(-1)
+        t_in, t_out = _Strand("clasp", 1), _Strand("clasp", -1)
         gap = rng.randint(0, len(seam_order))
         seam_order[gap:gap] = [t_in, t_out]
         finger_pairs.append((t_in, t_out))
+    asm = _Assembler(list(seam_order))
 
-    stack = list(seam_order)
-    events: list[Cross | Cup | Cap | Kink] = []
-
-    def idx(s: _S) -> int:
-        return next(i for i, t in enumerate(stack) if t is s)
-
-    def cross(lower_index: int) -> None:
-        events.append(Cross(lower_index + 1, rng.random() < 0.5))
-        stack[lower_index], stack[lower_index + 1] = (
-            stack[lower_index + 1],
-            stack[lower_index],
-        )
-
-    def move_adjacent(s: _S, target: _S) -> None:
-        while abs(idx(s) - idx(target)) > 1:
-            i = idx(s)
-            cross(i if idx(target) > i else i - 1)
-
-    def move_to(s: _S, target_index: int) -> None:
-        while idx(s) != target_index:
-            i = idx(s)
-            cross(i if target_index > i else i - 1)
+    def move_to(s: _Strand, target: int) -> None:
+        """Cross s one strand at a time to index target; the upper strand is over at random."""
+        while s.pos != target:
+            upper_over = rng.random() < 0.5
+            if target > s.pos:
+                asm.cross_up(s, not upper_over)
+            else:
+                asm.cross_down(s, upper_over)
 
     home = {s: i for i, s in enumerate(seam_order)}
     pending = {s for pair in finger_pairs for s in pair}
     for t_in, t_out in finger_pairs:
         pending -= {t_in, t_out}
-        victim = rng.choice([s for s in stack if s.orient == 1 and s not in pending and s is not t_in])
-        move_adjacent(victim, t_out)
-        lower = victim if idx(victim) < idx(t_out) else t_out
-        lower_i = idx(lower)
-        events.append(Cap(lower_i + 1))
-        del stack[lower_i : lower_i + 2]
+        victim = rng.choice(
+            [s for s in asm.stack if s.orient == 1 and s not in pending and s is not t_in]
+        )
+        # t_out keeps its index while the victim moves in next to it.
+        move_to(victim, t_out.pos - 1 if t_out.pos > victim.pos else t_out.pos + 1)
+        asm.cap(victim if victim.pos < t_out.pos else t_out)
         home[t_in] = home.pop(victim)
         home.pop(t_out)
         # The splice strand takes over the victim's slot in seam order.
-        move_to(t_in, sum(1 for s in stack if s is not t_in and home[s] < home[t_in]))
+        move_to(t_in, sum(1 for s in asm.stack if s is not t_in and home[s] < home[t_in]))
 
     # One-shift braid with random flags, finger-free stack of n strands.
-    mover = stack[0]
-    for _ in range(n - 1):
-        cross(idx(mover))
+    move_to(asm.stack[0], n - 1)
     # Random extra crossing pairs keep the permutation but add crossings.
     for _ in range(rng.randint(0, 4)):
-        p = rng.randint(0, n - 2)
-        cross(p)
-        cross(p)
+        s = asm.stack[rng.randint(0, n - 2)]
+        move_to(s, s.pos + 1)
+        move_to(s, s.pos - 1)
 
     # Re-birth the finger pairs at their seam heights, bottom-up.
-    for t_in, t_out in sorted(finger_pairs, key=lambda pair: seam_order.index(pair[0])):
-        at = seam_order.index(t_in)
-        w_in, w_out = _S(1), _S(-1)
-        events.append(Cup(at + 1, 1))
-        stack[at:at] = [w_in, w_out]
+    for at in sorted(seam_order.index(t_in) for t_in, _ in finger_pairs):
+        asm.cup(at, _Strand("clasp", 1), _Strand("clasp", -1))
 
     word = AnnularWord(
-        tuple(s.orient for s in seam_order), tuple(events), (("pattern", 1),)
+        tuple(s.orient for s in seam_order), tuple(asm.events), (("pattern", 1),)
     )
     ana = analyze(word)
     assert len(ana.components) == 1 and ana.components[0].winding == n

@@ -119,8 +119,8 @@ _CROSSES: dict[tuple[int, bool], Cross] = {}
 class _Assembler:
     """The seam stack of a word under construction, and the events so far.
 
-    Every strand on the stack knows its own index (``pos``), so ``idx`` is
-    O(1): a crossing patches the two strands it swaps, and a cap or a cup
+    Every strand on the stack knows its own index (``pos``), so finding one
+    is O(1): a crossing patches the two strands it swaps, and a cap or a cup
     (one of each per clasp) renumbers the stack from the changed index up.
     Compiling a word therefore costs O(events) plus O(stack) per clasp.
     """
@@ -133,9 +133,6 @@ class _Assembler:
     def _renumber(self, start: int) -> None:
         for i in range(start, len(self.stack)):
             self.stack[i].pos = i
-
-    def idx(self, s: _Strand) -> int:
-        return s.pos
 
     def cross_up(self, s: _Strand, s_over: bool) -> None:
         """Cross s with the strand directly above it."""
@@ -177,9 +174,9 @@ def _weave(asm: _Assembler, s: _Strand, target: int, flags: str, clasp: int) -> 
     Returns how many flags were used.
     """
     used = 0
-    up = target > asm.idx(s)
-    while asm.idx(s) != target:
-        neighbor = asm.stack[asm.idx(s) + (1 if up else -1)]
+    up = target > s.pos
+    while s.pos != target:
+        neighbor = asm.stack[s.pos + (1 if up else -1)]
         if neighbor.kind == "eta":
             over = flags[used] == "o"
             used += 1
@@ -224,12 +221,12 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
         d = abs(c.gap_exit - c.gap_enter)
         flags_in, flags_out = c.weave[:d], c.weave[d:]
         # x keeps its index while e weaves in to sit next to it.
-        xi = asm.idx(x)
-        used = _weave(asm, e, xi - 1 if xi > asm.idx(e) else xi + 1, flags_in, i)
+        xi = x.pos
+        used = _weave(asm, e, xi - 1 if xi > e.pos else xi + 1, flags_in, i)
         assert used == d, "weave must cross each intermediate cable strand once"
-        ascending = asm.idx(e) < asm.idx(x)
+        ascending = e.pos < x.pos
         lower = e if ascending else x
-        at = asm.idx(lower)
+        at = lower.pos
         asm.cap(lower)
         e2 = _Strand("clasp", c.clasp_sign, clasp=i)
         x2 = _Strand("clasp", -c.clasp_sign, clasp=i)
@@ -246,12 +243,12 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
     for l in range(1, n):
         passed = 0
         while True:
-            above = asm.stack[asm.idx(mover) + 1]
+            above = asm.stack[mover.pos + 1]
             if above.kind == "eta":
                 break
             asm.cross_up(mover, True)  # cable over gadget
             passed += 1
-        descending = asm.stack[asm.idx(mover) + 1]
+        descending = asm.stack[mover.pos + 1]
         asm.cross_up(mover, True)  # positive cable crossing: shifting strand over
         for _ in range(passed):
             asm.cross_down(descending, True)  # cable over gadget

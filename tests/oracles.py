@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 
 from coverlink.cover import CoverDiagram, _surgery_order
-from coverlink.diagram import ComponentId, WordAnalysis, analyze
+from coverlink.diagram import AnnularWord, ComponentId, WordAnalysis, analyze
+from coverlink.downhill import _build_graph, _Passage
 from coverlink.linalg import IntMatrix, NonSquareError, RationalMatrix
 from coverlink.obstruct import AggregateReport, report_to_dict
 
@@ -183,3 +184,26 @@ def keyed_cover_tables(ana: WordAnalysis, m: int):
 def report_json(agg: AggregateReport) -> str:
     """The report as ``json.dumps`` writes it: what ``report_to_json`` must equal."""
     return json.dumps(report_to_dict(agg), indent=2) + "\n"
+
+
+def backward_curve(word: AnnularWord) -> list[_Passage]:
+    """The curve walked against its orientation by following each edge's predecessor.
+
+    This is how the normalizer walked backwards before it reversed its one
+    forward walk: from the same base point (the bottom seam strand, or the
+    first edge of a seamless circle), each step goes to the edge that links
+    into the current one, and a seam passage walked this way runs in the
+    opposite direction.
+    """
+    first, succ = _build_graph(word)
+    pred = {b: (a, passage) for a, (b, passage) in succ.items()}
+    start = first[0] if first else 0
+    edge = start
+    passages: list[_Passage] = []
+    while True:
+        edge, passage = pred[edge]
+        if passage.kind == "seam":
+            passage = _Passage(-1, "seam", -passage.direction)
+        passages.append(passage)
+        if edge == start:
+            return passages

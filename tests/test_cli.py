@@ -250,6 +250,19 @@ def test_selftest_seed_env_override(capsys, monkeypatch):
     assert "(seed 99)" in out
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["1_0", "\u0662", "abc"],  # int() reads the first two as 10 and 2
+    ids=["underscore", "arabic-indic", "letters"],
+)
+def test_selftest_seed_env_read_as_ascii_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("HEDDEN_SEED", value)
+    assert main(["selftest"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: HEDDEN_SEED must be an integer, got {value!r}\n"
+
+
 def test_mutated_crossing_sign_fails_cable_goldens(capsys, monkeypatch):
     # Deliberate mutation: a globally flipped sign convention must negate the
     # cable goldens and make the self-test fail.

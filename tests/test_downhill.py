@@ -1,12 +1,19 @@
 """Downhill traversal, returning-strand reduction, and clasp emission."""
 
-import pytest
+import hashlib
+import random
 
+import pytest
+from oracles import backward_curve
+
+from coverlink import diagram, pattern
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
 from coverlink.downhill import (
     MultiComponentError,
     NotDownhillError,
     WindingTooSmallError,
+    _curve,
+    _reversed,
     force_downhill,
     is_downhill,
     normalize,
@@ -181,3 +188,69 @@ def test_random_annular_word_single_component_winding():
     for seed in range(30):
         comp = analyze(random_annular_word(6, seed)).components
         assert len(comp) == 1 and comp[0].winding == 6
+
+
+# ---------------------------------------------------------------------------
+# The one walk, read backwards, against the predecessor walk it replaced
+
+
+def _flipped_and_kinked(word: AnnularWord, rng: random.Random) -> AnnularWord:
+    """Flip about half the crossings and put a random kink before about a fifth of the events."""
+    events: list = []
+    size = len(word.seam_orientations)
+    for ev in word.events:
+        if size and rng.random() < 0.2:
+            events.append(Kink(rng.randint(1, size), rng.choice((1, -1))))
+        if isinstance(ev, Cross) and rng.random() < 0.5:
+            ev = Cross(ev.position, not ev.upper_over)
+        events.append(ev)
+        size += 2 if isinstance(ev, Cup) else -2 if isinstance(ev, Cap) else 0
+    return AnnularWord(word.seam_orientations, tuple(events), word.labels)
+
+
+def _negated(word: AnnularWord) -> AnnularWord:
+    """The same curve with its orientation reversed: winding -n."""
+    return AnnularWord(
+        tuple(-o for o in word.seam_orientations),
+        tuple(Cup(ev.position, -ev.sign) if isinstance(ev, Cup) else ev for ev in word.events),
+        word.labels,
+    )
+
+
+def test_reversed_walk_matches_predecessor_walk():
+    rng = random.Random(0)
+    words = [AnnularWord((), (Cup(1, 1), Cap(1)))]  # the seamless circle
+    for n in range(2, 25):
+        for seed in range(20):
+            word = random_annular_word(n, seed)
+            kinked = _flipped_and_kinked(word, rng)
+            words += [word, kinked, _negated(word), _negated(kinked)]
+    assert any(isinstance(ev, Kink) for w in words for ev in w.events)
+    assert any(analyze(w).components[0].winding < 0 for w in words)
+    for word in words:
+        assert _reversed(_curve(word)) == backward_curve(word)
+
+
+def test_random_annular_words_and_normalize_are_pinned():
+    # Digests over n 2..24 and seeds 0..59 (1,380 words): any change to the
+    # generated words, or to what normalize emits from them, shows here.
+    words, results = hashlib.sha256(), hashlib.sha256()
+    for n in range(2, 25):
+        for seed in range(60):
+            word = random_annular_word(n, seed)
+            words.update(diagram.serialize(word).encode())
+            r = normalize(word)
+            results.update(
+                (
+                    pattern.serialize(r.presentation)
+                    + r.orientation
+                    + repr(r.changes)
+                    + diagram.serialize(r.word)
+                ).encode()
+            )
+    assert words.hexdigest() == (
+        "7ba2474be9ac06528188f7acbdc0a7307879228777ed05c6e2540101e52feb58"
+    )
+    assert results.hexdigest() == (
+        "c2912953399560749e3118e506844aca11875114aa5a74d847ff8d6e84caeb56"
+    )

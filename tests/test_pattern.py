@@ -260,11 +260,21 @@ def test_pattern_dsl_rejects_bad_directive():
 
 
 class _ScanAssembler:
-    """Oracle: the assembler that finds a strand by scanning the stack, O(n) per lookup."""
+    """Oracle: the assembler that finds a strand by scanning the stack, O(n) per lookup.
+
+    The compiler reads a strand's index as ``s.pos``, so after every step this
+    one rewrites ``pos`` for the whole stack from a fresh scan, where the fast
+    assembler patches only the strands a step moves.
+    """
 
     def __init__(self, stack):
         self.stack = stack
         self.events = []
+        self._scan()
+
+    def _scan(self):
+        for i, t in enumerate(self.stack):
+            t.pos = i
 
     def idx(self, s):
         return next(i for i, t in enumerate(self.stack) if t is s)
@@ -274,21 +284,25 @@ class _ScanAssembler:
         other = self.stack[i + 1]
         self.events.append(Cross(i + 1, upper_over=not s_over))
         self.stack[i], self.stack[i + 1] = other, s
+        self._scan()
 
     def cross_down(self, s, s_over):
         i = self.idx(s)
         other = self.stack[i - 1]
         self.events.append(Cross(i, upper_over=s_over))
         self.stack[i - 1], self.stack[i] = s, other
+        self._scan()
 
     def cap(self, lower):
         i = self.idx(lower)
         self.events.append(Cap(i + 1))
         del self.stack[i : i + 2]
+        self._scan()
 
     def cup(self, at, lower, upper):
         self.events.append(Cup(at + 1, lower.orient))
         self.stack[at:at] = [lower, upper]
+        self._scan()
 
     def kink(self, s, sign):
         self.events.append(Kink(self.idx(s) + 1, sign))
@@ -302,11 +316,6 @@ class _CheckedAssembler(_Assembler):
     def _check(self):
         for i, t in enumerate(self.stack):
             assert t.pos == i  # that is, stack[s.pos] is s for every s on the stack
-
-    def idx(self, s):
-        i = super().idx(s)
-        assert self.stack[i] is s
-        return i
 
     def cross_up(self, s, s_over):
         if s.kind == self.stack[s.pos + 1].kind == "clasp":
