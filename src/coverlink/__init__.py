@@ -32,8 +32,6 @@ from .diagram import (
 )
 from .linalg import (
     IntMatrix,
-    Rational,
-    RationalMatrix,
     det,
     inverse,
     order_in_quotient,
@@ -66,7 +64,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AnnularWord",
@@ -80,8 +78,6 @@ __all__ = [
     "Kink",
     "NormalizeResult",
     "ObstructionReport",
-    "Rational",
-    "RationalMatrix",
     "add_cancelling_pair",
     "analyze",
     "auto_verdict",

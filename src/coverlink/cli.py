@@ -217,7 +217,7 @@ def _selftest_checks(seed: int):
     inv = inverse(m)
     yield check(
         "inverse-2x2",
-        inv.to_rows(),
+        inv,
         [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]],
     )
     yield check("solve-2x2", solve(m, [1, 0]), [Fraction(2, 3), Fraction(-1, 3)])

@@ -535,6 +535,8 @@ def parse(text: str) -> AnnularWord:
             pos = _int_token(toks[3], lineno, "seam position")
             if not 1 <= pos <= len(seam):
                 raise DiagramSyntaxError(f"label seam position {pos} out of range", lineno, 4)
+            if any(toks[1] == name for name, _pos in labels):
+                raise DiagramSyntaxError(f"duplicate label {toks[1]!r}", lineno, 2)
             labels.append((toks[1], pos))
         elif kind == "x":
             if len(toks) != 3 or toks[2] not in ("over", "under"):

@@ -5,8 +5,8 @@ Everything here runs on Python's arbitrary-precision integers or on
 :class:`IntMatrix` stores only its nonzero entries, keyed by position, so a
 lifted surgery matrix (diagonal on every presentation) costs O(N) to build
 and to solve, not O(N^2); the dense form is derived on request.
-Determinants, linear solves and inverses share one fraction-free (Bareiss)
-forward elimination, run once per connected block: the components of the
+Determinants and solves share one fraction-free (Bareiss) forward
+elimination, run once per connected block: the components of the
 symmetrised nonzero pattern (i ~ j when entry (i, j) or (j, i) is nonzero)
 index the diagonal blocks of a simultaneous row and column permutation of
 the matrix, which leaves the determinant unchanged. A matrix finds its
@@ -14,13 +14,14 @@ blocks once, on first use; a dense matrix is one block, and a 1x1 block is
 its diagonal entry. So ``det`` is the product of the blocks' determinants,
 and a solve eliminates ``[block | b]`` per block. The back-substitution is
 fraction-free too: for the block's last pivot D ``D * z`` is integral by
-Cramer's rule, so it runs on integers with exact division.
-``solve_numerators`` eliminates only the blocks where b is nonzero and
-returns z as integer numerators over the lcm of z's denominators. Solutions
-and inverses come out in adjugate form (every denominator divides
-``|det|``), and the Smith normal form uses a fixed pivot rule (smallest
-absolute value, ties broken in row-major order) so that outputs are
-deterministic.
+Cramer's rule, so it runs on integers with exact division. Every solve goes
+through ``solve_numerators``, which eliminates only the blocks where b is
+nonzero and returns z as integer numerators over the lcm of z's
+denominators. ``solve`` and ``inverse`` (column j solves for e_j) check
+``det`` once and build their ``Fraction``s from those numerators, so every
+denominator divides ``|det|``. The Smith normal form uses a fixed pivot rule
+(smallest absolute value, ties broken in row-major order) so that outputs
+are deterministic.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
-
-Rational = Fraction
 
 
 class NonSquareError(ValueError):
@@ -48,8 +47,8 @@ class IntMatrix:
 
     Zeros are never stored, so two matrices are equal exactly when their
     entries are. The map is excluded from the hash and must not be mutated
-    after construction (the block split is cached on first use). ``entries``
-    gives the dense row-major tuple.
+    after construction (the block split is cached on first use). ``to_rows``
+    gives the dense rows.
     """
 
     rows: int
@@ -88,17 +87,8 @@ class IntMatrix:
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, {})
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        """The dense row-major entries."""
-        return tuple(v for row in self.to_rows() for v in row)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.nonzeros.get(ij, 0)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        get = self.nonzeros.get
-        return tuple(get((i, j), 0) for j in range(self.cols))
 
     def to_rows(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -134,49 +124,6 @@ class IntMatrix:
         for (i, k), v in self.nonzeros.items():
             out[i] += v * x[k]
         return out
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense row-major matrix over the exact rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return RationalMatrix(r, c, tuple(Fraction(x) for row in rows for x in row))
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def mul_vec(self, x: Sequence[Fraction | int]) -> list[Fraction]:
-        if len(x) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [
-            sum((self.row(i)[k] * x[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
 
 
 def _eliminate(a: list[list[int]], n: int) -> int:
@@ -238,34 +185,29 @@ def _block_rows(m: IntMatrix, block: list[int]) -> list[list[int]]:
     return [[get((i, j), 0) for j in block] for i in block]
 
 
-def _solve_block(
-    m: IntMatrix, block: list[int], extra: list[list[int]]
-) -> tuple[int, list[list[int]]]:
-    """``(D, ys)`` for one block of ``m z = e``, per column e of ``extra`` (a row per index).
+def _solve_block(m: IntMatrix, block: list[int], b: list[int]) -> tuple[int, list[int]]:
+    """``(D, y)`` for one block of ``m z = b``; ``b`` holds the right-hand side on the block.
 
-    D is the block's last pivot and ``ys[c][r] = D * z[block[r]]`` for column
-    c: one elimination of ``[block | extra]``, then fraction-free
-    back-substitution (every ``//`` is exact). A 1x1 block is its diagonal
-    entry. Raises :class:`SingularError` when the block is singular.
+    D is the block's last pivot and ``y[r] = D * z[block[r]]``: one
+    elimination of ``[block | b]``, then fraction-free back-substitution
+    (every ``//`` is exact). A 1x1 block is its diagonal entry. Raises
+    :class:`SingularError` when the block is singular.
     """
     size = len(block)
     if size == 1:
         last = m.nonzeros.get((block[0], block[0]), 0)
         if not last:
             raise SingularError("matrix is singular")
-        return last, [[e] for e in extra[0]]
-    a = [row + e for row, e in zip(_block_rows(m, block), extra)]
+        return last, b
+    a = [row + [e] for row, e in zip(_block_rows(m, block), b)]
     if _eliminate(a, size) == 0:
         raise SingularError("matrix is singular")
     last = a[size - 1][size - 1]
-    ys = []
-    for c in range(size, len(a[0])):
-        y = [0] * size
-        for r in range(size - 1, -1, -1):
-            row = a[r]
-            y[r] = (last * row[c] - sum(row[s] * y[s] for s in range(r + 1, size))) // row[r]
-        ys.append(y)
-    return last, ys
+    y = [0] * size
+    for r in range(size - 1, -1, -1):
+        row = a[r]
+        y[r] = (last * row[size] - sum(row[s] * y[s] for s in range(r + 1, size))) // row[r]
+    return last, y
 
 
 def det(m: IntMatrix) -> int:
@@ -304,7 +246,7 @@ def solve_numerators(m: IntMatrix, b: Sequence[int]) -> tuple[dict[int, int], in
     parts, d = [], 1
     for block in m._split:
         if any(b[i] for i in block):
-            last, (y,) = _solve_block(m, block, [[b[i]] for i in block])
+            last, y = _solve_block(m, block, [b[i] for i in block])
             parts.append((block, y, last))
             d = math.lcm(d, last // math.gcd(last, *y))
     return {i: v * d // last for block, y, last in parts for i, v in zip(block, y) if v}, d
@@ -322,44 +264,18 @@ def solve(m: IntMatrix, b: Sequence[int]) -> list[Fraction]:
     return [Fraction(w.get(i, 0), d) for i in range(m.rows)]
 
 
-def inverse(m: IntMatrix) -> RationalMatrix:
-    """Exact inverse; every entry has denominator dividing ``|det(m)|``.
+def inverse(m: IntMatrix) -> list[list[Fraction]]:
+    """Exact inverse as a list of rows; every denominator divides ``|det(m)|``.
 
-    Column j is zero outside j's block, so a block solves for its own columns.
+    After one ``det`` check (which also rejects a non-square m), column j is
+    :func:`solve_numerators` of e_j, which eliminates only j's block. Raises
+    :class:`SingularError` when m is singular.
     """
-    if not m.is_square:
-        raise NonSquareError(f"cannot invert a {m.rows}x{m.cols} matrix")
-    rows = [[Fraction(0)] * m.rows for _ in range(m.rows)]
-    for block in m._split:
-        last, ys = _solve_block(m, block, [[int(i == j) for j in block] for i in block])
-        for j, y in zip(block, ys):
-            for i, v in zip(block, y):
-                rows[i][j] = Fraction(v, last)
-    return RationalMatrix.from_rows(rows)
-
-
-def _swap_rows(a: list[list[int]], u: list[list[int]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a: list[list[int]], v: list[list[int]], i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a: list[list[int]], u: list[list[int]], dst: int, src: int, q: int) -> None:
-    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-
-def _add_col(a: list[list[int]], v: list[list[int]], dst: int, src: int, q: int) -> None:
-    for row in a:
-        row[dst] += q * row[src]
-    for row in v:
-        row[dst] += q * row[src]
+    if det(m) == 0:
+        raise SingularError("matrix is singular")
+    n = m.rows
+    columns = [solve_numerators(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[Fraction(w.get(i, 0), d) for w, d in columns] for i in range(n)]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -367,12 +283,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     D is diagonal with non-negative invariant factors d1 | d2 | ...;
     U and V are unimodular. Pivot rule: smallest nonzero absolute value
-    in the working submatrix, ties broken in row-major order.
+    in the working submatrix, ties broken in row-major order. The work runs
+    on ``[[m, I], [I, 0]]``: an operation on its first r rows carries U
+    along, and one on its first c columns carries V.
     """
     r, c = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
+    a = [row + [int(i == j) for j in range(r)] for i, row in enumerate(m.to_rows())]
+    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
 
     def pick_pivot(t: int) -> tuple[int, int] | None:
         best = None
@@ -388,45 +305,39 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if loc is None:
             break
         i, j = loc
-        if i != t:
-            _swap_rows(a, u, t, i)
-        if j != t:
-            _swap_cols(a, v, t, j)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         dirty = False
         for i in range(t + 1, r):
             if a[i][t] != 0:
                 q = a[i][t] // a[t][t]
-                _add_row(a, u, i, t, -q)
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                 if a[i][t] != 0:
                     dirty = True
         for j in range(t + 1, c):
             if a[t][j] != 0:
                 q = a[t][j] // a[t][t]
-                _add_col(a, v, j, t, -q)
+                for row in a:
+                    row[j] -= q * row[t]
                 if a[t][j] != 0:
                     dirty = True
         if dirty:
             continue
         # Row and column are clear; enforce divisibility of the remainder.
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (i for i in range(t + 1, r) if any(a[i][j] % a[t][t] for j in range(t + 1, c))), None
+        )
         if offender is not None:
-            _add_row(a, u, t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
         t += 1
-    d = IntMatrix.from_rows(a) if r and c else IntMatrix.zeros(r, c)
-    return d, IntMatrix.from_rows(u) if r else IntMatrix.zeros(0, 0), (
-        IntMatrix.from_rows(v) if c else IntMatrix.zeros(0, 0)
-    )
+    # from_rows reads no column count off zero rows, so an empty D is built directly.
+    d = IntMatrix.from_rows([row[:c] for row in a[:r]]) if r else IntMatrix.zeros(0, c)
+    u = IntMatrix.from_rows([row[c:] for row in a[:r]])
+    return d, u, IntMatrix.from_rows([row[:c] for row in a[r:]])
 
 
 def order_in_quotient(m: IntMatrix, x: Sequence[int]) -> int | None:
@@ -440,8 +351,6 @@ def order_in_quotient(m: IntMatrix, x: Sequence[int]) -> int | None:
     if len(x) != m.rows:
         raise ValueError("vector dimension mismatch")
     n = m.rows
-    if n == 0:
-        return 1
     d_mat, u, _v = smith_normal_form(m)
     y = u.mul_vec(list(x))
     order = 1

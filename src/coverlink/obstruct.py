@@ -28,7 +28,7 @@ from typing import Sequence
 from . import pattern as pat
 from .cover import LiftedData, build_cover, lift_data, lifted_eta_linkings
 from .diagram import AnnularWord
-from .linalg import IntMatrix, det, solve, solve_numerators
+from .linalg import IntMatrix, det, solve_numerators
 from .pattern import ClaspPresentation, ClaspSpec, add_cancelling_pair
 
 DEFAULT_M_LIST = (2, 4)
@@ -73,19 +73,18 @@ class ObstructionReport:
 def cha_ko(base_lk: Fraction | int, a: IntMatrix, x: Sequence[int], y: Sequence[int]) -> Fraction:
     """Linking number after surgery: ``base - x^T A^{-1} y``, exactly.
 
-    With an empty surgery link this collapses to the base linking number
-    (empty determinant is 1). Raises when A is singular: the surgered
-    manifold is then not a rational homology sphere.
+    A ``det`` of 0 raises: the surgered manifold is then not a rational
+    homology sphere. Otherwise one :func:`solve_numerators` gives
+    ``A^{-1} y = w / d`` on integers, and the correction is one integer dot
+    product over w's support and one ``Fraction``. With an empty surgery
+    link this collapses to the base linking number (empty determinant is 1).
     """
     if len(x) != a.rows or len(y) != a.rows:
         raise ValueError("vector dimensions must match the matrix")
     if det(a) == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
-    return Fraction(base_lk) - _dot(solve(a, y), x)
-
-
-def _dot(z: Sequence[Fraction], y: Sequence[int]) -> Fraction:
-    return sum((zi * yi for zi, yi in zip(z, y)), Fraction(0))
+    w, d = solve_numerators(a, y)
+    return Fraction(base_lk) - Fraction(sum(x[i] * v for i, v in w.items()), d)
 
 
 def _prime_power(m: int) -> bool:

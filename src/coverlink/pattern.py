@@ -487,6 +487,18 @@ def _json_int(value, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def _json_object(value, what: str, required: tuple[str, ...], optional: tuple[str, ...]) -> None:
+    # The keys the text form knows, and no others: a misspelt key is an error, not a default.
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    unknown = set(value) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {sorted(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"missing {what} key {key!r}")
+
+
 def from_json(text: str) -> ClaspPresentation:
     try:
         doc = json.loads(text)
@@ -499,22 +511,30 @@ def from_json(text: str) -> ClaspPresentation:
     if not isinstance(doc, dict) or doc.get("pattern") != "v1":
         raise PatternSyntaxError('expected {"pattern": "v1", ...}', 1)
     try:
-        clasps = tuple(
+        _json_object(doc, "top-level", ("pattern", "cable"), ("name", "clasps"))
+        clasps = doc.get("clasps", [])
+        if not isinstance(clasps, list):
+            raise ValueError(f"clasps must be an array, got {clasps!r}")
+        for c in clasps:
+            _json_object(c, "clasp", ("slot", "enter", "exit"), ("weave", "sign", "framing"))
+            if not isinstance(c.get("weave", ""), str):
+                raise ValueError(f"weave must be a string, got {c['weave']!r}")
+        specs = tuple(
             ClaspSpec(
                 slot=_json_int(c["slot"], "slot"),
                 gap_enter=_json_int(c["enter"], "enter"),
                 gap_exit=_json_int(c["exit"], "exit"),
-                weave=str(c.get("weave", "")),
+                weave=c.get("weave", ""),
                 clasp_sign=_json_int(c.get("sign", 1), "sign"),
                 framing=_json_int(c.get("framing", -1), "framing"),
             )
-            for c in doc.get("clasps", [])
+            for c in clasps
         )
         n = _json_int(doc["cable"], "cable")
         name = doc.get("name", "")
         # The text form carries a name as one token, and "#" starts a comment there.
         if not isinstance(name, str) or name and (name.split() != [name] or "#" in name):
             raise ValueError(f"name must be one token without '#', got {name!r}")
-        return ClaspPresentation(n, clasps, name=name)
-    except (KeyError, TypeError, ValueError, PatternError) as exc:
+        return ClaspPresentation(n, specs, name=name)
+    except (ValueError, PatternError) as exc:
         raise PatternSyntaxError(str(exc), 1) from exc

@@ -11,7 +11,7 @@ import json
 from coverlink.cover import CoverDiagram, _surgery_order
 from coverlink.diagram import AnnularWord, ComponentId, WordAnalysis, analyze
 from coverlink.downhill import _build_graph, _Passage
-from coverlink.linalg import IntMatrix, NonSquareError, RationalMatrix
+from coverlink.linalg import IntMatrix, NonSquareError
 from coverlink.obstruct import AggregateReport, report_to_dict
 
 
@@ -27,20 +27,21 @@ class NotBlockCirculantError(ValueError):
         )
 
 
-def block_circulant_split(m: IntMatrix | RationalMatrix, q: int):
-    """Split a block-circulant matrix into its q defining blocks.
+def block_circulant_split(m: IntMatrix | list[list], q: int):
+    """Split a block-circulant matrix, an IntMatrix or a list of rows, into its q defining blocks.
 
     Block (i, j) of a block-circulant matrix depends only on (j - i) mod q;
-    the returned list holds blocks (0, 0), (0, 1), ..., (0, q-1) as matrices
-    of the same kind as the input. Raises :class:`NotBlockCirculantError`
-    with the first offending block pair (row-major scan) otherwise.
+    the returned list holds blocks (0, 0), (0, 1), ..., (0, q-1) in the form
+    of the input. Raises :class:`NotBlockCirculantError` with the first
+    offending block pair (row-major scan) otherwise.
     """
-    if not m.is_square:
+    rows = m.to_rows() if isinstance(m, IntMatrix) else m
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise NonSquareError("block_circulant_split needs a square matrix")
-    if q <= 0 or m.rows % q != 0:
-        raise ValueError(f"block count {q} does not divide size {m.rows}")
-    rows = m.to_rows()
-    s = m.rows // q
+    if q <= 0 or n % q != 0:
+        raise ValueError(f"block count {q} does not divide size {n}")
+    s = n // q
     blocks = [
         [[[rows[bi * s + i][bj * s + j] for j in range(s)] for i in range(s)] for bj in range(q)]
         for bi in range(q)
@@ -49,8 +50,9 @@ def block_circulant_split(m: IntMatrix | RationalMatrix, q: int):
         for bj in range(q):
             if blocks[bi][bj] != blocks[0][(bj - bi) % q]:
                 raise NotBlockCirculantError(bi, bj)
-    factory = IntMatrix.from_rows if isinstance(m, IntMatrix) else RationalMatrix.from_rows
-    return [factory(blocks[0][d]) for d in range(q)]
+    if isinstance(m, IntMatrix):
+        return [IntMatrix.from_rows(block) for block in blocks[0]]
+    return blocks[0]
 
 
 def transpose(m: IntMatrix) -> IntMatrix:

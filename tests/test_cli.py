@@ -216,8 +216,26 @@ def test_validate_json_non_integer_exits_2(tmp_path, capsys, doc):
          "line 4, col 1: expected gap, got '1_0'"),
         ("annular v1\nseam 2 ++\nlabel eta seam 1\nx \u0661 over\n",
          "line 4, col 1: expected gap, got '\u0661'"),
+        ("annular v1\nseam 2 +-\nlabel eta seam 1\nlabel eta seam 2\n",
+         "line 4, col 2: duplicate label 'eta'"),
+        ('{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 1, '
+         '"frameing": 1}]}', "line 1: unknown clasp keys ['frameing']"),
+        ('{"pattern": "v1", "cable": 4, "clasp": [{"slot": 0, "enter": 1, "exit": 1}]}',
+         "line 1: unknown top-level keys ['clasp']"),
+        ('{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 2, '
+         '"weave": ["o", "o"]}]}', "line 1: weave must be a string, got ['o', 'o']"),
+        ('{"pattern": "v1", "cable": 8, "clasps": {"a": 1}}',
+         "line 1: clasps must be an array, got {'a': 1}"),
+        ('{"pattern": "v1", "cable": 8, "clasps": [7]}', "line 1: clasp must be an object, got 7"),
+        ('{"pattern": "v1", "clasps": []}', "line 1: missing top-level key 'cable'"),
+        ('{"pattern": "v1", "cable": 8, "clasps": [{"enter": 1, "exit": 1}]}',
+         "line 1: missing clasp key 'slot'"),
     ],
-    ids=["sign-+-", "slot-1_0", "enter-arabic-indic-2", "cable-1_0", "gap-1_0", "gap-arabic-indic-1"],
+    ids=[
+        "sign-+-", "slot-1_0", "enter-arabic-indic-2", "cable-1_0", "gap-1_0", "gap-arabic-indic-1",
+        "label-repeated", "json-clasp-key-frameing", "json-top-key-clasp", "json-weave-list",
+        "json-clasps-object", "json-clasp-int", "json-cable-missing", "json-slot-missing",
+    ],
 )
 def test_validate_non_canonical_number_or_sign_exits_2(tmp_path, capsys, text, located):
     f = tmp_path / "p.txt"
@@ -241,6 +259,15 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_selftest_stdout_sha256(capsys, monkeypatch):
+    # Every check's name and order and the summary line at the default seed, pinned.
+    monkeypatch.delenv("HEDDEN_SEED", raising=False)
+    assert main(["selftest"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "4b082b8a30f6c11fea5796a9207918b968254fb39464ebc8e5fd6403dc961ea5"
+    )
 
 
 def test_selftest_seed_env_override(capsys, monkeypatch):

@@ -556,11 +556,19 @@ def test_parse_rejects_digits_int_cannot_read(text):
         '"sign": true}]}',
         '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 1, '
         '"framing": "+1"}]}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 1, '
+        '"frameing": 1}]}',
+        '{"pattern": "v1", "cable": 4, "clasp": [{"slot": 0, "enter": 1, "exit": 1}]}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 2, '
+        '"weave": ["o", "o"]}]}',
+        '{"pattern": "v1", "cable": 8, "clasps": {"a": 1}}',
+        '{"pattern": "v1", "clasps": []}',
     ],
     ids=[
         "cable-1e400", "cable-8.5", "cable-nan", "enter-1e400", "slot-0.5", "deep-nesting",
         "5000-digits", "cable-string", "cable-true", "slot-true", "enter-string", "sign-true",
-        "framing-string",
+        "framing-string", "clasp-key-frameing", "top-key-clasp", "weave-list", "clasps-object",
+        "cable-missing",
     ],
 )
 def test_from_json_rejects_non_integers_and_deep_nesting(doc):
