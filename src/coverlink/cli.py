@@ -45,18 +45,14 @@ def _read(path: str) -> str:
 
 
 def _sniff(text: str) -> str:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("{"):
-            return "json"
-        if line == "annular v1":
-            return "annular"
-        if line == "pattern v1":
-            return "pattern"
-        break
-    raise pat.PatternSyntaxError("unrecognized input (expected annular v1, pattern v1, or JSON)", 1)
+    lineno, line = next(dia._lines(text), (1, ""))
+    if line.startswith("{"):
+        return "json"
+    if line in ("annular v1", "pattern v1"):
+        return line.split()[0]  # the header names the kind
+    raise pat.PatternSyntaxError(
+        "unrecognized input (expected annular v1, pattern v1, or JSON)", lineno
+    )
 
 
 def _load_pattern(path: str, force_json: bool) -> pat.ClaspPresentation:

@@ -129,7 +129,7 @@ def crossing_sign(o_lower: int, o_upper: int, upper_over: bool) -> int:
 
 
 class _UnionFind:
-    """Union-find over segments whose edges carry sheet offsets.
+    """Union-find over segments, or the normalizer's arcs, whose edges carry sheet offsets.
 
     ``offset[x]`` is x's offset to its parent: copy j of segment x lies on the
     same cover curve as copy ``j + offset[x]`` of its parent. Offsets are 0
@@ -491,22 +491,27 @@ def _int_token(tok: str, lineno: int, what: str) -> int:
         raise DiagramSyntaxError(f"expected {what}, got {tok!r}", lineno) from None
 
 
-def parse(text: str) -> AnnularWord:
-    """Parse the annular DSL; rejects ill-typed words with located errors."""
-    seam: tuple[int, ...] | None = None
-    labels: list[tuple[str, int]] = []
-    events: list[Event] = []
-    saw_header = False
+def _lines(text: str):
+    """``(line number, text before '#', stripped)`` for each line that is not blank."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line := raw.split("#", 1)[0].strip():
+            yield lineno, line
+
+
+def parse(text: str) -> AnnularWord:
+    """Parse the annular DSL; rejects ill-typed words with located errors.
+
+    Lines are read by :func:`_lines`. A component takes at most one label.
+    """
+    seam: tuple[int, ...] | None = None
+    labels: dict[str, tuple[int, int]] = {}  # name -> (seam position, line number)
+    events: list[Event] = []
+    lines = _lines(text)
+    lineno, line = next(lines, (1, ""))
+    if line != _HEADER:
+        raise DiagramSyntaxError(f"{'expected' if line else 'missing'} {_HEADER!r} header", lineno)
+    for lineno, line in lines:
         toks = line.split()
-        if not saw_header:
-            if line != _HEADER:
-                raise DiagramSyntaxError(f"expected {_HEADER!r} header", lineno)
-            saw_header = True
-            continue
         kind = toks[0]
         if kind == "seam":
             if seam is not None:
@@ -535,9 +540,9 @@ def parse(text: str) -> AnnularWord:
             pos = _int_token(toks[3], lineno, "seam position")
             if not 1 <= pos <= len(seam):
                 raise DiagramSyntaxError(f"label seam position {pos} out of range", lineno, 4)
-            if any(toks[1] == name for name, _pos in labels):
+            if toks[1] in labels:
                 raise DiagramSyntaxError(f"duplicate label {toks[1]!r}", lineno, 2)
-            labels.append((toks[1], pos))
+            labels[toks[1]] = (pos, lineno)
         elif kind == "x":
             if len(toks) != 3 or toks[2] not in ("over", "under"):
                 raise DiagramSyntaxError("usage: x GAP over|under", lineno)
@@ -563,10 +568,15 @@ def parse(text: str) -> AnnularWord:
             )
         else:
             raise DiagramSyntaxError(f"unknown directive {kind!r}", lineno)
-    if not saw_header:
-        raise DiagramSyntaxError(f"missing {_HEADER!r} header", 1)
     if seam is None:
         raise DiagramSyntaxError("missing seam line", 1)
-    word = AnnularWord(seam, tuple(events), tuple(labels))
-    analyze(word)  # type-check: strand counts, seam re-gluing, cap orientations
+    word = AnnularWord(seam, tuple(events), tuple((k, pos) for k, (pos, _) in labels.items()))
+    ana = analyze(word)  # type-check: strand counts, seam re-gluing, cap orientations
+    named: dict[ComponentId, str] = {}
+    for name, (pos, lineno) in labels.items():  # at most one label per component
+        first = named.setdefault(ana.component_of_seam(pos), name)
+        if first != name:
+            raise DiagramSyntaxError(
+                f"label {name!r} names the component labeled {first!r}", lineno, 2
+            )
     return word

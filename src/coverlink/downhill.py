@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
+from .diagram import AnnularWord, Cap, Cross, Cup, Kink, _UnionFind, analyze
 from .pattern import ClaspPresentation, ClaspSpec, _Assembler, _Strand, cable_template
 
 
@@ -182,61 +182,40 @@ def reduce_returning(word: AnnularWord) -> AnnularWord:
 def _strand_heights(passages: list[_Passage], n: int) -> list[int]:
     """Straightened cable height for every passage position.
 
-    Seam crossings split the closed walk into arcs. Adjacent seam crossings
-    of opposite direction bound a returning arc; removing one merges three
-    consecutive arcs. The surviving n arcs are the cable strands, with the
-    base-point arc as the shifting strand (height 1) and the j-th later arc
-    at height n+1-j.
+    Seam crossings split the closed walk into arcs; arc i runs into seam
+    crossing i. Adjacent seam crossings of opposite direction bound a
+    returning arc, and removing the pair merges the arc before, between and
+    after them. One pass in walk order cancels each crossing against the
+    last uncancelled one, a stack. The stack only holds crossings of one
+    direction, so no pair is left to cancel across the cycle's ends, and the
+    directions sum to +-n, so n crossings survive. The arcs between them, the
+    surviving n arcs, are the cable strands, with the base-point arc as the
+    shifting strand (height 1) and the j-th later arc at height n+1-j.
     """
     arc_of_passage: list[int] = []
-    arc = 0
+    dirs: list[int] = []
     for p in passages:
-        arc_of_passage.append(arc)
+        arc_of_passage.append(len(dirs))
         if p.kind == "seam":
-            arc += 1
-    total = arc
-    arc_of_passage = [a % total for a in arc_of_passage]
+            dirs.append(p.direction)
+    total = len(dirs)
 
-    parent = list(range(total))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(child: int, keep: int) -> None:
-        rc, rk = find(child), find(keep)
-        if rc != rk:
-            parent[rc] = rk
-
-    # segs[i] = (arc before crossing i, direction of crossing i), walk order.
-    dirs = [p.direction for p in passages if p.kind == "seam"]
-    segs: list[tuple[int, int]] = [((i) % total, dirs[i]) for i in range(total)]
-    # Arc k precedes crossing k in walk order (arc 0 holds the start point).
-    while len(segs) > n:
-        length = len(segs)
-        for i in range(length):
-            j = (i + 1) % length
-            if segs[i][1] + segs[j][1] == 0:
-                k = (j + 1) % length
-                union(segs[i][0], segs[k][0])
-                union(segs[j][0], segs[k][0])
-                for idx in sorted((i, j), reverse=True):
-                    del segs[idx]
-                break
+    uf = _UnionFind()
+    for _ in range(total):
+        uf.make()
+    stack: list[int] = []  # the uncancelled seam crossings, in walk order
+    for i, d in enumerate(dirs):
+        if stack and dirs[stack[-1]] == -d:
+            uf.union(stack.pop(), i)
+            uf.union(i, (i + 1) % total)
         else:
-            raise AssertionError("no cancelling seam pair found below target count")
-    assert all(d == segs[0][1] for _, d in segs)
+            stack.append(i)
+    assert len(stack) == n, "uncancelled seam crossings must be the cable's n strands"
 
-    order = [find(a) for a, _ in segs]
-    start_root = find(0)
-    rot = order.index(start_root)
-    order = order[rot:] + order[:rot]
-    heights = {order[0]: 1}
-    for j, root in enumerate(order[1:], start=1):
-        heights[root] = n + 1 - j
-    return [heights[find(a)] for a in arc_of_passage]
+    order = [uf.find(a) for a in stack]
+    rot = order.index(uf.find(0))  # the base-point arc is 1, the later ones count down from n
+    heights = {root: (rot - j) % n + 1 for j, root in enumerate(order)}
+    return [heights[uf.find(a % total)] for a in arc_of_passage]
 
 
 @dataclass(frozen=True)

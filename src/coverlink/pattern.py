@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, _int_literal, analyze
+from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, _int_literal, _lines, analyze
 
 
 class PatternError(Exception):
@@ -289,9 +289,6 @@ class ValidationReport:
     def failures(self) -> tuple[ValidationItem, ...]:
         return tuple(i for i in self.items if not i.ok and not i.warning)
 
-    def warnings(self) -> tuple[ValidationItem, ...]:
-        return tuple(i for i in self.items if not i.ok and i.warning)
-
 
 def validate(word: AnnularWord) -> ValidationReport:
     """Check the surgery-curve contracts on a word with a component named eta.
@@ -392,21 +389,18 @@ def serialize(p: ClaspPresentation) -> str:
 
 
 def parse(text: str) -> ClaspPresentation:
-    name = ""
+    name: str | None = None
     n: int | None = None
     clasps: list[ClaspSpec] = []
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = _lines(text)
+    lineno, line = next(lines, (1, ""))
+    if line != _HEADER:
+        raise PatternSyntaxError(f"{'expected' if line else 'missing'} {_HEADER!r} header", lineno)
+    for lineno, line in lines:
         toks = line.split()
-        if not saw_header:
-            if line != _HEADER:
-                raise PatternSyntaxError(f"expected {_HEADER!r} header", lineno)
-            saw_header = True
-            continue
         if toks[0] == "name":
+            if name is not None:
+                raise PatternSyntaxError("duplicate name line", lineno)
             if len(toks) != 2:
                 raise PatternSyntaxError("usage: name NAME", lineno)
             name = toks[1]
@@ -421,17 +415,11 @@ def parse(text: str) -> ClaspPresentation:
         elif toks[0] == "clasp":
             if n is None:
                 raise PatternSyntaxError("cable line must precede clasps", lineno)
-            fields: dict[str, str] = {}
             if len(toks) % 2 == 0:
                 raise PatternSyntaxError("clasp takes key-value pairs", lineno)
-            for key, val in zip(toks[1::2], toks[2::2]):
-                if key in fields:
-                    raise PatternSyntaxError(f"duplicate clasp key {key!r}", lineno)
-                fields[key] = val
-            unknown = set(fields) - {"slot", "enter", "exit", "weave", "sign", "framing"}
-            if unknown:
-                raise PatternSyntaxError(f"unknown clasp keys {sorted(unknown)}", lineno)
+            fields = _unique_keys(zip(toks[1::2], toks[2::2]), "clasp", lineno)
             try:
+                _check_keys(fields, "clasp", *_CLASP_KEYS)
                 sign_tok = fields.get("sign", "+")
                 if sign_tok not in ("+", "-"):
                     raise ValueError(f"sign must be + or -, got {sign_tok!r}")
@@ -445,16 +433,14 @@ def parse(text: str) -> ClaspPresentation:
                         framing=_int_literal(fields.get("framing", "-1"), "framing"),
                     )
                 )
-            except (KeyError, ValueError, PatternError) as exc:
+            except (ValueError, PatternError) as exc:
                 raise PatternSyntaxError(str(exc), lineno) from exc
         else:
             raise PatternSyntaxError(f"unknown directive {toks[0]!r}", lineno)
-    if not saw_header:
-        raise PatternSyntaxError(f"missing {_HEADER!r} header", 1)
     if n is None:
         raise PatternSyntaxError("missing cable line", 1)
     try:
-        return ClaspPresentation(n, tuple(clasps), name=name)
+        return ClaspPresentation(n, tuple(clasps), name=name or "")
     except PatternError as exc:
         raise PatternSyntaxError(str(exc), 1) from exc
 
@@ -487,7 +473,10 @@ def _json_int(value, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def _json_object(value, what: str, required: tuple[str, ...], optional: tuple[str, ...]) -> None:
+_CLASP_KEYS = (("slot", "enter", "exit"), ("weave", "sign", "framing"))  # required, optional
+
+
+def _check_keys(value, what: str, required: tuple[str, ...], optional: tuple[str, ...]) -> None:
     # The keys the text form knows, and no others: a misspelt key is an error, not a default.
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object, got {value!r}")
@@ -499,9 +488,19 @@ def _json_object(value, what: str, required: tuple[str, ...], optional: tuple[st
             raise ValueError(f"missing {what} key {key!r}")
 
 
+def _unique_keys(pairs, what: str = "JSON", line: int = 1) -> dict:
+    # Both pattern forms reject a repeated key; json.loads alone would keep the last one.
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise PatternSyntaxError(f"duplicate {what} key {key!r}", line)
+        doc[key] = value
+    return doc
+
+
 def from_json(text: str) -> ClaspPresentation:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise PatternSyntaxError(f"invalid JSON: {exc}", exc.lineno) from exc
     except RecursionError:
@@ -511,12 +510,12 @@ def from_json(text: str) -> ClaspPresentation:
     if not isinstance(doc, dict) or doc.get("pattern") != "v1":
         raise PatternSyntaxError('expected {"pattern": "v1", ...}', 1)
     try:
-        _json_object(doc, "top-level", ("pattern", "cable"), ("name", "clasps"))
+        _check_keys(doc, "top-level", ("pattern", "cable"), ("name", "clasps"))
         clasps = doc.get("clasps", [])
         if not isinstance(clasps, list):
             raise ValueError(f"clasps must be an array, got {clasps!r}")
         for c in clasps:
-            _json_object(c, "clasp", ("slot", "enter", "exit"), ("weave", "sign", "framing"))
+            _check_keys(c, "clasp", *_CLASP_KEYS)
             if not isinstance(c.get("weave", ""), str):
                 raise ValueError(f"weave must be a string, got {c['weave']!r}")
         specs = tuple(

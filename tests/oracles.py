@@ -7,12 +7,14 @@ Import them as ``from oracles import ...``: pytest puts this directory on
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 from coverlink.cover import CoverDiagram, _surgery_order
 from coverlink.diagram import AnnularWord, ComponentId, WordAnalysis, analyze
 from coverlink.downhill import _build_graph, _Passage
 from coverlink.linalg import IntMatrix, NonSquareError
 from coverlink.obstruct import AggregateReport, report_to_dict
+from coverlink.pattern import ClaspPresentation
 
 
 class NotBlockCirculantError(ValueError):
@@ -209,3 +211,117 @@ def backward_curve(word: AnnularWord) -> list[_Passage]:
         passages.append(passage)
         if edge == start:
             return passages
+
+
+def greedy_strand_heights(passages: list[_Passage], n: int) -> list[int]:
+    """Straightened cable heights by repeated cancellation, with a union-find of its own.
+
+    This is how the normalizer found the heights before its one-pass stack:
+    scan the cyclic list of uncancelled seam crossings from its start for the
+    first adjacent pair of opposite direction, the wrap-around pair last,
+    cancel it, merging the arcs before, between and after it, and scan
+    again until n crossings are left.
+    """
+    arc_of_passage: list[int] = []
+    arc = 0
+    for p in passages:
+        arc_of_passage.append(arc)
+        if p.kind == "seam":
+            arc += 1
+    total = arc
+    arc_of_passage = [a % total for a in arc_of_passage]
+
+    parent = list(range(total))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(child: int, keep: int) -> None:
+        rc, rk = find(child), find(keep)
+        if rc != rk:
+            parent[rc] = rk
+
+    # segs[i] = (arc before crossing i, direction of crossing i), walk order.
+    dirs = [p.direction for p in passages if p.kind == "seam"]
+    segs: list[tuple[int, int]] = [((i) % total, dirs[i]) for i in range(total)]
+    # Arc k precedes crossing k in walk order (arc 0 holds the start point).
+    while len(segs) > n:
+        length = len(segs)
+        for i in range(length):
+            j = (i + 1) % length
+            if segs[i][1] + segs[j][1] == 0:
+                k = (j + 1) % length
+                union(segs[i][0], segs[k][0])
+                union(segs[j][0], segs[k][0])
+                for idx in sorted((i, j), reverse=True):
+                    del segs[idx]
+                break
+        else:
+            raise AssertionError("no cancelling seam pair found below target count")
+    assert all(d == segs[0][1] for _, d in segs)
+
+    order = [find(a) for a, _ in segs]
+    start_root = find(0)
+    rot = order.index(start_root)
+    order = order[rot:] + order[:rot]
+    heights = {order[0]: 1}
+    for j, root in enumerate(order[1:], start=1):
+        heights[root] = n + 1 - j
+    return [heights[find(a)] for a in arc_of_passage]
+
+
+def clasp_calculus(
+    p: ClaspPresentation, m: int
+) -> tuple[list[list[int]], tuple[Fraction, ...]]:
+    """Each clasp's eta row and the linkings lk(eta, t^k eta), k = 1..m-1, in closed form.
+
+    No word is compiled. Row r_c of clasp c, with sign s and framing f,
+    holds lk(eta_0, L_c^b) at index b. Each 'o' flag of c's weave that
+    crosses cable level l adds to it:
+
+    * gap_exit > gap_enter: weave-in flag j crosses l = gap_enter + 1 + j and
+      adds +s at (1 - l) mod m; weave-out flag j crosses l = gap_exit - j and
+      adds -s at (2 - l) mod m;
+    * gap_exit < gap_enter: weave-in flag j crosses l = gap_enter - j and adds
+      -s at (1 - l); weave-out flag j crosses l = gap_exit + 1 + j and adds +s
+      at (2 - l).
+
+    The 'u' flags, the slots and the crossings between gadgets do not enter.
+    For a presentation that validates (every row sums to lk(L_c, eta) = 0),
+    |H1| = 1 and eta has order 1 at every degree m dividing n, and
+    ``lk_k = n/m - sum_c f_c * sum_b r_c[b] * r_c[(b + k) mod m]``: the
+    cable's own n/m minus each clasp's cyclic autocorrelation.
+
+    At m = 2 a valid row is (a_c, -a_c), so the one linking is
+    n/2 + 2 * sum_c f_c * a_c**2. For n = 2 mod 4 that is odd, hence nonzero,
+    and eta's order 1 is odd: the m = 2 report is Obstructed, which is half
+    of the paper's mod-8 theorem.
+    """
+    rows = []
+    for c in p.clasps:
+        row = [0] * m
+        d = abs(c.gap_exit - c.gap_enter)
+        up = c.gap_exit > c.gap_enter
+        s = c.clasp_sign if up else -c.clasp_sign
+        for j, flag in enumerate(c.weave):
+            if flag != "o":
+                continue
+            if j < d:  # weave in
+                level = c.gap_enter + 1 + j if up else c.gap_enter - j
+                row[(1 - level) % m] += s
+            else:  # weave out
+                level = c.gap_exit - (j - d) if up else c.gap_exit + 1 + (j - d)
+                row[(2 - level) % m] -= s
+        rows.append(row)
+    linkings = tuple(
+        Fraction(p.n, m)
+        - sum(
+            c.framing * sum(r[b] * r[(b + k) % m] for b in range(m))
+            for c, r in zip(p.clasps, rows)
+        )
+        for k in range(1, m)
+    )
+    return rows, linkings

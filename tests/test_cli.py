@@ -230,11 +230,24 @@ def test_validate_json_non_integer_exits_2(tmp_path, capsys, doc):
         ('{"pattern": "v1", "clasps": []}', "line 1: missing top-level key 'cable'"),
         ('{"pattern": "v1", "cable": 8, "clasps": [{"enter": 1, "exit": 1}]}',
          "line 1: missing clasp key 'slot'"),
+        ("annular v1\nseam 2 ++\nlabel eta seam 1\nlabel L1 seam 2\nx 1 over\n",
+         "line 4, col 2: label 'L1' names the component labeled 'eta'"),
+        ("pattern v1\ncable 8\nclasp enter 0 exit 1 weave ou\n",
+         "line 3: missing clasp key 'slot'"),
+        ("pattern v1\nname a\ncable 8\nname b\n", "line 4: duplicate name line"),
+        ('{"pattern": "v1", "cable": 8, "clasps": [], "cable": 4}',
+         "line 1: duplicate JSON key 'cable'"),
+        ('{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 1, '
+         '"framing": 1, "framing": -1}]}', "line 1: duplicate JSON key 'framing'"),
+        ("# c\n\nfoo\n",
+         "line 3: unrecognized input (expected annular v1, pattern v1, or JSON)"),
     ],
     ids=[
         "sign-+-", "slot-1_0", "enter-arabic-indic-2", "cable-1_0", "gap-1_0", "gap-arabic-indic-1",
         "label-repeated", "json-clasp-key-frameing", "json-top-key-clasp", "json-weave-list",
         "json-clasps-object", "json-clasp-int", "json-cable-missing", "json-slot-missing",
+        "label-second-on-component", "slot-missing", "name-repeated", "json-cable-repeated",
+        "json-framing-repeated", "unrecognized-after-comment-and-blank",
     ],
 )
 def test_validate_non_canonical_number_or_sign_exits_2(tmp_path, capsys, text, located):

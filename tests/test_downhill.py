@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from oracles import backward_curve
+from oracles import backward_curve, greedy_strand_heights
 
 from coverlink import diagram, pattern
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
@@ -13,7 +13,9 @@ from coverlink.downhill import (
     NotDownhillError,
     WindingTooSmallError,
     _curve,
+    _Passage,
     _reversed,
+    _strand_heights,
     force_downhill,
     is_downhill,
     normalize,
@@ -254,3 +256,30 @@ def test_random_annular_words_and_normalize_are_pinned():
     assert results.hexdigest() == (
         "c2912953399560749e3118e506844aca11875114aa5a74d847ff8d6e84caeb56"
     )
+
+
+def test_strand_heights_match_the_greedy_oracle_on_random_cyclic_walks():
+    # Shuffled directions put returning pairs anywhere, across the walk's ends too.
+    rng = random.Random(0)
+    straddling = 0
+    for _ in range(3000):
+        n, pairs, sign = rng.randint(2, 8), rng.randint(0, 6), rng.choice((1, -1))
+        dirs = [sign] * n + [1, -1] * pairs
+        rng.shuffle(dirs)
+        straddling += dirs[0] == -dirs[-1]
+        walk = []
+        for i, d in enumerate(dirs):
+            walk += [_Passage(i, rng.choice(("over", "under", "turn")))] * rng.randint(0, 2)
+            walk.append(_Passage(-1, "seam", d))
+        walk = walk[-3:] + walk[:-3]  # start mid-arc, not just after a seam crossing
+        assert _strand_heights(walk, n) == greedy_strand_heights(walk, n)
+    assert straddling > 500
+
+
+def test_strand_heights_match_the_greedy_oracle_on_the_pinned_words():
+    # Both walks of each of the 1,380 words that the normalize pin covers.
+    for n in range(2, 25):
+        for seed in range(60):
+            forward = _curve(random_annular_word(n, seed))
+            for walk in (forward, _reversed(forward)):
+                assert _strand_heights(walk, n) == greedy_strand_heights(walk, n)

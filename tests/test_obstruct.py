@@ -16,6 +16,7 @@ import coverlink.pattern
 from coverlink.cli import main
 from coverlink.cover import (
     LiftedData,
+    _surgery_order,
     build_cover,
     lift_data,
     lifted_eta_linkings,
@@ -42,9 +43,16 @@ from coverlink.obstruct import (
     report_to_json,
     verdict,
 )
-from coverlink.pattern import ClaspPresentation, ClaspSpec, parse, random_presentation, serialize
+from coverlink.pattern import (
+    ClaspPresentation,
+    ClaspSpec,
+    parse,
+    random_presentation,
+    serialize,
+    validate,
+)
 from coverlink.pattern import compile as compile_presentation
-from oracles import block_circulant_split, cover_eta_rows, report_json
+from oracles import block_circulant_split, clasp_calculus, cover_eta_rows, report_json
 from test_cover import _twist_surgery_pairs
 from test_linalg import _pivoting_block_diagonal, square_and_vector
 
@@ -723,3 +731,79 @@ def test_na_rows_keep_schema_keys():
     row = doc["per_m"][0]
     assert row["verdict"] == "NotApplicable"
     assert row["linkings"] == [] and row["h1"] == 0 and row["eta_order"] == 0
+
+
+@st.composite
+def _any_presentation(draw):
+    """Shared slots and weaves balanced or not: valid presentations and invalid ones."""
+    n = draw(st.sampled_from((2, 3, 4, 6, 8, 9, 12, 16)))
+    k = draw(st.integers(0, 5))
+    clasps = []
+    for _ in range(k):
+        enter, exit_ = draw(st.integers(0, n)), draw(st.integers(0, n))
+        d = abs(exit_ - enter)
+        flags = draw(st.text("ou", min_size=d, max_size=d))
+        back = flags[::-1] if draw(st.booleans()) else draw(st.text("ou", min_size=d, max_size=d))
+        sign, framing = draw(st.sampled_from((1, -1))), draw(st.sampled_from((1, -1)))
+        clasps.append(ClaspSpec(draw(st.integers(0, k)), enter, exit_, flags + back, sign, framing))
+    return ClaspPresentation(n, tuple(clasps))
+
+
+def _divisors(n: int) -> list[int]:
+    return [m for m in range(1, n + 1) if n % m == 0]
+
+
+@given(_any_presentation())
+@settings(max_examples=300, deadline=None)
+def test_clasp_calculus_rows_and_linkings_match_the_pipeline(p):
+    word = compile_presentation(p)
+    ana = analyze(word)
+    labels = ana.labels()
+    # Lifts sit in label-name order within a sheet: L10 before L2.
+    place = {labels[cid]: i for i, cid in enumerate(_surgery_order(ana))}
+    valid = validate(word).passed
+    for m in _divisors(p.n):
+        rows, linkings = clasp_calculus(p, m)
+        eta_row = lift_data(word, m).eta_row
+        for c, row in enumerate(rows):
+            assert list(eta_row[place[f"L{c + 1}"] :: len(rows)]) == row
+        assert valid == all(sum(row) == 0 for row in rows)  # lk(L_c, eta) = 0
+        if valid and m > 1:
+            report = auto_verdict(p, (m,)).per_m[0]
+            assert (report.h1_order, report.eta_order) == (1, 1)
+            assert report.linkings == linkings
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 9, 12, 16])
+def test_clasp_calculus_gives_every_degree_of_random_presentations(n):
+    for k in range(6):
+        for seed in range(2):
+            p = random_presentation(n, k, seed)
+            for m in _divisors(n)[1:]:
+                report = auto_verdict(p, (m,)).per_m[0]
+                assert (report.h1_order, report.eta_order) == (1, 1)
+                assert report.linkings == clasp_calculus(p, m)[1]
+
+
+def test_clasp_calculus_mod2_linking_is_odd_when_n_is_2_mod_4():
+    for n in (2, 6, 10, 14):
+        for seed in range(5):
+            (linking,) = clasp_calculus(random_presentation(n, 4, seed), 2)[1]
+            assert linking.denominator == 1 and linking.numerator % 2 == 1
+
+
+def test_reassigning_slots_leaves_the_report_unchanged():
+    # Slots order the gadgets in the word, and nothing in the calculus reads them.
+    rng = random.Random(0)
+    moved = 0
+    for n in (4, 6, 8, 9, 12):
+        for seed in range(8):
+            p = random_presentation(n, 1 + seed % 5, seed)
+            k = len(p.clasps)
+            shuffled = dataclasses.replace(
+                p, clasps=tuple(dataclasses.replace(c, slot=rng.randint(0, k)) for c in p.clasps)
+            )
+            moved += compile_presentation(shuffled) != compile_presentation(p)
+            ms = _divisors(n)[1:]
+            assert report_to_json(auto_verdict(shuffled, ms)) == report_to_json(auto_verdict(p, ms))
+    assert moved > 20

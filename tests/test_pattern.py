@@ -563,12 +563,15 @@ def test_parse_rejects_digits_int_cannot_read(text):
         '"weave": ["o", "o"]}]}',
         '{"pattern": "v1", "cable": 8, "clasps": {"a": 1}}',
         '{"pattern": "v1", "clasps": []}',
+        '{"pattern": "v1", "cable": 8, "clasps": [], "cable": 4}',
+        '{"pattern": "v1", "cable": 8, "clasps": [{"slot": 0, "enter": 1, "exit": 1, '
+        '"framing": 1, "framing": -1}]}',
     ],
     ids=[
         "cable-1e400", "cable-8.5", "cable-nan", "enter-1e400", "slot-0.5", "deep-nesting",
         "5000-digits", "cable-string", "cable-true", "slot-true", "enter-string", "sign-true",
         "framing-string", "clasp-key-frameing", "top-key-clasp", "weave-list", "clasps-object",
-        "cable-missing",
+        "cable-missing", "cable-repeated", "framing-repeated",
     ],
 )
 def test_from_json_rejects_non_integers_and_deep_nesting(doc):
