@@ -17,8 +17,10 @@ Conventions:
   ``sign = o_lower * o_upper * (-1 if upper_over else +1)``.
 * A component's framing is its writhe: signed kinks plus signed
   self-crossings.
-* The sweep also gives each segment a sheet offset (+1 per seam passage), so
-  one pass over the base word yields, per pair of components, one row of
+* The sweep records each segment's two joins: a cup or cap partner, or a seam
+  edge. Every component is a cycle of segments, so one walk around it gives
+  each segment a sheet offset (one sheet per seam passage), and one pass over
+  the base word's crossings yields, per pair of components, one row of
   crossing counts by sheet delta: every cyclic cover's crossing data.
   ``WordAnalysis.cover_tables(m)`` folds each row by slices once per degree.
 """
@@ -129,67 +131,52 @@ def crossing_sign(o_lower: int, o_upper: int, upper_over: bool) -> int:
 
 
 class _UnionFind:
-    """Union-find over segments, or the normalizer's arcs, whose edges carry sheet offsets.
-
-    ``offset[x]`` is x's offset to its parent: copy j of segment x lies on the
-    same cover curve as copy ``j + offset[x]`` of its parent. Offsets are 0
-    across cups and caps and +1 across the seam re-gluing. The one union that
-    closes each component's cycle records the cycle's total offset, which is
-    the component's winding up to sign, in ``period``.
-    """
+    """Union-find over the normalizer's arcs: ``make`` a singleton, ``union``, ``find`` a root."""
 
     def __init__(self):
         self.parent: list[int] = []
-        self.offset: list[int] = []
-        self.period: dict[int, int] = {}  # root -> offset around the closed cycle
 
     def make(self) -> int:
         self.parent.append(len(self.parent))
-        self.offset.append(0)
         return len(self.parent) - 1
 
-    def locate(self, x: int) -> tuple[int, int]:
-        """Root of x and x's offset to it (path halving keeps offsets exact)."""
-        parent, offset = self.parent, self.offset
-        total = 0
-        while parent[x] != x:
-            p = parent[x]
-            offset[x] += offset[p]
-            parent[x] = parent[p]
-            total += offset[x]
-            x = parent[x]
-        return x, total
-
     def find(self, x: int) -> int:
-        return self.locate(x)[0]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
-    def union(self, a: int, b: int, d: int = 0) -> None:
-        """Join a and b, with b's offset ``d`` more than a's."""
-        (ra, va), (rb, vb) = self.locate(a), self.locate(b)
-        if ra == rb:
-            self.period[ra] = vb - va - d
-        else:
-            self.parent[rb] = ra
-            self.offset[rb] = va + d - vb
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(b)] = self.find(a)
 
 
 @dataclass
 class _SweepResult:
+    """A checked word's segments, their joins, and the crossings and kinks on them.
+
+    Segment h starts at left-edge position h + 1 for h < width; every cup
+    makes two more, lower first. The joins make every component a cycle that
+    ``analyze`` walks once.
+    """
+
     seg_count: int
-    uf: _UnionFind
-    seam_segments: tuple[int, ...]  # segment at each seam position (left edge)
+    # Each segment's two joins: its cup partner, or ~h at left-edge position h + 1,
+    # where it starts, and its cap partner, or ~h at right-edge position h + 1, where
+    # it ends. ``seam_ends[h]`` is the segment ending at right-edge position h + 1.
+    starts: list[int]
+    ends: list[int]
+    seam_ends: list[int]
     crossings: list[tuple[int, int, int, int]]  # (seg_lower, seg_upper, sign, event_index)
     kinks: list[tuple[int, int]]  # (segment, sign)
     snapshots: dict[int, tuple[int, ...]]  # event index -> live segments, bottom to top
 
 
 def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _SweepResult:
-    """Run the word left to right, type-checking it and recording incidences."""
-    uf = _UnionFind()
-    live: list[tuple[int, int]] = []  # (segment, orientation), bottom to top
-    for o in word.seam_orientations:
-        live.append((uf.make(), o))
-    seam_segments = tuple(seg for seg, _ in live)
+    """Run the word left to right, type-checking it and recording each segment's joins."""
+    width = word.seam_width
+    starts = [~h for h in range(width)]
+    ends = [0] * width
+    live: list[tuple[int, int]] = list(enumerate(word.seam_orientations))  # (segment, orientation)
     crossings: list[tuple[int, int, int, int]] = []
     kinks: list[tuple[int, int]] = []
     snapshots: dict[int, tuple[int, ...]] = {}
@@ -213,9 +200,10 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
                 )
             if ev.sign not in (-1, 1):
                 raise ValueError(f"event {idx}: cup sign must be +1 or -1")
-            lower, upper = uf.make(), uf.make()
-            uf.union(lower, upper)
-            live[p - 1 : p - 1] = [(lower, ev.sign), (upper, -ev.sign)]
+            lower = len(starts)
+            starts += (lower + 1, lower)
+            ends += (0, 0)
+            live[p - 1 : p - 1] = [(lower, ev.sign), (lower + 1, -ev.sign)]
         elif isinstance(ev, Cap):
             p = ev.position
             if not 1 <= p <= len(live) - 1:
@@ -227,7 +215,7 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
                 raise OrientationMismatch(
                     f"event {idx}: cap joins strands with orientations {lo[1]}, {up[1]}"
                 )
-            uf.union(lo[0], up[0])
+            ends[lo[0]], ends[up[0]] = up[0], lo[0]
             del live[p - 1 : p + 1]
         elif isinstance(ev, Kink):
             p = ev.position
@@ -243,18 +231,17 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
     if len(word.events) in snapshot_at:
         snapshots[len(word.events)] = tuple(seg for seg, _ in live)
 
-    if len(live) != word.seam_width:
-        raise SeamMismatch(
-            f"word ends with {len(live)} strands, seam has {word.seam_width}"
-        )
+    if len(live) != width:
+        raise SeamMismatch(f"word ends with {len(live)} strands, seam has {width}")
     for h, (seg, o) in enumerate(live):
         if o != word.seam_orientations[h]:
             raise SeamMismatch(
                 f"seam strand {h + 1} re-glues with orientation {o}, "
                 f"expected {word.seam_orientations[h]}"
             )
-        uf.union(seam_segments[h], seg, 1)
-    return _SweepResult(len(uf.parent), uf, seam_segments, crossings, kinks, snapshots)
+        ends[seg] = ~h
+    seam_ends = [seg for seg, _ in live]
+    return _SweepResult(len(starts), starts, ends, seam_ends, crossings, kinks, snapshots)
 
 
 ComponentId = int
@@ -282,6 +269,7 @@ class WordAnalysis:
     _sheet_range: list[tuple[int, int]] = field(repr=False, default_factory=list)
     _tables: tuple[dict, dict] | None = field(repr=False, default=None)
     _tally: tuple[dict, dict] | None = field(repr=False, default=None)
+    _labels: dict[ComponentId, str] | None = field(repr=False, default=None)
 
     def component_of_segment(self, segment: int) -> ComponentId:
         return self._segment_component[segment]
@@ -289,13 +277,21 @@ class WordAnalysis:
     def component_of_seam(self, position: int) -> ComponentId:
         if not 1 <= position <= self.word.seam_width:
             raise UnknownComponentError(f"seam position {position} out of range")
-        return self.component_of_segment(self._sweep.seam_segments[position - 1])
+        return self.component_of_segment(position - 1)  # segment h starts at seam position h + 1
 
     def labels(self) -> dict[ComponentId, str]:
-        out: dict[ComponentId, str] = {}
-        for name, pos in self.word.labels:
-            out[self.component_of_seam(pos)] = name
-        return out
+        """Each labelled component's name; a component takes one label.
+
+        Built on the first call and shared by every caller of this analysis.
+        """
+        if self._labels is None:
+            out: dict[ComponentId, str] = {}
+            for name, pos in self.word.labels:
+                first = out.setdefault(self.component_of_seam(pos), name)
+                if first != name:
+                    raise DiagramError(f"label {name!r} names the component labeled {first!r}")
+            self._labels = out
+        return self._labels
 
     def component_by_name(self, name: str) -> ComponentId:
         for cid, label in self.labels().items():
@@ -395,30 +391,62 @@ class WordAnalysis:
 
 @lru_cache(maxsize=256)
 def analyze(word: AnnularWord) -> WordAnalysis:
-    """Validate a word and compute its component structure (cached)."""
+    """Validate a word and compute its component structure (cached).
+
+    Every segment has two ends, so every component is a cycle, walked once
+    from its lowest segment: its lowest seam strand, as segments are numbered
+    seam-first, so component ids are stable under serialization round-trips.
+    The walk leaves a segment by its end running forward, by its start running
+    backward, and a cup or cap partner turns it around. A re-gluing crossed
+    forward (right edge to left edge) goes down one sheet, backward up one.
+    Sheets are measured along the cycle less its re-gluing at its highest
+    seam position, so the segments walked after that one take the walk's
+    total, the period, off their sheet. A component off the seam lies in
+    sheet 0.
+    """
     sweep = _sweep(word)
-    first: dict[int, tuple[ComponentId, int]] = {}  # root -> (component, first segment's offset)
-    seg_component, seg_sheet = [], []
-    # Segments are created seam-first, bottom to top, so component ids follow
-    # a deterministic order, stable under serialization round-trips, and a
-    # component's first segment is its lowest seam strand. A component off
-    # the seam never crosses it, so all its segments lie in one sheet.
-    for seg in range(sweep.seg_count):
-        r, v = sweep.uf.locate(seg)
-        cid, v0 = first.setdefault(r, (len(first), v))
-        seg_component.append(cid)
-        seg_sheet.append(v - v0)
-    positions: list[list[int]] = [[] for _ in first]
-    for h, seg in enumerate(sweep.seam_segments):
-        positions[seg_component[seg]].append(h + 1)
+    starts, ends, seam_ends = sweep.starts, sweep.ends, sweep.seam_ends
+    seg_component = [-1] * sweep.seg_count
+    seg_sheet = [0] * sweep.seg_count
+    periods: list[int] = []
+    for first in range(sweep.seg_count):
+        if seg_component[first] >= 0:
+            continue
+        cid = len(periods)
+        walk: list[int] = []
+        seg, forward, v = first, True, 0
+        top, cut = -1, 0  # highest re-gluing crossed, and how many segments preceded it
+        while True:
+            seg_component[seg] = cid
+            seg_sheet[seg] = v
+            walk.append(seg)
+            j = ends[seg] if forward else starts[seg]
+            if j >= 0:
+                seg, forward = j, not forward
+            else:
+                j = ~j
+                if j > top:
+                    top, cut = j, len(walk)
+                if forward:
+                    seg, v = j, v - 1
+                else:
+                    seg, v = seam_ends[j], v + 1
+            if seg == first:
+                break
+        for seg in walk[cut:]:
+            seg_sheet[seg] -= v
+        periods.append(v)
+    positions: list[list[int]] = [[] for _ in periods]
+    for h in range(word.seam_width):
+        positions[seg_component[h]].append(h + 1)
     # A re-gluing goes up one sheet, so a component's sheets are its seam strands' and those + 1.
     components, sheet_range = [], []
-    for r, (cid, _) in first.items():
+    for cid, period in enumerate(periods):
         seam = tuple(positions[cid])
         winding = sum(word.seam_orientations[p - 1] for p in seam)
-        assert abs(sweep.uf.period[r]) == abs(winding), "sheet offsets must close up by the winding"
+        assert abs(period) == abs(winding), "sheet offsets must close up by the winding"
         components.append(Component(cid, seam, winding, len(seam)))
-        sheets = [seg_sheet[sweep.seam_segments[p - 1]] for p in seam]
+        sheets = [seg_sheet[p - 1] for p in seam]
         sheet_range.append((min(sheets, default=0), max(sheets, default=-1) + 1))
     return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet, sheet_range)
 

@@ -68,6 +68,16 @@ class ObstructionReport:
     condition2_reason: str = ""
     verdict: str = "Unevaluated"
     checks: list[CheckResult] = field(default_factory=list)
+    # The linkings this report last formatted, and their texts.
+    _texts: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
+
+    def linking_texts(self) -> tuple[str, ...]:
+        """Each linking as :func:`format_rational` writes it, formatted once per linkings tuple."""
+        linkings, texts = self._texts
+        if linkings is not self.linkings:
+            texts = tuple(map(format_rational, self.linkings))
+            self._texts = (self.linkings, texts)
+        return texts
 
 
 def cha_ko(base_lk: Fraction | int, a: IntMatrix, x: Sequence[int], y: Sequence[int]) -> Fraction:
@@ -142,7 +152,7 @@ def _checked_word(p: ClaspPresentation) -> AnnularWord:
 
 def _palindromic(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
     # Rationals in lowest terms are equal iff their texts are, and the detail needs the texts.
-    text = [format_rational(v) for v in report.linkings]
+    text = report.linking_texts()
     return text == text[::-1], "(" + ", ".join(text) + ")"
 
 
@@ -226,9 +236,9 @@ def _decide(report: ObstructionReport) -> None:
     report.condition1 = order % 2 == 1
     report.condition1_reason = f"eta lift has order {order} in H1"
     numerators = [v.numerator for v in report.linkings]  # a rational's sign is its numerator's
-    nonzero = any(numerators)
-    nonneg = all(a >= 0 for a in numerators)
-    nonpos = all(a <= 0 for a in numerators)
+    low, high = min(numerators, default=0), max(numerators, default=0)
+    nonzero = low != 0 or high != 0
+    nonneg, nonpos = low >= 0, high <= 0
     if not nonzero:
         report.condition2 = False
         report.condition2_reason = "condition (2) fails: all zero"
@@ -412,7 +422,7 @@ def report_to_dict(agg: AggregateReport) -> dict:
         "per_m": [
             {
                 "m": r.m,
-                "linkings": [format_rational(v) for v in r.linkings],
+                "linkings": list(r.linking_texts()),
                 "h1": r.h1_order,
                 "eta_order": r.eta_order,
                 "condition1": r.condition1,
@@ -445,7 +455,7 @@ def _json_degree(r: ObstructionReport) -> str:
         f'\n          "detail": {_json_str(c.detail)}\n        }}'
         for c in r.checks
     ]
-    linkings = [_json_str(format_rational(v)) for v in r.linkings]
+    linkings = [_json_str(text) for text in r.linking_texts()]
     return (
         f'{{\n      "m": {r.m},\n      "linkings": {_json_array(linkings, "      ")},'
         f'\n      "h1": {r.h1_order},\n      "eta_order": {r.eta_order},'
@@ -469,7 +479,7 @@ def report_to_text(agg: AggregateReport) -> str:
     for r in agg.per_m:
         lines.append(f"  m={r.m}: verdict {r.verdict}")
         if r.linkings:
-            lines.append(f"    linkings {_fmt_linkings(r.linkings)}")
+            lines.append(f"    linkings ({', '.join(r.linking_texts())})")
             lines.append(f"    |H1| {r.h1_order}, eta order {r.eta_order}")
         lines.append(f"    condition1 {r.condition1}: {r.condition1_reason}")
         lines.append(f"    condition2 {r.condition2}: {r.condition2_reason}")

@@ -7,10 +7,25 @@ Import them as ``from oracles import ...``: pytest puts this directory on
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 from coverlink.cover import CoverDiagram, _surgery_order
-from coverlink.diagram import AnnularWord, ComponentId, WordAnalysis, analyze
+from coverlink.diagram import (
+    AnnularWord,
+    Cap,
+    Component,
+    ComponentId,
+    Cross,
+    Cup,
+    Kink,
+    OrientationMismatch,
+    SeamMismatch,
+    StrandCountMismatch,
+    WordAnalysis,
+    analyze,
+    crossing_sign,
+)
 from coverlink.downhill import _build_graph, _Passage
 from coverlink.linalg import IntMatrix, NonSquareError
 from coverlink.obstruct import AggregateReport, report_to_dict
@@ -94,16 +109,171 @@ def rotated_eta_rows(row: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...
     return tuple(row[cut:] + row[:cut] for cut in cuts)
 
 
+class OffsetUnionFind:
+    """Union-find over segments whose edges carry sheet offsets.
+
+    ``offset[x]`` is x's offset to its parent: copy j of segment x lies on the
+    same cover curve as copy ``j + offset[x]`` of its parent. Offsets are 0
+    across cups and caps and +1 across the seam re-gluing. The one union that
+    closes each component's cycle records the cycle's total offset, which is
+    the component's winding up to sign, in ``period``.
+    """
+
+    def __init__(self):
+        self.parent: list[int] = []
+        self.offset: list[int] = []
+        self.period: dict[int, int] = {}  # root -> offset around the closed cycle
+
+    def make(self) -> int:
+        self.parent.append(len(self.parent))
+        self.offset.append(0)
+        return len(self.parent) - 1
+
+    def locate(self, x: int) -> tuple[int, int]:
+        """Root of x and x's offset to it (path halving keeps offsets exact)."""
+        parent, offset = self.parent, self.offset
+        total = 0
+        while parent[x] != x:
+            p = parent[x]
+            offset[x] += offset[p]
+            parent[x] = parent[p]
+            total += offset[x]
+            x = parent[x]
+        return x, total
+
+    def find(self, x: int) -> int:
+        return self.locate(x)[0]
+
+    def union(self, a: int, b: int, d: int = 0) -> None:
+        """Join a and b, with b's offset ``d`` more than a's."""
+        (ra, va), (rb, vb) = self.locate(a), self.locate(b)
+        if ra == rb:
+            self.period[ra] = vb - va - d
+        else:
+            self.parent[rb] = ra
+            self.offset[rb] = va + d - vb
+
+
+@dataclass
+class UnionFindSweep:
+    seg_count: int
+    uf: OffsetUnionFind
+    seam_segments: tuple[int, ...]  # segment at each seam position (left edge)
+    crossings: list[tuple[int, int, int, int]]  # (seg_lower, seg_upper, sign, event_index)
+    kinks: list[tuple[int, int]]  # (segment, sign)
+
+
+def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
+    """The word's segments joined in an offset union-find, as ``diagram._sweep`` once did.
+
+    Cups and caps union their two segments at offset 0, and each right-edge
+    strand unions with the left-edge strand it re-glues to at offset +1.
+    """
+    uf = OffsetUnionFind()
+    live: list[tuple[int, int]] = []  # (segment, orientation), bottom to top
+    for o in word.seam_orientations:
+        live.append((uf.make(), o))
+    seam_segments = tuple(seg for seg, _ in live)
+    crossings: list[tuple[int, int, int, int]] = []
+    kinks: list[tuple[int, int]] = []
+    for idx, ev in enumerate(word.events):
+        if isinstance(ev, Cross):
+            p = ev.position
+            if not 1 <= p <= len(live) - 1:
+                raise StrandCountMismatch(
+                    f"event {idx}: crossing at gap {p} with {len(live)} live strands"
+                )
+            lo, up = live[p - 1], live[p]
+            crossings.append((lo[0], up[0], crossing_sign(lo[1], up[1], ev.upper_over), idx))
+            live[p - 1], live[p] = up, lo
+        elif isinstance(ev, Cup):
+            p = ev.position
+            if not 1 <= p <= len(live) + 1:
+                raise StrandCountMismatch(
+                    f"event {idx}: cup at position {p} with {len(live)} live strands"
+                )
+            if ev.sign not in (-1, 1):
+                raise ValueError(f"event {idx}: cup sign must be +1 or -1")
+            lower, upper = uf.make(), uf.make()
+            uf.union(lower, upper)
+            live[p - 1 : p - 1] = [(lower, ev.sign), (upper, -ev.sign)]
+        elif isinstance(ev, Cap):
+            p = ev.position
+            if not 1 <= p <= len(live) - 1:
+                raise StrandCountMismatch(
+                    f"event {idx}: cap at position {p} with {len(live)} live strands"
+                )
+            lo, up = live[p - 1], live[p]
+            if lo[1] + up[1] != 0:
+                raise OrientationMismatch(
+                    f"event {idx}: cap joins strands with orientations {lo[1]}, {up[1]}"
+                )
+            uf.union(lo[0], up[0])
+            del live[p - 1 : p + 1]
+        elif isinstance(ev, Kink):
+            p = ev.position
+            if not 1 <= p <= len(live):
+                raise StrandCountMismatch(
+                    f"event {idx}: kink at position {p} with {len(live)} live strands"
+                )
+            if ev.sign not in (-1, 1):
+                raise ValueError(f"event {idx}: kink sign must be +1 or -1")
+            kinks.append((live[p - 1][0], ev.sign))
+        else:
+            raise TypeError(f"unknown event {ev!r}")
+    if len(live) != word.seam_width:
+        raise SeamMismatch(f"word ends with {len(live)} strands, seam has {word.seam_width}")
+    for h, (seg, o) in enumerate(live):
+        if o != word.seam_orientations[h]:
+            raise SeamMismatch(
+                f"seam strand {h + 1} re-glues with orientation {o}, "
+                f"expected {word.seam_orientations[h]}"
+            )
+        uf.union(seam_segments[h], seg, 1)
+    return UnionFindSweep(len(uf.parent), uf, seam_segments, crossings, kinks)
+
+
+def union_find_analyze(word: AnnularWord) -> WordAnalysis:
+    """The analysis as ``diagram.analyze`` built it on the offset union-find.
+
+    One ``locate`` per segment: the component is read off the root, in order
+    of each root's first segment, and the sheet is the segment's offset less
+    the offset of its component's first segment. The result's ``_sweep`` is
+    the :class:`UnionFindSweep`, which carries the crossings and kinks that
+    ``WordAnalysis._lift_tally`` reads.
+    """
+    sweep = union_find_sweep(word)
+    first: dict[int, tuple[ComponentId, int]] = {}  # root -> (component, first segment's offset)
+    seg_component, seg_sheet = [], []
+    for seg in range(sweep.seg_count):
+        r, v = sweep.uf.locate(seg)
+        cid, v0 = first.setdefault(r, (len(first), v))
+        seg_component.append(cid)
+        seg_sheet.append(v - v0)
+    positions: list[list[int]] = [[] for _ in first]
+    for h, seg in enumerate(sweep.seam_segments):
+        positions[seg_component[seg]].append(h + 1)
+    components, sheet_range = [], []
+    for r, (cid, _) in first.items():
+        seam = tuple(positions[cid])
+        winding = sum(word.seam_orientations[p - 1] for p in seam)
+        assert abs(sweep.uf.period[r]) == abs(winding), "sheet offsets must close up by the winding"
+        components.append(Component(cid, seam, winding, len(seam)))
+        sheets = [seg_sheet[sweep.seam_segments[p - 1]] for p in seam]
+        sheet_range.append((min(sheets, default=0), max(sheets, default=-1) + 1))
+    return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet, sheet_range)
+
+
 def locate_lift_tally(ana: WordAnalysis):
     """Each segment's ``(component, sheet)`` and the lift tally, by walking the union-find.
 
     The flat lift table of ``analyze`` replaced this walk: one ``locate``
-    per crossing endpoint, with the component read off the root and the
-    sheet measured from copy 0 of the component's lowest seam strand.
-    Returns ``(lifts, (crossings, kinks))`` in the form of
-    ``WordAnalysis._lift_tally``.
+    per crossing endpoint on the word's :func:`union_find_sweep`, with the
+    component read off the root and the sheet measured from copy 0 of the
+    component's lowest seam strand. Returns ``(lifts, (crossings, kinks))``
+    in the form of ``WordAnalysis._lift_tally``.
     """
-    sweep = ana._sweep
+    sweep = union_find_sweep(ana.word)
     uf = sweep.uf
     comp_of_root: dict[int, ComponentId] = {}
     for seg in range(sweep.seg_count):

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import coverlink.diagram
 from coverlink.cli import main
+from coverlink.cover import build_cover
 from coverlink.diagram import (
     AnnularWord,
     Cap,
@@ -38,9 +40,16 @@ from coverlink.downhill import normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
 from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
 from coverlink.pattern import compile as compile_presentation
-from oracles import keyed_cover_tables, locate_lift_tally, tally_keys, two_orientation_cover_tables
+from coverlink.pattern import validate
+from oracles import (
+    keyed_cover_tables,
+    locate_lift_tally,
+    tally_keys,
+    two_orientation_cover_tables,
+    union_find_analyze,
+)
 from test_cover import _twist_surgery_pairs
-from test_pattern import _FUZZ, _NUMBERS, _mutated
+from test_pattern import _FUZZ, _NUMBERS, _compile_sample, _mutated
 
 
 def _lift_table_words():
@@ -74,6 +83,63 @@ def test_flat_lift_table_matches_union_find_walk():
         assert set(rows) == {(a, b) for a, b, _ in crossings}
         assert all(rows[a, b][0] <= d < rows[a, b][0] + len(rows[a, b][1]) for a, b, d in crossings)
         assert tally_keys(rows) == {key: v for key, v in crossings.items() if v}
+
+
+def _oracle_words():
+    """Compiled, random, normalized and cover words, and one with a loop off the seam."""
+    for i, p in enumerate(_compile_sample()):
+        word = compile_presentation(p)
+        yield word
+        if i % 12 == 0:
+            yield from (build_cover(word, m).word for m in (2, 3, 4) if p.n % m == 0)
+    for n in range(2, 25):
+        for seed in range(60):
+            word = random_annular_word(n, seed)
+            result = normalize(word)
+            yield from (word, result.word, compile_presentation(result.presentation))
+    loop = (Cup(1), Kink(1, -1), Cross(2, True), Cross(2, True), Cap(1))
+    yield dataclasses.replace(cable_template(8), events=loop + cable_template(8).events)
+
+
+def test_cycle_walk_matches_the_union_find_oracle():
+    count = covers = off_seam = 0
+    for word in _oracle_words():
+        ana, oracle = analyze(word), union_find_analyze(word)
+        assert ana.components == oracle.components
+        assert ana._segment_component == oracle._segment_component
+        assert ana._segment_sheet == oracle._segment_sheet
+        assert ana._sheet_range == oracle._sheet_range
+        assert ana._lift_tally() == oracle._lift_tally()
+        count += 1
+        covers += any(name.endswith(".1") for name, _ in word.labels)
+        off_seam += any(not c.seam_positions for c in ana.components)
+    assert count == 1057 + covers + 3 * 23 * 60 + 1
+    assert (covers, off_seam) == (104, 86)
+
+
+def test_analyze_builds_no_union_find(monkeypatch):
+    built = []
+    init = coverlink.diagram._UnionFind.__init__
+    monkeypatch.setattr(
+        coverlink.diagram._UnionFind, "__init__", lambda self: built.append(self) or init(self)
+    )
+    analyze.cache_clear()
+    ana = analyze(cable_template(512))
+    assert len(ana._segment_sheet) == 512 and built == []
+    coverlink.diagram._UnionFind()  # the count sees a union-find that is built
+    assert len(built) == 1
+
+
+def test_two_labels_on_one_component_raise_naming_both():
+    # The winding-2 cable is one component through both seam strands.
+    word = AnnularWord((1, 1), (Cross(1, True),), (("eta", 1), ("L1", 2)))
+    ana = analyze(word)
+    with pytest.raises(DiagramError, match="label 'L1' names the component labeled 'eta'"):
+        ana.labels()
+    with pytest.raises(DiagramError, match="'L1'.*'eta'"):
+        validate(word)
+    ana = analyze(AnnularWord((1, 1), (Cross(1, True),), (("eta", 1),)))
+    assert ana.labels() == {0: "eta"} and ana.labels() is ana.labels()
 
 
 def _fold_words():

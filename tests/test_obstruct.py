@@ -622,6 +622,21 @@ def test_report_writer_matches_the_json_dumps_oracle():
         assert part in text
 
 
+def test_report_formats_each_linking_once(monkeypatch):
+    calls = []
+    real = coverlink.obstruct.format_rational
+    monkeypatch.setattr(coverlink.obstruct, "format_rational", lambda q: calls.append(q) or real(q))
+    agg = auto_verdict(ClaspPresentation(64, (), name="cable-64"), (2, 4, 8, 16, 32, 64))
+    written = report_to_json(agg)
+    linkings = [v for r in agg.per_m for v in r.linkings]
+    assert len(linkings) == 1 + 3 + 7 + 15 + 31 + 63 and calls == linkings
+    assert written == report_json(agg) and calls == linkings  # the dict reuses the texts
+    # A report given new linkings formats the new ones.
+    report = agg.per_m[0]
+    report.linkings = (Fraction(1, 2),)
+    assert report.linking_texts() == ("1/2",)
+
+
 def test_format_rational():
     cases = [
         (0, "0"),
