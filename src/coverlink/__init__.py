@@ -64,7 +64,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AnnularWord",

@@ -10,18 +10,20 @@ classical equivariant lift: lk(L_a^x, L_b^y) depends only on y - x). By the
 same equivariance one eta lift's linkings with the surgery lifts give every
 eta lift's, so the lift data stores that one row, in integers. Verdicts use
 it. :func:`build_cover` builds the m-copy cover word itself, counted by the
-same rules as the base; it serves ``coverlink cover`` and, with
-:func:`lifted_linking_matrix` and :func:`lifted_eta_linkings`, the tests as an
-oracle.
+same rules as the base: it sweeps the m copies once and names their lifts
+from the base sweep's seam joins. It serves ``coverlink cover``, the
+``direct-count-m*`` ledger row of zero-clasp patterns, the selftest's
+``lift-oracle-m*`` checks and, with :func:`lifted_linking_matrix` and
+:func:`lifted_eta_linkings`, the tests as an oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 
-from .diagram import AnnularWord, ComponentId, WordAnalysis, _sweep, analyze
+from .diagram import AnnularWord, ComponentId, WordAnalysis, analyze
 from .linalg import IntMatrix
 
 
@@ -49,6 +51,7 @@ class CoverDiagram:
     ``lift_map[(c, j)]`` is the cover component holding copy j's strand at
     base component c's base-point seam height; the preferred lift of c is
     ``lift_map[(c, 0)]`` and the deck generator sends lift j to lift j+1.
+    ``analysis`` is ``word``'s analysis, from the one sweep of its m copies.
     """
 
     base: AnnularWord
@@ -56,10 +59,7 @@ class CoverDiagram:
     word: AnnularWord
     lift_map: dict[tuple[ComponentId, int], ComponentId]
     deck: dict[ComponentId, ComponentId]
-
-    @property
-    def analysis(self) -> WordAnalysis:
-        return analyze(self.word)
+    analysis: WordAnalysis = field(compare=False, repr=False)
 
     def lift(self, base_cid: ComponentId, copy: int) -> ComponentId:
         return self.lift_map[(base_cid, copy % self.m)]
@@ -78,7 +78,14 @@ def _check_windings(base_ana: WordAnalysis, m: int) -> None:
 
 
 def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
-    """Concatenate m copies and label the lifts.
+    """Concatenate m copies, sweep them once, and name the lifts off the base sweep.
+
+    Cover segments are numbered as ``diagram._sweep`` numbers them, so copy
+    j of a cup-born base segment s is ``s + j*born``, and copy j >= 1 starts
+    with copy j - 1 of the base's right-edge segments ``seam_ends``. Lift j
+    of a component runs through copy j of its lowest seam strand or, off the
+    seam, of its first segment. Each base label ``name`` names every lift j
+    that meets the cover's seam as ``name.j``.
 
     Requires m >= 1 and winding(c) divisible by m for every component c.
     """
@@ -86,32 +93,22 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
         raise ValueError(f"cover degree must be at least 1, got {m}")
     base_ana = analyze(base)
     _check_windings(base_ana, m)
+    width, seam_ends = base.seam_width, base_ana._sweep.seam_ends
+    born = base_ana._sweep.seg_count - width  # cup-born segments per copy
+    edge = [list(range(width))]  # edge[j][h]: the segment at copy j's left-edge position h + 1
+    for j in range(1, m):
+        prev = edge[-1]
+        edge.append([prev[s] if s < width else s + (j - 1) * born for s in seam_ends])
 
-    cover_labels: list[tuple[str, int]] = []
-    events = base.events * m
-    word_plain = AnnularWord(base.seam_orientations, events)
-    n_ev = len(base.events)
-    sweep = _sweep(word_plain, frozenset(j * n_ev for j in range(m)))
-
-    # Resolve components of the plain cover word once, then name the lifts.
-    # Lift j of a component through the seam runs through copy j of its lowest
-    # seam strand. A component that never meets the seam lies in one sheet, so
-    # lift j is copy j of any of its segments: all of them are born at cups,
-    # and copy j's cups make segments in the base order after copies 0..j-1's.
+    word_plain = AnnularWord(base.seam_orientations, base.events * m)
     cover_ana = analyze(word_plain)
-    base_segs = base_ana._sweep.seg_count
-    born = base_segs - base.seam_width  # cup-born segments per copy
     lift_map: dict[tuple[ComponentId, int], ComponentId] = {}
     for comp in base_ana.components:
         if comp.seam_positions:
-            h = min(comp.seam_positions)
-            segs = [sweep.snapshots[j * n_ev][h - 1] for j in range(m)]
+            h = min(comp.seam_positions) - 1
+            segs = [row[h] for row in edge]
         else:
-            seg = next(
-                s
-                for s in range(base.seam_width, base_segs)
-                if base_ana.component_of_segment(s) == comp.cid
-            )
+            seg = base_ana._segment_component.index(comp.cid)
             segs = [seg + j * born for j in range(m)]
         for j, seg in enumerate(segs):
             lift_map[(comp.cid, j)] = cover_ana.component_of_segment(seg)
@@ -125,18 +122,16 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
         deck[cover_cid] = lift_map[(cid, (j + 1) % m)]
 
     # Carry lift names into the cover word so it serializes self-describing.
+    cover_labels: list[tuple[str, int]] = []
     for name, pos in base.labels:
         cid = base_ana.component_of_seam(pos)
-        base_point = min(base_ana.components[cid].seam_positions)
-        if pos != base_point:
-            continue
         for j in range(m):
-            cover_cid = lift_map[(cid, j)]
-            positions = cover_ana.components[cover_cid].seam_positions
-            if positions:
+            if positions := cover_ana.components[lift_map[(cid, j)]].seam_positions:
                 cover_labels.append((f"{name}.{j}", min(positions)))
-    word = AnnularWord(base.seam_orientations, events, tuple(sorted(cover_labels)))
-    return CoverDiagram(base, m, word, lift_map, deck)
+    word = AnnularWord(base.seam_orientations, word_plain.events, tuple(sorted(cover_labels)))
+    # The labelled word's analysis is the plain word's; its label map is built afresh.
+    analysis = replace(cover_ana, word=word, _labels=None)
+    return CoverDiagram(base, m, word, lift_map, deck, analysis)
 
 
 def lifted_eta_linkings(cd: CoverDiagram) -> dict[tuple[int, int], Fraction]:

@@ -156,7 +156,9 @@ class _SweepResult:
 
     Segment h starts at left-edge position h + 1 for h < width; every cup
     makes two more, lower first. The joins make every component a cycle that
-    ``analyze`` walks once.
+    ``analyze`` walks once. By this numbering the sweep of m concatenated
+    copies is determined by the sweep of one: ``cover.build_cover`` reads
+    each copy's edge segments off ``seam_ends``.
     """
 
     seg_count: int
@@ -168,10 +170,9 @@ class _SweepResult:
     seam_ends: list[int]
     crossings: list[tuple[int, int, int, int]]  # (seg_lower, seg_upper, sign, event_index)
     kinks: list[tuple[int, int]]  # (segment, sign)
-    snapshots: dict[int, tuple[int, ...]]  # event index -> live segments, bottom to top
 
 
-def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _SweepResult:
+def _sweep(word: AnnularWord) -> _SweepResult:
     """Run the word left to right, type-checking it and recording each segment's joins."""
     width = word.seam_width
     starts = [~h for h in range(width)]
@@ -179,10 +180,7 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
     live: list[tuple[int, int]] = list(enumerate(word.seam_orientations))  # (segment, orientation)
     crossings: list[tuple[int, int, int, int]] = []
     kinks: list[tuple[int, int]] = []
-    snapshots: dict[int, tuple[int, ...]] = {}
     for idx, ev in enumerate(word.events):
-        if idx in snapshot_at:
-            snapshots[idx] = tuple(seg for seg, _ in live)
         if isinstance(ev, Cross):
             p = ev.position
             if not 1 <= p <= len(live) - 1:
@@ -228,8 +226,6 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
             kinks.append((live[p - 1][0], ev.sign))
         else:  # pragma: no cover - exhaustive by construction
             raise TypeError(f"unknown event {ev!r}")
-    if len(word.events) in snapshot_at:
-        snapshots[len(word.events)] = tuple(seg for seg, _ in live)
 
     if len(live) != width:
         raise SeamMismatch(f"word ends with {len(live)} strands, seam has {width}")
@@ -241,7 +237,7 @@ def _sweep(word: AnnularWord, snapshot_at: frozenset[int] = frozenset()) -> _Swe
             )
         ends[seg] = ~h
     seam_ends = [seg for seg, _ in live]
-    return _SweepResult(len(starts), starts, ends, seam_ends, crossings, kinks, snapshots)
+    return _SweepResult(len(starts), starts, ends, seam_ends, crossings, kinks)
 
 
 ComponentId = int

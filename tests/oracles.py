@@ -1,12 +1,14 @@
 """Reference helpers the tests check program output against; the program never calls them.
 
 Import them as ``from oracles import ...``: pytest puts this directory on
-``sys.path``, as it does for ``from test_cover import ...``.
+``sys.path``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,6 +163,8 @@ class UnionFindSweep:
     seam_segments: tuple[int, ...]  # segment at each seam position (left edge)
     crossings: list[tuple[int, int, int, int]]  # (seg_lower, seg_upper, sign, event_index)
     kinks: list[tuple[int, int]]  # (segment, sign)
+    # Live segments, bottom to top, before each event and after the last one.
+    live_segments: list[tuple[int, ...]]
 
 
 def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
@@ -168,6 +172,7 @@ def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
 
     Cups and caps union their two segments at offset 0, and each right-edge
     strand unions with the left-edge strand it re-glues to at offset +1.
+    Segments are numbered as ``diagram._sweep`` numbers them.
     """
     uf = OffsetUnionFind()
     live: list[tuple[int, int]] = []  # (segment, orientation), bottom to top
@@ -176,7 +181,9 @@ def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
     seam_segments = tuple(seg for seg, _ in live)
     crossings: list[tuple[int, int, int, int]] = []
     kinks: list[tuple[int, int]] = []
+    live_segments: list[tuple[int, ...]] = []
     for idx, ev in enumerate(word.events):
+        live_segments.append(tuple(seg for seg, _ in live))
         if isinstance(ev, Cross):
             p = ev.position
             if not 1 <= p <= len(live) - 1:
@@ -221,6 +228,7 @@ def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
             kinks.append((live[p - 1][0], ev.sign))
         else:
             raise TypeError(f"unknown event {ev!r}")
+    live_segments.append(tuple(seg for seg, _ in live))
     if len(live) != word.seam_width:
         raise SeamMismatch(f"word ends with {len(live)} strands, seam has {word.seam_width}")
     for h, (seg, o) in enumerate(live):
@@ -230,7 +238,7 @@ def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
                 f"expected {word.seam_orientations[h]}"
             )
         uf.union(seam_segments[h], seg, 1)
-    return UnionFindSweep(len(uf.parent), uf, seam_segments, crossings, kinks)
+    return UnionFindSweep(len(uf.parent), uf, seam_segments, crossings, kinks, live_segments)
 
 
 def union_find_analyze(word: AnnularWord) -> WordAnalysis:
@@ -262,6 +270,77 @@ def union_find_analyze(word: AnnularWord) -> WordAnalysis:
         sheets = [seg_sheet[sweep.seam_segments[p - 1]] for p in seam]
         sheet_range.append((min(sheets, default=0), max(sheets, default=-1) + 1))
     return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet, sheet_range)
+
+
+def snapshot_lift_map(base: AnnularWord, m: int) -> CoverDiagram:
+    """The m-fold cover with its lifts named by replaying the m-copy word.
+
+    This is how ``build_cover`` named the lifts before it read them off the
+    base sweep's seam joins. Lift j of a component through the seam is the
+    cover component holding, when copy j's first event runs, the segment at
+    the component's lowest seam strand: read off the live segments of the
+    m copies' :func:`union_find_sweep`. A component off the seam lifts to copy
+    j of its first cup-born segment. Both analyses are
+    :func:`union_find_analyze`'s. Only a label on its component's lowest seam
+    strand names the lifts, as in that ``build_cover``; the word's other
+    labels were dropped. Requires m >= 1 to divide every winding.
+    """
+    base_ana = union_find_analyze(base)
+    plain = AnnularWord(base.seam_orientations, base.events * m)
+    cover_ana = union_find_analyze(plain)
+    snapshots = cover_ana._sweep.live_segments
+    width, n_ev = base.seam_width, len(base.events)
+    born = base_ana._sweep.seg_count - width
+    lift_map: dict[tuple[ComponentId, int], ComponentId] = {}
+    for comp in base_ana.components:
+        if comp.seam_positions:
+            h = min(comp.seam_positions)
+            segs = [snapshots[j * n_ev][h - 1] for j in range(m)]
+        else:
+            seg = next(
+                s
+                for s in range(width, base_ana._sweep.seg_count)
+                if base_ana.component_of_segment(s) == comp.cid
+            )
+            segs = [seg + j * born for j in range(m)]
+        for j, seg in enumerate(segs):
+            lift_map[(comp.cid, j)] = cover_ana.component_of_segment(seg)
+    deck = {lift: lift_map[(cid, (j + 1) % m)] for (cid, j), lift in lift_map.items()}
+    labels = []
+    for name, pos in base.labels:
+        cid = base_ana.component_of_seam(pos)
+        if pos != min(base_ana.components[cid].seam_positions):
+            continue
+        for j in range(m):
+            if positions := cover_ana.components[lift_map[(cid, j)]].seam_positions:
+                labels.append((f"{name}.{j}", min(positions)))
+    word = AnnularWord(base.seam_orientations, plain.events, tuple(sorted(labels)))
+    return CoverDiagram(base, m, word, lift_map, deck, dataclasses.replace(cover_ana, word=word))
+
+
+def twist_surgery_pairs(word: AnnularWord, rng: random.Random, count: int) -> AnnularWord:
+    """Insert full twists between adjacent strands of two distinct surgery curves.
+
+    A full twist keeps every component and winding, but changes one lift
+    linking at a single deck difference d, so the circulant block at d stops
+    being symmetric whenever 2d is not 0 mod m. No seeded compiled word
+    tried here has an asymmetric block, so without twists a transposed fill
+    of the matrix would go unnoticed. The spots are read off the live
+    segments of the word's :func:`union_find_sweep`.
+    """
+    ana = analyze(word)
+    eta, comp = ana.component_by_name("eta"), ana.component_of_segment
+    spots = sorted(
+        (i, p)
+        for i, segs in enumerate(union_find_sweep(word).live_segments)
+        for p in range(1, len(segs))
+        if eta != comp(segs[p - 1]) != comp(segs[p]) != eta
+    )
+    events = list(word.events)
+    for i, p in sorted(rng.sample(spots, min(count, len(spots))), reverse=True):
+        over = rng.random() < 0.5
+        events[i:i] = [Cross(p, over), Cross(p, over)]
+    return dataclasses.replace(word, events=tuple(events))
 
 
 def locate_lift_tally(ana: WordAnalysis):

@@ -102,6 +102,14 @@ def test_cover_of_word_with_seam_free_component(tmp_path, capsys):
     assert "# lift eta.0 component 0" in out and "# lift component1.0 component 1" in out
 
 
+def test_cover_names_a_label_above_its_lowest_seam_strand(tmp_path, capsys):
+    f = tmp_path / "winding2.annular"
+    f.write_text("annular v1\nseam 2 ++\nlabel eta seam 2\nx 1 over\n")
+    code, out = run(capsys, "cover", str(f), "--m", "1")
+    assert code == 0
+    assert "\nlabel eta.0 seam 1\n" in out
+
+
 def test_linkings_text(capsys):
     code, out = run(capsys, "linkings", str(CORPUS / "cable-8.pattern"), "--m", "4")
     assert code == 0

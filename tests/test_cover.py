@@ -19,12 +19,21 @@ from coverlink.cover import (
     lifted_eta_linkings,
     lifted_linking_matrix,
 )
-from coverlink.diagram import AnnularWord, Cap, Cross, Cup, _sweep, analyze
+import coverlink.diagram
+from coverlink.diagram import AnnularWord, Cap, Cross, Cup, analyze, parse, serialize
 from coverlink.downhill import normalize, random_annular_word
 from coverlink.linalg import _blocks
 from coverlink.pattern import ClaspPresentation, ClaspSpec, cable_template, compile, random_presentation
 from coverlink.obstruct import auto_verdict
-from oracles import block_circulant_split, cover_eta_rows, deck_translate, rotated_eta_rows
+from oracles import (
+    block_circulant_split,
+    cover_eta_rows,
+    deck_translate,
+    rotated_eta_rows,
+    snapshot_lift_map,
+    twist_surgery_pairs,
+    union_find_sweep,
+)
 
 
 def test_trivial_cover_is_base():
@@ -35,11 +44,12 @@ def test_trivial_cover_is_base():
 
 
 def test_trivial_cover_of_a_word_without_events():
-    # The sweep's only snapshot is then the one taken after the last event.
+    # The oracle sweep's only record of live segments is then the one after the last event.
     word = AnnularWord((1, -1), (), (("eta", 1),))
     cd = build_cover(word, 1)
     assert cd.lift_map == {(0, 0): 0, (1, 0): 1}
-    assert _sweep(word, frozenset({0})).snapshots == {0: (0, 1)}
+    assert union_find_sweep(word).live_segments == [(0, 1)]
+    assert snapshot_lift_map(word, 1) == cd
 
 
 def test_cable_6_double_cover_links_3():
@@ -161,6 +171,89 @@ def test_cover_word_carries_lift_labels():
     assert "eta.0" in names and "eta.1" in names
 
 
+def test_cover_word_names_every_base_label():
+    # A clasp whose exit gap is below its enter gap is labelled above its
+    # lowest seam strand; its lifts are named all the same.
+    above_lowest = 0
+    for n in (4, 6, 8):
+        for k in range(1, 5):
+            for seed in range(25):
+                word = compile(random_presentation(n, k, seed))
+                base = analyze(word)
+                above_lowest += any(
+                    pos != min(base.components[base.component_of_seam(pos)].seam_positions)
+                    for _, pos in word.labels
+                )
+                # A labels() call on the unlabelled m-copy word's analysis must not carry over.
+                analyze(AnnularWord(word.seam_orientations, word.events * 2)).labels()
+                cd = build_cover(word, 2)
+                names = {name.rsplit(".", 1)[0] for name, _ in cd.word.labels}
+                assert names == {name for name, _ in word.labels}
+                assert parse(serialize(cd.word)) == cd.word
+                assert cd.analysis.labels() == analyze(cd.word).labels()
+    assert above_lowest == 209
+
+
+def _lift_oracle_words():
+    """Cables, compiled and annular words, and words with a component off the seam."""
+    for n in range(2, 25):
+        yield cable_template(n)
+    for n in (2, 3, 4, 6, 8, 12, 16):
+        for k in range(6):
+            for seed in range(6):
+                yield compile(random_presentation(n, k, seed))
+    for n in range(2, 13):
+        for seed in range(15):
+            word = random_annular_word(n, seed)
+            yield from (word, compile(normalize(word).presentation))
+    for body in ("seam 0\ncup 1\ncap 1\n", "seam 1 +\nlabel eta seam 1\ncup 1\ncap 1\n"):
+        yield parse("annular v1\n" + body)
+
+
+def test_build_cover_matches_the_snapshot_oracle():
+    covers = added = 0
+    for word in dict.fromkeys(_lift_oracle_words()):  # 560 distinct words
+        windings = [c.winding for c in analyze(word).components]
+        for m in range(1, 25):
+            if any(w % m for w in windings):
+                continue
+            cd, want = build_cover(word, m), snapshot_lift_map(word, m)
+            assert (cd.lift_map, cd.deck) == (want.lift_map, want.deck)
+            ana, oracle = cd.analysis, want.analysis
+            assert ana.word is cd.word
+            assert ana.components == oracle.components
+            assert ana._segment_component == oracle._segment_component
+            assert ana._segment_sheet == oracle._segment_sheet
+            unlabelled = (dataclasses.replace(w, labels=()) for w in (cd.word, want.word))
+            assert serialize(next(unlabelled)) == serialize(next(unlabelled))
+            # Every lift the oracle names keeps its name; labels are only added.
+            assert set(want.word.labels) <= set(cd.word.labels)
+            covers += 1
+            added += cd.word.labels != want.word.labels
+    assert (covers, added) == (1897, 575)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_cover_and_its_lifted_oracles_sweep_the_m_copies_once(monkeypatch, m):
+    word = compile(random_presentation(8, 3, m))
+    analyze.cache_clear()
+    analyze(word)
+    swept = []
+    sweep = coverlink.diagram._sweep
+
+    def counted(*args):
+        swept.append(args[0])
+        return sweep(*args)
+
+    # Count the sweep at every module binding of it.
+    monkeypatch.setattr(coverlink.diagram, "_sweep", counted)
+    monkeypatch.setattr(coverlink.cover, "_sweep", counted, raising=False)
+    cd = build_cover(word, m)
+    lifted_linking_matrix(cd)
+    lifted_eta_linkings(cd)
+    assert swept == [AnnularWord(word.seam_orientations, word.events * m)]
+
+
 def _assert_lift_data_matches_cover(word, m):
     got = lift_data(word, m)
     cd = build_cover(word, m)
@@ -191,36 +284,11 @@ def test_lift_data_matches_cover_word_on_normalized_words():
         _assert_lift_data_matches_cover(word, 2)
 
 
-def _twist_surgery_pairs(word, rng, count):
-    """Insert full twists between adjacent strands of two distinct surgery curves.
-
-    A full twist keeps every component and winding, but changes one lift
-    linking at a single deck difference d, so the circulant block at d stops
-    being symmetric whenever 2d is not 0 mod m. No seeded compiled word
-    tried here has an asymmetric block, so without twists a transposed fill
-    of the matrix would go unnoticed.
-    """
-    ana = analyze(word)
-    eta, comp = ana.component_by_name("eta"), ana.component_of_segment
-    snapshots = _sweep(word, frozenset(range(len(word.events) + 1))).snapshots
-    spots = sorted(
-        (i, p)
-        for i, segs in snapshots.items()
-        for p in range(1, len(segs))
-        if eta != comp(segs[p - 1]) != comp(segs[p]) != eta
-    )
-    events = list(word.events)
-    for i, p in sorted(rng.sample(spots, min(count, len(spots))), reverse=True):
-        over = rng.random() < 0.5
-        events[i:i] = [Cross(p, over), Cross(p, over)]
-    return dataclasses.replace(word, events=tuple(events))
-
-
 def test_lift_data_matches_cover_word_with_asymmetric_blocks():
     asymmetric = coupled = 0
     for seed in range(10):
         p = random_presentation(8, 2 + seed % 3, seed)
-        word = _twist_surgery_pairs(compile(p), random.Random(seed), 4)
+        word = twist_surgery_pairs(compile(p), random.Random(seed), 4)
         for m in (2, 4, 8):
             _assert_lift_data_matches_cover(word, m)
             a = lift_data(word, m).matrix

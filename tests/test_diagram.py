@@ -45,10 +45,10 @@ from oracles import (
     keyed_cover_tables,
     locate_lift_tally,
     tally_keys,
+    twist_surgery_pairs,
     two_orientation_cover_tables,
     union_find_analyze,
 )
-from test_cover import _twist_surgery_pairs
 from test_pattern import _FUZZ, _NUMBERS, _compile_sample, _mutated
 
 
@@ -65,7 +65,7 @@ def _lift_table_words():
         yield from (word, result.word, compile_presentation(result.presentation))
     for seed in range(12):  # the twisted-surgery words of test_obstruct
         p = random_presentation(8, 2 + seed % 3, seed)
-        yield _twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
+        yield twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
 
 
 def test_flat_lift_table_matches_union_find_walk():
@@ -152,7 +152,7 @@ def _fold_words():
         yield from (word, result.word)
     for seed in range(12):
         p = random_presentation(8, 2 + seed % 3, seed)
-        yield _twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
+        yield twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
     for n in (64, 96, 128, 192, 256, 384, 512):
         yield cable_template(n)
 

@@ -52,8 +52,13 @@ from coverlink.pattern import (
     validate,
 )
 from coverlink.pattern import compile as compile_presentation
-from oracles import block_circulant_split, clasp_calculus, cover_eta_rows, report_json
-from test_cover import _twist_surgery_pairs
+from oracles import (
+    block_circulant_split,
+    clasp_calculus,
+    cover_eta_rows,
+    report_json,
+    twist_surgery_pairs,
+)
 from test_linalg import _pivoting_block_diagonal, square_and_vector
 
 W8 = ClaspPresentation(
@@ -162,7 +167,7 @@ def test_linkings_from_twisted_lifts_match_inverse_reference():
     coupled = 0
     for seed in range(12):
         p = random_presentation(8, 2 + seed % 3, seed)
-        word = _twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
+        word = twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
         for m in (2, 4, 8):
             data = lift_data(word, m)
             a = data.matrix
@@ -421,7 +426,7 @@ def test_verdict_path_never_densifies(monkeypatch):
     assert off_diagonal == 0 and set(a.nonzeros.values()) <= {-1, 1}
     # Full twists couple the lifts into blocks of up to 16 at m = 8.
     p = random_presentation(8, 3, 4)
-    word = _twist_surgery_pairs(compile_presentation(p), random.Random(4), 4)
+    word = twist_surgery_pairs(compile_presentation(p), random.Random(4), 4)
     monkeypatch.setattr(coverlink.obstruct, "_checked_word", lambda q: word)
     assert [r.h1_order for r in auto_verdict(p, (2, 4, 8)).per_m] == [85, 10285, 109113565]
 
