@@ -91,6 +91,12 @@ class Kink:
 Event = Cross | Cup | Cap | Kink
 
 
+def _check_token(name: object, what: str) -> None:
+    """Reject a name the text forms cannot carry: one token, and no '#', which starts a comment."""
+    if not isinstance(name, str) or name.split() != [name] or "#" in name:
+        raise ValueError(f"{what} must be one token without '#', got {name!r}")
+
+
 @dataclass(frozen=True)
 class AnnularWord:
     """Event-word presentation of curves relative to the seam.
@@ -107,7 +113,12 @@ class AnnularWord:
         for o in self.seam_orientations:
             if o not in (-1, 1):
                 raise ValueError("seam orientations must be +1 or -1")
+        names = set()
         for name, pos in self.labels:
+            _check_token(name, "label name")
+            if name in names:
+                raise ValueError(f"duplicate label {name!r}")
+            names.add(name)
             if not 1 <= pos <= self.seam_width:
                 raise ValueError(f"label {name!r} references seam strand {pos}")
 
@@ -121,6 +132,10 @@ class AnnularWord:
             object.__setattr__(self, "_hash", h)
             return h
 
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a pickle leaves the cached hash out.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def seam_width(self) -> int:
         return len(self.seam_orientations)
@@ -130,35 +145,16 @@ def crossing_sign(o_lower: int, o_upper: int, upper_over: bool) -> int:
     return o_lower * o_upper * (-1 if upper_over else 1)
 
 
-class _UnionFind:
-    """Union-find over the normalizer's arcs: ``make`` a singleton, ``union``, ``find`` a root."""
-
-    def __init__(self):
-        self.parent: list[int] = []
-
-    def make(self) -> int:
-        self.parent.append(len(self.parent))
-        return len(self.parent) - 1
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(b)] = self.find(a)
-
-
 @dataclass
 class _SweepResult:
     """A checked word's segments, their joins, and the crossings and kinks on them.
 
     Segment h starts at left-edge position h + 1 for h < width; every cup
     makes two more, lower first. The joins make every component a cycle that
-    ``analyze`` walks once. By this numbering the sweep of m concatenated
-    copies is determined by the sweep of one: ``cover.build_cover`` reads
-    each copy's edge segments off ``seam_ends``.
+    ``analyze`` walks once; ``downhill._curve`` walks a single curve's cycle
+    again to list its crossings in order. By this numbering the sweep of m
+    concatenated copies is determined by the sweep of one:
+    ``cover.build_cover`` reads each copy's edge segments off ``seam_ends``.
     """
 
     seg_count: int

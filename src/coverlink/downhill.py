@@ -1,12 +1,13 @@
 """Normalizing a one-component annular diagram to cable-plus-clasps form.
 
 The traversal walks the curve once, from the bottom seam strand along its
-orientation; the walk against the orientation is the same passages run
-backwards. Either walk flips each crossing that is first reached on the
-under strand; a diagram in which every crossing is first reached on the over
-strand (the downhill property) is isotopic to the standard cable, so the
-flips are exactly the crossing changes separating the input from the cable,
-and each one is emitted as a clasp gadget. Returning strands (arcs entering
+orientation, over the segment joins that ``analyze`` has already swept; the
+walk against the orientation is the same passages run backwards. Either walk
+flips each crossing that is first reached on the under strand; a diagram in
+which every crossing is first reached on the over strand (the downhill
+property) is isotopic to the standard cable, so the flips are exactly the
+crossing changes separating the input from the cable, and each one is
+emitted as a clasp gadget. Returning strands (arcs entering
 and leaving the rectangle on the same side) are removed pairwise by merging
 them into their neighbors; the reduced word is returned in straightened
 canonical form, where the wrapping number equals the absolute winding number.
@@ -15,9 +16,10 @@ canonical form, where the wrapping number equals the absolute winding number.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Kink, _UnionFind, analyze
+from .diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
 from .pattern import ClaspPresentation, ClaspSpec, _Assembler, _Strand, cable_template
 
 
@@ -36,79 +38,46 @@ class WindingTooSmallError(Exception):
 @dataclass(frozen=True)
 class _Passage:
     event: int  # event index, or -1 for a seam crossing
-    kind: str  # "over" | "under" | "turn" | "kink" | "seam"
+    kind: str  # "over" | "under" | "seam"
     direction: int = 0  # seam crossings only: +1 rightward, -1 leftward
-
-
-def _build_graph(word: AnnularWord):
-    """Directed curve graph: edges are strand slots, links follow orientation."""
-    next_id = 0
-
-    def new_edge() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    live: list[tuple[int, int]] = [(new_edge(), o) for o in word.seam_orientations]
-    first = [e for e, _ in live]
-    succ: dict[int, tuple[int, _Passage]] = {}
-
-    def advance(old: int, new: int, orient: int, passage: _Passage) -> None:
-        if orient == 1:
-            succ[old] = (new, passage)
-        else:
-            succ[new] = (old, passage)
-
-    for idx, ev in enumerate(word.events):
-        if isinstance(ev, Cross):
-            p = ev.position
-            (lo, o_lo), (up, o_up) = live[p - 1], live[p]
-            lo2, up2 = new_edge(), new_edge()
-            advance(lo, lo2, o_lo, _Passage(idx, "under" if ev.upper_over else "over"))
-            advance(up, up2, o_up, _Passage(idx, "over" if ev.upper_over else "under"))
-            live[p - 1], live[p] = (up2, o_up), (lo2, o_lo)
-        elif isinstance(ev, Cup):
-            lo, up = new_edge(), new_edge()
-            live[ev.position - 1 : ev.position - 1] = [(lo, ev.sign), (up, -ev.sign)]
-            # The curve flows in on the leftward newborn and out on the other.
-            advance(up, lo, ev.sign, _Passage(idx, "turn"))
-        elif isinstance(ev, Cap):
-            p = ev.position
-            (lo, o_lo), (up, _) = live[p - 1], live[p]
-            advance(lo, up, o_lo, _Passage(idx, "turn"))
-            del live[p - 1 : p + 1]
-        elif isinstance(ev, Kink):
-            e, o = live[ev.position - 1]
-            e2 = new_edge()
-            advance(e, e2, o, _Passage(idx, "kink"))
-            live[ev.position - 1] = (e2, o)
-    for h, (e, o) in enumerate(live):
-        advance(e, first[h], o, _Passage(-1, "seam", direction=o))
-    return first, succ
 
 
 def _curve(word: AnnularWord) -> list[_Passage]:
     """Ordered passages of the single closed curve, along its orientation.
 
     Starts at the bottom seam strand at the word start (the diagram's unique
-    minimal point). The walk against the orientation from the same point is
-    :func:`_reversed` of this one.
+    minimal point), or at a seamless circle's first-cup lower newborn: the
+    analysis's segment 0. The walk reads the same joins that ``analyze``
+    walks, rightward from segment 0: each segment gives its crossings in event
+    order, reversed when walked leftward, and each seam join a seam passage.
+    When segment 0 runs leftward the curve's orientation is that walk run
+    backwards, :func:`_reversed`, which is also the walk against the
+    orientation from the same point.
     """
     ana = analyze(word)
     if len(ana.components) != 1:
         raise MultiComponentError(f"diagram has {len(ana.components)} components")
-    first, succ = _build_graph(word)
+    sweep = ana._sweep
+    on_segment: list[list[_Passage]] = [[] for _ in range(sweep.seg_count)]
+    for lo, up, _, idx in sweep.crossings:
+        upper_over = word.events[idx].upper_over
+        on_segment[lo].append(_Passage(idx, "under" if upper_over else "over"))
+        on_segment[up].append(_Passage(idx, "over" if upper_over else "under"))
     passages: list[_Passage] = []
-    # Base point: the bottom seam strand; for a seamless circle, the first
-    # edge created (the earliest cup's lower newborn).
-    start = first[0] if first else 0
-    edge = start
+    seg, forward = 0, True
     while True:
-        edge, passage = succ[edge]
-        passages.append(passage)
-        if edge == start:
+        passages += on_segment[seg] if forward else reversed(on_segment[seg])
+        j = sweep.ends[seg] if forward else sweep.starts[seg]
+        if j >= 0:  # a cup or cap turns the walk around
+            seg, forward = j, not forward
+        else:
+            passages.append(_Passage(-1, "seam", 1 if forward else -1))
+            seg = ~j if forward else sweep.seam_ends[~j]
+        if seg == 0:
             break
-    return passages
+    # A seamless circle's only component starts with its first event, a cup.
+    orientation = word.seam_orientations[0] if word.seam_width else word.events[0].sign
+    return passages if orientation == 1 else _reversed(passages)
 
 
 def _reversed(passages: list[_Passage]) -> list[_Passage]:
@@ -188,9 +157,11 @@ def _strand_heights(passages: list[_Passage], n: int) -> list[int]:
     after them. One pass in walk order cancels each crossing against the
     last uncancelled one, a stack. The stack only holds crossings of one
     direction, so no pair is left to cancel across the cycle's ends, and the
-    directions sum to +-n, so n crossings survive. The arcs between them, the
-    surviving n arcs, are the cable strands, with the base-point arc as the
-    shifting strand (height 1) and the j-th later arc at height n+1-j.
+    directions sum to +-n, so n crossings survive. Every cancelled pair lies
+    between two surviving crossings, so each arc merges into the arc of the
+    first surviving crossing at or after it, wrapping to the first. Those n
+    arcs are the cable strands, with the base-point arc as the shifting strand
+    (height 1) and the j-th later arc at height n+1-j.
     """
     arc_of_passage: list[int] = []
     dirs: list[int] = []
@@ -198,24 +169,14 @@ def _strand_heights(passages: list[_Passage], n: int) -> list[int]:
         arc_of_passage.append(len(dirs))
         if p.kind == "seam":
             dirs.append(p.direction)
-    total = len(dirs)
-
-    uf = _UnionFind()
-    for _ in range(total):
-        uf.make()
     stack: list[int] = []  # the uncancelled seam crossings, in walk order
     for i, d in enumerate(dirs):
         if stack and dirs[stack[-1]] == -d:
-            uf.union(stack.pop(), i)
-            uf.union(i, (i + 1) % total)
+            stack.pop()
         else:
             stack.append(i)
     assert len(stack) == n, "uncancelled seam crossings must be the cable's n strands"
-
-    order = [uf.find(a) for a in stack]
-    rot = order.index(uf.find(0))  # the base-point arc is 1, the later ones count down from n
-    heights = {root: (rot - j) % n + 1 for j, root in enumerate(order)}
-    return [heights[uf.find(a % total)] for a in arc_of_passage]
+    return [-bisect_left(stack, a) % n + 1 for a in arc_of_passage]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ import json
 import random
 from dataclasses import dataclass, replace
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, _int_literal, _lines, analyze
+from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
+from .diagram import _check_token, _int_literal, _lines
 
 
 class PatternError(Exception):
@@ -531,9 +532,8 @@ def from_json(text: str) -> ClaspPresentation:
         )
         n = _json_int(doc["cable"], "cable")
         name = doc.get("name", "")
-        # The text form carries a name as one token, and "#" starts a comment there.
-        if not isinstance(name, str) or name and (name.split() != [name] or "#" in name):
-            raise ValueError(f"name must be one token without '#', got {name!r}")
+        if name != "":
+            _check_token(name, "name")
         return ClaspPresentation(n, specs, name=name)
     except (ValueError, PatternError) as exc:
         raise PatternSyntaxError(str(exc), 1) from exc

@@ -28,7 +28,7 @@ from coverlink.diagram import (
     analyze,
     crossing_sign,
 )
-from coverlink.downhill import _build_graph, _Passage
+from coverlink.downhill import _Passage
 from coverlink.linalg import IntMatrix, NonSquareError
 from coverlink.obstruct import AggregateReport, report_to_dict
 from coverlink.pattern import ClaspPresentation
@@ -439,27 +439,149 @@ def report_json(agg: AggregateReport) -> str:
     return json.dumps(report_to_dict(agg), indent=2) + "\n"
 
 
-def backward_curve(word: AnnularWord) -> list[_Passage]:
-    """The curve walked against its orientation by following each edge's predecessor.
+def curve_graph(word: AnnularWord):
+    """Directed curve graph: edges are strand slots, links follow orientation.
 
-    This is how the normalizer walked backwards before it reversed its one
-    forward walk: from the same base point (the bottom seam strand, or the
-    first edge of a seamless circle), each step goes to the edge that links
-    into the current one, and a seam passage walked this way runs in the
-    opposite direction.
+    This is the strand tracker the normalizer kept before it walked the
+    joins of ``analyze``'s sweep. Returns each left-edge position's first
+    edge and each edge's successor with the passage between them; cups and
+    caps link by a ``"turn"`` passage and kinks by a ``"kink"`` passage.
     """
-    first, succ = _build_graph(word)
-    pred = {b: (a, passage) for a, (b, passage) in succ.items()}
+    next_id = 0
+
+    def new_edge() -> int:
+        nonlocal next_id
+        next_id += 1
+        return next_id - 1
+
+    live: list[tuple[int, int]] = [(new_edge(), o) for o in word.seam_orientations]
+    first = [e for e, _ in live]
+    succ: dict[int, tuple[int, _Passage]] = {}
+
+    def advance(old: int, new: int, orient: int, passage: _Passage) -> None:
+        if orient == 1:
+            succ[old] = (new, passage)
+        else:
+            succ[new] = (old, passage)
+
+    for idx, ev in enumerate(word.events):
+        if isinstance(ev, Cross):
+            p = ev.position
+            (lo, o_lo), (up, o_up) = live[p - 1], live[p]
+            lo2, up2 = new_edge(), new_edge()
+            advance(lo, lo2, o_lo, _Passage(idx, "under" if ev.upper_over else "over"))
+            advance(up, up2, o_up, _Passage(idx, "over" if ev.upper_over else "under"))
+            live[p - 1], live[p] = (up2, o_up), (lo2, o_lo)
+        elif isinstance(ev, Cup):
+            lo, up = new_edge(), new_edge()
+            live[ev.position - 1 : ev.position - 1] = [(lo, ev.sign), (up, -ev.sign)]
+            # The curve flows in on the leftward newborn and out on the other.
+            advance(up, lo, ev.sign, _Passage(idx, "turn"))
+        elif isinstance(ev, Cap):
+            p = ev.position
+            (lo, o_lo), (up, _) = live[p - 1], live[p]
+            advance(lo, up, o_lo, _Passage(idx, "turn"))
+            del live[p - 1 : p + 1]
+        elif isinstance(ev, Kink):
+            e, o = live[ev.position - 1]
+            e2 = new_edge()
+            advance(e, e2, o, _Passage(idx, "kink"))
+            live[ev.position - 1] = (e2, o)
+    for h, (e, o) in enumerate(live):
+        advance(e, first[h], o, _Passage(-1, "seam", direction=o))
+    return first, succ
+
+
+def _graph_walk(word: AnnularWord, backward: bool) -> list[_Passage]:
+    """The over, under and seam passages met going round the curve graph once.
+
+    The walk starts at the base point: the bottom seam strand, or the first
+    edge of a seamless circle, the earliest cup's lower newborn. Walked
+    backward, each step goes to the edge that links into the current one,
+    and a seam passage runs in the opposite direction.
+    """
+    first, succ = curve_graph(word)
+    if backward:
+        succ = {
+            b: (a, _Passage(-1, "seam", -p.direction) if p.kind == "seam" else p)
+            for a, (b, p) in succ.items()
+        }
     start = first[0] if first else 0
     edge = start
     passages: list[_Passage] = []
     while True:
-        edge, passage = pred[edge]
-        if passage.kind == "seam":
-            passage = _Passage(-1, "seam", -passage.direction)
-        passages.append(passage)
+        edge, passage = succ[edge]
+        if passage.kind in ("over", "under", "seam"):
+            passages.append(passage)
         if edge == start:
             return passages
+
+
+def forward_curve(word: AnnularWord) -> list[_Passage]:
+    """The curve walked along its orientation by following each edge's successor.
+
+    This is how the normalizer walked before it read the sweep's joins:
+    what ``downhill._curve`` must equal.
+    """
+    return _graph_walk(word, backward=False)
+
+
+def backward_curve(word: AnnularWord) -> list[_Passage]:
+    """The curve walked against its orientation by following each edge's predecessor.
+
+    This is how the normalizer walked backwards before it reversed its one
+    forward walk: what ``downhill._reversed`` of ``downhill._curve`` must equal.
+    """
+    return _graph_walk(word, backward=True)
+
+
+def random_event_word(rng: random.Random) -> AnnularWord:
+    """A random well-formed word of up to 5 seam strands of either orientation.
+
+    A random run of cups, caps, crossings and kinks is closed up to the seam:
+    adjacent strands of opposite orientation are capped, or cups born, until
+    as many strands are live as the seam is wide, and crossings then sort the
+    live orientations into the seam's. Every flag, sign and position is
+    random, so the word can have any number of components and any winding.
+    """
+    seam = tuple(rng.choice((1, -1)) for _ in range(rng.randint(0, 5)))
+    live = list(seam)
+    events: list = []
+
+    def cross(gap: int) -> None:
+        events.append(Cross(gap, rng.random() < 0.5))
+        live[gap - 1], live[gap] = live[gap], live[gap - 1]
+
+    def cup(pos: int) -> None:
+        sign = rng.choice((1, -1))
+        events.append(Cup(pos, sign))
+        live[pos - 1 : pos - 1] = [sign, -sign]
+
+    def cap_somewhere() -> None:
+        pos = rng.choice([p for p in range(1, len(live)) if live[p - 1] != live[p]])
+        events.append(Cap(pos))
+        del live[pos - 1 : pos + 1]
+
+    for _ in range(rng.randint(0, 14)):
+        r = rng.random()
+        if r < 0.2 or not live:
+            cup(rng.randint(1, len(live) + 1))
+        elif r < 0.35 and len(set(live)) == 2:
+            cap_somewhere()
+        elif r < 0.45:
+            events.append(Kink(rng.randint(1, len(live)), rng.choice((1, -1))))
+        elif len(live) >= 2:
+            cross(rng.randint(1, len(live) - 1))
+    # The orientations sum to the seam's throughout, so a surplus holds both kinds.
+    while len(live) > len(seam):
+        cap_somewhere()
+    while len(live) < len(seam):
+        cup(rng.randint(1, len(live) + 1))
+    for h, o in enumerate(seam):
+        k = live.index(o, h)
+        for gap in range(k, h, -1):
+            cross(gap)
+    return AnnularWord(seam, tuple(events))
 
 
 def greedy_strand_heights(passages: list[_Passage], n: int) -> list[int]:

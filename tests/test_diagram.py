@@ -4,9 +4,13 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -117,17 +121,11 @@ def test_cycle_walk_matches_the_union_find_oracle():
     assert (covers, off_seam) == (104, 86)
 
 
-def test_analyze_builds_no_union_find(monkeypatch):
-    built = []
-    init = coverlink.diagram._UnionFind.__init__
-    monkeypatch.setattr(
-        coverlink.diagram._UnionFind, "__init__", lambda self: built.append(self) or init(self)
-    )
+def test_analyze_builds_no_union_find():
+    # analyze and the normalizer walk the sweep's joins; the union-find is gone.
+    assert not hasattr(coverlink.diagram, "_UnionFind")
     analyze.cache_clear()
-    ana = analyze(cable_template(512))
-    assert len(ana._segment_sheet) == 512 and built == []
-    coverlink.diagram._UnionFind()  # the count sees a union-find that is built
-    assert len(built) == 1
+    assert len(analyze(cable_template(512))._segment_sheet) == 512
 
 
 def test_two_labels_on_one_component_raise_naming_both():
@@ -259,6 +257,55 @@ def test_parse_round_trip_with_all_event_kinds():
     analyze(word)
     assert parse(serialize(word)) == word
 
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ((("eta", 1), ("eta", 2)), "duplicate label 'eta'"),
+        ((("my curve", 1),), "label name must be one token without '#', got 'my curve'"),
+        ((("a#b", 1),), "label name must be one token without '#', got 'a#b'"),
+        ((("", 1),), "label name must be one token without '#', got ''"),
+    ],
+    ids=["repeated", "space", "hash", "empty"],
+)
+def test_word_rejects_labels_that_parse_cannot_read_back(labels, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AnnularWord((1, 1), (Cross(1, True),) * 2, labels)
+
+
+def test_labelled_words_still_round_trip():
+    covers = [
+        build_cover(compile_presentation(random_presentation(8, 3, seed)), m).word
+        for seed in range(4)
+        for m in (2, 4, 8)
+    ]
+    words = [w for w in (*_lift_table_words(), *covers) if w.labels]
+    assert len(words) == 100
+    for word in words:
+        assert parse(serialize(word)) == word
+
+
+def test_a_pickled_word_hashes_afresh_in_another_process():
+    # String hashes are salted per process, so a word's cached hash must not travel.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    word = "AnnularWord((1, 1), (Cross(1, True),), (('eta', 1),))"
+    head = f"import pickle, sys; from coverlink.diagram import *; w = {word}; "
+    dump = head + "hash(w); sys.stdout.buffer.write(pickle.dumps(w))"
+    load = head + (
+        "w2 = pickle.loads(sys.stdin.buffer.read()); analyze(w); "
+        "print(w2 == w, hash(w2) == hash(w), w2 in {w}, analyze(w2) is analyze(w))"
+    )
+
+    def run(script: str, seed: str, stdin: bytes | None = None) -> bytes:
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        command = [sys.executable, "-c", script]
+        return subprocess.run(
+            command, input=stdin, env=env, capture_output=True, check=True, timeout=60
+        ).stdout
+
+    assert run(load, "2", run(dump, "1")) == b"True True True True\n"
 
 
 def test_events_are_slotted_values():

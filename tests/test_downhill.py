@@ -4,7 +4,7 @@ import hashlib
 import random
 
 import pytest
-from oracles import backward_curve, greedy_strand_heights
+from oracles import backward_curve, forward_curve, greedy_strand_heights, random_event_word
 
 from coverlink import diagram, pattern
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
@@ -193,7 +193,7 @@ def test_random_annular_word_single_component_winding():
 
 
 # ---------------------------------------------------------------------------
-# The one walk, read backwards, against the predecessor walk it replaced
+# The one walk over the sweep's joins, both ways, against the curve graph it replaced
 
 
 def _flipped_and_kinked(word: AnnularWord, rng: random.Random) -> AnnularWord:
@@ -219,18 +219,28 @@ def _negated(word: AnnularWord) -> AnnularWord:
     )
 
 
-def test_reversed_walk_matches_predecessor_walk():
+def test_curve_and_its_reverse_match_the_graph_walks():
     rng = random.Random(0)
-    words = [AnnularWord((), (Cup(1, 1), Cap(1)))]  # the seamless circle
+    # Both seamless circles: the walk starts on a rightward and on a leftward cup.
+    words = [AnnularWord((), (Cup(1, 1), Cap(1))), AnnularWord((), (Cup(1, -1), Cap(1)))]
     for n in range(2, 25):
-        for seed in range(20):
+        for seed in range(60):
             word = random_annular_word(n, seed)
             kinked = _flipped_and_kinked(word, rng)
             words += [word, kinked, _negated(word), _negated(kinked)]
-    assert any(isinstance(ev, Kink) for w in words for ev in w.events)
-    assert any(analyze(w).components[0].winding < 0 for w in words)
-    for word in words:
-        assert _reversed(_curve(word)) == backward_curve(word)
+    fuzzed = []
+    while len(fuzzed) < 1000:
+        word = random_event_word(rng)
+        if len(analyze(word).components) == 1:
+            fuzzed.append(word)
+    assert {type(ev) for w in fuzzed for ev in w.events} == {Cross, Cup, Cap, Kink}
+    assert any(len(set(w.seam_orientations)) == 2 for w in fuzzed)
+    assert any(w.seam_width == 0 and len(w.events) > 2 for w in fuzzed)
+    assert any(analyze(w).components[0].winding < 0 for w in fuzzed)
+    for word in words + fuzzed:
+        forward = _curve(word)
+        assert forward == forward_curve(word)
+        assert _reversed(forward) == backward_curve(word)
 
 
 def test_random_annular_words_and_normalize_are_pinned():
@@ -269,7 +279,7 @@ def test_strand_heights_match_the_greedy_oracle_on_random_cyclic_walks():
         straddling += dirs[0] == -dirs[-1]
         walk = []
         for i, d in enumerate(dirs):
-            walk += [_Passage(i, rng.choice(("over", "under", "turn")))] * rng.randint(0, 2)
+            walk += [_Passage(i, rng.choice(("over", "under")))] * rng.randint(0, 2)
             walk.append(_Passage(-1, "seam", d))
         walk = walk[-3:] + walk[:-3]  # start mid-arc, not just after a seam crossing
         assert _strand_heights(walk, n) == greedy_strand_heights(walk, n)
