@@ -73,7 +73,7 @@ def _check_windings(base_ana: WordAnalysis, m: int) -> None:
     for comp in base_ana.components:
         if comp.winding % m != 0:
             raise WindingNotDivisibleError(
-                base_labels.get(comp.cid, f"component {comp.cid}"), comp.winding, m
+                base_labels.get(comp.cid, str(comp.cid)), comp.winding, m
             )
 
 
@@ -123,14 +123,14 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
 
     # Carry lift names into the cover word so it serializes self-describing.
     cover_labels: list[tuple[str, int]] = []
-    for name, pos in base.labels:
-        cid = base_ana.component_of_seam(pos)
+    for cid, name in base_ana.labels().items():
         for j in range(m):
             if positions := cover_ana.components[lift_map[(cid, j)]].seam_positions:
                 cover_labels.append((f"{name}.{j}", min(positions)))
     word = AnnularWord(base.seam_orientations, word_plain.events, tuple(sorted(cover_labels)))
-    # The labelled word's analysis is the plain word's; its label map is built afresh.
-    analysis = replace(cover_ana, word=word, _labels=None)
+    # The labelled word's analysis is the plain word's, with the lifts' names.
+    names = {cover_ana.component_of_seam(pos): name for name, pos in word.labels}
+    analysis = replace(cover_ana, word=word, _labels=names)
     return CoverDiagram(base, m, word, lift_map, deck, analysis)
 
 

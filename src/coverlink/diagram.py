@@ -65,6 +65,14 @@ class UnknownComponentError(DiagramError):
     """No component with the requested id or label."""
 
 
+class _LabelClash(DiagramError):
+    """A second label names a labelled component."""
+
+    def __init__(self, name: str, first: str):
+        self.name = name
+        super().__init__(f"label {name!r} names the component labeled {first!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Cross:
     position: int
@@ -261,7 +269,7 @@ class WordAnalysis:
     _sheet_range: list[tuple[int, int]] = field(repr=False, default_factory=list)
     _tables: tuple[dict, dict] | None = field(repr=False, default=None)
     _tally: tuple[dict, dict] | None = field(repr=False, default=None)
-    _labels: dict[ComponentId, str] | None = field(repr=False, default=None)
+    _labels: dict[ComponentId, str] = field(repr=False, default_factory=dict)
 
     def component_of_segment(self, segment: int) -> ComponentId:
         return self._segment_component[segment]
@@ -272,17 +280,7 @@ class WordAnalysis:
         return self.component_of_segment(position - 1)  # segment h starts at seam position h + 1
 
     def labels(self) -> dict[ComponentId, str]:
-        """Each labelled component's name; a component takes one label.
-
-        Built on the first call and shared by every caller of this analysis.
-        """
-        if self._labels is None:
-            out: dict[ComponentId, str] = {}
-            for name, pos in self.word.labels:
-                first = out.setdefault(self.component_of_seam(pos), name)
-                if first != name:
-                    raise DiagramError(f"label {name!r} names the component labeled {first!r}")
-            self._labels = out
+        """Each labelled component's name, shared by every caller of this analysis."""
         return self._labels
 
     def component_by_name(self, name: str) -> ComponentId:
@@ -394,7 +392,8 @@ def analyze(word: AnnularWord) -> WordAnalysis:
     Sheets are measured along the cycle less its re-gluing at its highest
     seam position, so the segments walked after that one take the walk's
     total, the period, off their sheet. A component off the seam lies in
-    sheet 0.
+    sheet 0. Each label names the component through its seam strand, and a
+    component takes at most one label.
     """
     sweep = _sweep(word)
     starts, ends, seam_ends = sweep.starts, sweep.ends, sweep.seam_ends
@@ -440,7 +439,14 @@ def analyze(word: AnnularWord) -> WordAnalysis:
         components.append(Component(cid, seam, winding, len(seam)))
         sheets = [seg_sheet[p - 1] for p in seam]
         sheet_range.append((min(sheets, default=0), max(sheets, default=-1) + 1))
-    return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet, sheet_range)
+    labels: dict[ComponentId, str] = {}
+    for name, pos in word.labels:
+        first = labels.setdefault(seg_component[pos - 1], name)
+        if first != name:
+            raise _LabelClash(name, first)
+    return WordAnalysis(
+        word, tuple(components), sweep, seg_component, seg_sheet, sheet_range, _labels=labels
+    )
 
 
 def components(word: AnnularWord) -> tuple[Component, ...]:
@@ -591,12 +597,8 @@ def parse(text: str) -> AnnularWord:
     if seam is None:
         raise DiagramSyntaxError("missing seam line", 1)
     word = AnnularWord(seam, tuple(events), tuple((k, pos) for k, (pos, _) in labels.items()))
-    ana = analyze(word)  # type-check: strand counts, seam re-gluing, cap orientations
-    named: dict[ComponentId, str] = {}
-    for name, (pos, lineno) in labels.items():  # at most one label per component
-        first = named.setdefault(ana.component_of_seam(pos), name)
-        if first != name:
-            raise DiagramSyntaxError(
-                f"label {name!r} names the component labeled {first!r}", lineno, 2
-            )
+    try:  # type-check: strand counts, seam re-gluing, cap orientations, one label per component
+        analyze(word)
+    except _LabelClash as exc:
+        raise DiagramSyntaxError(str(exc), labels[exc.name][1], 2) from None
     return word

@@ -19,8 +19,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
-from .pattern import ClaspPresentation, ClaspSpec, _Assembler, _Strand, cable_template
+from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
+from .pattern import _CROSSES, ClaspPresentation, ClaspSpec, _cross_table, cable_template
 
 
 class MultiComponentError(Exception):
@@ -267,20 +267,75 @@ def normalize(word: AnnularWord) -> NormalizeResult:
     return NormalizeResult(presentation, orientation, tuple(changes), downhill_word)
 
 
+class _Strand:
+    __slots__ = ("orient", "pos")
+
+    def __init__(self, orient: int):
+        self.orient = orient
+        self.pos = -1  # index in the assembler's stack while the strand is on it
+
+
+class _Assembler:
+    """The seam stack of a word under construction, and the events so far.
+
+    Every strand on the stack knows its own index (``pos``), so finding one
+    is O(1): a crossing patches the two strands it swaps, and a cap or a cup
+    renumbers the stack from the changed index up. Crossings come from the
+    compiler's shared table.
+    """
+
+    def __init__(self, stack: list[_Strand]):
+        self.stack = stack
+        self.events: list[Event] = []
+        self._renumber(0)
+
+    def _renumber(self, start: int) -> None:
+        _cross_table(len(self.stack))
+        for i in range(start, len(self.stack)):
+            self.stack[i].pos = i
+
+    def cross_up(self, s: _Strand, s_over: bool) -> None:
+        """Cross s with the strand directly above it."""
+        i = s.pos
+        other = self.stack[i + 1]
+        self.events.append(_CROSSES[not s_over][i + 1])
+        self.stack[i], self.stack[i + 1] = other, s
+        other.pos, s.pos = i, i + 1
+
+    def cross_down(self, s: _Strand, s_over: bool) -> None:
+        i = s.pos
+        other = self.stack[i - 1]
+        self.events.append(_CROSSES[s_over][i])
+        self.stack[i - 1], self.stack[i] = s, other
+        s.pos, other.pos = i - 1, i
+
+    def cap(self, lower: _Strand) -> None:
+        i = lower.pos
+        self.events.append(Cap(i + 1))
+        del self.stack[i : i + 2]
+        self._renumber(i)
+
+    def cup(self, at: int, lower: _Strand, upper: _Strand) -> None:
+        self.events.append(Cup(at + 1, lower.orient))
+        self.stack[at:at] = [lower, upper]
+        self._renumber(at)
+
+
 def random_annular_word(n: int, seed: int) -> AnnularWord:
     """Deterministic single-component word of winding n, wrapping n, n+2 or n+4.
 
     Starts from the cable skeleton and splices in up to two seam fingers
     (a strand diverted backwards through the seam and re-joined, raising the
     wrapping by two and creating returning arcs), with random over/under
-    flags everywhere and random extra crossing pairs.
+    flags everywhere and random extra crossing pairs. Each strand moves one
+    crossing at a time on an :class:`_Assembler` stack.
     """
     rng = random.Random(("annular", n, seed).__repr__())
     fingers = rng.randint(0, 2)
-    seam_order = [_Strand("eta", 1) for _ in range(n)]
+    seam_order = [_Strand(1) for _ in range(n)]
     finger_pairs = []
     for _ in range(fingers):
-        t_in, t_out = _Strand("clasp", 1), _Strand("clasp", -1)
+        t_in, t_out = _Strand(1), _Strand(-1)
         gap = rng.randint(0, len(seam_order))
         seam_order[gap:gap] = [t_in, t_out]
         finger_pairs.append((t_in, t_out))
@@ -320,7 +375,7 @@ def random_annular_word(n: int, seed: int) -> AnnularWord:
 
     # Re-birth the finger pairs at their seam heights, bottom-up.
     for at in sorted(seam_order.index(t_in) for t_in, _ in finger_pairs):
-        asm.cup(at, _Strand("clasp", 1), _Strand("clasp", -1))
+        asm.cup(at, _Strand(1), _Strand(-1))
 
     word = AnnularWord(
         tuple(s.orient for s in seam_order), tuple(asm.events), (("pattern", 1),)

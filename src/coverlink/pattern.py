@@ -100,163 +100,87 @@ class ClaspPresentation:
                     raise GapOutOfRangeError(f"gap {g} outside 0..{self.n}")
 
 
-class _Strand:
-    __slots__ = ("kind", "clasp", "orient", "pos")
-
-    def __init__(self, kind: str, orient: int, clasp: int = -1):
-        self.kind = kind  # "eta" | "clasp"
-        self.clasp = clasp
-        self.orient = orient
-        self.pos = -1  # index in the assembler's stack while the strand is on it
+# The one crossing table every compile and the normalizer's random words share:
+# ``_CROSSES[upper_over][p]`` is ``Cross(p, upper_over)``, so a run of crossings is a
+# slice or a comprehension of shared events. Index 0 is never emitted. Events are
+# immutable values: sharing them changes no word or hash.
+_CROSSES: tuple[list[Cross], list[Cross]] = ([], [])
 
 
-# Every compile takes its crossings from this one table, keyed by (position,
-# upper_over); it holds at most two per stack position ever compiled. A cable's
-# braid crossings sit at distinct positions, so only a shared table saves
-# anything. Events are immutable values: sharing them changes no word or hash.
-_CROSSES: dict[tuple[int, bool], Cross] = {}
-
-
-class _Assembler:
-    """The seam stack of a word under construction, and the events so far.
-
-    Every strand on the stack knows its own index (``pos``), so finding one
-    is O(1): a crossing patches the two strands it swaps, and a cap or a cup
-    (one of each per clasp) renumbers the stack from the changed index up.
-    Compiling a word therefore costs O(events) plus O(stack) per clasp.
-    """
-
-    def __init__(self, stack: list[_Strand]):
-        self.stack = stack
-        self.events: list[Event] = []
-        self._renumber(0)
-
-    def _renumber(self, start: int) -> None:
-        for i in range(start, len(self.stack)):
-            self.stack[i].pos = i
-
-    def cross_up(self, s: _Strand, s_over: bool) -> None:
-        """Cross s with the strand directly above it."""
-        i = s.pos
-        other = self.stack[i + 1]
-        key = (i + 1, not s_over)
-        self.events.append(_CROSSES.get(key) or _CROSSES.setdefault(key, Cross(*key)))
-        self.stack[i], self.stack[i + 1] = other, s
-        other.pos, s.pos = i, i + 1
-
-    def cross_down(self, s: _Strand, s_over: bool) -> None:
-        i = s.pos
-        other = self.stack[i - 1]
-        key = (i, s_over)
-        self.events.append(_CROSSES.get(key) or _CROSSES.setdefault(key, Cross(*key)))
-        self.stack[i - 1], self.stack[i] = s, other
-        s.pos, other.pos = i - 1, i
-
-    def cap(self, lower: _Strand) -> None:
-        i = lower.pos
-        self.events.append(Cap(i + 1))
-        del self.stack[i : i + 2]
-        self._renumber(i)
-
-    def cup(self, at: int, lower: _Strand, upper: _Strand) -> None:
-        self.events.append(Cup(at + 1, lower.orient))
-        self.stack[at:at] = [lower, upper]
-        self._renumber(at)
-
-    def kink(self, s: _Strand, sign: int) -> None:
-        self.events.append(Kink(s.pos + 1, sign))
-
-
-def _weave(asm: _Assembler, s: _Strand, target: int, flags: str, clasp: int) -> int:
-    """Cross s one strand at a time until it sits at index target.
-
-    A cable strand is crossed over or under as the next of ``flags`` says;
-    another gadget's strand is crossed over only if that gadget came earlier.
-    Returns how many flags were used.
-    """
-    used = 0
-    up = target > s.pos
-    while s.pos != target:
-        neighbor = asm.stack[s.pos + (1 if up else -1)]
-        if neighbor.kind == "eta":
-            over = flags[used] == "o"
-            used += 1
-        else:
-            assert neighbor.clasp != clasp
-            over = neighbor.clasp < clasp  # transit: over earlier gadgets only
-        (asm.cross_up if up else asm.cross_down)(s, over)
-    return used
+def _cross_table(width: int) -> tuple[list[Cross], list[Cross]]:
+    """The shared crossing table, grown to hold every gap of a ``width``-strand stack."""
+    for upper_over, row in enumerate(_CROSSES):
+        row.extend(Cross(p, bool(upper_over)) for p in range(len(row), width))
+    return _CROSSES
 
 
 def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
+    """Emit a presentation's word from its seam layout alone.
+
+    The seam layout, bottom to top, is the gap-0 gadget strands, cable level
+    1, the gap-1 strands, ..., cable level n, the gap-n strands; within a gap
+    by clasp index, enter below exit. Each gadget section, in slot order,
+    starts and ends with every strand at its seam index. With a and b the seam
+    indices of its enter and exit strands, it is a kink at a + 1; the weave-in
+    run, where the enter strand crosses each strand strictly between a and b
+    in turn; a cap and a cup at b (a < b) or b + 1 (a > b), which re-birth the
+    pair; and the weave-out run, the same strands crossed back in reverse
+    order. Only the weaving strand moves, so each crossing's gap is read off
+    the crossed strand's seam index. The strands crossed are the d =
+    |gap_exit - gap_enter| cable strands between the two gaps and the parked
+    strands of other gadgets: each run takes d weave flags in turn, and a
+    parked strand is crossed over only if its gadget has a smaller index.
+
+    The braid section then shifts the bottom cable strand to the top. At a
+    level with the shifting strand at index pos and g parked gadget strands
+    above it, the shifting strand crosses over those and the next cable strand
+    (gaps pos + 1 ... pos + g + 1), and that cable strand steps down over the
+    parked strands (gaps pos + g ... pos + 1).
+    """
     if n < 1:
         raise PatternError(f"cable winding must be at least 1, got {n}")
-    # Seam stack, bottom to top: gap-0 strands, cable level 1, gap-1 strands,
-    # ..., cable level n, gap-n strands. Within a gap: by clasp index, enter
-    # below exit, which is the order the gaps are filled in.
-    gap_members: list[list[_Strand]] = [[] for _ in range(n + 1)]
-    enters: list[_Strand] = []
-    exits: list[_Strand] = []
+    gaps: list[list[int]] = [[] for _ in range(n + 1)]  # 2i: enter of clasp i, 2i + 1: its exit
     for i, c in enumerate(clasps):
-        e = _Strand("clasp", c.clasp_sign, clasp=i)
-        x = _Strand("clasp", -c.clasp_sign, clasp=i)
-        enters.append(e)
-        exits.append(x)
-        gap_members[c.gap_enter].append(e)
-        gap_members[c.gap_exit].append(x)
-    etas = [_Strand("eta", 1) for _ in range(n)]
-    seam_order: list[_Strand] = []
-    for g in range(n + 1):
+        gaps[c.gap_enter].append(2 * i)
+        gaps[c.gap_exit].append(2 * i + 1)
+    owner: list[int] = []  # the clasp of each seam strand, -1 for a cable strand
+    orientations: list[int] = []
+    seat = [0] * (2 * len(clasps))  # each gadget strand's seam index
+    for g, members in enumerate(gaps):
         if g > 0:
-            seam_order.append(etas[g - 1])
-        seam_order += gap_members[g]
-    asm = _Assembler(list(seam_order))
-    home = {s: i for i, s in enumerate(seam_order)}
-    labels = [("eta", home[etas[0]] + 1)]
-    labels += [(f"L{i + 1}", home[e] + 1) for i, e in enumerate(enters)]
-
+            owner.append(-1)
+            orientations.append(1)
+        for s in members:
+            sign = clasps[s >> 1].clasp_sign
+            seat[s] = len(owner)
+            owner.append(s >> 1)
+            orientations.append(-sign if s & 1 else sign)
+    crosses = _cross_table(len(owner))
+    events: list[Event] = []
     for i in sorted(range(len(clasps)), key=lambda i: (clasps[i].slot, i)):
         c = clasps[i]
-        e, x = enters[i], exits[i]
-        asm.kink(e, c.framing)
-        d = abs(c.gap_exit - c.gap_enter)
-        flags_in, flags_out = c.weave[:d], c.weave[d:]
-        # x keeps its index while e weaves in to sit next to it.
-        xi = x.pos
-        used = _weave(asm, e, xi - 1 if xi > e.pos else xi + 1, flags_in, i)
-        assert used == d, "weave must cross each intermediate cable strand once"
-        ascending = e.pos < x.pos
-        lower = e if ascending else x
-        at = lower.pos
-        asm.cap(lower)
-        e2 = _Strand("clasp", c.clasp_sign, clasp=i)
-        x2 = _Strand("clasp", -c.clasp_sign, clasp=i)
-        asm.cup(at, e2 if ascending else x2, x2 if ascending else e2)
-        used = _weave(asm, e2, home[e], flags_out, i)
-        assert used == d
-        # The reborn pair now sits exactly where the seam expects it.
-        home[e2], home[x2] = home.pop(e), home.pop(x)
-
-    # Braid section: the bottom cable strand shifts over everything to the
-    # top; every other cable strand steps down one level, re-crossing over the
-    # parked gadget strands of the gap it lands above.
-    mover = etas[0]
-    for l in range(1, n):
-        passed = 0
-        while True:
-            above = asm.stack[mover.pos + 1]
-            if above.kind == "eta":
-                break
-            asm.cross_up(mover, True)  # cable over gadget
-            passed += 1
-        descending = asm.stack[mover.pos + 1]
-        asm.cross_up(mover, True)  # positive cable crossing: shifting strand over
-        for _ in range(passed):
-            asm.cross_down(descending, True)  # cable over gadget
-
-    orientations = tuple(s.orient for s in seam_order)
-    word = AnnularWord(orientations, tuple(asm.events), tuple(labels))
-    analyze(word)  # structural self-check; raises on assembler bugs
+        a, b = seat[2 * i], seat[2 * i + 1]
+        up = a < b  # the weaving strand is the lower of each pair on the way in iff up
+        shift = 0 if up else 1  # crossing strand s takes gap s going up, s + 1 going down
+        run = range(a + 1, b) if up else range(a - 1, b, -1)
+        flags = iter(c.weave)
+        overs_in = [next(flags) == "o" if owner[s] < 0 else owner[s] < i for s in run]
+        overs_out = [next(flags) == "o" if owner[s] < 0 else owner[s] < i for s in reversed(run)]
+        events.append(Kink(a + 1, c.framing))
+        # The upper strand is over when the weaving strand goes over from above or under from below.
+        events += [crosses[o != up][s + shift] for s, o in zip(run, overs_in)]
+        # The lower newborn is the enter strand going up, the exit strand going down.
+        events += (Cap(b + shift), Cup(b + shift, c.clasp_sign if up else -c.clasp_sign))
+        events += [crosses[o == up][s + shift] for s, o in zip(reversed(run), overs_out)]
+    pos = len(gaps[0])
+    for g in map(len, gaps[1:n]):
+        events += crosses[False][pos + 1 : pos + g + 2]  # the lower strand over
+        events += crosses[True][pos + g : pos : -1]  # the upper strand over
+        pos += g + 1
+    labels = [("eta", len(gaps[0]) + 1)]
+    labels += [(f"L{i + 1}", seat[2 * i] + 1) for i in range(len(clasps))]
+    word = AnnularWord(tuple(orientations), tuple(events), tuple(labels))
+    analyze(word)  # structural self-check; raises on compiler bugs
     return word
 
 

@@ -28,10 +28,10 @@ from coverlink.diagram import (
     analyze,
     crossing_sign,
 )
-from coverlink.downhill import _Passage
+from coverlink.downhill import _Passage, _Strand
 from coverlink.linalg import IntMatrix, NonSquareError
 from coverlink.obstruct import AggregateReport, report_to_dict
-from coverlink.pattern import ClaspPresentation
+from coverlink.pattern import ClaspPresentation, ClaspSpec
 
 
 class NotBlockCirculantError(ValueError):
@@ -269,7 +269,10 @@ def union_find_analyze(word: AnnularWord) -> WordAnalysis:
         components.append(Component(cid, seam, winding, len(seam)))
         sheets = [seg_sheet[sweep.seam_segments[p - 1]] for p in seam]
         sheet_range.append((min(sheets, default=0), max(sheets, default=-1) + 1))
-    return WordAnalysis(word, tuple(components), sweep, seg_component, seg_sheet, sheet_range)
+    labels = {seg_component[sweep.seam_segments[pos - 1]]: name for name, pos in word.labels}
+    return WordAnalysis(
+        word, tuple(components), sweep, seg_component, seg_sheet, sheet_range, _labels=labels
+    )
 
 
 def snapshot_lift_map(base: AnnularWord, m: int) -> CoverDiagram:
@@ -315,7 +318,9 @@ def snapshot_lift_map(base: AnnularWord, m: int) -> CoverDiagram:
             if positions := cover_ana.components[lift_map[(cid, j)]].seam_positions:
                 labels.append((f"{name}.{j}", min(positions)))
     word = AnnularWord(base.seam_orientations, plain.events, tuple(sorted(labels)))
-    return CoverDiagram(base, m, word, lift_map, deck, dataclasses.replace(cover_ana, word=word))
+    names = {cover_ana.component_of_seam(pos): name for name, pos in word.labels}
+    analysis = dataclasses.replace(cover_ana, word=word, _labels=names)
+    return CoverDiagram(base, m, word, lift_map, deck, analysis)
 
 
 def twist_surgery_pairs(word: AnnularWord, rng: random.Random, count: int) -> AnnularWord:
@@ -666,10 +671,23 @@ def clasp_calculus(
     ``lk_k = n/m - sum_c f_c * sum_b r_c[b] * r_c[(b + k) mod m]``: the
     cable's own n/m minus each clasp's cyclic autocorrelation.
 
-    At m = 2 a valid row is (a_c, -a_c), so the one linking is
-    n/2 + 2 * sum_c f_c * a_c**2. For n = 2 mod 4 that is odd, hence nonzero,
-    and eta's order 1 is odd: the m = 2 report is Obstructed, which is half
-    of the paper's mod-8 theorem.
+    At m = 2 a valid row is (s_c, -s_c), so the one linking is
+    lk2 = n/2 + 2 * sum_c f_c * s_c**2. For n = 2 mod 4 that is odd, hence
+    nonzero, and eta's order 1 is odd: the m = 2 report is Obstructed, which
+    is half of the paper's mod-8 theorem.
+
+    At m = 4 write a valid row as (a_c, b_c, c_c, d_c). The m = 2 row is its
+    fold, s_c = a_c + c_c, and b_c + d_c = -s_c. The autocorrelation at lags
+    1 and 3 is (a_c + c_c)(b_c + d_c) = -s_c**2 and at lag 2 it is
+    2 * (a_c * c_c + b_c * d_c), so
+
+    * lk4_1 = lk4_3 = n/4 + sum_c f_c * s_c**2 = lk2 / 2, and
+    * lk4_2 = n/4 - 2 * sum_c f_c * (a_c * c_c + b_c * d_c).
+
+    For n = 4 mod 8, lk2 = 0 leaves the m = 2 report Inconclusive, but then
+    the m = 4 vector is (0, odd, 0), whose one nonzero entry is odd: the
+    m = 4 report is Obstructed. Either way m = 2 or m = 4 obstructs, which is
+    the other half of the theorem.
     """
     rows = []
     for c in p.clasps:
@@ -696,3 +714,108 @@ def clasp_calculus(
         for k in range(1, m)
     )
     return rows, linkings
+
+
+class _GadgetStrand(_Strand):
+    """A strand that also knows its kind ("eta" or "clasp") and its gadget's index."""
+
+    __slots__ = ("kind", "clasp")
+
+    def __init__(self, kind: str, orient: int, clasp: int = -1):
+        super().__init__(orient)
+        self.kind = kind
+        self.clasp = clasp
+
+
+def _weave(asm, s: _GadgetStrand, target: int, flags: str, clasp: int) -> int:
+    """Cross s one strand at a time until it sits at index target.
+
+    A cable strand is crossed over or under as the next of ``flags`` says;
+    another gadget's strand is crossed over only if that gadget came earlier.
+    Returns how many flags were used.
+    """
+    used = 0
+    up = target > s.pos
+    while s.pos != target:
+        neighbor = asm.stack[s.pos + (1 if up else -1)]
+        if neighbor.kind == "eta":
+            over = flags[used] == "o"
+            used += 1
+        else:
+            assert neighbor.clasp != clasp
+            over = neighbor.clasp < clasp  # transit: over earlier gadgets only
+        (asm.cross_up if up else asm.cross_down)(s, over)
+    return used
+
+
+def stepwise_compile(n: int, clasps: tuple[ClaspSpec, ...], assembler) -> AnnularWord:
+    """The compiler that moves a strand stack one crossing at a time (the oracle of ``compile``).
+
+    ``assembler`` is a class with the interface of ``downhill._Assembler``.
+    Each gadget's enter strand weaves to its exit strand, the pair is capped
+    and re-born as two new strands, and the new enter strand weaves back to
+    the seam index of the old one; the braid section walks the bottom cable
+    strand up the stack.
+    """
+    # Seam stack, bottom to top: gap-0 strands, cable level 1, gap-1 strands,
+    # ..., cable level n, gap-n strands. Within a gap: by clasp index, enter
+    # below exit, which is the order the gaps are filled in.
+    gap_members: list[list[_GadgetStrand]] = [[] for _ in range(n + 1)]
+    enters: list[_GadgetStrand] = []
+    exits: list[_GadgetStrand] = []
+    for i, c in enumerate(clasps):
+        e = _GadgetStrand("clasp", c.clasp_sign, clasp=i)
+        x = _GadgetStrand("clasp", -c.clasp_sign, clasp=i)
+        enters.append(e)
+        exits.append(x)
+        gap_members[c.gap_enter].append(e)
+        gap_members[c.gap_exit].append(x)
+    etas = [_GadgetStrand("eta", 1) for _ in range(n)]
+    seam_order: list[_GadgetStrand] = []
+    for g in range(n + 1):
+        if g > 0:
+            seam_order.append(etas[g - 1])
+        seam_order += gap_members[g]
+    asm = assembler(list(seam_order))
+    home = {s: i for i, s in enumerate(seam_order)}
+    labels = [("eta", home[etas[0]] + 1)]
+    labels += [(f"L{i + 1}", home[e] + 1) for i, e in enumerate(enters)]
+
+    for i in sorted(range(len(clasps)), key=lambda i: (clasps[i].slot, i)):
+        c = clasps[i]
+        e, x = enters[i], exits[i]
+        asm.events.append(Kink(e.pos + 1, c.framing))
+        d = abs(c.gap_exit - c.gap_enter)
+        flags_in, flags_out = c.weave[:d], c.weave[d:]
+        # x keeps its index while e weaves in to sit next to it.
+        xi = x.pos
+        used = _weave(asm, e, xi - 1 if xi > e.pos else xi + 1, flags_in, i)
+        assert used == d, "weave must cross each intermediate cable strand once"
+        ascending = e.pos < x.pos
+        lower = e if ascending else x
+        at = lower.pos
+        asm.cap(lower)
+        e2 = _GadgetStrand("clasp", c.clasp_sign, clasp=i)
+        x2 = _GadgetStrand("clasp", -c.clasp_sign, clasp=i)
+        asm.cup(at, e2 if ascending else x2, x2 if ascending else e2)
+        used = _weave(asm, e2, home[e], flags_out, i)
+        assert used == d
+        # The reborn pair now sits exactly where the seam expects it.
+        home[e2], home[x2] = home.pop(e), home.pop(x)
+
+    # Braid section: the bottom cable strand shifts over everything to the
+    # top; every other cable strand steps down one level, re-crossing over the
+    # parked gadget strands of the gap it lands above.
+    mover = etas[0]
+    for _ in range(1, n):
+        passed = 0
+        while asm.stack[mover.pos + 1].kind != "eta":
+            asm.cross_up(mover, True)  # cable over gadget
+            passed += 1
+        descending = asm.stack[mover.pos + 1]
+        asm.cross_up(mover, True)  # positive cable crossing: shifting strand over
+        for _ in range(passed):
+            asm.cross_down(descending, True)  # cable over gadget
+
+    orientations = tuple(s.orient for s in seam_order)
+    return AnnularWord(orientations, tuple(asm.events), tuple(labels))

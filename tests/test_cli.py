@@ -102,6 +102,17 @@ def test_cover_of_word_with_seam_free_component(tmp_path, capsys):
     assert "# lift eta.0 component 0" in out and "# lift component1.0 component 1" in out
 
 
+def test_cover_names_an_unlabelled_component_once_when_its_winding_does_not_divide(
+    tmp_path, capsys
+):
+    f = tmp_path / "winding1.annular"
+    f.write_text("annular v1\nseam 4 ++++\nlabel eta seam 1\nx 1 over\n")
+    assert main(["cover", str(f), "--m", "2"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: component 1 has winding 1, not divisible by m=2; "
+    )
+
+
 def test_cover_names_a_label_above_its_lowest_seam_strand(tmp_path, capsys):
     f = tmp_path / "winding2.annular"
     f.write_text("annular v1\nseam 2 ++\nlabel eta seam 2\nx 1 over\n")
@@ -282,13 +293,14 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+SELFTEST_SHA256 = "4b082b8a30f6c11fea5796a9207918b968254fb39464ebc8e5fd6403dc961ea5"
+
+
 def test_selftest_stdout_sha256(capsys, monkeypatch):
     # Every check's name and order and the summary line at the default seed, pinned.
     monkeypatch.delenv("HEDDEN_SEED", raising=False)
     assert main(["selftest"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-        "4b082b8a30f6c11fea5796a9207918b968254fb39464ebc8e5fd6403dc961ea5"
-    )
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SELFTEST_SHA256
 
 
 def test_selftest_seed_env_override(capsys, monkeypatch):

@@ -40,7 +40,7 @@ from coverlink.diagram import (
     winding,
     wrapping,
 )
-from coverlink.downhill import normalize, random_annular_word
+from coverlink.downhill import force_downhill, normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
 from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
 from coverlink.pattern import compile as compile_presentation
@@ -130,12 +130,13 @@ def test_analyze_builds_no_union_find():
 
 def test_two_labels_on_one_component_raise_naming_both():
     # The winding-2 cable is one component through both seam strands.
+    # analyze rejects the word, so nothing downstream accepts a word that parse would refuse.
     word = AnnularWord((1, 1), (Cross(1, True),), (("eta", 1), ("L1", 2)))
-    ana = analyze(word)
-    with pytest.raises(DiagramError, match="label 'L1' names the component labeled 'eta'"):
-        ana.labels()
-    with pytest.raises(DiagramError, match="'L1'.*'eta'"):
-        validate(word)
+    for reader in (analyze, validate, force_downhill, normalize):
+        with pytest.raises(DiagramError, match="^label 'L1' names the component labeled 'eta'$"):
+            reader(word)
+    with pytest.raises(DiagramSyntaxError, match="^line 4, col 2: label 'L1' names the component"):
+        parse(serialize(word))
     ana = analyze(AnnularWord((1, 1), (Cross(1, True),), (("eta", 1),)))
     assert ana.labels() == {0: "eta"} and ana.labels() is ana.labels()
 

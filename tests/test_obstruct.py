@@ -812,6 +812,52 @@ def test_clasp_calculus_mod2_linking_is_odd_when_n_is_2_mod_4():
             assert linking.denominator == 1 and linking.numerator % 2 == 1
 
 
+def _m2_m4_closed_forms(p):
+    """lk2 and (lk4_1, lk4_2, lk4_3) from each clasp's m = 4 row (a, b, c, d), as derived in
+    the docstring of ``clasp_calculus``."""
+    rows = clasp_calculus(p, 4)[0]
+    assert all(sum(row) == 0 for row in rows)  # the presentation is valid
+    assert clasp_calculus(p, 2)[0] == [[a + c, b + d] for a, b, c, d in rows]
+    lk2 = Fraction(p.n, 2) + 2 * sum(
+        c.framing * (a + cc) ** 2 for c, (a, _, cc, _) in zip(p.clasps, rows)
+    )
+    lk4_2 = Fraction(p.n, 4) - 2 * sum(
+        c.framing * (a * cc + b * d) for c, (a, b, cc, d) in zip(p.clasps, rows)
+    )
+    return lk2, (lk2 / 2, lk4_2, lk2 / 2)
+
+
+def test_m2_and_m4_closed_forms_match_auto_verdict():
+    for n in (4, 8, 12, 16, 20, 24):
+        for k in range(6):
+            for seed in range(4):
+                p = random_presentation(n, k, seed)
+                lk2, lk4 = _m2_m4_closed_forms(p)
+                at2, at4 = auto_verdict(p, (2, 4)).per_m
+                assert (at2.linkings, at4.linkings) == ((lk2,), lk4)
+                assert (at2.h1_order, at2.eta_order, at4.h1_order, at4.eta_order) == (1, 1, 1, 1)
+
+
+def test_n_4_mod_8_is_obstructed_at_m2_or_else_at_m4_by_0_odd_0():
+    # lk2 = 0 is the case the m = 2 report leaves open; no corpus file reaches it.
+    found = 0
+    for n in (4, 12, 20):
+        for k in range(1, 6):
+            for seed in range(100):
+                p = random_presentation(n, k, seed)
+                agg = auto_verdict(p, (2, 4))
+                assert agg.aggregate == "Obstructed"
+                lk2, lk4 = _m2_m4_closed_forms(p)
+                if lk2:
+                    continue
+                found += 1
+                assert lk4[0] == lk4[2] == 0 and lk4[1].denominator == 1 and lk4[1].numerator % 2
+                assert [r.verdict for r in agg.per_m] == ["Inconclusive", "Obstructed"]
+                assert agg.per_m[0].linkings == (0,) and agg.per_m[1].linkings == lk4
+                assert lk4 == clasp_calculus(p, 4)[1]
+    assert found == 148
+
+
 def test_reassigning_slots_leaves_the_report_unchanged():
     # Slots order the gadgets in the word, and nothing in the calculus reads them.
     rng = random.Random(0)

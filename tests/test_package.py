@@ -1,12 +1,17 @@
 """The public surface of the package."""
 
 import ast
+import hashlib
+import os
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
 import coverlink
+from test_cli import SELFTEST_SHA256
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SOURCES = sorted((PYPROJECT.parent / "src" / "coverlink").glob("*.py"))
@@ -32,3 +37,32 @@ def test_sources_parse_as_the_oldest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=floor)
+
+
+def _floor_python() -> str | None:
+    """A working Python 3.10: ``python3.10`` on the path, else a pyenv install of 3.10."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [shutil.which("python3.10")]
+    candidates += sorted(str(p) for p in pyenv.glob("versions/3.10*/bin/python"))
+    probe = "import sys; print(sys.version_info[:2] == (3, 10))"
+    for exe in filter(None, candidates):
+        try:  # a pyenv shim for a version that is not selected exits non-zero
+            done = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.stdout.strip() == "True":
+            return exe
+    return None
+
+
+def test_selftest_runs_on_the_oldest_supported_python():
+    exe = _floor_python()
+    if exe is None:
+        pytest.skip("no working Python 3.10 interpreter found")
+    env = {k: v for k, v in os.environ.items() if k != "HEDDEN_SEED"}
+    env["PYTHONPATH"] = str(PYPROJECT.parent / "src")
+    done = subprocess.run(
+        [exe, "-m", "coverlink", "selftest"], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == SELFTEST_SHA256

@@ -4,18 +4,22 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import coverlink.pattern
 from coverlink.cli import main
-from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
+from coverlink.diagram import AnnularWord, Cap, Cross, Cup, analyze
 from coverlink.diagram import serialize as serialize_word
+from coverlink.downhill import _Assembler
 from coverlink.pattern import (
     ClaspPresentation,
     ClaspSpec,
@@ -23,8 +27,6 @@ from coverlink.pattern import (
     PatternSyntaxError,
     SlotOutOfRangeError,
     WeaveLengthError,
-    _Assembler,
-    _compile_word,
     add_cancelling_pair,
     cable_template,
     compile,
@@ -35,6 +37,7 @@ from coverlink.pattern import (
     to_json,
     validate,
 )
+from oracles import stepwise_compile
 
 
 def test_cable_template_core():
@@ -91,30 +94,58 @@ def test_compile_deterministic():
 
 
 
+def _with_shuffled_slots(n, k, seed):
+    """A seeded presentation, then the same clasps with their slots shuffled."""
+    p = random_presentation(n, k, seed)
+    slots = [c.slot for c in p.clasps]
+    random.Random(f"{n}/{k}/{seed}").shuffle(slots)
+    yield p
+    yield dataclasses.replace(
+        p, clasps=tuple(dataclasses.replace(c, slot=s) for c, s in zip(p.clasps, slots))
+    )
+
+
 def _compile_sample():
     """Seeded presentations, each also with its slots shuffled, and large cables."""
     for n in range(2, 17):
         for k in range(7):
             for seed in range(5):
-                p = random_presentation(n, k, seed)
-                slots = [c.slot for c in p.clasps]
-                random.Random(f"{n}/{k}/{seed}").shuffle(slots)
-                yield p
-                yield dataclasses.replace(
-                    p, clasps=tuple(dataclasses.replace(c, slot=s) for c, s in zip(p.clasps, slots))
-                )
+                yield from _with_shuffled_slots(n, k, seed)
     for n in (64, 96, 128, 192, 256, 384, 512):
         yield ClaspPresentation(n, ())
 
 
-def test_compiled_words_are_pinned():
+_COMPILE_PIN = (1057, "97756ccfc96041a44bcb6cb4126166c607643dc9986649d7777c7ad45399b7da")
+
+
+def _compile_digest(words):
     digest = hashlib.sha256()
-    count = 0
-    for p in _compile_sample():
-        digest.update(serialize_word(compile(p)).encode())
-        count += 1
-    assert count == 1057
-    assert digest.hexdigest() == "97756ccfc96041a44bcb6cb4126166c607643dc9986649d7777c7ad45399b7da"
+    for word in words:
+        digest.update(serialize_word(word).encode())
+    return len(words), digest.hexdigest()
+
+
+def test_compiled_words_are_pinned():
+    assert _compile_digest([compile(p) for p in _compile_sample()]) == _COMPILE_PIN
+
+
+def test_compile_pin_holds_in_a_fresh_interpreter():
+    # A fresh process starts with an empty crossing table, and compiling the sample
+    # largest-first grows it to full width at once: no word depends on its growth.
+    code = (
+        "import coverlink.pattern as pat\n"
+        "from test_pattern import _compile_digest, _compile_sample\n"
+        "assert pat._CROSSES == ([], [])\n"
+        "words = [pat.compile(p) for p in reversed(list(_compile_sample()))]\n"
+        "print(*_compile_digest(words[::-1]))\n"
+    )
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(_COMPILE_PIN[0]), _COMPILE_PIN[1]]
 
 
 def test_compiles_share_their_crossings():
@@ -256,7 +287,8 @@ def test_pattern_dsl_rejects_bad_directive():
 
 
 # ---------------------------------------------------------------------------
-# The O(1) assembler against the linear-scan assembler it replaced
+# The seam-layout compiler against the stack-simulating compiler it replaced,
+# and that compiler's O(1) assembler against the linear-scan assembler
 
 
 class _ScanAssembler:
@@ -304,14 +336,13 @@ class _ScanAssembler:
         self.stack[at:at] = [lower, upper]
         self._scan()
 
-    def kink(self, s, sign):
-        self.events.append(Kink(self.idx(s) + 1, sign))
-
 
 class _CheckedAssembler(_Assembler):
     """The O(1) assembler, checking after every step that each strand's pos is its index."""
 
-    transits = 0  # crossings between two gadget strands, over all instances
+    # Crossings between two gadget strands over all instances, keyed by whether the
+    # moving strand goes over: over an earlier gadget, under a later one.
+    transits = Counter()
 
     def _check(self):
         for i, t in enumerate(self.stack):
@@ -319,13 +350,13 @@ class _CheckedAssembler(_Assembler):
 
     def cross_up(self, s, s_over):
         if s.kind == self.stack[s.pos + 1].kind == "clasp":
-            _CheckedAssembler.transits += 1
+            _CheckedAssembler.transits[s_over] += 1
         super().cross_up(s, s_over)
         self._check()
 
     def cross_down(self, s, s_over):
         if s.kind == self.stack[s.pos - 1].kind == "clasp":
-            _CheckedAssembler.transits += 1
+            _CheckedAssembler.transits[s_over] += 1
         super().cross_down(s, s_over)
         self._check()
 
@@ -337,34 +368,77 @@ class _CheckedAssembler(_Assembler):
         super().cup(at, lower, upper)
         self._check()
 
-    def kink(self, s, sign):
-        super().kink(s, sign)
-        self._check()
 
-
-def _compile_with(monkeypatch, assembler, n, clasps):
-    with monkeypatch.context() as mp:
-        mp.setattr(coverlink.pattern, "_Assembler", assembler)
-        return _compile_word(n, clasps)
-
-
-def test_assembler_matches_linear_scan_on_random_presentations(monkeypatch):
-    _CheckedAssembler.transits = 0
+def test_assembler_matches_linear_scan_on_random_presentations():
+    _CheckedAssembler.transits.clear()
     for n in range(2, 17):
         for k in range(7):
             for seed in range(3):
                 p = random_presentation(n, k, seed)
-                fast = _compile_with(monkeypatch, _CheckedAssembler, n, p.clasps)
-                assert fast == _compile_with(monkeypatch, _ScanAssembler, n, p.clasps)
+                fast = stepwise_compile(n, p.clasps, _CheckedAssembler)
+                assert fast == stepwise_compile(n, p.clasps, _ScanAssembler)
                 assert fast == compile(p)
-    assert _CheckedAssembler.transits > 0  # the sample weaves gadgets past each other
+    # The sample weaves gadgets past earlier and later ones.
+    assert _CheckedAssembler.transits[True] and _CheckedAssembler.transits[False]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 127, 512])
-def test_assembler_matches_linear_scan_on_cables(monkeypatch, n):
-    fast = _compile_with(monkeypatch, _CheckedAssembler, n, ())
-    assert fast == _compile_with(monkeypatch, _ScanAssembler, n, ())
+def test_assembler_matches_linear_scan_on_cables(n):
+    fast = stepwise_compile(n, (), _CheckedAssembler)
+    assert fast == stepwise_compile(n, (), _ScanAssembler)
     assert fast == cable_template(n)
+
+
+def _assert_compiles_like_the_oracle(p):
+    word, expected = compile(p), stepwise_compile(p.n, p.clasps, _CheckedAssembler)
+    assert len(word.events) == len(expected.events), p
+    for i, (ev, want) in enumerate(zip(word.events, expected.events)):
+        assert ev == want, (p, i)
+    assert word == expected
+
+
+def test_compile_matches_stepwise_oracle_on_pinned_sample():
+    for p in _compile_sample():
+        _assert_compiles_like_the_oracle(p)
+
+
+def test_compile_matches_stepwise_oracle_on_random_presentations():
+    for n in range(2, 25):
+        for k in range(9):
+            for seed in range(5):
+                for p in _with_shuffled_slots(n, k, seed):
+                    _assert_compiles_like_the_oracle(p)
+
+
+_HAND_BUILT = {
+    "enter-below-exit": (5, [ClaspSpec(0, 1, 4, "ouo" + "uou", 1, -1)]),
+    "enter-at-exit": (4, [ClaspSpec(0, 2, 2, "", -1, 1)]),
+    "enter-above-exit": (5, [ClaspSpec(0, 4, 1, "uou" + "ouu", -1, -1)]),
+    "shared-gap": (4, [ClaspSpec(1, 2, 3, "ou", 1, 1), ClaspSpec(0, 2, 0, "uoou", -1, -1)]),
+    # Gadgets weave past parked strands of earlier and of later gadgets.
+    "transits": (
+        3,
+        [ClaspSpec(2, 0, 3, "ouo" + "oou", 1, 1), ClaspSpec(0, 1, 2, "uo", -1, 1),
+         ClaspSpec(1, 1, 3, "ou" + "uo", 1, -1)],
+    ),
+    "transits-descending": (
+        3,
+        [ClaspSpec(0, 3, 0, "uou" + "ouo", -1, 1), ClaspSpec(1, 2, 1, "oo", 1, -1),
+         ClaspSpec(2, 3, 1, "uo" + "ou", -1, -1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_BUILT))
+def test_compile_matches_stepwise_oracle_on_hand_built_gadgets(name):
+    n, clasps = _HAND_BUILT[name]
+    _CheckedAssembler.transits.clear()
+    for ordered in (clasps, clasps[::-1]):
+        _assert_compiles_like_the_oracle(ClaspPresentation(n, tuple(ordered)))
+    if name.startswith("transits"):
+        assert _CheckedAssembler.transits[True] and _CheckedAssembler.transits[False]
+    elif len(clasps) == 1:
+        assert not _CheckedAssembler.transits
 
 
 # ---------------------------------------------------------------------------
