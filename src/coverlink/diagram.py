@@ -35,7 +35,11 @@ from operator import add
 
 
 class DiagramError(Exception):
-    """Base class for diagram-level failures."""
+    """Base class for diagram-level failures; ``event`` indexes the event at fault, if one is."""
+
+    def __init__(self, message: str, event: int | None = None):
+        self.event = event
+        super().__init__(message if event is None else f"event {event}: {message}")
 
 
 class DiagramSyntaxError(DiagramError):
@@ -99,10 +103,10 @@ class Kink:
 Event = Cross | Cup | Cap | Kink
 
 
-def _check_token(name: object, what: str) -> None:
+def _check_token(name: object, what: str, error: type[Exception] = ValueError) -> None:
     """Reject a name the text forms cannot carry: one token, and no '#', which starts a comment."""
     if not isinstance(name, str) or name.split() != [name] or "#" in name:
-        raise ValueError(f"{what} must be one token without '#', got {name!r}")
+        raise error(f"{what} must be one token without '#', got {name!r}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def _sweep(word: AnnularWord) -> _SweepResult:
             p = ev.position
             if not 1 <= p <= len(live) - 1:
                 raise StrandCountMismatch(
-                    f"event {idx}: crossing at gap {p} with {len(live)} live strands"
+                    f"crossing at gap {p} with {len(live)} live strands", idx
                 )
             lo, up = live[p - 1], live[p]
             crossings.append((lo[0], up[0], crossing_sign(lo[1], up[1], ev.upper_over), idx))
@@ -198,7 +202,7 @@ def _sweep(word: AnnularWord) -> _SweepResult:
             p = ev.position
             if not 1 <= p <= len(live) + 1:
                 raise StrandCountMismatch(
-                    f"event {idx}: cup at position {p} with {len(live)} live strands"
+                    f"cup at position {p} with {len(live)} live strands", idx
                 )
             if ev.sign not in (-1, 1):
                 raise ValueError(f"event {idx}: cup sign must be +1 or -1")
@@ -210,12 +214,12 @@ def _sweep(word: AnnularWord) -> _SweepResult:
             p = ev.position
             if not 1 <= p <= len(live) - 1:
                 raise StrandCountMismatch(
-                    f"event {idx}: cap at position {p} with {len(live)} live strands"
+                    f"cap at position {p} with {len(live)} live strands", idx
                 )
             lo, up = live[p - 1], live[p]
             if lo[1] + up[1] != 0:
                 raise OrientationMismatch(
-                    f"event {idx}: cap joins strands with orientations {lo[1]}, {up[1]}"
+                    f"cap joins strands with orientations {lo[1]}, {up[1]}", idx
                 )
             ends[lo[0]], ends[up[0]] = up[0], lo[0]
             del live[p - 1 : p + 1]
@@ -223,7 +227,7 @@ def _sweep(word: AnnularWord) -> _SweepResult:
             p = ev.position
             if not 1 <= p <= len(live):
                 raise StrandCountMismatch(
-                    f"event {idx}: kink at position {p} with {len(live)} live strands"
+                    f"kink at position {p} with {len(live)} live strands", idx
                 )
             if ev.sign not in (-1, 1):
                 raise ValueError(f"event {idx}: kink sign must be +1 or -1")
@@ -528,10 +532,13 @@ def parse(text: str) -> AnnularWord:
     """Parse the annular DSL; rejects ill-typed words with located errors.
 
     Lines are read by :func:`_lines`. A component takes at most one label.
+    A type error names the line of its event, or the seam line if it has none.
     """
     seam: tuple[int, ...] | None = None
+    seam_line = 0
     labels: dict[str, tuple[int, int]] = {}  # name -> (seam position, line number)
     events: list[Event] = []
+    event_lines: list[int] = []
     lines = _lines(text)
     lineno, line = next(lines, (1, ""))
     if line != _HEADER:
@@ -545,6 +552,7 @@ def parse(text: str) -> AnnularWord:
             if len(toks) < 2:
                 raise DiagramSyntaxError("seam needs a width", lineno)
             width = _int_token(toks[1], lineno, "seam width")
+            seam_line = lineno
             if width == 0:
                 if len(toks) > 2:
                     raise DiagramSyntaxError("seam 0 takes no orientations", lineno, 3)
@@ -594,6 +602,8 @@ def parse(text: str) -> AnnularWord:
             )
         else:
             raise DiagramSyntaxError(f"unknown directive {kind!r}", lineno)
+        if len(event_lines) < len(events):
+            event_lines.append(lineno)
     if seam is None:
         raise DiagramSyntaxError("missing seam line", 1)
     word = AnnularWord(seam, tuple(events), tuple((k, pos) for k, (pos, _) in labels.items()))
@@ -601,4 +611,7 @@ def parse(text: str) -> AnnularWord:
         analyze(word)
     except _LabelClash as exc:
         raise DiagramSyntaxError(str(exc), labels[exc.name][1], 2) from None
+    except DiagramError as exc:
+        line = seam_line if exc.event is None else event_lines[exc.event]
+        raise type(exc)(f"line {line}: {exc}") from None
     return word

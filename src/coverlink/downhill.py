@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
-from .pattern import _CROSSES, ClaspPresentation, ClaspSpec, _cross_table, cable_template
+from .pattern import ClaspPresentation, ClaspSpec, _cross_table, cable_template
 
 
 class MultiComponentError(Exception):
@@ -267,118 +267,68 @@ def normalize(word: AnnularWord) -> NormalizeResult:
     return NormalizeResult(presentation, orientation, tuple(changes), downhill_word)
 
 
-class _Strand:
-    __slots__ = ("orient", "pos")
-
-    def __init__(self, orient: int):
-        self.orient = orient
-        self.pos = -1  # index in the assembler's stack while the strand is on it
-
-
-class _Assembler:
-    """The seam stack of a word under construction, and the events so far.
-
-    Every strand on the stack knows its own index (``pos``), so finding one
-    is O(1): a crossing patches the two strands it swaps, and a cap or a cup
-    renumbers the stack from the changed index up. Crossings come from the
-    compiler's shared table.
-    """
-
-    def __init__(self, stack: list[_Strand]):
-        self.stack = stack
-        self.events: list[Event] = []
-        self._renumber(0)
-
-    def _renumber(self, start: int) -> None:
-        _cross_table(len(self.stack))
-        for i in range(start, len(self.stack)):
-            self.stack[i].pos = i
-
-    def cross_up(self, s: _Strand, s_over: bool) -> None:
-        """Cross s with the strand directly above it."""
-        i = s.pos
-        other = self.stack[i + 1]
-        self.events.append(_CROSSES[not s_over][i + 1])
-        self.stack[i], self.stack[i + 1] = other, s
-        other.pos, s.pos = i, i + 1
-
-    def cross_down(self, s: _Strand, s_over: bool) -> None:
-        i = s.pos
-        other = self.stack[i - 1]
-        self.events.append(_CROSSES[s_over][i])
-        self.stack[i - 1], self.stack[i] = s, other
-        s.pos, other.pos = i - 1, i
-
-    def cap(self, lower: _Strand) -> None:
-        i = lower.pos
-        self.events.append(Cap(i + 1))
-        del self.stack[i : i + 2]
-        self._renumber(i)
-
-    def cup(self, at: int, lower: _Strand, upper: _Strand) -> None:
-        self.events.append(Cup(at + 1, lower.orient))
-        self.stack[at:at] = [lower, upper]
-        self._renumber(at)
-
-
 def random_annular_word(n: int, seed: int) -> AnnularWord:
     """Deterministic single-component word of winding n, wrapping n, n+2 or n+4.
 
     Starts from the cable skeleton and splices in up to two seam fingers
     (a strand diverted backwards through the seam and re-joined, raising the
     wrapping by two and creating returning arcs), with random over/under
-    flags everywhere and random extra crossing pairs. Each strand moves one
-    crossing at a time on an :class:`_Assembler` stack.
+    flags everywhere and random extra crossing pairs (none when n is 1). The
+    stack lists strand ids bottom to top: ids below n are cable strands, and
+    each finger adds an inward (+1) and an outward (-1) strand. A strand
+    moves one crossing at a time, swapping places with its neighbour.
     """
+    if n < 1:
+        raise ValueError(f"winding must be at least 1, got {n}")
     rng = random.Random(("annular", n, seed).__repr__())
     fingers = rng.randint(0, 2)
-    seam_order = [_Strand(1) for _ in range(n)]
-    finger_pairs = []
-    for _ in range(fingers):
-        t_in, t_out = _Strand(1), _Strand(-1)
+    finger_pairs = [(f, f + 1) for f in range(n, n + 2 * fingers, 2)]
+    seam_order = list(range(n))
+    for pair in finger_pairs:
         gap = rng.randint(0, len(seam_order))
-        seam_order[gap:gap] = [t_in, t_out]
-        finger_pairs.append((t_in, t_out))
-    asm = _Assembler(list(seam_order))
+        seam_order[gap:gap] = pair
+    outward = {t_out for _, t_out in finger_pairs}
+    stack = list(seam_order)
+    crosses = _cross_table(len(stack))
+    events: list[Event] = []
 
-    def move_to(s: _Strand, target: int) -> None:
+    def move_to(s: int, target: int) -> None:
         """Cross s one strand at a time to index target; the upper strand is over at random."""
-        while s.pos != target:
-            upper_over = rng.random() < 0.5
-            if target > s.pos:
-                asm.cross_up(s, not upper_over)
-            else:
-                asm.cross_down(s, upper_over)
+        i = stack.index(s)
+        while i != target:
+            k = i + 1 if target > i else i - 1  # s swaps with the strand at index k
+            events.append(crosses[rng.random() < 0.5][max(i, k)])
+            stack[i], stack[k] = stack[k], s
+            i = k
 
     home = {s: i for i, s in enumerate(seam_order)}
-    pending = {s for pair in finger_pairs for s in pair}
     for t_in, t_out in finger_pairs:
-        pending -= {t_in, t_out}
-        victim = rng.choice(
-            [s for s in asm.stack if s.orient == 1 and s not in pending and s is not t_in]
-        )
+        # The ids below t_in left on the stack: cable strands and earlier splice strands.
+        victim = rng.choice([s for s in stack if s < t_in])
         # t_out keeps its index while the victim moves in next to it.
-        move_to(victim, t_out.pos - 1 if t_out.pos > victim.pos else t_out.pos + 1)
-        asm.cap(victim if victim.pos < t_out.pos else t_out)
+        at = stack.index(t_out)
+        move_to(victim, at - 1 if at > stack.index(victim) else at + 1)
+        lower = min(at, stack.index(victim))
+        events.append(Cap(lower + 1))
+        del stack[lower : lower + 2]
         home[t_in] = home.pop(victim)
         home.pop(t_out)
         # The splice strand takes over the victim's slot in seam order.
-        move_to(t_in, sum(1 for s in asm.stack if s is not t_in and home[s] < home[t_in]))
+        move_to(t_in, sum(1 for s in stack if s != t_in and home[s] < home[t_in]))
 
     # One-shift braid with random flags, finger-free stack of n strands.
-    move_to(asm.stack[0], n - 1)
+    move_to(stack[0], n - 1)
     # Random extra crossing pairs keep the permutation but add crossings.
-    for _ in range(rng.randint(0, 4)):
-        s = asm.stack[rng.randint(0, n - 2)]
-        move_to(s, s.pos + 1)
-        move_to(s, s.pos - 1)
+    for _ in range(rng.randint(0, 4) if n > 1 else 0):
+        i = rng.randint(0, n - 2)
+        s = stack[i]
+        move_to(s, i + 1)
+        move_to(s, i)
 
     # Re-birth the finger pairs at their seam heights, bottom-up.
-    for at in sorted(seam_order.index(t_in) for t_in, _ in finger_pairs):
-        asm.cup(at, _Strand(1), _Strand(-1))
-
+    events += [Cup(at + 1, 1) for at in sorted(seam_order.index(t_in) for t_in, _ in finger_pairs)]
     word = AnnularWord(
-        tuple(s.orient for s in seam_order), tuple(asm.events), (("pattern", 1),)
+        tuple(-1 if s in outward else 1 for s in seam_order), tuple(events), (("pattern", 1),)
     )
     ana = analyze(word)
     assert len(ana.components) == 1 and ana.components[0].winding == n

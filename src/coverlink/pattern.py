@@ -92,6 +92,8 @@ class ClaspPresentation:
     name: str = ""
 
     def __post_init__(self):
+        if self.name != "":  # the text forms must read the name back
+            _check_token(self.name, "name", PatternError)
         if self.n < 2:
             raise PatternError(f"cable winding must be at least 2, got {self.n}")
         for c in self.clasps:
@@ -455,9 +457,6 @@ def from_json(text: str) -> ClaspPresentation:
             for c in clasps
         )
         n = _json_int(doc["cable"], "cable")
-        name = doc.get("name", "")
-        if name != "":
-            _check_token(name, "name")
-        return ClaspPresentation(n, specs, name=name)
+        return ClaspPresentation(n, specs, name=doc.get("name", ""))
     except (ValueError, PatternError) as exc:
         raise PatternSyntaxError(str(exc), 1) from exc

@@ -20,6 +20,7 @@ from coverlink.diagram import (
     ComponentId,
     Cross,
     Cup,
+    Event,
     Kink,
     OrientationMismatch,
     SeamMismatch,
@@ -28,10 +29,10 @@ from coverlink.diagram import (
     analyze,
     crossing_sign,
 )
-from coverlink.downhill import _Passage, _Strand
+from coverlink.downhill import _Passage
 from coverlink.linalg import IntMatrix, NonSquareError
 from coverlink.obstruct import AggregateReport, report_to_dict
-from coverlink.pattern import ClaspPresentation, ClaspSpec
+from coverlink.pattern import _CROSSES, ClaspPresentation, ClaspSpec, _cross_table
 
 
 class NotBlockCirculantError(ValueError):
@@ -716,6 +717,122 @@ def clasp_calculus(
     return rows, linkings
 
 
+class _Strand:
+    __slots__ = ("orient", "pos")
+
+    def __init__(self, orient: int):
+        self.orient = orient
+        self.pos = -1  # index in the assembler's stack while the strand is on it
+
+
+class _Assembler:
+    """The seam stack of a word under construction, and the events so far.
+
+    Every strand on the stack knows its own index (``pos``), so finding one
+    is O(1): a crossing patches the two strands it swaps, and a cap or a cup
+    renumbers the stack from the changed index up. Crossings come from the
+    compiler's shared table.
+    """
+
+    def __init__(self, stack: list[_Strand]):
+        self.stack = stack
+        self.events: list[Event] = []
+        self._renumber(0)
+
+    def _renumber(self, start: int) -> None:
+        _cross_table(len(self.stack))
+        for i in range(start, len(self.stack)):
+            self.stack[i].pos = i
+
+    def cross_up(self, s: _Strand, s_over: bool) -> None:
+        """Cross s with the strand directly above it."""
+        i = s.pos
+        other = self.stack[i + 1]
+        self.events.append(_CROSSES[not s_over][i + 1])
+        self.stack[i], self.stack[i + 1] = other, s
+        other.pos, s.pos = i, i + 1
+
+    def cross_down(self, s: _Strand, s_over: bool) -> None:
+        i = s.pos
+        other = self.stack[i - 1]
+        self.events.append(_CROSSES[s_over][i])
+        self.stack[i - 1], self.stack[i] = s, other
+        s.pos, other.pos = i - 1, i
+
+    def cap(self, lower: _Strand) -> None:
+        i = lower.pos
+        self.events.append(Cap(i + 1))
+        del self.stack[i : i + 2]
+        self._renumber(i)
+
+    def cup(self, at: int, lower: _Strand, upper: _Strand) -> None:
+        self.events.append(Cup(at + 1, lower.orient))
+        self.stack[at:at] = [lower, upper]
+        self._renumber(at)
+
+
+def stepwise_annular_word(n: int, seed: int) -> AnnularWord:
+    """The generator on an :class:`_Assembler` stack (the oracle of ``random_annular_word``).
+
+    Each strand moves one crossing at a time on the assembler, which keeps
+    every strand's stack index on the strand. It draws the extra crossing
+    pairs at n = 1 too, so it fails there unless it draws none of them.
+    """
+    rng = random.Random(("annular", n, seed).__repr__())
+    fingers = rng.randint(0, 2)
+    seam_order = [_Strand(1) for _ in range(n)]
+    finger_pairs = []
+    for _ in range(fingers):
+        t_in, t_out = _Strand(1), _Strand(-1)
+        gap = rng.randint(0, len(seam_order))
+        seam_order[gap:gap] = [t_in, t_out]
+        finger_pairs.append((t_in, t_out))
+    asm = _Assembler(list(seam_order))
+
+    def move_to(s: _Strand, target: int) -> None:
+        """Cross s one strand at a time to index target; the upper strand is over at random."""
+        while s.pos != target:
+            upper_over = rng.random() < 0.5
+            if target > s.pos:
+                asm.cross_up(s, not upper_over)
+            else:
+                asm.cross_down(s, upper_over)
+
+    home = {s: i for i, s in enumerate(seam_order)}
+    pending = {s for pair in finger_pairs for s in pair}
+    for t_in, t_out in finger_pairs:
+        pending -= {t_in, t_out}
+        victim = rng.choice(
+            [s for s in asm.stack if s.orient == 1 and s not in pending and s is not t_in]
+        )
+        # t_out keeps its index while the victim moves in next to it.
+        move_to(victim, t_out.pos - 1 if t_out.pos > victim.pos else t_out.pos + 1)
+        asm.cap(victim if victim.pos < t_out.pos else t_out)
+        home[t_in] = home.pop(victim)
+        home.pop(t_out)
+        # The splice strand takes over the victim's slot in seam order.
+        move_to(t_in, sum(1 for s in asm.stack if s is not t_in and home[s] < home[t_in]))
+
+    # One-shift braid with random flags, finger-free stack of n strands.
+    move_to(asm.stack[0], n - 1)
+    # Random extra crossing pairs keep the permutation but add crossings.
+    for _ in range(rng.randint(0, 4)):
+        s = asm.stack[rng.randint(0, n - 2)]
+        move_to(s, s.pos + 1)
+        move_to(s, s.pos - 1)
+
+    # Re-birth the finger pairs at their seam heights, bottom-up.
+    for at in sorted(seam_order.index(t_in) for t_in, _ in finger_pairs):
+        asm.cup(at, _Strand(1), _Strand(-1))
+
+    word = AnnularWord(
+        tuple(s.orient for s in seam_order), tuple(asm.events), (("pattern", 1),)
+    )
+    ana = analyze(word)
+    assert len(ana.components) == 1 and ana.components[0].winding == n
+    return word
+
+
 class _GadgetStrand(_Strand):
     """A strand that also knows its kind ("eta" or "clasp") and its gadget's index."""
 
@@ -751,7 +868,7 @@ def _weave(asm, s: _GadgetStrand, target: int, flags: str, clasp: int) -> int:
 def stepwise_compile(n: int, clasps: tuple[ClaspSpec, ...], assembler) -> AnnularWord:
     """The compiler that moves a strand stack one crossing at a time (the oracle of ``compile``).
 
-    ``assembler`` is a class with the interface of ``downhill._Assembler``.
+    ``assembler`` is a class with the interface of :class:`_Assembler`.
     Each gadget's enter strand weaves to its exit strand, the pair is capped
     and re-born as two new strands, and the new enter strand weaves back to
     the seam index of the old one; the braid section walks the bottom cable

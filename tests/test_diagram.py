@@ -333,6 +333,17 @@ def test_parse_rejects_out_of_range_cap():
         parse(text)
 
 
+def test_parse_type_errors_name_their_line():
+    # Comments, blank lines and a label put event 1 on line 7 and the seam on line 3.
+    head = "annular v1\n# two strands\nseam 2 ++\n\nlabel eta seam 1\nx 1 over\n"
+    with pytest.raises(StrandCountMismatch, match="^line 7: event 1: crossing at gap 3 "):
+        parse(head + "x 3 over  # past the top\n")
+    with pytest.raises(OrientationMismatch, match="^line 6: event 0: cap joins"):
+        parse(head.replace("x 1 over", "cap 1"))
+    with pytest.raises(SeamMismatch, match="^line 3: word ends with 4 strands"):
+        parse(head + "cup 1 +\n")
+
+
 def test_parse_syntax_error_carries_location():
     with pytest.raises(DiagramSyntaxError) as exc:
         parse("annular v1\nseam 2 ++\nx nonsense over\n")
@@ -517,7 +528,7 @@ def test_parse_fuzzed_text_raises_only_diagram_errors(tmp_path_factory, text):
     except DiagramSyntaxError as exc:
         assert str(exc).startswith(f"line {exc.line}, col {exc.col}: ")
     except DiagramError as exc:  # a well-formed word that fails its type check
-        assert str(exc)
+        assert str(exc).startswith("line ")
     else:
         assert isinstance(word, AnnularWord)
         # Every number it read is an ASCII [+-]?[0-9]+ token.

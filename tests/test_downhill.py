@@ -4,8 +4,15 @@ import hashlib
 import random
 
 import pytest
-from oracles import backward_curve, forward_curve, greedy_strand_heights, random_event_word
+from oracles import (
+    backward_curve,
+    forward_curve,
+    greedy_strand_heights,
+    random_event_word,
+    stepwise_annular_word,
+)
 
+import coverlink.downhill
 from coverlink import diagram, pattern
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
 from coverlink.downhill import (
@@ -190,6 +197,40 @@ def test_random_annular_word_single_component_winding():
     for seed in range(30):
         comp = analyze(random_annular_word(6, seed)).components
         assert len(comp) == 1 and comp[0].winding == 6
+
+
+def test_random_annular_word_matches_the_stepwise_oracle():
+    # The oracle moves strands on an assembler stack; at n = 1 it fails unless
+    # it draws no extra crossing pair, the generator's last draw.
+    returned = 0
+    for n in range(1, 33):
+        for seed in range(300):
+            try:
+                want = stepwise_annular_word(n, seed)
+            except ValueError:
+                assert n == 1
+                continue
+            assert random_annular_word(n, seed) == want, (n, seed)
+            returned += 1
+    assert 31 * 300 < returned < 32 * 300
+
+
+def test_random_annular_word_at_winding_one():
+    for seed in range(300):
+        comp = analyze(random_annular_word(1, seed)).components
+        assert len(comp) == 1 and comp[0].winding == 1
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_annular_word_rejects_winding_below_one(n):
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        random_annular_word(n, 0)
+
+
+def test_downhill_has_no_strand_assembler():
+    # The generator keeps its stack as a list of strand ids; the assembler is an oracle.
+    assert not hasattr(coverlink.downhill, "_Assembler")
+    assert not hasattr(coverlink.downhill, "_Strand")
 
 
 # ---------------------------------------------------------------------------

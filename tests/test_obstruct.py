@@ -611,7 +611,9 @@ def _reports_to_write():
         for k in range(5):
             yield auto_verdict(random_presentation(n, k, 3 * n + k), (2, 3, 4, 6, 8, 9))
     yield auto_verdict(ClaspPresentation(6, ()), ())  # "per_m": []
-    yield auto_verdict(ClaspPresentation(6, (), name='q"\\é\t\u2028'), (2, 3))
+    # No presentation takes this name, so it goes straight into the report.
+    named = auto_verdict(ClaspPresentation(6, ()), (2, 3))
+    yield dataclasses.replace(named, pattern='q"\\é\t\u2028')
     odd = ObstructionReport(4, (Fraction(-7, 5), 0, Fraction(10**30, 3)), 5, 3, True)
     odd.checks.append(CheckResult("odd", False, ""))
     yield AggregateReport("", 0, [odd, ObstructionReport(9)], "")

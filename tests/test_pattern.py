@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from coverlink.cli import main
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, analyze
 from coverlink.diagram import serialize as serialize_word
-from coverlink.downhill import _Assembler
 from coverlink.pattern import (
     ClaspPresentation,
     ClaspSpec,
     GapOutOfRangeError,
+    PatternError,
     PatternSyntaxError,
     SlotOutOfRangeError,
     WeaveLengthError,
@@ -37,7 +37,7 @@ from coverlink.pattern import (
     to_json,
     validate,
 )
-from oracles import stepwise_compile
+from oracles import _Assembler, stepwise_compile
 
 
 def test_cable_template_core():
@@ -272,6 +272,13 @@ def test_from_json_rejects_names_the_text_form_cannot_carry(name, tmp_path, caps
     path.write_text(doc, encoding="utf-8")
     assert main(["obstruct", str(path), "--json"]) == 2
     assert capsys.readouterr().err.startswith("error: line 1: name must be one token")
+
+
+@pytest.mark.parametrize("name", ["a#b", "a b", "a\nb", " a"])
+def test_presentation_rejects_names_the_text_forms_cannot_read_back(name):
+    with pytest.raises(PatternError, match="name must be one token"):
+        ClaspPresentation(4, (), name=name)
+    assert parse(serialize(ClaspPresentation(4, (), name="a-b"))).name == "a-b"
 
 
 def test_pattern_dsl_rejects_framing_zero():
