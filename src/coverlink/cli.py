@@ -176,12 +176,13 @@ def cmd_corpus(args) -> int:
     )
     if not files:
         raise OSError(f"no .pattern or .json files in {root}")
+    m_list = _parse_m_list(args.m_list)
     worst = 0
     for f in files:
         print(f"== {f.name}")
         try:
             p = _load_pattern(str(f), force_json=f.suffix == ".json")
-            agg = obs.auto_verdict(p, _parse_m_list(args.m_list))
+            agg = obs.auto_verdict(p, m_list)
             out = obs.report_to_json(agg) if args.format == "json" else obs.report_to_text(agg)
             sys.stdout.write(out)
         except obs.InvariantViolationError as exc:

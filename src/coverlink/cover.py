@@ -13,31 +13,19 @@ it. :func:`build_cover` builds the m-copy cover word itself, counted by the
 same rules as the base: it sweeps the m copies once and names their lifts
 from the base sweep's seam joins. It serves ``coverlink cover``, the
 ``direct-count-m*`` ledger row of zero-clasp patterns, the selftest's
-``lift-oracle-m*`` checks and, with :func:`lifted_linking_matrix` and
-:func:`lifted_eta_linkings`, the tests as an oracle.
+``lift-oracle-m*`` checks and the tests, as an oracle: :func:`lifted_linking_matrix`
+and :func:`lifted_eta_linkings` read the cover word's base table whole.
+``cover_tables`` checks each degree it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from itertools import compress
+from itertools import compress, permutations
 
 from .diagram import AnnularWord, ComponentId, WordAnalysis, analyze
+from .diagram import WindingNotDivisibleError  # noqa: F401 (re-exported)
 from .linalg import IntMatrix
-
-
-class WindingNotDivisibleError(Exception):
-    """A component's winding is not divisible by the cover degree."""
-
-    def __init__(self, component: str, winding: int, m: int):
-        self.component = component
-        self.winding = winding
-        self.m = m
-        super().__init__(
-            f"component {component} has winding {winding}, not divisible by m={m}; "
-            "its preimage is not m closed lifts"
-        )
 
 
 class LiftStructureError(Exception):
@@ -68,15 +56,6 @@ class CoverDiagram:
         return tuple(self.lift_map[(base_cid, j)] for j in range(self.m))
 
 
-def _check_windings(base_ana: WordAnalysis, m: int) -> None:
-    base_labels = base_ana.labels()
-    for comp in base_ana.components:
-        if comp.winding % m != 0:
-            raise WindingNotDivisibleError(
-                base_labels.get(comp.cid, str(comp.cid)), comp.winding, m
-            )
-
-
 def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     """Concatenate m copies, sweep them once, and name the lifts off the base sweep.
 
@@ -89,10 +68,8 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
 
     Requires m >= 1 and winding(c) divisible by m for every component c.
     """
-    if m < 1:
-        raise ValueError(f"cover degree must be at least 1, got {m}")
     base_ana = analyze(base)
-    _check_windings(base_ana, m)
+    base_ana._check_degree(m)
     width, seam_ends = base.seam_width, base_ana._sweep.seam_ends
     born = base_ana._sweep.seg_count - width  # cup-born segments per copy
     edge = [list(range(width))]  # edge[j][h]: the segment at copy j's left-edge position h + 1
@@ -134,18 +111,11 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     return CoverDiagram(base, m, word, lift_map, deck, analysis)
 
 
-def lifted_eta_linkings(cd: CoverDiagram) -> dict[tuple[int, int], Fraction]:
-    """Pairwise linkings of the eta lifts in the cover, keyed by lift indices."""
-    ana = cd.analysis
-    base_ana = analyze(cd.base)
-    eta = base_ana.component_by_name("eta")
-    lifts = cd.lifts_of(eta)
-    out: dict[tuple[int, int], Fraction] = {}
-    for j in range(cd.m):
-        for k in range(cd.m):
-            if j != k:
-                out[(j, k)] = ana.linking(lifts[j], lifts[k])
-    return out
+def lifted_eta_linkings(cd: CoverDiagram) -> dict[tuple[int, int], int]:
+    """Pairwise linkings of the eta lifts, keyed by lift indices, from ``cover_tables(1)``."""
+    lk = cd.analysis.cover_tables(1)[1]
+    pairs = permutations(enumerate(cd.lifts_of(analyze(cd.base).component_by_name("eta"))), 2)
+    return {(j, k): lk.get((a, b), (0,))[0] for (j, a), (k, b) in pairs}
 
 
 @dataclass(frozen=True)
@@ -183,12 +153,9 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     the cover word, from the rows of ``cover_tables(m)``: eta_0's row takes
     one slice per surgery curve, its deck linkings one slice of eta's own
     row, and the matrix the surgery pairs' nonzero entries, in O(k*m + nnz).
-    Requires m >= 1 and winding(c) divisible by m for every component c.
+    Requires m >= 1 dividing every component's winding; ``cover_tables`` checks it.
     """
-    if m < 1:
-        raise ValueError(f"cover degree must be at least 1, got {m}")
     base_ana = analyze(base)
-    _check_windings(base_ana, m)
     framing, lk = base_ana.cover_tables(m)
     surgery = _surgery_order(base_ana)
     eta = base_ana.component_by_name("eta")
@@ -217,26 +184,21 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
 
 
 def lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
-    """The lifted data read off the cover word itself (the oracle of :func:`lift_data`)."""
-    ana = cd.analysis
+    """The lifted data read off the cover word itself (the oracle of :func:`lift_data`).
+
+    Every entry is read off the cover word's base table, ``cover_tables(1)``.
+    """
+    framing, lk = cd.analysis.cover_tables(1)
     base_ana = analyze(cd.base)
     order = [cd.lift(cid, a) for a in range(cd.m) for cid in _surgery_order(base_ana)]
-    eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
-
-    def lk(a: ComponentId, b: ComponentId) -> int:
-        v = ana.linking(a, b)
-        assert v.denominator == 1
-        return int(v)
-
-    size = len(order)
-    rows = [[0] * size for _ in range(size)]
-    for i, ci in enumerate(order):
-        rows[i][i] = ana.framing(ci)
-        for j in range(i + 1, size):
-            rows[i][j] = rows[j][i] = lk(ci, order[j])
-    eta = eta_lifts[0]
+    index = {cid: i for i, cid in enumerate(order)}
+    nonzeros = {(i, i): framing[cid] for cid, i in index.items() if framing[cid]}
+    nonzeros.update(
+        ((index[a], index[b]), v) for (a, b), (v,) in lk.items() if v and a in index and b in index
+    )
+    eta, *others = cd.lifts_of(base_ana.component_by_name("eta"))
     return LiftedData(
-        IntMatrix.from_rows(rows) if size else IntMatrix.zeros(0, 0),
-        tuple(lk(eta, ci) for ci in order),
-        (ana.framing(eta),) + tuple(lk(eta, eta_lifts[d]) for d in range(1, cd.m)),
+        IntMatrix(len(order), len(order), nonzeros),
+        tuple(lk.get((eta, cid), (0,))[0] for cid in order),
+        (framing[eta], *(lk.get((eta, e), (0,))[0] for e in others)),
     )

@@ -69,6 +69,19 @@ class UnknownComponentError(DiagramError):
     """No component with the requested id or label."""
 
 
+class WindingNotDivisibleError(Exception):
+    """A component's winding is not divisible by the cover degree."""
+
+    def __init__(self, component: str, winding: int, m: int):
+        self.component = component
+        self.winding = winding
+        self.m = m
+        super().__init__(
+            f"component {component} has winding {winding}, not divisible by m={m}; "
+            "its preimage is not m closed lifts"
+        )
+
+
 class _LabelClash(DiagramError):
     """A second label names a labelled component."""
 
@@ -327,6 +340,15 @@ class WordAnalysis:
             self._tally = (rows, kinks)
         return self._tally
 
+    def _check_degree(self, m: int) -> None:
+        """Reject a cover degree below 1, or one that leaves some lift unclosed."""
+        if m < 1:
+            raise ValueError(f"cover degree must be at least 1, got {m}")
+        for comp in self.components:
+            if comp.winding % m:
+                name = self._labels.get(comp.cid, str(comp.cid))
+                raise WindingNotDivisibleError(name, comp.winding, m)
+
     def _base_tables(self) -> tuple[dict, dict]:
         if self._tables is None:
             self._tables = self.cover_tables(1)
@@ -340,9 +362,10 @@ class WordAnalysis:
         a pair with no row does not link. Each tally row folds to deltas mod m
         by adding its m-chunks, or by m slice sums when it has more chunks than
         m. A component's own row adds its mirror; a pair's other orientation is
-        its mirror. Requires m to divide every component's winding, so that
-        every lift is a closed curve; m = 1 gives the base word's own data.
+        its mirror. m = 1 gives the base word's own data. It rejects m < 1, and
+        an m not dividing every winding, whose lifts would not all be closed.
         """
+        self._check_degree(m)
         rows, kinks = self._lift_tally()
         framing = dict(kinks)
         lk: dict[tuple[int, int], list[int]] = {}

@@ -222,40 +222,29 @@ def validate(word: AnnularWord) -> ValidationReport:
 
     Hard checks per labeled non-eta component L: winding(L) = 0,
     linking(L, eta) = 0, framing(L) in {+1, -1}. Advisory warnings:
-    wrapping(L) != 2 and nonzero mutual gadget linkings.
+    wrapping(L) != 2 and nonzero mutual gadget linkings. Framings and
+    linkings come from one read of the base table, ``cover_tables(1)``.
     """
     ana = analyze(word)
-    labels = ana.labels()
     eta = ana.component_by_name("eta")
-    surgery = [(cid, name) for cid, name in sorted(labels.items()) if name != "eta"]
+    surgery = [(cid, name) for cid, name in sorted(ana.labels().items()) if name != "eta"]
+    framing, lk = ana.cover_tables(1) if surgery else ({}, {})
     items: list[ValidationItem] = []
     for cid, name in surgery:
-        w = ana.winding(cid)
-        items.append(
-            ValidationItem("WindingNonzero", name, w == 0, False, f"winding {w}")
+        w, wr = ana.components[cid].winding, ana.components[cid].wrapping
+        fr, v = framing[cid], lk.get((cid, eta), (0,))[0]
+        items += (
+            ValidationItem("WindingNonzero", name, w == 0, False, f"winding {w}"),
+            ValidationItem("EtaLinkingNonzero", name, v == 0, False, f"linking with eta {v}"),
+            ValidationItem("FramingNotUnit", name, fr in (-1, 1), False, f"framing {fr}"),
+            ValidationItem("WrappingNotTwo", name, wr == 2, True, f"wrapping {wr}"),
         )
-        lk = ana.linking(cid, eta)
-        items.append(
-            ValidationItem("EtaLinkingNonzero", name, lk == 0, False, f"linking with eta {lk}")
-        )
-        fr = ana.framing(cid)
-        items.append(
-            ValidationItem("FramingNotUnit", name, fr in (-1, 1), False, f"framing {fr}")
-        )
-        wr = ana.wrapping(cid)
-        items.append(
-            ValidationItem("WrappingNotTwo", name, wr == 2, True, f"wrapping {wr}")
-        )
-    for a in range(len(surgery)):
-        for b in range(a + 1, len(surgery)):
-            lk = ana.linking(surgery[a][0], surgery[b][0])
+    for i, (a, name_a) in enumerate(surgery):
+        for b, name_b in surgery[i + 1 :]:
+            v = lk.get((a, b), (0,))[0]
             items.append(
                 ValidationItem(
-                    "ClaspClaspLinking",
-                    f"{surgery[a][1]},{surgery[b][1]}",
-                    lk == 0,
-                    True,
-                    f"mutual linking {lk}",
+                    "ClaspClaspLinking", f"{name_a},{name_b}", v == 0, True, f"mutual linking {v}"
                 )
             )
     return ValidationReport(tuple(items))

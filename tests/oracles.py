@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from coverlink.cover import CoverDiagram, _surgery_order
+from coverlink.cover import CoverDiagram, LiftedData, _surgery_order
 from coverlink.diagram import (
     AnnularWord,
     Cap,
@@ -32,7 +32,14 @@ from coverlink.diagram import (
 from coverlink.downhill import _Passage
 from coverlink.linalg import IntMatrix, NonSquareError
 from coverlink.obstruct import AggregateReport, report_to_dict
-from coverlink.pattern import _CROSSES, ClaspPresentation, ClaspSpec, _cross_table
+from coverlink.pattern import (
+    _CROSSES,
+    ClaspPresentation,
+    ClaspSpec,
+    ValidationItem,
+    ValidationReport,
+    _cross_table,
+)
 
 
 class NotBlockCirculantError(ValueError):
@@ -110,6 +117,69 @@ def rotated_eta_rows(row: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...
     size = len(row)
     cuts = [size - j * size // m for j in range(m)]
     return tuple(row[cut:] + row[:cut] for cut in cuts)
+
+
+def pairwise_validate(word: AnnularWord) -> ValidationReport:
+    """``pattern.validate`` as it was before it read the base table whole.
+
+    One ``WordAnalysis`` query per curve and per pair: ``winding``,
+    ``linking`` with eta, ``framing`` and ``wrapping`` of each surgery curve,
+    then ``linking`` of each pair of them.
+    """
+    ana = analyze(word)
+    labels = ana.labels()
+    eta = ana.component_by_name("eta")
+    surgery = [(cid, name) for cid, name in sorted(labels.items()) if name != "eta"]
+    items: list[ValidationItem] = []
+    for cid, name in surgery:
+        w = ana.winding(cid)
+        items.append(ValidationItem("WindingNonzero", name, w == 0, False, f"winding {w}"))
+        lk = ana.linking(cid, eta)
+        items.append(
+            ValidationItem("EtaLinkingNonzero", name, lk == 0, False, f"linking with eta {lk}")
+        )
+        fr = ana.framing(cid)
+        items.append(ValidationItem("FramingNotUnit", name, fr in (-1, 1), False, f"framing {fr}"))
+        wr = ana.wrapping(cid)
+        items.append(ValidationItem("WrappingNotTwo", name, wr == 2, True, f"wrapping {wr}"))
+    for a in range(len(surgery)):
+        for b in range(a + 1, len(surgery)):
+            lk = ana.linking(surgery[a][0], surgery[b][0])
+            pair = f"{surgery[a][1]},{surgery[b][1]}"
+            items.append(
+                ValidationItem("ClaspClaspLinking", pair, lk == 0, True, f"mutual linking {lk}")
+            )
+    return ValidationReport(tuple(items))
+
+
+def pairwise_lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
+    """``cover.lifted_linking_matrix`` as it was: one ``linking`` per pair of lifts, dense rows.
+
+    Each linking ``Fraction`` of two cover components is checked integral
+    and turned back into an ``int``; the matrix comes from dense rows.
+    """
+    ana = cd.analysis
+    base_ana = analyze(cd.base)
+    order = [cd.lift(cid, a) for a in range(cd.m) for cid in _surgery_order(base_ana)]
+    eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
+
+    def lk(a: ComponentId, b: ComponentId) -> int:
+        v = ana.linking(a, b)
+        assert v.denominator == 1
+        return int(v)
+
+    size = len(order)
+    rows = [[0] * size for _ in range(size)]
+    for i, ci in enumerate(order):
+        rows[i][i] = ana.framing(ci)
+        for j in range(i + 1, size):
+            rows[i][j] = rows[j][i] = lk(ci, order[j])
+    eta = eta_lifts[0]
+    return LiftedData(
+        IntMatrix.from_rows(rows) if size else IntMatrix.zeros(0, 0),
+        tuple(lk(eta, ci) for ci in order),
+        (ana.framing(eta),) + tuple(lk(eta, eta_lifts[d]) for d in range(1, cd.m)),
+    )
 
 
 class OffsetUnionFind:

@@ -200,6 +200,49 @@ def test_corpus_json_report_sha256(capsys):
     )
 
 
+def test_corpus_reads_a_bad_m_list_once(capsys):
+    # A bad list fails before any file: one error, no file headers.
+    code = main(["corpus", str(CORPUS), "--m-list", "2,,4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bad m-list '2,,4': cover degree must be an integer, got ''\n"
+
+
+def _validation_files(tmp_path):
+    """The corpus, then words from the validation oracle sample that fail or warn."""
+    import random
+
+    from coverlink.diagram import serialize
+    from coverlink.pattern import compile, random_presentation
+    from oracles import twist_surgery_pairs
+    from test_pattern import _flip_one_flag, _swap_eta
+
+    words = {
+        "eta-on-clasp": _swap_eta(compile(random_presentation(6, 2, 0))),
+        "flipped-flag": compile(_flip_one_flag(random_presentation(6, 3, 1), random.Random(1))),
+        "twisted-pairs": twist_surgery_pairs(
+            compile(random_presentation(8, 3, 0)), random.Random(0), 4
+        ),
+    }
+    for name, word in words.items():
+        (tmp_path / f"{name}.annular").write_text(serialize(word))
+    return sorted(CORPUS.glob("*.pattern")) + [tmp_path / f"{name}.annular" for name in words]
+
+
+def test_validate_stdout_sha256(tmp_path, capsys):
+    # Every validation row's status, name, curve and detail, pinned, with each exit code.
+    codes, outs = [], []
+    for f in _validation_files(tmp_path):
+        code, out = run(capsys, "validate", str(f))
+        codes.append(code)
+        outs.append(out)
+    assert codes == [0, 0, 0, 0, 2, 2, 0]
+    assert "warning  ClaspClaspLinking" in outs[-1]
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == (
+        "7e861f7082103b925f351c69ebe7ab5a018b3fc43cdee35fc6fbae246ce9bc14"
+    )
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -29,11 +29,13 @@ from oracles import (
     block_circulant_split,
     cover_eta_rows,
     deck_translate,
+    pairwise_lifted_linking_matrix,
     rotated_eta_rows,
     snapshot_lift_map,
     twist_surgery_pairs,
     union_find_sweep,
 )
+from test_pattern import _validation_sample
 
 
 def test_trivial_cover_is_base():
@@ -307,6 +309,41 @@ def test_lift_data_winding_not_divisible_like_build_cover():
         want.value.component, want.value.winding, want.value.m) == ("eta", 6, 4)
 
 
+def test_cover_tables_reject_a_degree_that_leaves_lifts_open():
+    # The table checks its own degree, with the error class the cover module re-exports.
+    assert coverlink.diagram.WindingNotDivisibleError is WindingNotDivisibleError
+    ana = analyze(cable_template(3))
+    with pytest.raises(WindingNotDivisibleError, match="component eta has winding 3") as exc:
+        ana.cover_tables(2)
+    assert (exc.value.component, exc.value.winding, exc.value.m) == ("eta", 3, 2)
+    for m in (0, -2):
+        with pytest.raises(ValueError, match=f"cover degree must be at least 1, got {m}"):
+            ana.cover_tables(m)
+
+
+def test_lifted_oracles_match_the_pairwise_queries():
+    # The cover word's base table, read whole, gives what one query per pair of lifts gives.
+    covers = {2: 0, 4: 0, 8: 0}
+    for word in _validation_sample():
+        base = analyze(word)
+        for m in covers:
+            if any(c.winding % m for c in base.components):
+                continue
+            cd = build_cover(word, m)
+            assert lifted_linking_matrix(cd) == pairwise_lifted_linking_matrix(cd)
+            lifts = cd.lifts_of(base.component_by_name("eta"))
+            got = lifted_eta_linkings(cd)
+            assert all(type(v) is int for v in got.values())
+            assert got == {
+                (j, k): cd.analysis.linking(a, b)
+                for j, a in enumerate(lifts)
+                for k, b in enumerate(lifts)
+                if j != k
+            }
+            covers[m] += 1
+    assert all(covers.values())
+
+
 def test_seam_free_component_lifts_to_its_copies():
     # A loop born and killed in one sheet, clasping the bottom cable strand
     # once: lift j of it is copy j, which links eta's lift j and no other.
@@ -329,7 +366,8 @@ def test_lift_data_holds_one_eta_row_and_builds_no_fraction(monkeypatch):
     def no_fraction(*_args):
         raise AssertionError("the verdict path built a Fraction in coverlink.cover")
 
-    monkeypatch.setattr(coverlink.cover, "Fraction", no_fraction)
+    # The module imports no Fraction; the stub stands in for any it might bind.
+    monkeypatch.setattr(coverlink.cover, "Fraction", no_fraction, raising=False)
     cable = ClaspPresentation(512, (), name="cable-512")
     clasped = random_presentation(16, 4, 0)
     assert auto_verdict(cable, tuple(2**e for e in range(1, 10))).aggregate == "Obstructed"

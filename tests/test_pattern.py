@@ -17,8 +17,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coverlink.cli import main
+from coverlink.cover import build_cover
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, analyze
 from coverlink.diagram import serialize as serialize_word
+from coverlink.downhill import normalize, random_annular_word
 from coverlink.pattern import (
     ClaspPresentation,
     ClaspSpec,
@@ -37,7 +39,7 @@ from coverlink.pattern import (
     to_json,
     validate,
 )
-from oracles import _Assembler, stepwise_compile
+from oracles import _Assembler, pairwise_validate, stepwise_compile, twist_surgery_pairs
 
 
 def test_cable_template_core():
@@ -196,6 +198,83 @@ def test_validate_passes_compiled_presentations():
     for seed in range(8):
         p = random_presentation(6, (seed % 4) + 1, seed)
         assert validate(compile(p)).passed
+
+
+def _flip_one_flag(p: ClaspPresentation, rng: random.Random) -> ClaspPresentation:
+    """p with one weave flag of one woven clasp flipped, so it links eta."""
+    woven = [i for i, c in enumerate(p.clasps) if c.weave]
+    if not woven:
+        return p
+    i = rng.choice(woven)
+    c, f = p.clasps[i], rng.randrange(len(p.clasps[i].weave))
+    weave = c.weave[:f] + "uo"[c.weave[f] == "u"] + c.weave[f + 1 :]
+    clasps = p.clasps[:i] + (dataclasses.replace(c, weave=weave),) + p.clasps[i + 1 :]
+    return dataclasses.replace(p, clasps=clasps)
+
+
+def _swap_eta(word: AnnularWord) -> AnnularWord:
+    """A compiled word with its ``eta`` label on the first clasp, and that clasp's on the cable."""
+    (eta, cable), (name, clasp), *rest = word.labels
+    return dataclasses.replace(word, labels=((eta, clasp), (name, cable), *rest))
+
+
+def _validation_sample():
+    """Words that reach every validation row, both passing and failing or advisory.
+
+    Seeded presentations, every other one with a weave flag flipped
+    (``EtaLinkingNonzero``), some with ``eta`` swapped onto a clasp (the cable
+    becomes a surgery curve: ``WindingNonzero``, ``FramingNotUnit``,
+    ``WrappingNotTwo``), words with twisted surgery pairs
+    (``ClaspClaspLinking``), normalized words and the corpus.
+    """
+    for n in (2, 3, 4, 6, 8, 12):
+        for k in range(6):
+            for seed in range(6):
+                p = random_presentation(n, k, seed)
+                word = compile(_flip_one_flag(p, random.Random(seed)) if seed % 2 else p)
+                yield word
+                if k and seed < 2:
+                    yield _swap_eta(word)
+    for seed in range(6):
+        word = compile(random_presentation(8, 2 + seed % 3, seed))
+        yield twist_surgery_pairs(word, random.Random(seed), 4)
+    for seed in range(6):
+        yield compile(normalize(random_annular_word(6, seed)).presentation)
+    for f in sorted(_CORPUS.glob("*.pattern")):
+        yield compile(parse(f.read_text()))
+
+
+def _cover_words():
+    """The 2-, 4- and 8-fold covers of seeded words, with lift ``eta.0`` named ``eta``."""
+    for seed in range(4):
+        word = compile(random_presentation(8, 2 + seed % 3, seed))
+        for m in (2, 4, 8):
+            cover = build_cover(word, m).word
+            labels = tuple(("eta" if name == "eta.0" else name, pos) for name, pos in cover.labels)
+            yield dataclasses.replace(cover, labels=labels)
+
+
+_VALIDATION_ROWS = (
+    "WindingNonzero", "EtaLinkingNonzero", "FramingNotUnit", "WrappingNotTwo", "ClaspClaspLinking"
+)
+
+
+def _status(item) -> str:
+    return "ok" if item.ok else ("warning" if item.warning else "FAIL")
+
+
+def test_validate_matches_the_pairwise_oracle():
+    # One read of the base table gives the report of one query per curve and per pair.
+    seen = set()
+    for word in [*_validation_sample(), *_cover_words()]:
+        report = validate(word)
+        assert report == pairwise_validate(word)
+        seen.update((item.name, _status(item)) for item in report.items)
+    assert seen == {
+        *((name, "ok") for name in _VALIDATION_ROWS),
+        *((name, "FAIL") for name in _VALIDATION_ROWS[:3]),
+        *((name, "warning") for name in _VALIDATION_ROWS[3:]),
+    }
 
 
 def test_add_cancelling_pair_structure():
