@@ -22,13 +22,8 @@ from .diagram import (
     Cup,
     Kink,
     analyze,
-    components,
-    framing,
-    linking,
     parse,
     serialize,
-    winding,
-    wrapping,
 )
 from .linalg import (
     IntMatrix,
@@ -64,7 +59,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "AnnularWord",
@@ -86,17 +81,14 @@ __all__ = [
     "cable_template",
     "cha_ko",
     "compile_presentation",
-    "components",
     "cross_checks",
     "det",
     "force_downhill",
-    "framing",
     "inverse",
     "is_downhill",
     "lift_data",
     "lifted_eta_linkings",
     "lifted_linking_matrix",
-    "linking",
     "normalize",
     "order_in_quotient",
     "parse",
@@ -108,6 +100,4 @@ __all__ = [
     "solve",
     "validate",
     "verdict",
-    "winding",
-    "wrapping",
 ]

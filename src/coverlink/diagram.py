@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -61,12 +60,8 @@ class OrientationMismatch(DiagramError):
     """A cap joins two strands running the same way."""
 
 
-class SameComponentError(DiagramError):
-    """Pairwise linking requested for a single component."""
-
-
 class UnknownComponentError(DiagramError):
-    """No component with the requested id or label."""
+    """No component at the requested segment, seam position or label."""
 
 
 class WindingNotDivisibleError(Exception):
@@ -284,11 +279,12 @@ class WordAnalysis:
     _segment_component: list[ComponentId] = field(repr=False, default_factory=list)
     _segment_sheet: list[int] = field(repr=False, default_factory=list)
     _sheet_range: list[tuple[int, int]] = field(repr=False, default_factory=list)
-    _tables: tuple[dict, dict] | None = field(repr=False, default=None)
     _tally: tuple[dict, dict] | None = field(repr=False, default=None)
     _labels: dict[ComponentId, str] = field(repr=False, default_factory=dict)
 
     def component_of_segment(self, segment: int) -> ComponentId:
+        if not 0 <= segment < len(self._segment_component):
+            raise UnknownComponentError(f"segment {segment} out of range")
         return self._segment_component[segment]
 
     def component_of_seam(self, position: int) -> ComponentId:
@@ -305,12 +301,6 @@ class WordAnalysis:
             if label == name:
                 return cid
         raise UnknownComponentError(f"no component labeled {name!r}")
-
-    def winding(self, cid: ComponentId) -> int:
-        return self._component(cid).winding
-
-    def wrapping(self, cid: ComponentId) -> int:
-        return self._component(cid).wrapping
 
     def _lift_tally(self) -> tuple[dict[tuple[int, int], tuple[int, list[int]]], dict[int, int]]:
         """Equivariant crossing data of every cyclic cover, from the base sweep alone.
@@ -349,11 +339,6 @@ class WordAnalysis:
                 name = self._labels.get(comp.cid, str(comp.cid))
                 raise WindingNotDivisibleError(name, comp.winding, m)
 
-    def _base_tables(self) -> tuple[dict, dict]:
-        if self._tables is None:
-            self._tables = self.cover_tables(1)
-        return self._tables
-
     def cover_tables(self, m: int) -> tuple[dict[int, int], dict[tuple[int, int], list[int]]]:
         """Lift framings and lift linkings of the m-fold cyclic cover.
 
@@ -389,21 +374,6 @@ class WordAnalysis:
             if a != b:
                 lk[b, a] = half[:1] + half[:0:-1]
         return framing, lk
-
-    def linking(self, c1: ComponentId, c2: ComponentId) -> Fraction:
-        if c1 == c2:
-            raise SameComponentError("linking requires two distinct components")
-        self._component(c1), self._component(c2)
-        return Fraction(self._base_tables()[1].get((c1, c2), (0,))[0])
-
-    def framing(self, cid: ComponentId) -> int:
-        self._component(cid)
-        return self._base_tables()[0][cid]
-
-    def _component(self, cid: ComponentId) -> Component:
-        if not 0 <= cid < len(self.components):
-            raise UnknownComponentError(f"no component {cid}")
-        return self.components[cid]
 
 
 @lru_cache(maxsize=256)
@@ -474,26 +444,6 @@ def analyze(word: AnnularWord) -> WordAnalysis:
     return WordAnalysis(
         word, tuple(components), sweep, seg_component, seg_sheet, sheet_range, _labels=labels
     )
-
-
-def components(word: AnnularWord) -> tuple[Component, ...]:
-    return analyze(word).components
-
-
-def winding(word: AnnularWord, cid: ComponentId) -> int:
-    return analyze(word).winding(cid)
-
-
-def wrapping(word: AnnularWord, cid: ComponentId) -> int:
-    return analyze(word).wrapping(cid)
-
-
-def linking(word: AnnularWord, c1: ComponentId, c2: ComponentId) -> Fraction:
-    return analyze(word).linking(c1, c2)
-
-
-def framing(word: AnnularWord, cid: ComponentId) -> int:
-    return analyze(word).framing(cid)
 
 
 # ---------------------------------------------------------------------------

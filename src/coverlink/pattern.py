@@ -51,6 +51,13 @@ class WeaveLengthError(PatternError):
     pass
 
 
+def _check_ints(obj, *names: str) -> None:
+    # Only an int (not a bool, nor an integral float) reads back from the text forms.
+    for name in names:
+        if type(value := getattr(obj, name)) is not int:
+            raise PatternError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClaspSpec:
     """One clasp gadget.
@@ -69,6 +76,7 @@ class ClaspSpec:
     framing: int = -1
 
     def __post_init__(self):
+        _check_ints(self, "slot", "gap_enter", "gap_exit", "clasp_sign", "framing")
         if self.slot < 0:
             raise SlotOutOfRangeError(f"slot {self.slot} is negative")
         if self.clasp_sign not in (-1, 1):
@@ -94,6 +102,7 @@ class ClaspPresentation:
     def __post_init__(self):
         if self.name != "":  # the text forms must read the name back
             _check_token(self.name, "name", PatternError)
+        _check_ints(self, "n")
         if self.n < 2:
             raise PatternError(f"cable winding must be at least 2, got {self.n}")
         for c in self.clasps:

@@ -98,14 +98,14 @@ def cover_eta_rows(cd: CoverDiagram) -> tuple[tuple[int, ...], ...]:
     """Every eta lift's linkings with the surgery lifts, read off the m-copy cover word.
 
     Row j holds lk(eta_j, L_c^b) in the lift-major order of ``lift_data``
-    (sheet b, then c by name), one linking of two cover components each.
+    (sheet b, then c by name), one linking of two cover components each,
+    from the cover word's :func:`keyed_cover_tables` at m = 1.
     """
-    ana, base_ana = cd.analysis, analyze(cd.base)
+    base_ana = analyze(cd.base)
+    lk = keyed_cover_tables(cd.analysis, 1)[1]
     order = [cd.lift(cid, b) for b in range(cd.m) for cid in _surgery_order(base_ana)]
     eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
-    rows = tuple(tuple(ana.linking(eta, c) for c in order) for eta in eta_lifts)
-    assert all(v.denominator == 1 for row in rows for v in row)
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(lk.get((eta, c, 0), 0) for c in order) for eta in eta_lifts)
 
 
 def rotated_eta_rows(row: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...]:
@@ -122,29 +122,31 @@ def rotated_eta_rows(row: tuple[int, ...], m: int) -> tuple[tuple[int, ...], ...
 def pairwise_validate(word: AnnularWord) -> ValidationReport:
     """``pattern.validate`` as it was before it read the base table whole.
 
-    One ``WordAnalysis`` query per curve and per pair: ``winding``,
-    ``linking`` with eta, ``framing`` and ``wrapping`` of each surgery curve,
-    then ``linking`` of each pair of them.
+    One lookup per curve and per pair: winding, linking with eta, framing and
+    wrapping of each surgery curve, then the linking of each pair of them.
+    Framings and linkings come from :func:`keyed_cover_tables` at m = 1,
+    which shares no code with ``WordAnalysis.cover_tables``.
     """
     ana = analyze(word)
+    framing, keyed = keyed_cover_tables(ana, 1)
     labels = ana.labels()
     eta = ana.component_by_name("eta")
     surgery = [(cid, name) for cid, name in sorted(labels.items()) if name != "eta"]
     items: list[ValidationItem] = []
     for cid, name in surgery:
-        w = ana.winding(cid)
+        w = ana.components[cid].winding
         items.append(ValidationItem("WindingNonzero", name, w == 0, False, f"winding {w}"))
-        lk = ana.linking(cid, eta)
+        lk = keyed.get((cid, eta, 0), 0)
         items.append(
             ValidationItem("EtaLinkingNonzero", name, lk == 0, False, f"linking with eta {lk}")
         )
-        fr = ana.framing(cid)
+        fr = framing[cid]
         items.append(ValidationItem("FramingNotUnit", name, fr in (-1, 1), False, f"framing {fr}"))
-        wr = ana.wrapping(cid)
+        wr = ana.components[cid].wrapping
         items.append(ValidationItem("WrappingNotTwo", name, wr == 2, True, f"wrapping {wr}"))
     for a in range(len(surgery)):
         for b in range(a + 1, len(surgery)):
-            lk = ana.linking(surgery[a][0], surgery[b][0])
+            lk = keyed.get((surgery[a][0], surgery[b][0], 0), 0)
             pair = f"{surgery[a][1]},{surgery[b][1]}"
             items.append(
                 ValidationItem("ClaspClaspLinking", pair, lk == 0, True, f"mutual linking {lk}")
@@ -153,32 +155,30 @@ def pairwise_validate(word: AnnularWord) -> ValidationReport:
 
 
 def pairwise_lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
-    """``cover.lifted_linking_matrix`` as it was: one ``linking`` per pair of lifts, dense rows.
+    """``cover.lifted_linking_matrix`` as it was: one lookup per pair of lifts, dense rows.
 
-    Each linking ``Fraction`` of two cover components is checked integral
-    and turned back into an ``int``; the matrix comes from dense rows.
+    Framings and linkings of the cover components come from the cover word's
+    :func:`keyed_cover_tables` at m = 1; the matrix comes from dense rows.
     """
-    ana = cd.analysis
     base_ana = analyze(cd.base)
+    framing, keyed = keyed_cover_tables(cd.analysis, 1)
     order = [cd.lift(cid, a) for a in range(cd.m) for cid in _surgery_order(base_ana)]
     eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
 
     def lk(a: ComponentId, b: ComponentId) -> int:
-        v = ana.linking(a, b)
-        assert v.denominator == 1
-        return int(v)
+        return keyed.get((a, b, 0), 0)
 
     size = len(order)
     rows = [[0] * size for _ in range(size)]
     for i, ci in enumerate(order):
-        rows[i][i] = ana.framing(ci)
+        rows[i][i] = framing[ci]
         for j in range(i + 1, size):
             rows[i][j] = rows[j][i] = lk(ci, order[j])
     eta = eta_lifts[0]
     return LiftedData(
         IntMatrix.from_rows(rows) if size else IntMatrix.zeros(0, 0),
         tuple(lk(eta, ci) for ci in order),
-        (ana.framing(eta),) + tuple(lk(eta, eta_lifts[d]) for d in range(1, cd.m)),
+        (framing[eta],) + tuple(lk(eta, eta_lifts[d]) for d in range(1, cd.m)),
     )
 
 

@@ -29,6 +29,7 @@ from oracles import (
     block_circulant_split,
     cover_eta_rows,
     deck_translate,
+    keyed_cover_tables,
     pairwise_lifted_linking_matrix,
     rotated_eta_rows,
     snapshot_lift_map,
@@ -115,19 +116,20 @@ def test_framing_linking_sum_rule():
     p = random_presentation(8, 3, 4)
     word = compile(p)
     base = analyze(word)
-    eps = {cid: base.framing(cid) for cid, name in base.labels().items() if name != "eta"}
+    base_framing = base.cover_tables(1)[0]
+    eps = {cid: base_framing[cid] for cid, name in base.labels().items() if name != "eta"}
     for m in (2, 4, 8):
         cd = build_cover(word, m)
-        ana = cd.analysis
-        for cid, framing in eps.items():
+        framing, lk = cd.analysis.cover_tables(1)
+        for cid, eps_c in eps.items():
             lifts = cd.lifts_of(cid)
-            total = sum(ana.framing(c) for c in lifts)
+            total = sum(framing[c] for c in lifts)
             total += 2 * sum(
-                ana.linking(lifts[i], lifts[j])
+                lk.get((lifts[i], lifts[j]), (0,))[0]
                 for i in range(m)
                 for j in range(i + 1, m)
             )
-            assert total == m * framing
+            assert total == m * eps_c
 
 
 def test_equivariance_block_circulant_and_eta_difference():
@@ -322,7 +324,8 @@ def test_cover_tables_reject_a_degree_that_leaves_lifts_open():
 
 
 def test_lifted_oracles_match_the_pairwise_queries():
-    # The cover word's base table, read whole, gives what one query per pair of lifts gives.
+    # The cover word's base table, read whole, gives what one lookup per pair of lifts
+    # in the independent keyed table gives.
     covers = {2: 0, 4: 0, 8: 0}
     for word in _validation_sample():
         base = analyze(word)
@@ -334,8 +337,9 @@ def test_lifted_oracles_match_the_pairwise_queries():
             lifts = cd.lifts_of(base.component_by_name("eta"))
             got = lifted_eta_linkings(cd)
             assert all(type(v) is int for v in got.values())
+            keyed = keyed_cover_tables(cd.analysis, 1)[1]
             assert got == {
-                (j, k): cd.analysis.linking(a, b)
+                (j, k): keyed.get((a, b, 0), 0)
                 for j, a in enumerate(lifts)
                 for k, b in enumerate(lifts)
                 if j != k
@@ -353,12 +357,13 @@ def test_seam_free_component_lifts_to_its_copies():
     ana = analyze(word)
     eta = ana.component_by_name("eta")
     (free,) = [c.cid for c in ana.components if not c.seam_positions]
-    assert ana.linking(free, eta) == 1
+    assert ana.cover_tables(1)[1][free, eta] == [1]
     for m in (1, 2, 4):
         _assert_lift_data_matches_cover(word, m)
         cd = build_cover(word, m)
+        lk = cd.analysis.cover_tables(1)[1]
         for j in range(m):
-            got = [cd.analysis.linking(cd.lift(free, j), cd.lift(eta, x)) for x in range(m)]
+            got = [lk.get((cd.lift(free, j), cd.lift(eta, x)), (0,))[0] for x in range(m)]
             assert got == [1 if x == j else 0 for x in range(m)], (m, j, got)
 
 

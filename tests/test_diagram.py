@@ -9,7 +9,6 @@ import random
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,17 +27,12 @@ from coverlink.diagram import (
     DiagramSyntaxError,
     Kink,
     OrientationMismatch,
-    SameComponentError,
     SeamMismatch,
     StrandCountMismatch,
+    UnknownComponentError,
     analyze,
-    components,
-    framing,
-    linking,
     parse,
     serialize,
-    winding,
-    wrapping,
 )
 from coverlink.downhill import force_downhill, normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
@@ -323,8 +317,8 @@ def test_events_are_slotted_values():
 
 def test_empty_events_single_seam_strand():
     word = parse("annular v1\nseam 1 +\n")
-    assert len(components(word)) == 1
-    assert wrapping(word, 0) == 1 and winding(word, 0) == 1
+    (comp,) = analyze(word).components
+    assert comp.wrapping == 1 and comp.winding == 1
 
 
 def test_parse_rejects_out_of_range_cap():
@@ -383,18 +377,17 @@ def test_cap_needs_opposite_orientations():
 
 
 def test_parallel_seam_strands_do_not_link():
-    word = parse("annular v1\nseam 2 ++\n")
-    assert len(components(word)) == 2
-    assert linking(word, 0, 1) == 0
+    ana = analyze(parse("annular v1\nseam 2 ++\n"))
+    assert len(ana.components) == 2
+    assert ana.cover_tables(1) == ({0: 0, 1: 0}, {})
 
 
 def test_two_split_circles_do_not_link():
     # Two circles on disjoint gaps, neither crossing the seam.
-    word = AnnularWord((), (Cup(1, 1), Cup(3, 1), Cap(3), Cap(1)))
-    comps = components(word)
-    assert len(comps) == 2
-    assert linking(word, 0, 1) == 0
-    assert wrapping(word, 0) == 0
+    ana = analyze(AnnularWord((), (Cup(1, 1), Cup(3, 1), Cap(3), Cap(1))))
+    assert len(ana.components) == 2
+    assert ana.cover_tables(1)[1] == {}
+    assert ana.components[0].wrapping == 0
 
 
 def test_positive_hopf_clasp_linking_is_one():
@@ -410,36 +403,34 @@ def test_positive_hopf_clasp_linking_is_one():
             Cap(1),
         ),
     )
-    comps = components(word)
-    assert len(comps) == 2
-    lk = linking(word, 0, 1)
-    assert lk == 1 and isinstance(lk, Fraction)
-
-
-def test_linking_same_component_rejected():
-    word = cable_template(4)
-    with pytest.raises(SameComponentError):
-        linking(word, 0, 0)
+    ana = analyze(word)
+    assert len(ana.components) == 2
+    lk = ana.cover_tables(1)[1]
+    assert lk[0, 1] == [1] and type(lk[0, 1][0]) is int
 
 
 def test_linking_symmetric():
-    word = AnnularWord(
-        (),
-        (Cup(1, 1), Cup(2, 1), Cross(1, False), Cross(3, True), Cap(2), Cap(1)),
-    )
-    assert len(components(word)) == 2
-    assert linking(word, 0, 1) == linking(word, 1, 0)
+    # Mixed flags cancel, so the pair has no row; two over flags clasp negatively.
+    for first_over, want in ((False, 0), (True, -1)):
+        word = AnnularWord(
+            (),
+            (Cup(1, 1), Cup(2, 1), Cross(1, first_over), Cross(3, True), Cap(2), Cap(1)),
+        )
+        ana = analyze(word)
+        assert len(ana.components) == 2
+        lk = ana.cover_tables(1)[1]
+        assert lk.get((0, 1), (0,))[0] == lk.get((1, 0), (0,))[0] == want
 
 
 def test_kink_framing():
     word = AnnularWord((1,), (Kink(1, 1),))
-    assert framing(word, 0) == 1
+    assert analyze(word).cover_tables(1)[0] == {0: 1}
 
 
 def test_cable_template_framing_counts_self_crossings():
-    word = cable_template(6)
-    eta = analyze(word).component_by_name("eta")
-    assert framing(word, eta) == 5
+    ana = analyze(cable_template(6))
+    eta = ana.component_by_name("eta")
+    assert ana.cover_tables(1)[0][eta] == 5
 
 
 def test_winding_negates_under_orientation_reversal():
@@ -447,23 +438,36 @@ def test_winding_negates_under_orientation_reversal():
     flipped = AnnularWord(
         tuple(-o for o in word.seam_orientations), word.events, word.labels
     )
-    assert winding(word, 0) == 5
-    assert winding(flipped, 0) == -5
-    assert wrapping(flipped, 0) == 5
+    assert analyze(word).components[0].winding == 5
+    (comp,) = analyze(flipped).components
+    assert (comp.winding, comp.wrapping) == (-5, 5)
 
 
 def test_winding_bounded_by_wrapping():
     for word in (cable_template(2), cable_template(7)):
-        for comp in components(word):
+        for comp in analyze(word).components:
             assert abs(comp.winding) <= comp.wrapping
 
 
 def test_component_ids_stable_under_round_trip():
     word = cable_template(4)
     again = parse(serialize(word))
-    assert [c.seam_positions for c in components(word)] == [
-        c.seam_positions for c in components(again)
+    assert [c.seam_positions for c in analyze(word).components] == [
+        c.seam_positions for c in analyze(again).components
     ]
+
+
+def test_component_lookups_reject_an_index_out_of_range():
+    ana = analyze(compile_presentation(random_presentation(4, 2, 0)))
+    count = len(ana._segment_component)
+    assert count == 12
+    assert {ana.component_of_segment(s) for s in range(count)} == {0, 1, 2}
+    for seg in (-1, -3, count, 10**6):
+        with pytest.raises(UnknownComponentError, match=f"^segment {seg} out of range$"):
+            ana.component_of_segment(seg)
+    for pos in (0, ana.word.seam_width + 1):
+        with pytest.raises(UnknownComponentError, match=f"^seam position {pos} out of range$"):
+            ana.component_of_seam(pos)
 
 
 def test_cup_sign_parses_and_defaults():

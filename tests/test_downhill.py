@@ -29,6 +29,7 @@ from coverlink.downhill import (
     random_annular_word,
     reduce_returning,
 )
+from coverlink.cover import lift_data
 from coverlink.obstruct import auto_verdict, branched_linkings
 from coverlink.pattern import cable_template, compile, validate
 
@@ -139,6 +140,23 @@ def test_normalize_mirrored_cable_reports_reversed():
     result = normalize(mirror)
     assert result.orientation == "Reversed"
     assert result.presentation.clasps == ()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_normalize_keeps_the_mirrored_cable_linkings(n):
+    # Mirroring negates every lift linking: the mirrored n-cable reads -n/m at its
+    # least degree m, and the presentation normalize gives it must read the same.
+    m = min(d for d in range(2, n + 1) if n % d == 0)
+    word = cable_template(n)
+    mirror = AnnularWord(
+        word.seam_orientations,
+        tuple(Cross(e.position, not e.upper_over) for e in word.events),
+        word.labels,
+    )
+    want = lift_data(mirror, m).eta_linkings[1:]
+    assert want == (-n // m,) * (m - 1)
+    assert auto_verdict(normalize(mirror).presentation, (m,)).per_m[0].linkings == want
 
 
 def test_normalize_single_flip_gives_one_clasp_with_parity():

@@ -748,22 +748,6 @@ def test_report_folds_the_lift_tally_once_per_degree(monkeypatch, p, degrees, va
     assert [r.m for r in report.per_m] == list(degrees)
 
 
-def test_verdict_and_lifted_oracles_make_no_per_pair_query(monkeypatch):
-    # Validation and the lifted oracles read the linking table whole, never one curve or pair.
-    def per_pair(*_args):
-        raise AssertionError("a per-curve or per-pair WordAnalysis query")
-
-    for name in ("linking", "framing", "winding", "wrapping"):
-        monkeypatch.setattr(WordAnalysis, name, per_pair)
-    p = random_presentation(8, 3, 0)
-    analyze.cache_clear()
-    assert auto_verdict(p, (2, 4, 8)).aggregate == "Obstructed"
-    for m in (2, 4, 8):
-        cd = build_cover(compile_presentation(p), m)
-        assert lifted_linking_matrix(cd).matrix.rows == 3 * m
-        assert len(lifted_eta_linkings(cd)) == m * (m - 1)
-
-
 def test_na_rows_keep_schema_keys():
     doc = report_to_dict(auto_verdict(ClaspPresentation(6, ()), (4,)))
     row = doc["per_m"][0]

@@ -23,6 +23,19 @@ def test_every_exported_name_resolves():
     assert len(set(coverlink.__all__)) == len(coverlink.__all__)
 
 
+def test_exports_are_exactly_the_imports_and_sorted():
+    # A name that leaves a module must leave both the imports and __all__.
+    tree = ast.parse(Path(coverlink.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported == set(coverlink.__all__)
+    assert coverlink.__all__ == sorted(coverlink.__all__)
+
+
 def test_version_matches_pyproject():
     text = PYPROJECT.read_text(encoding="utf-8")
     assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == coverlink.__version__

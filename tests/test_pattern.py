@@ -53,7 +53,7 @@ def test_cable_template_goldens():
         ana = analyze(word)
         assert len(ana.components) == 1
         eta = ana.component_by_name("eta")
-        assert ana.winding(eta) == n
+        assert ana.components[eta].winding == n
 
 
 def test_compile_empty_equals_template():
@@ -69,10 +69,10 @@ def test_compile_gadget_contract():
     ana = analyze(word)
     eta = ana.component_by_name("eta")
     clasp = ana.component_by_name("L1")
-    assert ana.winding(clasp) == 0
-    assert ana.wrapping(clasp) == 2
-    assert ana.framing(clasp) == -1
-    assert ana.linking(eta, clasp) == 0
+    framing, lk = ana.cover_tables(1)
+    assert (ana.components[clasp].winding, ana.components[clasp].wrapping) == (0, 2)
+    assert framing[clasp] == -1
+    assert lk.get((eta, clasp), (0,))[0] == 0
 
 
 def test_compile_balanced_weave_n2():
@@ -80,7 +80,8 @@ def test_compile_balanced_weave_n2():
     word = compile(p)
     ana = analyze(word)
     assert len(ana.components) == 2
-    assert ana.linking(ana.component_by_name("eta"), ana.component_by_name("L1")) == 0
+    pair = (ana.component_by_name("eta"), ana.component_by_name("L1"))
+    assert ana.cover_tables(1)[1].get(pair, (0,))[0] == 0
 
 
 def test_compile_unbalanced_weave_flags_eta_linking():
@@ -358,6 +359,25 @@ def test_presentation_rejects_names_the_text_forms_cannot_read_back(name):
     with pytest.raises(PatternError, match="name must be one token"):
         ClaspPresentation(4, (), name=name)
     assert parse(serialize(ClaspPresentation(4, (), name="a-b"))).name == "a-b"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("slot", True), ("gap_enter", False), ("gap_exit", 1.0), ("clasp_sign", True),
+     ("framing", -1.0), ("n", 4.0), ("n", True)],
+)
+def test_presentations_hold_only_ints_the_text_forms_read_back(field, value):
+    # `slot True` or `cable 4.0` would be written, but neither text form reads it back.
+    fields = {"slot": 0, "gap_enter": 0, "gap_exit": 1, "weave": "oo"}
+    p = ClaspPresentation(4, (ClaspSpec(**fields),))
+    assert parse(serialize(p)) == p and from_json(to_json(p)) == p
+    n = 4
+    if field == "n":
+        n = value
+    else:
+        fields[field] = value
+    with pytest.raises(PatternError, match=f"^{field} must be an integer, got {value!r}$"):
+        ClaspPresentation(n, (ClaspSpec(**fields),))
 
 
 def test_pattern_dsl_rejects_framing_zero():
