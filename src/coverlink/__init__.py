@@ -59,7 +59,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AnnularWord",

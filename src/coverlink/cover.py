@@ -139,11 +139,8 @@ class LiftedData:
 
 def _surgery_order(base_ana: WordAnalysis) -> list[ComponentId]:
     """The labelled non-eta components, by name: the order of lifts within a sheet."""
-    base_labels = base_ana.labels()
-    return sorted(
-        (cid for cid, name in base_labels.items() if name != "eta"),
-        key=lambda cid: base_labels[cid],
-    )
+    named = sorted((name, cid) for cid, name in base_ana.labels().items() if name != "eta")
+    return [cid for _, cid in named]
 
 
 def lift_data(base: AnnularWord, m: int) -> LiftedData:
@@ -168,10 +165,12 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     index = {cid: p for p, cid in enumerate(surgery)}
     for cid, p in index.items():
         if f := framing[cid]:
-            nonzeros.update(((x * k + p, x * k + p), f) for x in range(m))
-        eta_row[p::k] = lk.get((eta, cid), [0] * m)
+            for i in range(p, size, k):
+                nonzeros[i, i] = f
+        if row := lk.get((eta, cid)):
+            eta_row[p::k] = row
     for (a, b), row in lk.items():
-        if a in index and b in index:
+        if a in index and b in index and any(row):
             pa, pb = index[a], index[b]
             for d in compress(range(m), row):
                 v = row[d]

@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
+from typing import NamedTuple
 
 
 class DiagramError(Exception):
@@ -85,10 +86,21 @@ class _LabelClash(DiagramError):
         super().__init__(f"label {name!r} names the component labeled {first!r}")
 
 
+def _check_position(position: object, what: str) -> None:
+    # Only an int (not a bool) reads back from the text form.
+    if type(position) is not int:
+        raise ValueError(f"{what} position must be an integer, got {position!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Cross:
     position: int
     upper_over: bool
+
+    def __post_init__(self):
+        _check_position(self.position, "crossing")
+        if type(self.upper_over) is not bool:
+            raise ValueError(f"upper_over must be a bool, got {self.upper_over!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,16 +108,25 @@ class Cup:
     position: int
     sign: int = 1  # +1: lower newborn strand runs rightward
 
+    def __post_init__(self):
+        _check_position(self.position, "cup")
+
 
 @dataclass(frozen=True, slots=True)
 class Cap:
     position: int
+
+    def __post_init__(self):
+        _check_position(self.position, "cap")
 
 
 @dataclass(frozen=True, slots=True)
 class Kink:
     position: int
     sign: int
+
+    def __post_init__(self):
+        _check_position(self.position, "kink")
 
 
 Event = Cross | Cup | Cap | Kink
@@ -130,16 +151,25 @@ class AnnularWord:
     labels: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        for o in self.seam_orientations:
-            if o not in (-1, 1):
-                raise ValueError("seam orientations must be +1 or -1")
+        seam, labels = self.seam_orientations, self.labels
+        # A word is hashed as the analysis cache's key, so every field is a tuple.
+        for what in ("seam_orientations", "events", "labels"):
+            if not isinstance(value := getattr(self, what), tuple):
+                raise ValueError(f"{what} must be a tuple, got {type(value).__name__}")
+        if seam.count(1) + seam.count(-1) != len(seam):
+            raise ValueError("seam orientations must be +1 or -1")
         names = set()
-        for name, pos in self.labels:
+        for label in labels:
+            if not isinstance(label, tuple) or len(label) != 2:
+                raise ValueError(f"a label must be a (name, seam position) tuple, got {label!r}")
+            name, pos = label
             _check_token(name, "label name")
             if name in names:
                 raise ValueError(f"duplicate label {name!r}")
             names.add(name)
-            if not 1 <= pos <= self.seam_width:
+            if type(pos) is not int:
+                raise ValueError(f"label {name!r} seam position must be an integer, got {pos!r}")
+            if not 1 <= pos <= len(seam):
                 raise ValueError(f"label {name!r} references seam strand {pos}")
 
     def __hash__(self) -> int:
@@ -165,8 +195,7 @@ def crossing_sign(o_lower: int, o_upper: int, upper_over: bool) -> int:
     return o_lower * o_upper * (-1 if upper_over else 1)
 
 
-@dataclass
-class _SweepResult:
+class _SweepResult(NamedTuple):
     """A checked word's segments, their joins, and the crossings and kinks on them.
 
     Segment h starts at left-edge position h + 1 for h < width; every cup
@@ -189,78 +218,76 @@ class _SweepResult:
 
 
 def _sweep(word: AnnularWord) -> _SweepResult:
-    """Run the word left to right, type-checking it and recording each segment's joins."""
-    width = word.seam_width
+    """Run the word left to right, type-checking it and recording each segment's joins.
+
+    Two lists carry the state: the live segments, bottom to top, and each
+    segment's orientation, fixed at its birth; ``live`` is the live count.
+    """
+    seam = word.seam_orientations
+    width = live = len(seam)
     starts = [~h for h in range(width)]
     ends = [0] * width
-    live: list[tuple[int, int]] = list(enumerate(word.seam_orientations))  # (segment, orientation)
+    segs = list(range(width))
+    orient = list(seam)
     crossings: list[tuple[int, int, int, int]] = []
     kinks: list[tuple[int, int]] = []
     for idx, ev in enumerate(word.events):
-        if isinstance(ev, Cross):
+        if type(ev) is Cross or isinstance(ev, Cross):  # most events are crossings
             p = ev.position
-            if not 1 <= p <= len(live) - 1:
-                raise StrandCountMismatch(
-                    f"crossing at gap {p} with {len(live)} live strands", idx
-                )
-            lo, up = live[p - 1], live[p]
-            crossings.append((lo[0], up[0], crossing_sign(lo[1], up[1], ev.upper_over), idx))
-            live[p - 1], live[p] = up, lo
+            if not 1 <= p < live:
+                raise StrandCountMismatch(f"crossing at gap {p} with {live} live strands", idx)
+            lo, up = segs[p - 1], segs[p]
+            crossings.append((lo, up, crossing_sign(orient[lo], orient[up], ev.upper_over), idx))
+            segs[p - 1], segs[p] = up, lo
         elif isinstance(ev, Cup):
             p = ev.position
-            if not 1 <= p <= len(live) + 1:
-                raise StrandCountMismatch(
-                    f"cup at position {p} with {len(live)} live strands", idx
-                )
+            if not 1 <= p <= live + 1:
+                raise StrandCountMismatch(f"cup at position {p} with {live} live strands", idx)
             if ev.sign not in (-1, 1):
                 raise ValueError(f"event {idx}: cup sign must be +1 or -1")
             lower = len(starts)
             starts += (lower + 1, lower)
             ends += (0, 0)
-            live[p - 1 : p - 1] = [(lower, ev.sign), (lower + 1, -ev.sign)]
+            orient += (ev.sign, -ev.sign)
+            segs[p - 1 : p - 1] = (lower, lower + 1)
+            live += 2
         elif isinstance(ev, Cap):
             p = ev.position
-            if not 1 <= p <= len(live) - 1:
-                raise StrandCountMismatch(
-                    f"cap at position {p} with {len(live)} live strands", idx
-                )
-            lo, up = live[p - 1], live[p]
-            if lo[1] + up[1] != 0:
+            if not 1 <= p < live:
+                raise StrandCountMismatch(f"cap at position {p} with {live} live strands", idx)
+            lo, up = segs[p - 1], segs[p]
+            if orient[lo] + orient[up] != 0:
                 raise OrientationMismatch(
-                    f"cap joins strands with orientations {lo[1]}, {up[1]}", idx
+                    f"cap joins strands with orientations {orient[lo]}, {orient[up]}", idx
                 )
-            ends[lo[0]], ends[up[0]] = up[0], lo[0]
-            del live[p - 1 : p + 1]
+            ends[lo], ends[up] = up, lo
+            del segs[p - 1 : p + 1]
+            live -= 2
         elif isinstance(ev, Kink):
             p = ev.position
-            if not 1 <= p <= len(live):
-                raise StrandCountMismatch(
-                    f"kink at position {p} with {len(live)} live strands", idx
-                )
+            if not 1 <= p <= live:
+                raise StrandCountMismatch(f"kink at position {p} with {live} live strands", idx)
             if ev.sign not in (-1, 1):
                 raise ValueError(f"event {idx}: kink sign must be +1 or -1")
-            kinks.append((live[p - 1][0], ev.sign))
+            kinks.append((segs[p - 1], ev.sign))
         else:  # pragma: no cover - exhaustive by construction
             raise TypeError(f"unknown event {ev!r}")
 
-    if len(live) != width:
-        raise SeamMismatch(f"word ends with {len(live)} strands, seam has {width}")
-    for h, (seg, o) in enumerate(live):
-        if o != word.seam_orientations[h]:
+    if live != width:
+        raise SeamMismatch(f"word ends with {live} strands, seam has {width}")
+    for h, seg in enumerate(segs):
+        if orient[seg] != seam[h]:
             raise SeamMismatch(
-                f"seam strand {h + 1} re-glues with orientation {o}, "
-                f"expected {word.seam_orientations[h]}"
+                f"seam strand {h + 1} re-glues with orientation {orient[seg]}, expected {seam[h]}"
             )
         ends[seg] = ~h
-    seam_ends = [seg for seg, _ in live]
-    return _SweepResult(len(starts), starts, ends, seam_ends, crossings, kinks)
+    return _SweepResult(len(starts), starts, ends, segs, crossings, kinks)
 
 
 ComponentId = int
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     cid: ComponentId
     seam_positions: tuple[int, ...]  # 1-based
     winding: int
@@ -357,6 +384,15 @@ class WordAnalysis:
         for (a, b), (lo, counts) in rows.items():
             if not any(counts):  # the pair's crossings cancel at every delta
                 continue
+            if m == 1:  # the base word: a pair's one linking, a curve's self-crossings
+                total = sum(counts)
+                if a == b:
+                    framing[a] += total
+                    lk[a, a] = [0]
+                else:
+                    assert not total & 1, "closed curves must cross evenly"
+                    lk[a, b], lk[b, a] = [total >> 1], [total >> 1]
+                continue
             size, s = len(counts), lo % m
             if size > m * m:  # more chunks than residues: sum each residue's slice
                 row = [sum(counts[(r - lo) % m :: m]) for r in range(m)]
@@ -424,18 +460,22 @@ def analyze(word: AnnularWord) -> WordAnalysis:
         for seg in walk[cut:]:
             seg_sheet[seg] -= v
         periods.append(v)
+    # One pass over the seam: each component's seam strands, winding and sheets.
     positions: list[list[int]] = [[] for _ in periods]
-    for h in range(word.seam_width):
-        positions[seg_component[h]].append(h + 1)
+    windings = [0] * len(periods)
+    sheets: list[list[int]] = [[] for _ in periods]
+    for h, o in enumerate(word.seam_orientations):
+        cid = seg_component[h]
+        positions[cid].append(h + 1)
+        windings[cid] += o
+        sheets[cid].append(seg_sheet[h])
     # A re-gluing goes up one sheet, so a component's sheets are its seam strands' and those + 1.
     components, sheet_range = [], []
     for cid, period in enumerate(periods):
-        seam = tuple(positions[cid])
-        winding = sum(word.seam_orientations[p - 1] for p in seam)
+        seam, winding = tuple(positions[cid]), windings[cid]
         assert abs(period) == abs(winding), "sheet offsets must close up by the winding"
         components.append(Component(cid, seam, winding, len(seam)))
-        sheets = [seg_sheet[p - 1] for p in seam]
-        sheet_range.append((min(sheets, default=0), max(sheets, default=-1) + 1))
+        sheet_range.append((min(sheets[cid], default=0), max(sheets[cid], default=-1) + 1))
     labels: dict[ComponentId, str] = {}
     for name, pos in word.labels:
         first = labels.setdefault(seg_component[pos - 1], name)

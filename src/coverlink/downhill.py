@@ -18,9 +18,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
-from .pattern import ClaspPresentation, ClaspSpec, _cross_table, cable_template
+from .pattern import _CAPS, _CUPS, ClaspPresentation, ClaspSpec, _cross_table, cable_template
+from .pattern import _grow_gadget_tables
 
 
 class MultiComponentError(Exception):
@@ -35,11 +38,15 @@ class WindingTooSmallError(Exception):
     """Normalization needs |winding| >= 2."""
 
 
-@dataclass(frozen=True)
-class _Passage:
+class _Passage(NamedTuple):
     event: int  # event index, or -1 for a seam crossing
     kind: str  # "over" | "under" | "seam"
     direction: int = 0  # seam crossings only: +1 rightward, -1 leftward
+
+
+# ``_Passage(...)`` runs the generated ``__new__``, a Python call per passage;
+# ``tuple.__new__`` builds the same named tuple in C.
+_passage = partial(tuple.__new__, _Passage)
 
 
 def _curve(word: AnnularWord) -> list[_Passage]:
@@ -61,8 +68,8 @@ def _curve(word: AnnularWord) -> list[_Passage]:
     on_segment: list[list[_Passage]] = [[] for _ in range(sweep.seg_count)]
     for lo, up, _, idx in sweep.crossings:
         upper_over = word.events[idx].upper_over
-        on_segment[lo].append(_Passage(idx, "under" if upper_over else "over"))
-        on_segment[up].append(_Passage(idx, "over" if upper_over else "under"))
+        on_segment[lo].append(_passage((idx, "under" if upper_over else "over", 0)))
+        on_segment[up].append(_passage((idx, "over" if upper_over else "under", 0)))
     passages: list[_Passage] = []
     seg, forward = 0, True
     while True:
@@ -92,11 +99,11 @@ def _first_visit_flips(passages: list[_Passage]) -> list[int]:
     """Event indices of crossings first reached on the under strand."""
     seen: set[int] = set()
     flips: list[int] = []
-    for p in passages:
-        if p.kind in ("over", "under") and p.event not in seen:
-            seen.add(p.event)
-            if p.kind == "under":
-                flips.append(p.event)
+    for event, kind, _ in passages:
+        if kind != "seam" and event not in seen:
+            seen.add(event)
+            if kind == "under":
+                flips.append(event)
     return flips
 
 
@@ -104,10 +111,11 @@ def _flip_events(word: AnnularWord, flips: list[int]) -> AnnularWord:
     if not flips:
         return word
     events = list(word.events)
+    crosses = _cross_table(max(events[idx].position for idx in flips) + 1)
     for idx in flips:
         ev = events[idx]
         assert isinstance(ev, Cross)
-        events[idx] = Cross(ev.position, not ev.upper_over)
+        events[idx] = crosses[not ev.upper_over][ev.position]
     return AnnularWord(word.seam_orientations, tuple(events), word.labels)
 
 
@@ -206,10 +214,11 @@ def normalize(word: AnnularWord) -> NormalizeResult:
     (ties prefer along); the result is Reversed exactly when the emitted data
     describes the input curve run backwards.
     """
-    stripped = AnnularWord(
-        word.seam_orientations,
-        tuple(ev for ev in word.events if not isinstance(ev, Kink)),
-        word.labels,
+    kept = [ev for ev in word.events if not isinstance(ev, Kink)]
+    stripped = (
+        word
+        if len(kept) == len(word.events)  # no kink: the input word, already hashed, serves
+        else AnnularWord(word.seam_orientations, tuple(kept), word.labels)
     )
     ana = analyze(stripped)
     if len(ana.components) != 1:
@@ -240,10 +249,10 @@ def normalize(word: AnnularWord) -> NormalizeResult:
     downhill_word = _flip_events(stripped, flips)
 
     heights = _strand_heights(passages, w)
-    by_event: dict[int, list[int]] = {}
-    for pos, p in enumerate(passages):
-        if p.kind in ("over", "under"):
-            by_event.setdefault(p.event, []).append(pos)
+    by_event: dict[int, list[int]] = {idx: [] for idx in flips}  # each flip's two passages
+    for pos, (event, kind, _) in enumerate(passages):
+        if event in by_event:
+            by_event[event].append(pos)
     # _curve analysed this same word, so its sweep is a cache hit.
     signs = {idx: sign for _, _, sign, idx in analyze(stripped)._sweep.crossings}
     changes: list[ChangeRecord] = []
@@ -251,8 +260,8 @@ def normalize(word: AnnularWord) -> NormalizeResult:
         pos1, pos2 = by_event[ev_idx]
         h1, h2 = sorted((heights[pos1], heights[pos2]))
         g_e, g_x = h1 - 1, h2
-        levels = range(g_e + 1, g_x + 1)
-        flags_in = "".join("u" if lev in (h1, h2) else "o" for lev in levels)
+        # Levels h1..h2: under the two crossing strands, over every strand between.
+        flags_in = "u" + "o" * (h2 - h1 - 1) + "u" if h2 > h1 else "u"
         clasp = ClaspSpec(
             slot=slot,
             gap_enter=g_e,
@@ -290,6 +299,7 @@ def random_annular_word(n: int, seed: int) -> AnnularWord:
     outward = {t_out for _, t_out in finger_pairs}
     stack = list(seam_order)
     crosses = _cross_table(len(stack))
+    _grow_gadget_tables(len(stack))
     events: list[Event] = []
 
     def move_to(s: int, target: int) -> None:
@@ -309,7 +319,7 @@ def random_annular_word(n: int, seed: int) -> AnnularWord:
         at = stack.index(t_out)
         move_to(victim, at - 1 if at > stack.index(victim) else at + 1)
         lower = min(at, stack.index(victim))
-        events.append(Cap(lower + 1))
+        events.append(_CAPS[lower + 1])
         del stack[lower : lower + 2]
         home[t_in] = home.pop(victim)
         home.pop(t_out)
@@ -326,7 +336,8 @@ def random_annular_word(n: int, seed: int) -> AnnularWord:
         move_to(s, i)
 
     # Re-birth the finger pairs at their seam heights, bottom-up.
-    events += [Cup(at + 1, 1) for at in sorted(seam_order.index(t_in) for t_in, _ in finger_pairs)]
+    births = sorted(seam_order.index(t_in) for t_in, _ in finger_pairs)
+    events += [_CUPS[True][at + 1] for at in births]
     word = AnnularWord(
         tuple(-1 if s in outward else 1 for s in seam_order), tuple(events), (("pattern", 1),)
     )

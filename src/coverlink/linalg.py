@@ -12,16 +12,17 @@ index the diagonal blocks of a simultaneous row and column permutation of
 the matrix, which leaves the determinant unchanged. A matrix finds its
 blocks once, on first use; a dense matrix is one block, and a 1x1 block is
 its diagonal entry. So ``det`` is the product of the blocks' determinants,
-and a solve eliminates ``[block | b]`` per block. The back-substitution is
-fraction-free too: for the block's last pivot D ``D * z`` is integral by
-Cramer's rule, so it runs on integers with exact division. Every solve goes
-through ``solve_numerators``, which eliminates only the blocks where b is
-nonzero and returns z as integer numerators over the lcm of z's
-denominators. ``solve`` and ``inverse`` (column j solves for e_j) check
-``det`` once and build their ``Fraction``s from those numerators, so every
-denominator divides ``|det|``. The Smith normal form uses a fixed pivot rule
-(smallest absolute value, ties broken in row-major order) so that outputs
-are deterministic.
+and a solve divides by a 1x1 block in place and eliminates ``[block | b]``
+per coupled block. The back-substitution is fraction-free too: for the
+block's last pivot D ``D * z`` is integral by Cramer's rule, so it runs on
+integers with exact division. Every solve goes through
+``solve_numerators``, which eliminates only the blocks where b is nonzero
+and returns z as integer numerators over the lcm of z's denominators.
+``solve`` and ``inverse`` (column j solves for e_j) check ``det`` once and
+build their ``Fraction``s from those numerators, so every denominator
+divides ``|det|``. The Smith normal form uses a fixed pivot rule (smallest
+absolute value, ties broken in row-major order) so that outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 
@@ -100,10 +100,15 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @cached_property
+    @property
     def _split(self) -> list[list[int]]:
         """``_blocks(self)``, found once and shared by ``det`` and the solves."""
-        return _blocks(self)
+        # Kept in the instance dict: functools.cached_property takes a lock per read on 3.11.
+        try:
+            return self.__dict__["_blocks"]
+        except KeyError:
+            split = self.__dict__["_blocks"] = _blocks(self)
+            return split
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -159,9 +164,13 @@ def _blocks(m: IntMatrix) -> list[list[int]]:
     Indices i and j share a component when a chain of nonzero entries, read
     in either direction, joins them. A union-find over the stored entries
     finds them in O(N + nnz). Components come in order of their least
-    index, each sorted, so a dense matrix is the single block 0..n-1.
+    index, each sorted, so a dense matrix is the single block 0..n-1. Only the
+    off-diagonal entries join indices, and with none every index is its own block.
     """
     n = m.rows
+    off = [ij for ij in m.nonzeros if ij[0] != ij[1]]
+    if not off:
+        return [[i] for i in range(n)]
     parent = list(range(n))
 
     def root(i: int) -> int:
@@ -169,11 +178,10 @@ def _blocks(m: IntMatrix) -> list[list[int]]:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for i, j in m.nonzeros:
-        if i != j:
-            ri, rj = root(i), root(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    for i, j in off:
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
     blocks: dict[int, list[int]] = {}
     for i in range(n):
         blocks.setdefault(root(i), []).append(i)
@@ -190,15 +198,10 @@ def _solve_block(m: IntMatrix, block: list[int], b: list[int]) -> tuple[int, lis
 
     D is the block's last pivot and ``y[r] = D * z[block[r]]``: one
     elimination of ``[block | b]``, then fraction-free back-substitution
-    (every ``//`` is exact). A 1x1 block is its diagonal entry. Raises
+    (every ``//`` is exact). The block has at least two indices. Raises
     :class:`SingularError` when the block is singular.
     """
     size = len(block)
-    if size == 1:
-        last = m.nonzeros.get((block[0], block[0]), 0)
-        if not last:
-            raise SingularError("matrix is singular")
-        return last, b
     a = [row + [e] for row, e in zip(_block_rows(m, block), b)]
     if _eliminate(a, size) == 0:
         raise SingularError("matrix is singular")
@@ -235,21 +238,31 @@ def solve_numerators(m: IntMatrix, b: Sequence[int]) -> tuple[dict[int, int], in
     """The solution of ``m z = b`` on integers: ``(w, d)`` with ``z[i] = w.get(i, 0) / d``.
 
     w holds the nonzero numerators and d > 0 is the lcm of z's denominators.
-    Only the blocks where b is nonzero are eliminated. On every other block z
-    is 0 because the caller has already checked that ``det(m) != 0``; a
-    singular block that b does not touch goes undetected here.
+    Only the blocks where b is nonzero are eliminated; a 1x1 block [a] is
+    solved in place, as ``z[i] = b[i] / a``. On every other block z is 0
+    because the caller has already checked that ``det(m) != 0``; a singular
+    block that b does not touch goes undetected here.
     """
     if not m.is_square:
         raise NonSquareError(f"cannot solve with a {m.rows}x{m.cols} matrix")
     if len(b) != m.rows:
         raise ValueError("vector dimension mismatch")
-    parts, d = [], 1
+    get = m.nonzeros.get
+    solved, d = [], 1  # (index, D * z[index], D) with D its block's last pivot
     for block in m._split:
-        if any(b[i] for i in block):
+        if len(block) == 1:
+            i = block[0]
+            if v := b[i]:
+                last = get((i, i), 0)
+                if not last:
+                    raise SingularError("matrix is singular")
+                solved.append((i, v, last))
+                d = math.lcm(d, last // math.gcd(last, v))
+        elif any(b[i] for i in block):
             last, y = _solve_block(m, block, [b[i] for i in block])
-            parts.append((block, y, last))
+            solved += ((i, v, last) for i, v in zip(block, y))
             d = math.lcm(d, last // math.gcd(last, *y))
-    return {i: v * d // last for block, y, last in parts for i, v in zip(block, y) if v}, d
+    return {i: v * d // last for i, v, last in solved if v}, d
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> list[Fraction]:

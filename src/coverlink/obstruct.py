@@ -6,13 +6,13 @@ covers reads the m-fold cover's lift data off one sweep of that word
 lifted surgery curves, one eta lift's row of linkings with them, and the
 eta-lift linkings. It converts base linkings into branched-cover linkings
 via ``base - x^T A^{-1} y``; one exact solve ``z = A^{-1} x`` per degree, on
-integers over the blocks of A that x touches, yields every linking (one
-``Fraction`` each) and eta's order. The verdict then asks whether the
-meridian lift has odd order in first homology and whether the linking
-vector is nonzero and of uniform sign; both must hold (and m must be a
-prime power) to certify the obstruction. Every report is first checked
-against one table of theorems (``_INVARIANTS``). A failed row is a pipeline
-bug: a verdict raises :class:`InvariantViolationError`, and
+integers over the blocks of A that x touches, yields every linking (an
+``int`` when eta's order is 1, else a ``Fraction``) and eta's order. The
+verdict then asks whether the meridian lift has odd order in first homology
+and whether the linking vector is nonzero and of uniform sign; both must
+hold (and m must be a prime power) to certify the obstruction. Every report
+is first checked against one table of theorems (``_INVARIANTS``). A failed
+row is a pipeline bug: a verdict raises :class:`InvariantViolationError`, and
 the :func:`cross_checks` ledger records the row as failed. ``json`` leaves
 its C encoder whenever ``indent`` is set, so :func:`report_to_json` writes
 the fixed report schema in ``json.dumps(indent=2)``'s layout itself.
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
+from operator import mul
 from typing import Sequence
 
 from . import pattern as pat
@@ -122,10 +123,12 @@ def _linkings_from_data(
     ``x^T A^{-1} y_k = z . y_k``. For nonsingular A, d*x lies in the column
     span of A iff d*z is integral, so eta's order is the lcm of the
     denominators of z. ``solve_numerators`` gives z = w / order with w
-    integral and nonzero only on the blocks x touches, so each linking is
-    ``base_k - (w . y_k) / order``: one integer dot product over w's support
-    and one ``Fraction``; with no surgery curve the base's integer linkings
-    pass through. The caller has checked that A is nonsingular.
+    integral, so each linking is ``base_k - (w . y_k) / order``. y_k is the
+    eta row rotated by (preferred + k) sheets, one slice of the row written
+    twice, and the dot product is one ``sum(map(mul, ...))`` against w laid
+    out densely. A linking is an ``int`` when the order is 1, else a
+    ``Fraction``; with no surgery curve the base's integer linkings pass
+    through. The caller has checked that A is nonsingular.
     """
     row, size = data.eta_row, len(data.eta_row)
     if not size:
@@ -133,11 +136,16 @@ def _linkings_from_data(
     sheet = size // m
     cut = size - preferred * sheet % size
     w, order = solve_numerators(data.matrix, row[cut:] + row[:cut])
+    dense = [0] * size
+    for i, v in w.items():
+        dense[i] = v
+    twice = row + row  # twice[size - s + i] is row[(i - s) % size]
     linkings = []
     for k in range(1, m):
-        shift = (preferred + k) * sheet
-        dot = sum(v * row[(i - shift) % size] for i, v in w.items())
-        linkings.append(Fraction(data.eta_linkings[k] * order - dot, order))
+        start = size - (preferred + k) * sheet % size
+        dot = sum(map(mul, dense, twice[start : start + size]))
+        base = data.eta_linkings[k]
+        linkings.append(base - dot if order == 1 else Fraction(base * order - dot, order))
     return tuple(linkings), order
 
 
@@ -161,7 +169,7 @@ def _h1_odd(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]
 
 
 def _parity(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
-    k0 = Fraction(p.n, report.m)
+    k0 = p.n // report.m  # m divides n at every degree a report is made for
     val = (report.linkings[report.m // 2 - 1] - k0) * report.h1_order
     return val.denominator == 1 and int(val) % 2 == 0, f"(lk - {k0})*|H1| = {val}"
 
@@ -305,34 +313,40 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
     return AggregateReport(p.name or "unnamed", p.n, reports, agg)
 
 
+_TRANSFER_MAX = 16  # the largest degree m of a transfer row
+
+
 def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     """Structural consistency ledger for a presentation.
 
-    Collects each degree's own report checks (palindrome, odd |H1|, parity
-    forms), recording a failed row rather than raising, and adds the transfer
-    identity at each pair of degrees d | m, divisibility of |H1|, the lifted
-    eta vector's shape, deck-relabel invariance, the paper's mod-8 theorem
-    (``hedden-mod8``) and cancelling-pair invariance, at every applicable
-    cover degree. One checked word serves every degree and the direct count;
-    the cancelling-pair presentation is compiled on its own.
+    Collects the own report checks (palindrome, odd |H1|, parity forms) of
+    each degree 2, 4 and 8 dividing n, recording a failed row rather than
+    raising, and adds the transfer identity at each pair of degrees d | m
+    dividing n with m <= 16, then, at degrees 2, 4 and 8, divisibility of
+    |H1|, the lifted eta vector's shape, deck-relabel invariance, the paper's
+    mod-8 theorem (``hedden-mod8``) and cancelling-pair invariance. One checked
+    word serves every degree and the direct count; the cancelling-pair
+    presentation is compiled on its own.
     """
     checks: list[CheckResult] = []
     n = p.n
     degrees = [m for m in (2, 4, 8) if n % m == 0]
-    word = _checked_word(p) if degrees else None
-    runs = {m: _branched(p, word, m) for m in degrees}
+    divisors = [m for m in range(2, _TRANSFER_MAX + 1) if n % m == 0]
+    pairs = [(d, m) for m in divisors for d in divisors if d < m and m % d == 0]
+    needed = sorted({*degrees, *(m for pair in pairs for m in pair)})
+    word = _checked_word(p) if needed else None
+    runs = {m: _branched(p, word, m) for m in needed}
     reports = {m: rep for m, (rep, _data) in runs.items()}
 
     # Transfer: for d | m, lk_d[j] sums lk_m[k] over 0 < k < m with k = j mod d.
-    for d, m in ((2, 4), (2, 8), (4, 8)):
-        if m in reports:
-            lk_d, lk_m = reports[d].linkings, reports[m].linkings
-            sums = tuple(sum(lk_m[j - 1 :: d]) for j in range(1, d))
-            detail = f"lk_{d} = {_fmt_linkings(lk_d)}, sums {_fmt_linkings(sums)}"
-            if m == 4:  # the (2, 4) row keeps the name and detail of the doubling check
-                detail = f"lk_2 = {lk_d[0]}, 2*lk_4(adjacent) = {2 * lk_m[0]}"
-            name = "two-vs-four-doubling" if m == 4 else f"transfer-m{d}-m{m}"
-            checks.append(CheckResult(name, sums == tuple(lk_d), detail))
+    for d, m in pairs:
+        lk_d, lk_m = reports[d].linkings, reports[m].linkings
+        sums = tuple(sum(lk_m[j - 1 :: d]) for j in range(1, d))
+        detail = f"lk_{d} = {_fmt_linkings(lk_d)}, sums {_fmt_linkings(sums)}"
+        if (d, m) == (2, 4):  # this row keeps the name and detail of the doubling check
+            detail = f"lk_2 = {lk_d[0]}, 2*lk_4(adjacent) = {2 * lk_m[0]}"
+        name = "two-vs-four-doubling" if (d, m) == (2, 4) else f"transfer-m{d}-m{m}"
+        checks.append(CheckResult(name, sums == tuple(lk_d), detail))
     if 4 in reports:
         checks.append(
             CheckResult(

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
 from .diagram import _check_token, _int_literal, _lines
@@ -58,7 +60,7 @@ def _check_ints(obj, *names: str) -> None:
             raise PatternError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaspSpec:
     """One clasp gadget.
 
@@ -83,7 +85,9 @@ class ClaspSpec:
             raise PatternError(f"clasp sign must be +1 or -1, got {self.clasp_sign}")
         if self.framing not in (-1, 1):
             raise PatternError(f"framing must be +1 or -1, got {self.framing}")
-        if any(ch not in "ou" for ch in self.weave):
+        if not isinstance(self.weave, str):
+            raise PatternError(f"weave must be a string, got {self.weave!r}")
+        if self.weave.strip("ou"):  # a flag other than 'o' or 'u'
             raise WeaveLengthError(f"weave {self.weave!r} may only contain 'o' and 'u'")
         d = abs(self.gap_exit - self.gap_enter)
         if len(self.weave) != 2 * d:
@@ -93,7 +97,7 @@ class ClaspSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaspPresentation:
     n: int
     clasps: tuple[ClaspSpec, ...] = ()
@@ -103,6 +107,9 @@ class ClaspPresentation:
         if self.name != "":  # the text forms must read the name back
             _check_token(self.name, "name", PatternError)
         _check_ints(self, "n")
+        # Only a tuple of specs hashes, and reads back equal from the text forms.
+        if not isinstance(self.clasps, tuple) or any(type(c) is not ClaspSpec for c in self.clasps):
+            raise PatternError(f"clasps must be a tuple of ClaspSpec, got {self.clasps!r}")
         if self.n < 2:
             raise PatternError(f"cable winding must be at least 2, got {self.n}")
         for c in self.clasps:
@@ -116,6 +123,13 @@ class ClaspPresentation:
 # slice or a comprehension of shared events. Index 0 is never emitted. Events are
 # immutable values: sharing them changes no word or hash.
 _CROSSES: tuple[list[Cross], list[Cross]] = ([], [])
+# The gadget events every compile and the normalizer's random words share, indexed
+# the same way by position:
+# ``_KINKS[sign > 0][p]`` is ``Kink(p, sign)``, ``_CAPS[p]`` is ``Cap(p)`` and
+# ``_CUPS[sign > 0][p]`` is ``Cup(p, sign)``, for sign +1 or -1.
+_KINKS: tuple[list[Kink], list[Kink]] = ([], [])
+_CAPS: list[Cap] = []
+_CUPS: tuple[list[Cup], list[Cup]] = ([], [])
 
 
 def _cross_table(width: int) -> tuple[list[Cross], list[Cross]]:
@@ -123,6 +137,16 @@ def _cross_table(width: int) -> tuple[list[Cross], list[Cross]]:
     for upper_over, row in enumerate(_CROSSES):
         row.extend(Cross(p, bool(upper_over)) for p in range(len(row), width))
     return _CROSSES
+
+
+def _grow_gadget_tables(width: int) -> None:
+    """Grow the shared kink, cap and cup tables to every position of a ``width``-strand stack."""
+    if len(_CAPS) > width:  # the tables grow together
+        return
+    for sign, kinks, cups in zip((-1, 1), _KINKS, _CUPS):
+        kinks.extend(Kink(p, sign) for p in range(len(kinks), width + 1))
+        cups.extend(Cup(p, sign) for p in range(len(cups), width + 1))
+    _CAPS.extend(Cap(p) for p in range(len(_CAPS), width + 1))
 
 
 def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
@@ -141,12 +165,14 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
     |gap_exit - gap_enter| cable strands between the two gaps and the parked
     strands of other gadgets: each run takes d weave flags in turn, and a
     parked strand is crossed over only if its gadget has a smaller index.
+    Every event comes from the shared tables, so a compile builds none.
 
     The braid section then shifts the bottom cable strand to the top. At a
     level with the shifting strand at index pos and g parked gadget strands
     above it, the shifting strand crosses over those and the next cable strand
     (gaps pos + 1 ... pos + g + 1), and that cable strand steps down over the
-    parked strands (gaps pos + g ... pos + 1).
+    parked strands (gaps pos + g ... pos + 1). A run of levels with no parked
+    strand is one slice of lower-over crossings.
     """
     if n < 1:
         raise PatternError(f"cable winding must be at least 1, got {n}")
@@ -167,27 +193,39 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
             owner.append(s >> 1)
             orientations.append(-sign if s & 1 else sign)
     crosses = _cross_table(len(owner))
+    _grow_gadget_tables(len(owner))
     events: list[Event] = []
-    for i in sorted(range(len(clasps)), key=lambda i: (clasps[i].slot, i)):
+    # A stable sort by slot keeps the clasp order within a slot.
+    for i in sorted(range(len(clasps)), key=[c.slot for c in clasps].__getitem__):
         c = clasps[i]
         a, b = seat[2 * i], seat[2 * i + 1]
         up = a < b  # the weaving strand is the lower of each pair on the way in iff up
         shift = 0 if up else 1  # crossing strand s takes gap s going up, s + 1 going down
         run = range(a + 1, b) if up else range(a - 1, b, -1)
         flags = iter(c.weave)
-        overs_in = [next(flags) == "o" if owner[s] < 0 else owner[s] < i for s in run]
-        overs_out = [next(flags) == "o" if owner[s] < 0 else owner[s] < i for s in reversed(run)]
-        events.append(Kink(a + 1, c.framing))
-        # The upper strand is over when the weaving strand goes over from above or under from below.
-        events += [crosses[o != up][s + shift] for s, o in zip(run, overs_in)]
+        # The upper strand is over when the weaving strand goes over from above or under
+        # from below: on the way in, ``over`` is the row of the weaving strand going over.
+        over, under = crosses[not up], crosses[up]
+        events.append(_KINKS[c.framing > 0][a + 1])
+        events += [
+            (over if (next(flags) == "o" if owner[s] < 0 else owner[s] < i) else under)[s + shift]
+            for s in run
+        ]
         # The lower newborn is the enter strand going up, the exit strand going down.
-        events += (Cap(b + shift), Cup(b + shift, c.clasp_sign if up else -c.clasp_sign))
-        events += [crosses[o == up][s + shift] for s, o in zip(reversed(run), overs_out)]
-    pos = len(gaps[0])
+        events += (_CAPS[b + shift], _CUPS[(c.clasp_sign > 0) == up][b + shift])
+        events += [
+            (under if (next(flags) == "o" if owner[s] < 0 else owner[s] < i) else over)[s + shift]
+            for s in reversed(run)
+        ]
+    pos = start = len(gaps[0])  # start: the shifting strand's index where the run began
     for g in map(len, gaps[1:n]):
-        events += crosses[False][pos + 1 : pos + g + 2]  # the lower strand over
-        events += crosses[True][pos + g : pos : -1]  # the upper strand over
-        pos += g + 1
+        if g:
+            events += crosses[False][start + 1 : pos + g + 2]  # the lower strand over
+            events += crosses[True][pos + g : pos : -1]  # the upper strand over
+            start = pos = pos + g + 1
+        else:
+            pos += 1
+    events += crosses[False][start + 1 : pos + 1]
     labels = [("eta", len(gaps[0]) + 1)]
     labels += [(f"L{i + 1}", seat[2 * i] + 1) for i in range(len(clasps))]
     word = AnnularWord(tuple(orientations), tuple(events), tuple(labels))
@@ -205,13 +243,17 @@ def compile(p: ClaspPresentation) -> AnnularWord:
     return _compile_word(p.n, p.clasps)
 
 
-@dataclass(frozen=True)
-class ValidationItem:
+class ValidationItem(NamedTuple):
     name: str
     component: str
     ok: bool
     warning: bool
     detail: str
+
+
+# ``ValidationItem(...)`` runs the generated ``__new__``, one Python call per item;
+# ``tuple.__new__`` builds the same named tuple in C.
+_item = partial(tuple.__new__, ValidationItem)
 
 
 @dataclass(frozen=True)
@@ -243,19 +285,16 @@ def validate(word: AnnularWord) -> ValidationReport:
         w, wr = ana.components[cid].winding, ana.components[cid].wrapping
         fr, v = framing[cid], lk.get((cid, eta), (0,))[0]
         items += (
-            ValidationItem("WindingNonzero", name, w == 0, False, f"winding {w}"),
-            ValidationItem("EtaLinkingNonzero", name, v == 0, False, f"linking with eta {v}"),
-            ValidationItem("FramingNotUnit", name, fr in (-1, 1), False, f"framing {fr}"),
-            ValidationItem("WrappingNotTwo", name, wr == 2, True, f"wrapping {wr}"),
+            _item(("WindingNonzero", name, w == 0, False, f"winding {w}")),
+            _item(("EtaLinkingNonzero", name, v == 0, False, f"linking with eta {v}")),
+            _item(("FramingNotUnit", name, fr in (-1, 1), False, f"framing {fr}")),
+            _item(("WrappingNotTwo", name, wr == 2, True, f"wrapping {wr}")),
         )
     for i, (a, name_a) in enumerate(surgery):
         for b, name_b in surgery[i + 1 :]:
             v = lk.get((a, b), (0,))[0]
-            items.append(
-                ValidationItem(
-                    "ClaspClaspLinking", f"{name_a},{name_b}", v == 0, True, f"mutual linking {v}"
-                )
-            )
+            pair = f"{name_a},{name_b}"
+            items.append(_item(("ClaspClaspLinking", pair, v == 0, True, f"mutual linking {v}")))
     return ValidationReport(tuple(items))
 
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from coverlink.cover import CoverDiagram, LiftedData, _surgery_order
 from coverlink.diagram import (
     AnnularWord,
+    _SweepResult,
     Cap,
     Component,
     ComponentId,
@@ -30,7 +31,7 @@ from coverlink.diagram import (
     crossing_sign,
 )
 from coverlink.downhill import _Passage
-from coverlink.linalg import IntMatrix, NonSquareError
+from coverlink.linalg import IntMatrix, NonSquareError, solve_numerators
 from coverlink.obstruct import AggregateReport, report_to_dict
 from coverlink.pattern import (
     _CROSSES,
@@ -80,6 +81,52 @@ def block_circulant_split(m: IntMatrix | list[list], q: int):
     if isinstance(m, IntMatrix):
         return [IntMatrix.from_rows(block) for block in blocks[0]]
     return blocks[0]
+
+
+def scan_blocks(m: IntMatrix) -> list[list[int]]:
+    """``linalg._blocks`` as it was: a union-find over every index and every stored entry.
+
+    Diagonal entries are read and skipped, and every index is rooted, even
+    with no off-diagonal entry at all.
+    """
+    n = m.rows
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j in m.nonzeros:
+        if i != j:
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    blocks: dict[int, list[int]] = {}
+    for i in range(n):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
+def per_k_linkings(data: LiftedData, m: int, preferred: int = 0) -> tuple[tuple, int]:
+    """``obstruct._linkings_from_data`` as it was: one ``Fraction`` and one sparse dot per k.
+
+    Each k's dot product runs over the solution's support, indexing the eta
+    row modulo its length, and every linking is a ``Fraction``; with no
+    surgery curve the base's integer linkings pass through.
+    """
+    row, size = data.eta_row, len(data.eta_row)
+    if not size:
+        return data.eta_linkings[1:], 1
+    sheet = size // m
+    cut = size - preferred * sheet % size
+    w, order = solve_numerators(data.matrix, row[cut:] + row[:cut])
+    linkings = []
+    for k in range(1, m):
+        shift = (preferred + k) * sheet
+        dot = sum(v * row[(i - shift) % size] for i, v in w.items())
+        linkings.append(Fraction(data.eta_linkings[k] * order - dot, order))
+    return tuple(linkings), order
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
@@ -310,6 +357,79 @@ def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
             )
         uf.union(seam_segments[h], seg, 1)
     return UnionFindSweep(len(uf.parent), uf, seam_segments, crossings, kinks, live_segments)
+
+
+def pair_stack_sweep(word: AnnularWord) -> _SweepResult:
+    """``diagram._sweep`` as it was before it split the live strands into two lists.
+
+    Each live strand is one (segment, orientation) pair on a stack, events
+    dispatch through an ``isinstance`` chain, and the stack's length is read
+    on every bounds check. It raises the same errors with the same messages.
+    """
+    width = word.seam_width
+    starts = [~h for h in range(width)]
+    ends = [0] * width
+    live: list[tuple[int, int]] = list(enumerate(word.seam_orientations))  # (segment, orientation)
+    crossings: list[tuple[int, int, int, int]] = []
+    kinks: list[tuple[int, int]] = []
+    for idx, ev in enumerate(word.events):
+        if isinstance(ev, Cross):
+            p = ev.position
+            if not 1 <= p <= len(live) - 1:
+                raise StrandCountMismatch(
+                    f"crossing at gap {p} with {len(live)} live strands", idx
+                )
+            lo, up = live[p - 1], live[p]
+            crossings.append((lo[0], up[0], crossing_sign(lo[1], up[1], ev.upper_over), idx))
+            live[p - 1], live[p] = up, lo
+        elif isinstance(ev, Cup):
+            p = ev.position
+            if not 1 <= p <= len(live) + 1:
+                raise StrandCountMismatch(
+                    f"cup at position {p} with {len(live)} live strands", idx
+                )
+            if ev.sign not in (-1, 1):
+                raise ValueError(f"event {idx}: cup sign must be +1 or -1")
+            lower = len(starts)
+            starts += (lower + 1, lower)
+            ends += (0, 0)
+            live[p - 1 : p - 1] = [(lower, ev.sign), (lower + 1, -ev.sign)]
+        elif isinstance(ev, Cap):
+            p = ev.position
+            if not 1 <= p <= len(live) - 1:
+                raise StrandCountMismatch(
+                    f"cap at position {p} with {len(live)} live strands", idx
+                )
+            lo, up = live[p - 1], live[p]
+            if lo[1] + up[1] != 0:
+                raise OrientationMismatch(
+                    f"cap joins strands with orientations {lo[1]}, {up[1]}", idx
+                )
+            ends[lo[0]], ends[up[0]] = up[0], lo[0]
+            del live[p - 1 : p + 1]
+        elif isinstance(ev, Kink):
+            p = ev.position
+            if not 1 <= p <= len(live):
+                raise StrandCountMismatch(
+                    f"kink at position {p} with {len(live)} live strands", idx
+                )
+            if ev.sign not in (-1, 1):
+                raise ValueError(f"event {idx}: kink sign must be +1 or -1")
+            kinks.append((live[p - 1][0], ev.sign))
+        else:
+            raise TypeError(f"unknown event {ev!r}")
+
+    if len(live) != width:
+        raise SeamMismatch(f"word ends with {len(live)} strands, seam has {width}")
+    for h, (seg, o) in enumerate(live):
+        if o != word.seam_orientations[h]:
+            raise SeamMismatch(
+                f"seam strand {h + 1} re-glues with orientation {o}, "
+                f"expected {word.seam_orientations[h]}"
+            )
+        ends[seg] = ~h
+    seam_ends = [seg for seg, _ in live]
+    return _SweepResult(len(starts), starts, ends, seam_ends, crossings, kinks)
 
 
 def union_find_analyze(word: AnnularWord) -> WordAnalysis:

@@ -21,6 +21,7 @@ from coverlink.cover import build_cover
 from coverlink.diagram import (
     AnnularWord,
     Cap,
+    Component,
     Cross,
     Cup,
     DiagramError,
@@ -30,6 +31,7 @@ from coverlink.diagram import (
     SeamMismatch,
     StrandCountMismatch,
     UnknownComponentError,
+    _sweep,
     analyze,
     parse,
     serialize,
@@ -42,6 +44,8 @@ from coverlink.pattern import validate
 from oracles import (
     keyed_cover_tables,
     locate_lift_tally,
+    pair_stack_sweep,
+    random_event_word,
     tally_keys,
     twist_surgery_pairs,
     two_orientation_cover_tables,
@@ -113,6 +117,100 @@ def test_cycle_walk_matches_the_union_find_oracle():
         off_seam += any(not c.seam_positions for c in ana.components)
     assert count == 1057 + covers + 3 * 23 * 60 + 1
     assert (covers, off_seam) == (104, 86)
+
+
+def _sweep_outcome(sweep, word):
+    """``(result, None)``, or ``(None, (class, message, event))`` when the sweep raises."""
+    try:
+        return sweep(word), None
+    except Exception as exc:  # the class, the message and the event at fault must agree
+        return None, (type(exc), str(exc), getattr(exc, "event", None))
+
+
+def _broken(rng: random.Random, word: AnnularWord) -> AnnularWord:
+    """The word with one event moved, retyped, re-signed, dropped or added, or its seam flipped."""
+    events, seam = list(word.events), list(word.seam_orientations)
+    i = rng.randrange(len(events) + 1)
+    kind = rng.choice(("move", "retype", "sign", "drop", "add", "seam", "foreign"))
+    if kind == "seam" and seam:
+        h = rng.randrange(len(seam))
+        seam[h] = -seam[h]
+    elif kind == "add" or not events:
+        p = rng.randint(-1, 8)
+        events.insert(i, rng.choice((Cross(p, True), Cup(p, -1), Cap(p), Kink(p, 1))))
+    elif kind == "foreign":
+        events.insert(i, ("x", 1))
+    else:
+        i = min(i, len(events) - 1)
+        ev = events[i]
+        if kind == "drop":
+            del events[i]
+        elif kind == "move":
+            moved = ev.position + rng.choice((-2, -1, 1, 2, 9))
+            events[i] = dataclasses.replace(ev, position=moved)
+        elif kind == "sign":
+            events[i] = rng.choice((Cup(ev.position, rng.choice((0, 2))), Kink(ev.position, 0)))
+        else:
+            events[i] = rng.choice((Cross(ev.position, False), Cup(ev.position), Cap(ev.position)))
+    return AnnularWord(tuple(seam), tuple(events))
+
+
+def test_sweep_matches_the_pair_stack_oracle():
+    # Well-formed words give equal results; broken ones raise alike, down to the message.
+    words = list(_oracle_words())
+    rng = random.Random(28)
+    words += [random_event_word(rng) for _ in range(2000)]
+    for word in words:
+        assert _sweep(word) == pair_stack_sweep(word)
+    raised: dict[type, int] = {}
+    for word in [_broken(rng, rng.choice(words[-2000:])) for _ in range(4000)]:
+        got, error = _sweep_outcome(_sweep, word)
+        assert (got, error) == _sweep_outcome(pair_stack_sweep, word)
+        if error:
+            raised[error[0]] = raised.get(error[0], 0) + 1
+    assert set(raised) == {
+        StrandCountMismatch, OrientationMismatch, SeamMismatch, ValueError, TypeError
+    }, raised
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AnnularWord([1, -1], (Cup(1, 1), Cap(1))), "seam_orientations must be a tuple"),
+        (lambda: AnnularWord((1, -1), [Cup(1, 1), Cap(1)]), "events must be a tuple"),
+        (lambda: AnnularWord((1,), (), [("eta", 1)]), "labels must be a tuple"),
+        (lambda: AnnularWord((1,), (), (["eta", 1],)), "a label must be a (name, seam position)"),
+        (lambda: AnnularWord((1,), (), (("eta", 1, 2),)), "a label must be a (name, seam"),
+        (lambda: AnnularWord((1,), (), (("eta", True),)), "'eta' seam position must be an integer"),
+        (lambda: AnnularWord((1,), (), (("eta", 1.0),)), "'eta' seam position must be an integer"),
+        (lambda: Cross(1.0, True), "crossing position must be an integer, got 1.0"),
+        (lambda: Cross(True, True), "crossing position must be an integer, got True"),
+        (lambda: Cross(1, "x"), "upper_over must be a bool, got 'x'"),
+        (lambda: Cross(1, 1), "upper_over must be a bool, got 1"),
+        (lambda: Cup(1.5), "cup position must be an integer"),
+        (lambda: Cap(False), "cap position must be an integer"),
+        (lambda: Kink("1", 1), "kink position must be an integer"),
+    ],
+    ids=[
+        "list-seam", "list-events", "list-labels", "list-label", "long-label", "bool-label",
+        "float-label", "float-cross", "bool-cross", "str-flag", "int-flag", "float-cup",
+        "bool-cap", "str-kink",
+    ],
+)
+def test_words_hold_only_what_their_text_form_reads_back(build, message):
+    # Each of these once built, then failed in analyze, hash or the round trip.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_words_of_the_checked_types_round_trip():
+    events = (Cup(1, 1), Cross(2, False), Cross(2, False), Cap(1))
+    word = AnnularWord((1, -1), events, (("eta", 2),))
+    assert parse(serialize(word)) == word and hash(parse(serialize(word))) == hash(word)
+    assert analyze(word).components == (
+        Component(0, (1,), 1, 1), Component(1, (2,), -1, 1), Component(2, (), 0, 0)
+    )
+    assert Component._fields == ("cid", "seam_positions", "winding", "wrapping")
 
 
 def test_analyze_builds_no_union_find():

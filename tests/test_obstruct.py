@@ -56,6 +56,7 @@ from oracles import (
     block_circulant_split,
     clasp_calculus,
     cover_eta_rows,
+    per_k_linkings,
     report_json,
     twist_surgery_pairs,
 )
@@ -362,8 +363,81 @@ def test_cross_checks_check_the_transfer_at_every_divisor_pair():
     assert [name for name, _ in transfer_rows(random_presentation(4, 2, 1))] == [
         "two-vs-four-doubling"
     ]
-    assert transfer_rows(random_presentation(6, 2, 1)) == []
+    # Every pair d | m of degrees dividing n, up to m = 16, odd degrees too.
+    assert transfer_rows(random_presentation(6, 2, 1)) == [
+        ("transfer-m2-m6", "lk_2 = (-1), sums (-1)"),
+        ("transfer-m3-m6", "lk_3 = (0, 0), sums (0, 0)"),
+    ]
+    assert [name for name, _ in transfer_rows(random_presentation(24, 3, 2))] == [
+        "two-vs-four-doubling",
+        "transfer-m2-m6", "transfer-m3-m6",
+        "transfer-m2-m8", "transfer-m4-m8",
+        "transfer-m2-m12", "transfer-m3-m12", "transfer-m4-m12", "transfer-m6-m12",
+    ]
+    assert [name for name, _ in transfer_rows(ClaspPresentation(32, ()))][-3:] == [
+        "transfer-m2-m16", "transfer-m4-m16", "transfer-m8-m16"
+    ]
+    assert transfer_rows(ClaspPresentation(9, ())) == [
+        ("transfer-m3-m9", "lk_3 = (3, 3), sums (3, 3)")
+    ]
+    assert transfer_rows(ClaspPresentation(34, ())) == transfer_rows(ClaspPresentation(7, ())) == []
 
+
+@pytest.mark.parametrize("n, m", [(6, 3), (9, 3), (12, 6), (16, 16)])
+def test_cross_checks_record_a_broken_transfer_at_every_divisor_pair(monkeypatch, n, m):
+    # A palindromic bump of degree m's linkings fails exactly the transfer rows that read m.
+    real = _linkings_from_data
+
+    def bumped(data, degree, preferred=0):
+        linkings, order = real(data, degree, preferred)
+        if degree == m:
+            linkings = (linkings[0] + 1, *linkings[1:-1], linkings[-1] + 1)
+        return linkings, order
+
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", bumped)
+    failed = [c.name for c in cross_checks(random_presentation(n, 2, 5)) if not c.passed]
+    divisors = [d for d in range(2, 17) if n % d == 0]
+    want = [
+        "two-vs-four-doubling" if (d, e) == (2, 4) else f"transfer-m{d}-m{e}"
+        for e in divisors
+        for d in divisors
+        if d < e and e % d == 0 and m in (d, e)
+    ]
+    assert want and failed == want
+
+
+
+def _lifted_samples():
+    """Lift data of seeded presentations at small degrees, and planted data of eta order > 1."""
+    for n in (2, 3, 4, 6, 8, 9, 12, 16):
+        for k in range(5):
+            for seed in range(3):
+                word = compile_presentation(random_presentation(n, k, seed))
+                for m in (2, 3, 4, 8, 16):
+                    if n % m == 0:
+                        yield lift_data(word, m), m, "compiled"
+    # Framings other than +-1 (never compiled) leave fractional linkings behind.
+    yield LiftedData(IntMatrix(2, 2, {(0, 0): 3, (1, 1): 3}), (1, -1), (2, 1)), 2, "planted"
+    diagonal = IntMatrix(3, 3, {(0, 0): -5, (1, 1): 2, (2, 2): 7})
+    yield LiftedData(diagonal, (1, 0, -2), (0, 1, 1)), 3, "planted"
+    coupled = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2, (2, 2): -1, (3, 3): 4}
+    yield LiftedData(IntMatrix(4, 4, coupled), (1, 2, 0, -1), (0, 3, 3, 3)), 4, "planted"
+    unit = IntMatrix(4, 4, {(i, i): 1 for i in range(4)})
+    yield LiftedData(unit, (2, 0, -2, 0), (1, 0, 0, 0)), 4, "planted"
+
+
+def test_linkings_match_the_per_k_fraction_oracle():
+    # One rotation of the eta row per k gives the old Fraction values, as ints at order 1.
+    orders: dict[str, set[int]] = {"compiled": set(), "planted": set()}
+    for data, m, kind in _lifted_samples():
+        for preferred in range(m):
+            got, order = _linkings_from_data(data, m, preferred)
+            want, want_order = per_k_linkings(data, m, preferred)
+            assert (got, order) == (want, want_order), (data, m, preferred)
+            assert [type(v) is int for v in got] == [order == 1] * (m - 1)
+            assert list(map(format_rational, got)) == list(map(format_rational, want))
+            orders[kind].add(order)
+    assert orders == {"compiled": {1}, "planted": {1, 3, 4, 6, 7, 10, 12, 35}}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -558,10 +632,15 @@ def test_cross_checks_compile_the_presentation_and_its_cancelling_pair(monkeypat
     assert [len(q.clasps) for q in compiled] == [len(p.clasps), len(p.clasps) + 2]
 
 
-def test_cross_checks_compile_nothing_without_a_two_power_degree(monkeypatch):
+def test_cross_checks_compile_nothing_without_a_divisor_pair(monkeypatch):
+    # No degree 2, 4 or 8 and no transfer pair: no row, so nothing to compile.
     compiled = _count_compiles(monkeypatch)
-    assert cross_checks(ClaspPresentation(9, ())) == []
+    for n in (7, 25):  # 25's only degree up to 16 is 5
+        assert cross_checks(ClaspPresentation(n, ())) == []
     assert compiled == []
+    # A transfer pair alone compiles the word once.
+    nine = ClaspPresentation(9, ())
+    assert [c.name for c in cross_checks(nine)] == ["transfer-m3-m9"] and compiled == [nine]
 
 
 def test_cross_checks_all_pass():

@@ -68,10 +68,25 @@ def _floor_python() -> str | None:
     return None
 
 
-def test_selftest_runs_on_the_oldest_supported_python():
-    exe = _floor_python()
-    if exe is None:
-        pytest.skip("no working Python 3.10 interpreter found")
+def _newest_python() -> str | None:
+    """The newest working pyenv install of a Python 3.1x, or None."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    found = []
+    for exe in pyenv.glob("versions/3.1*/bin/python"):
+        if version := re.fullmatch(r"3\.(1\d)\.(\d+)", exe.parents[1].name):
+            found.append(((int(version[1]), int(version[2])), str(exe)))
+    for (minor, _), exe in sorted(found, reverse=True):
+        probe = f"import sys; print(sys.version_info[:2] == (3, {minor}))"
+        try:
+            done = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.stdout.strip() == "True":
+            return exe
+    return None
+
+
+def _assert_selftest_pinned(exe: str) -> None:
     env = {k: v for k, v in os.environ.items() if k != "HEDDEN_SEED"}
     env["PYTHONPATH"] = str(PYPROJECT.parent / "src")
     done = subprocess.run(
@@ -79,3 +94,19 @@ def test_selftest_runs_on_the_oldest_supported_python():
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == SELFTEST_SHA256
+
+
+def test_selftest_runs_on_the_oldest_supported_python():
+    exe = _floor_python()
+    if exe is None:
+        pytest.skip("no working Python 3.10 interpreter found")
+    _assert_selftest_pinned(exe)
+
+
+def test_selftest_runs_on_the_newest_python_found():
+    # Records are named tuples and slotted dataclasses, whose machinery changes between
+    # versions (3.12 dropped cached_property's lock); the pin must hold on the newest too.
+    exe = _newest_python()
+    if exe is None:
+        pytest.skip("no working pyenv Python 3.1x interpreter found")
+    _assert_selftest_pinned(exe)

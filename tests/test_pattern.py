@@ -18,16 +18,21 @@ from hypothesis import strategies as st
 
 from coverlink.cli import main
 from coverlink.cover import build_cover
-from coverlink.diagram import AnnularWord, Cap, Cross, Cup, analyze
+from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
 from coverlink.diagram import serialize as serialize_word
 from coverlink.downhill import normalize, random_annular_word
 from coverlink.pattern import (
+    _CAPS,
+    _CROSSES,
+    _CUPS,
+    _KINKS,
     ClaspPresentation,
     ClaspSpec,
     GapOutOfRangeError,
     PatternError,
     PatternSyntaxError,
     SlotOutOfRangeError,
+    ValidationItem,
     WeaveLengthError,
     add_cancelling_pair,
     cable_template,
@@ -380,6 +385,38 @@ def test_presentations_hold_only_ints_the_text_forms_read_back(field, value):
         ClaspPresentation(n, (ClaspSpec(**fields),))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ClaspSpec(0, 0, 1, ["o", "o"]), "weave must be a string, got ['o', 'o']"),
+        (lambda: ClaspSpec(0, 0, 1, None), "weave must be a string, got None"),
+        (
+            lambda: ClaspPresentation(4, [ClaspSpec(0, 0, 1, "oo")]),
+            "clasps must be a tuple of ClaspSpec, got [ClaspSpec(",
+        ),
+        (lambda: ClaspPresentation(4, ((0, 0, 1, "oo"),)), "clasps must be a tuple of ClaspSpec"),
+        (lambda: ClaspPresentation(4, ("clasp",)), "clasps must be a tuple of ClaspSpec"),
+    ],
+    ids=["list-weave", "none-weave", "list-clasps", "tuple-clasp", "str-clasp"],
+)
+def test_presentations_hold_only_clasps_the_text_forms_read_back(build, message):
+    # A list weave serialized as `weave ['o', 'o']`; a list of clasps broke hash and round trips.
+    with pytest.raises(PatternError, match=re.escape(message)):
+        build()
+
+
+def test_presentations_of_the_checked_types_round_trip():
+    presentations = [ClaspPresentation(4, (ClaspSpec(0, 0, 1, "oo"),), name="one")]
+    presentations += [
+        random_presentation(n, k, seed) for n in (2, 5, 8) for k in range(4) for seed in range(3)
+    ]
+    for p in presentations:
+        for back in (parse(serialize(p)), from_json(to_json(p))):
+            assert back == p and hash(back) == hash(p) and type(back.clasps) is tuple
+    doubled = add_cancelling_pair(presentations[0], ClaspSpec(1, 0, 2, "ouuo"))
+    assert parse(serialize(doubled)) == doubled
+
+
 def test_pattern_dsl_rejects_framing_zero():
     text = "pattern v1\ncable 6\nclasp slot 0 enter 1 exit 1 sign + framing 0\n"
     with pytest.raises(PatternSyntaxError):
@@ -486,6 +523,44 @@ def test_assembler_matches_linear_scan_on_random_presentations():
                 assert fast == compile(p)
     # The sample weaves gadgets past earlier and later ones.
     assert _CheckedAssembler.transits[True] and _CheckedAssembler.transits[False]
+
+
+def _shared_instance(ev):
+    """The shared-table event equal to ev."""
+    if type(ev) is Cross:
+        return _CROSSES[ev.upper_over][ev.position]
+    if type(ev) is Kink:
+        return _KINKS[ev.sign > 0][ev.position]
+    if type(ev) is Cup:
+        return _CUPS[ev.sign > 0][ev.position]
+    return _CAPS[ev.position]
+
+
+def test_compiled_words_take_every_event_from_the_shared_tables():
+    rng = random.Random(5)
+    tied = []  # slots drawn from {0, 1}, so most presentations tie
+    for n, k, seed in ((n, k, s) for n in (3, 8, 13) for k in range(2, 7) for s in range(4)):
+        p = random_presentation(n, k, seed)
+        clasps = tuple(dataclasses.replace(c, slot=rng.randint(0, 1)) for c in p.clasps)
+        tied.append(ClaspPresentation(n, clasps))
+    kinds = Counter()
+    for p in [*_compile_sample(), *tied]:
+        word = compile(p)
+        for ev in word.events:
+            assert ev is _shared_instance(ev) and ev == _shared_instance(ev)
+            kinds[type(ev), getattr(ev, "sign", getattr(ev, "upper_over", None))] += 1
+    assert len(kinds) == 7  # both crossing flags, both kink and cup signs, and caps
+    # Tied slots keep the clasps' order, as the stack compiler orders them.
+    for p in tied:
+        _assert_compiles_like_the_oracle(p)
+    assert sum(len({c.slot for c in p.clasps}) < len(p.clasps) for p in tied) > 50
+
+
+def test_validation_items_are_named_tuples():
+    report = validate(compile(random_presentation(8, 2, 1)))
+    assert ValidationItem._fields == ("name", "component", "ok", "warning", "detail")
+    item = report.items[0]
+    assert item == ValidationItem(*item) and item == tuple(item) and item.name == "WindingNonzero"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 127, 512])
