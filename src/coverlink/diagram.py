@@ -232,7 +232,7 @@ def _sweep(word: AnnularWord) -> _SweepResult:
     crossings: list[tuple[int, int, int, int]] = []
     kinks: list[tuple[int, int]] = []
     for idx, ev in enumerate(word.events):
-        if type(ev) is Cross or isinstance(ev, Cross):  # most events are crossings
+        if isinstance(ev, Cross):  # most events are crossings
             p = ev.position
             if not 1 <= p < live:
                 raise StrandCountMismatch(f"crossing at gap {p} with {live} live strands", idx)
@@ -383,15 +383,6 @@ class WordAnalysis:
         lk: dict[tuple[int, int], list[int]] = {}
         for (a, b), (lo, counts) in rows.items():
             if not any(counts):  # the pair's crossings cancel at every delta
-                continue
-            if m == 1:  # the base word: a pair's one linking, a curve's self-crossings
-                total = sum(counts)
-                if a == b:
-                    framing[a] += total
-                    lk[a, a] = [0]
-                else:
-                    assert not total & 1, "closed curves must cross evenly"
-                    lk[a, b], lk[b, a] = [total >> 1], [total >> 1]
                 continue
             size, s = len(counts), lo % m
             if size > m * m:  # more chunks than residues: sum each residue's slice

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
@@ -100,15 +101,10 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @property
+    @cached_property
     def _split(self) -> list[list[int]]:
         """``_blocks(self)``, found once and shared by ``det`` and the solves."""
-        # Kept in the instance dict: functools.cached_property takes a lock per read on 3.11.
-        try:
-            return self.__dict__["_blocks"]
-        except KeyError:
-            split = self.__dict__["_blocks"] = _blocks(self)
-            return split
+        return _blocks(self)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -164,13 +160,9 @@ def _blocks(m: IntMatrix) -> list[list[int]]:
     Indices i and j share a component when a chain of nonzero entries, read
     in either direction, joins them. A union-find over the stored entries
     finds them in O(N + nnz). Components come in order of their least
-    index, each sorted, so a dense matrix is the single block 0..n-1. Only the
-    off-diagonal entries join indices, and with none every index is its own block.
+    index, each sorted, so a dense matrix is the single block 0..n-1.
     """
     n = m.rows
-    off = [ij for ij in m.nonzeros if ij[0] != ij[1]]
-    if not off:
-        return [[i] for i in range(n)]
     parent = list(range(n))
 
     def root(i: int) -> int:
@@ -178,10 +170,11 @@ def _blocks(m: IntMatrix) -> list[list[int]]:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for i, j in off:
-        ri, rj = root(i), root(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    for i, j in m.nonzeros:
+        if i != j:
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
     blocks: dict[int, list[int]] = {}
     for i in range(n):
         blocks.setdefault(root(i), []).append(i)

@@ -83,31 +83,6 @@ def block_circulant_split(m: IntMatrix | list[list], q: int):
     return blocks[0]
 
 
-def scan_blocks(m: IntMatrix) -> list[list[int]]:
-    """``linalg._blocks`` as it was: a union-find over every index and every stored entry.
-
-    Diagonal entries are read and skipped, and every index is rooted, even
-    with no off-diagonal entry at all.
-    """
-    n = m.rows
-    parent = list(range(n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j in m.nonzeros:
-        if i != j:
-            ri, rj = root(i), root(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(root(i), []).append(i)
-    return list(blocks.values())
-
-
 def per_k_linkings(data: LiftedData, m: int, preferred: int = 0) -> tuple[tuple, int]:
     """``obstruct._linkings_from_data`` as it was: one ``Fraction`` and one sparse dot per k.
 

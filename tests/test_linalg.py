@@ -1,7 +1,5 @@
 """Exact linear algebra against independent oracles."""
 
-import functools
-import inspect
 import math
 import random
 from fractions import Fraction
@@ -25,7 +23,7 @@ from coverlink.linalg import (
     solve,
     solve_numerators,
 )
-from oracles import NotBlockCirculantError, block_circulant_split, scan_blocks, transpose
+from oracles import NotBlockCirculantError, block_circulant_split, transpose
 
 
 def perm_det(m: IntMatrix) -> int:
@@ -359,29 +357,6 @@ def test_block_split_is_found_once_per_matrix(monkeypatch):
     assert calls == [m]
 
 
-def test_blocks_match_the_scan_oracle():
-    # The union-find over off-diagonal entries only finds the blocks the full scan found.
-    from coverlink.cover import lift_data
-    from coverlink.pattern import compile, random_presentation
-
-    rng = random.Random(11)
-    matrices = [IntMatrix.zeros(0, 0), IntMatrix.zeros(3, 3), IntMatrix.identity(5)]
-    for _ in range(600):
-        n = rng.randint(1, 14)
-        nonzeros = {(i, i): rng.choice((-2, -1, 1, 3)) for i in range(n) if rng.random() < 0.8}
-        for _ in range(rng.choice((0, 0, 1, 2, n, n * n // 3))):
-            nonzeros[rng.randrange(n), rng.randrange(n)] = rng.choice((-3, -1, 1, 2))
-        matrices.append(IntMatrix(n, n, nonzeros))
-    for n, k, seed in ((4, 2, 1), (8, 4, 3), (12, 3, 5), (16, 4, 16)):
-        word = compile(random_presentation(n, k, seed))
-        matrices += [lift_data(word, m).matrix for m in (2, 4, n) if n % m == 0]
-    coupled = 0
-    for m in matrices:
-        assert _blocks(m) == scan_blocks(m)
-        coupled += any(len(block) > 1 for block in _blocks(m))
-    assert 100 < coupled < len(matrices) - 100
-
-
 def test_solve_numerators_solve_one_by_one_blocks_in_place(monkeypatch):
     # Only a coupled block is eliminated; each 1x1 block divides in place.
     import coverlink.linalg
@@ -402,8 +377,6 @@ def test_solve_numerators_solve_one_by_one_blocks_in_place(monkeypatch):
     mixed = IntMatrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 5]])
     assert solve_numerators(mixed, [1, 0, 10]) == ({0: 2, 1: -1, 2: 6}, 3)
     assert eliminated == [[0, 1]]
-    # The split is kept without functools.cached_property, which locks every read on 3.11.
-    assert not isinstance(inspect.getattr_static(IntMatrix, "_split"), functools.cached_property)
 
 
 def _in_column_span(m: IntMatrix, target: list) -> bool:
