@@ -21,7 +21,9 @@ Conventions:
   edge. Every component is a cycle of segments, so one walk around it gives
   each segment a sheet offset (one sheet per seam passage), and one pass over
   the base word's crossings yields, per pair of components, one row of
-  crossing counts by sheet delta: every cyclic cover's crossing data.
+  crossing counts by sheet delta: every cyclic cover's crossing data. A
+  component's own row is folded once onto |delta|, since a self crossing at
+  -delta joins the same lift pairs as one at delta.
   ``WordAnalysis.cover_tables(m)`` folds each row by slices once per degree.
 """
 
@@ -92,6 +94,12 @@ def _check_position(position: object, what: str) -> None:
         raise ValueError(f"{what} position must be an integer, got {position!r}")
 
 
+def _check_sign(sign: object, what: str) -> None:
+    # The text form writes a sign as '+' or '-', so only the int +1 or -1 reads back.
+    if type(sign) is not int or sign not in (-1, 1):
+        raise ValueError(f"{what} sign must be +1 or -1, got {sign!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Cross:
     position: int
@@ -110,6 +118,7 @@ class Cup:
 
     def __post_init__(self):
         _check_position(self.position, "cup")
+        _check_sign(self.sign, "cup")
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +136,7 @@ class Kink:
 
     def __post_init__(self):
         _check_position(self.position, "kink")
+        _check_sign(self.sign, "kink")
 
 
 Event = Cross | Cup | Cap | Kink
@@ -173,12 +183,19 @@ class AnnularWord:
                 raise ValueError(f"label {name!r} references seam strand {pos}")
 
     def __hash__(self) -> int:
-        # analyze() is cached by word, so the word is hashed on every lookup;
-        # hash its fields once and keep the result on the frozen instance.
+        """A hash of the seam, the labels, the event count and the first and last two events.
+
+        analyze() is cached by word, so the word is hashed on every lookup;
+        the hash is kept on the frozen instance. Equal words hash equal, and
+        a fresh word costs O(1) event hashes, not one per event. Unequal
+        words that share this key fall back to ``__eq__``, a tuple comparison
+        that returns on identity for the compiler's shared events.
+        """
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.seam_orientations, self.events, self.labels))
+            events = self.events
+            h = hash((self.seam_orientations, self.labels, len(events), events[:2], events[-2:]))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -243,8 +260,6 @@ def _sweep(word: AnnularWord) -> _SweepResult:
             p = ev.position
             if not 1 <= p <= live + 1:
                 raise StrandCountMismatch(f"cup at position {p} with {live} live strands", idx)
-            if ev.sign not in (-1, 1):
-                raise ValueError(f"event {idx}: cup sign must be +1 or -1")
             lower = len(starts)
             starts += (lower + 1, lower)
             ends += (0, 0)
@@ -267,11 +282,9 @@ def _sweep(word: AnnularWord) -> _SweepResult:
             p = ev.position
             if not 1 <= p <= live:
                 raise StrandCountMismatch(f"kink at position {p} with {live} live strands", idx)
-            if ev.sign not in (-1, 1):
-                raise ValueError(f"event {idx}: kink sign must be +1 or -1")
             kinks.append((segs[p - 1], ev.sign))
-        else:  # pragma: no cover - exhaustive by construction
-            raise TypeError(f"unknown event {ev!r}")
+        else:  # the constructor checks no event, so a word may hold anything
+            raise DiagramError(f"unknown event {ev!r}", idx)
 
     if live != width:
         raise SeamMismatch(f"word ends with {live} strands, seam has {width}")
@@ -338,6 +351,9 @@ class WordAnalysis:
         signed count of base crossings whose copy in every sheet joins lift x
         of a to lift x + lo + i of b. The second is each component's signed
         kink count. One pass reads both off the flat lift table of ``analyze``.
+        A component's own row keeps d >= 0 only: a self crossing at -d joins
+        the same lift pairs as one at d, so after the pass each self row is
+        folded once onto |d|, with lo = 0, and every degree folds half a row.
         """
         if self._tally is None:
             comp, sheet, span = self._segment_component, self._segment_sheet, self._sheet_range
@@ -351,6 +367,10 @@ class WordAnalysis:
                     (a0, a1), (b0, b1) = span[a], span[b]
                     row = rows[a, b] = (b0 - a1, [0] * (b1 - b0 + a1 - a0 + 1))
                 row[1][sheet[up] - sheet[lo] - row[0]] += sign
+            for (a, b), (lo, c) in rows.items():
+                if a == b:  # the row spans -r..r
+                    r = -lo
+                    rows[a, a] = (0, [c[r], *map(add, c[r + 1 :], c[r - 1 :: -1])])
             kinks = {c.cid: 0 for c in self.components}
             for seg, sign in self._sweep.kinks:
                 kinks[comp[seg]] += sign
@@ -485,13 +505,16 @@ _HEADER = "annular v1"
 
 
 def serialize(word: AnnularWord) -> str:
-    """Canonical text form; one event per line, in order."""
+    """Canonical text form; one event per line, in order.
+
+    An entry that is not an event raises :class:`DiagramError` at its index.
+    """
     lines = [_HEADER]
     marks = "".join("+" if o == 1 else "-" for o in word.seam_orientations)
     lines.append(f"seam {word.seam_width} {marks}" if word.seam_width else "seam 0")
     for name, pos in word.labels:
         lines.append(f"label {name} seam {pos}")
-    for ev in word.events:
+    for idx, ev in enumerate(word.events):
         if isinstance(ev, Cross):
             lines.append(f"x {ev.position} {'over' if ev.upper_over else 'under'}")
         elif isinstance(ev, Cup):
@@ -500,6 +523,8 @@ def serialize(word: AnnularWord) -> str:
             lines.append(f"cap {ev.position}")
         elif isinstance(ev, Kink):
             lines.append(f"kink {ev.position} {'+' if ev.sign == 1 else '-'}")
+        else:
+            raise DiagramError(f"unknown event {ev!r}", idx)
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import pattern as pat
 from .cover import LiftedData, build_cover, lift_data, lifted_eta_linkings
@@ -50,8 +50,7 @@ class PatternValidationError(Exception):
         super().__init__(f"presentation fails validation: {msgs}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -243,8 +242,7 @@ def _decide(report: ObstructionReport) -> None:
     order = report.eta_order
     report.condition1 = order % 2 == 1
     report.condition1_reason = f"eta lift has order {order} in H1"
-    numerators = [v.numerator for v in report.linkings]  # a rational's sign is its numerator's
-    low, high = min(numerators, default=0), max(numerators, default=0)
+    low, high = min(report.linkings, default=0), max(report.linkings, default=0)
     nonzero = low != 0 or high != 0
     nonneg, nonpos = low >= 0, high <= 0
     if not nonzero:
@@ -463,15 +461,21 @@ def _json_array(items: list[str], indent: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{indent}]"
 
 
+# Between two linking texts of a JSON degree: a text matches ``[-0-9/]+``, so it needs no escape.
+_LINKING_SEP = '",\n        "'
+
+
 def _json_degree(r: ObstructionReport) -> str:
+    """One degree's report object, its linking array written by one ``str.join`` of the texts."""
     checks = [
         f'{{\n          "name": {_json_str(c.name)},\n          "pass": {_BOOL[c.passed]},'
         f'\n          "detail": {_json_str(c.detail)}\n        }}'
         for c in r.checks
     ]
-    linkings = [_json_str(text) for text in r.linking_texts()]
+    texts = r.linking_texts()
+    linkings = f'[\n        "{_LINKING_SEP.join(texts)}"\n      ]' if texts else "[]"
     return (
-        f'{{\n      "m": {r.m},\n      "linkings": {_json_array(linkings, "      ")},'
+        f'{{\n      "m": {r.m},\n      "linkings": {linkings},'
         f'\n      "h1": {r.h1_order},\n      "eta_order": {r.eta_order},'
         f'\n      "condition1": {_BOOL[r.condition1]},\n      "condition2": {_BOOL[r.condition2]},'
         f'\n      "verdict": {_json_str(r.verdict)},'

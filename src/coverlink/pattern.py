@@ -154,46 +154,50 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
 
     The seam layout, bottom to top, is the gap-0 gadget strands, cable level
     1, the gap-1 strands, ..., cable level n, the gap-n strands; within a gap
-    by clasp index, enter below exit. Each gadget section, in slot order,
-    starts and ends with every strand at its seam index. With a and b the seam
-    indices of its enter and exit strands, it is a kink at a + 1; the weave-in
-    run, where the enter strand crosses each strand strictly between a and b
-    in turn; a cap and a cup at b (a < b) or b + 1 (a > b), which re-birth the
-    pair; and the weave-out run, the same strands crossed back in reverse
-    order. Only the weaving strand moves, so each crossing's gap is read off
-    the crossed strand's seam index. The strands crossed are the d =
-    |gap_exit - gap_enter| cable strands between the two gaps and the parked
-    strands of other gadgets: each run takes d weave flags in turn, and a
-    parked strand is crossed over only if its gadget has a smaller index.
+    by clasp index, enter below exit. It is laid out by occupied gaps alone:
+    every index starts as a cable strand, and a gadget strand in gap g with j
+    gadget strands below it sits at index g + j. Each gadget section, in slot
+    order, starts and ends with every strand at its seam index. With a and b
+    the seam indices of its enter and exit strands, it is a kink at a + 1;
+    the weave-in run, where the enter strand crosses each strand strictly
+    between a and b in turn; a cap and a cup at b (a < b) or b + 1 (a > b),
+    which re-birth the pair; and the weave-out run, the same strands crossed
+    back in reverse order. Only the weaving strand moves, so each crossing's
+    gap is read off the crossed strand's seam index. The strands crossed are
+    the d = |gap_exit - gap_enter| cable strands between the two gaps and the
+    parked strands of other gadgets: each run takes d weave flags in turn,
+    and a parked strand is crossed over only if its gadget has a smaller index.
     Every event comes from the shared tables, so a compile builds none.
 
     The braid section then shifts the bottom cable strand to the top. At a
     level with the shifting strand at index pos and g parked gadget strands
     above it, the shifting strand crosses over those and the next cable strand
     (gaps pos + 1 ... pos + g + 1), and that cable strand steps down over the
-    parked strands (gaps pos + g ... pos + 1). A run of levels with no parked
-    strand is one slice of lower-over crossings.
+    parked strands (gaps pos + g ... pos + 1). The section steps only over
+    occupied gaps, where pos is one below the gap's lowest seat: a run of
+    levels with no parked strand is one slice of lower-over crossings.
     """
     if n < 1:
         raise PatternError(f"cable winding must be at least 1, got {n}")
-    gaps: list[list[int]] = [[] for _ in range(n + 1)]  # 2i: enter of clasp i, 2i + 1: its exit
+    gaps: dict[int, list[int]] = {}  # occupied gap -> strands; 2i: enter of clasp i, 2i + 1: exit
     for i, c in enumerate(clasps):
-        gaps[c.gap_enter].append(2 * i)
-        gaps[c.gap_exit].append(2 * i + 1)
-    owner: list[int] = []  # the clasp of each seam strand, -1 for a cable strand
-    orientations: list[int] = []
+        gaps.setdefault(c.gap_enter, []).append(2 * i)
+        gaps.setdefault(c.gap_exit, []).append(2 * i + 1)
+    occupied = sorted(gaps)
+    width = n + 2 * len(clasps)
+    owner = [-1] * width  # the clasp of each seam strand, -1 for a cable strand
+    orientations = [1] * width
     seat = [0] * (2 * len(clasps))  # each gadget strand's seam index
-    for g, members in enumerate(gaps):
-        if g > 0:
-            owner.append(-1)
-            orientations.append(1)
-        for s in members:
+    below = 0  # the gadget strands in lower gaps
+    for g in occupied:
+        for s in gaps[g]:
             sign = clasps[s >> 1].clasp_sign
-            seat[s] = len(owner)
-            owner.append(s >> 1)
-            orientations.append(-sign if s & 1 else sign)
-    crosses = _cross_table(len(owner))
-    _grow_gadget_tables(len(owner))
+            seat[s] = h = g + below  # above cable levels 1..g
+            below += 1
+            owner[h] = s >> 1
+            orientations[h] = -sign if s & 1 else sign
+    crosses = _cross_table(width)
+    _grow_gadget_tables(width)
     events: list[Event] = []
     # A stable sort by slot keeps the clasp order within a slot.
     for i in sorted(range(len(clasps)), key=[c.slot for c in clasps].__getitem__):
@@ -217,16 +221,16 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
             (under if (next(flags) == "o" if owner[s] < 0 else owner[s] < i) else over)[s + shift]
             for s in reversed(run)
         ]
-    pos = start = len(gaps[0])  # start: the shifting strand's index where the run began
-    for g in map(len, gaps[1:n]):
-        if g:
-            events += crosses[False][start + 1 : pos + g + 2]  # the lower strand over
-            events += crosses[True][pos + g : pos : -1]  # the upper strand over
-            start = pos = pos + g + 1
-        else:
-            pos += 1
-    events += crosses[False][start + 1 : pos + 1]
-    labels = [("eta", len(gaps[0]) + 1)]
+    start = bottom = len(gaps.get(0, ()))  # start: the shifting strand's index where the run began
+    for g in occupied:
+        if 0 < g < n:
+            # The shifting strand, at level g, sits just below the gap's parked strands.
+            pos, top = seat[gaps[g][0]] - 1, seat[gaps[g][-1]]
+            events += crosses[False][start + 1 : top + 2]  # the lower strand over
+            events += crosses[True][top : pos : -1]  # the upper strand over
+            start = top + 1
+    events += crosses[False][start + 1 : width - len(gaps.get(n, ()))]
+    labels = [("eta", bottom + 1)]
     labels += [(f"L{i + 1}", seat[2 * i] + 1) for i in range(len(clasps))]
     word = AnnularWord(tuple(orientations), tuple(events), tuple(labels))
     analyze(word)  # structural self-check; raises on compiler bugs

@@ -21,6 +21,7 @@ from coverlink.diagram import (
     ComponentId,
     Cross,
     Cup,
+    DiagramError,
     Event,
     Kink,
     OrientationMismatch,
@@ -363,8 +364,6 @@ def pair_stack_sweep(word: AnnularWord) -> _SweepResult:
                 raise StrandCountMismatch(
                     f"cup at position {p} with {len(live)} live strands", idx
                 )
-            if ev.sign not in (-1, 1):
-                raise ValueError(f"event {idx}: cup sign must be +1 or -1")
             lower = len(starts)
             starts += (lower + 1, lower)
             ends += (0, 0)
@@ -388,11 +387,9 @@ def pair_stack_sweep(word: AnnularWord) -> _SweepResult:
                 raise StrandCountMismatch(
                     f"kink at position {p} with {len(live)} live strands", idx
                 )
-            if ev.sign not in (-1, 1):
-                raise ValueError(f"event {idx}: kink sign must be +1 or -1")
             kinks.append((live[p - 1][0], ev.sign))
         else:
-            raise TypeError(f"unknown event {ev!r}")
+            raise DiagramError(f"unknown event {ev!r}", idx)
 
     if len(live) != width:
         raise SeamMismatch(f"word ends with {len(live)} strands, seam has {width}")

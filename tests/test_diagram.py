@@ -79,12 +79,18 @@ def test_flat_lift_table_matches_union_find_walk():
         lifts, tally = locate_lift_tally(ana)
         assert list(zip(ana._segment_component, ana._segment_sheet)) == lifts
         assert [ana.component_of_segment(s) for s in range(len(lifts))] == [c for c, _ in lifts]
-        # The rows hold the walk's tally: every key inside its pair's row, every count in place.
+        # The rows hold the walk's tally: every key inside its pair's row, every count in
+        # place, and a component's own row folded onto |d|.
         (rows, kinks), (crossings, walk_kinks) = ana._lift_tally(), tally
         assert kinks == walk_kinks
+        folded: dict[tuple[int, int, int], int] = {}
+        for (a, b, d), v in crossings.items():
+            key = (a, b, abs(d) if a == b else d)
+            folded[key] = folded.get(key, 0) + v
         assert set(rows) == {(a, b) for a, b, _ in crossings}
-        assert all(rows[a, b][0] <= d < rows[a, b][0] + len(rows[a, b][1]) for a, b, d in crossings)
-        assert tally_keys(rows) == {key: v for key, v in crossings.items() if v}
+        assert all(rows[a, a][0] == 0 for a, b, _ in crossings if a == b)
+        assert all(rows[a, b][0] <= d < rows[a, b][0] + len(rows[a, b][1]) for a, b, d in folded)
+        assert tally_keys(rows) == {key: v for key, v in folded.items() if v}
 
 
 def _oracle_words():
@@ -149,7 +155,7 @@ def _broken(rng: random.Random, word: AnnularWord) -> AnnularWord:
             moved = ev.position + rng.choice((-2, -1, 1, 2, 9))
             events[i] = dataclasses.replace(ev, position=moved)
         elif kind == "sign":
-            events[i] = rng.choice((Cup(ev.position, rng.choice((0, 2))), Kink(ev.position, 0)))
+            events[i] = rng.choice((Cup(ev.position, rng.choice((-1, 1))), Kink(ev.position, -1)))
         else:
             events[i] = rng.choice((Cross(ev.position, False), Cup(ev.position), Cap(ev.position)))
     return AnnularWord(tuple(seam), tuple(events))
@@ -169,7 +175,7 @@ def test_sweep_matches_the_pair_stack_oracle():
         if error:
             raised[error[0]] = raised.get(error[0], 0) + 1
     assert set(raised) == {
-        StrandCountMismatch, OrientationMismatch, SeamMismatch, ValueError, TypeError
+        StrandCountMismatch, OrientationMismatch, SeamMismatch, DiagramError
     }, raised
 
 
@@ -190,17 +196,36 @@ def test_sweep_matches_the_pair_stack_oracle():
         (lambda: Cup(1.5), "cup position must be an integer"),
         (lambda: Cap(False), "cap position must be an integer"),
         (lambda: Kink("1", 1), "kink position must be an integer"),
+        (lambda: Kink(1, 2), "kink sign must be +1 or -1, got 2"),
+        (lambda: Kink(1, True), "kink sign must be +1 or -1, got True"),
+        (lambda: Cup(1, 0), "cup sign must be +1 or -1, got 0"),
+        (lambda: Cup(1, -1.0), "cup sign must be +1 or -1, got -1.0"),
     ],
     ids=[
         "list-seam", "list-events", "list-labels", "list-label", "long-label", "bool-label",
         "float-label", "float-cross", "bool-cross", "str-flag", "int-flag", "float-cup",
-        "bool-cap", "str-kink",
+        "bool-cap", "str-kink", "two-kink", "bool-kink", "zero-cup", "float-cup-sign",
     ],
 )
 def test_words_hold_only_what_their_text_form_reads_back(build, message):
     # Each of these once built, then failed in analyze, hash or the round trip.
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_kink_and_cup_signs_round_trip():
+    # Only +1 and -1 build, and each reads back as itself, not as the other sign.
+    for sign in (1, -1):
+        for word in (AnnularWord((1,), (Kink(1, sign),)), AnnularWord((), (Cup(1, sign), Cap(1)))):
+            assert parse(serialize(word)) == word
+
+
+def test_a_word_with_a_non_event_entry_fails_at_its_index():
+    word = AnnularWord((1,), (Kink(1, 1), "junk"))  # the constructor does no per-event work
+    for step in (serialize, analyze):
+        with pytest.raises(DiagramError, match=re.escape("event 1: unknown event 'junk'")) as info:
+            step(word)
+        assert type(info.value) is DiagramError and info.value.event == 1
 
 
 def test_words_of_the_checked_types_round_trip():
@@ -585,11 +610,27 @@ def test_equal_words_hash_equal_and_hash_once():
     word = cable_template(6)
     again = parse(serialize(word))
     assert again == word and again is not word
-    assert hash(again) == hash(word) == hash((word.seam_orientations, word.events, word.labels))
+    events = word.events
+    key = (word.seam_orientations, word.labels, len(events), events[:2], events[-2:])
+    assert hash(again) == hash(word) == hash(key)
     assert hash(AnnularWord((1,), (Kink(1, 1),))) != hash(AnnularWord((1,), (Kink(1, -1),)))
     # The hash is kept on the word; fields, equality and repr are the dataclass's own.
     assert "_hash" in vars(word) and "_hash" not in repr(word)
     assert [f.name for f in dataclasses.fields(word)] == ["seam_orientations", "events", "labels"]
+
+
+def test_words_sharing_the_hash_key_keep_their_own_analyses():
+    # The key reads the first and last two events only; a middle event tells these apart.
+    word = cable_template(6)
+    events = list(word.events)
+    events[2] = Cross(events[2].position, not events[2].upper_over)
+    other = dataclasses.replace(word, events=tuple(events))
+    assert other != word and hash(other) == hash(word)
+    analyze.cache_clear()
+    ana, other_ana = analyze(word), analyze(other)
+    assert ana is not other_ana and (ana.word, other_ana.word) == (word, other)
+    assert ana.cover_tables(1)[0] == {0: 5} and other_ana.cover_tables(1)[0] == {0: 3}
+    assert analyze(word) is ana and analyze(other) is other_ana
 
 
 def test_cable_op_analyze_hits_and_misses():

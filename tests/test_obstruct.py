@@ -689,6 +689,8 @@ def _reports_to_write():
     for n in range(2, 19):
         for k in range(5):
             yield auto_verdict(random_presentation(n, k, 3 * n + k), (2, 3, 4, 6, 8, 9))
+    # Long linking arrays: a cable of winding 512 at every prime-power degree.
+    yield auto_verdict(ClaspPresentation(512, (), name="cable-512"), [2**e for e in range(1, 10)])
     yield auto_verdict(ClaspPresentation(6, ()), ())  # "per_m": []
     # No presentation takes this name, so it goes straight into the report.
     named = auto_verdict(ClaspPresentation(6, ()), (2, 3))
@@ -702,7 +704,7 @@ def test_report_writer_matches_the_json_dumps_oracle():
     reports = list(_reports_to_write())
     written = [report_to_json(agg) for agg in reports]
     assert written == [report_json(agg) for agg in reports]
-    assert len(written) == 96
+    assert len(written) == 97
     text = "".join(written)
     for part in ('"per_m": []', '"linkings": []', '"checks": []', '"q\\"\\\\\\u00e9\\t\\u2028"'):
         assert part in text

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,14 +87,23 @@ def _newest_python() -> str | None:
     return None
 
 
-def _assert_selftest_pinned(exe: str) -> None:
+def _assert_selftest_pinned(exe: str, *flags: str) -> None:
     env = {k: v for k, v in os.environ.items() if k != "HEDDEN_SEED"}
     env["PYTHONPATH"] = str(PYPROJECT.parent / "src")
     done = subprocess.run(
-        [exe, "-m", "coverlink", "selftest"], env=env, capture_output=True, text=True, timeout=600
+        [exe, *flags, "-m", "coverlink", "selftest"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == SELFTEST_SHA256
+
+
+def test_selftest_runs_in_dev_mode_with_warnings_as_errors():
+    # Tier-1's filterwarnings sees only the test process; this sees the CLI's own.
+    _assert_selftest_pinned(sys.executable, "-X", "dev", "-W", "error")
 
 
 def test_selftest_runs_on_the_oldest_supported_python():
