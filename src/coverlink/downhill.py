@@ -22,8 +22,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
-from .pattern import _CAPS, _CUPS, ClaspPresentation, ClaspSpec, _cross_table, cable_template
-from .pattern import _grow_gadget_tables
+from .pattern import _CAPS, _CUPS, ClaspPresentation, ClaspSpec, _grow_tables, cable_template
 
 
 class MultiComponentError(Exception):
@@ -111,7 +110,7 @@ def _flip_events(word: AnnularWord, flips: list[int]) -> AnnularWord:
     if not flips:
         return word
     events = list(word.events)
-    crosses = _cross_table(max(events[idx].position for idx in flips) + 1)
+    crosses = _grow_tables(max(events[idx].position for idx in flips) + 1)
     for idx in flips:
         ev = events[idx]
         assert isinstance(ev, Cross)
@@ -298,8 +297,7 @@ def random_annular_word(n: int, seed: int) -> AnnularWord:
         seam_order[gap:gap] = pair
     outward = {t_out for _, t_out in finger_pairs}
     stack = list(seam_order)
-    crosses = _cross_table(len(stack))
-    _grow_gadget_tables(len(stack))
+    crosses = _grow_tables(len(stack))
     events: list[Event] = []
 
     def move_to(s: int, target: int) -> None:

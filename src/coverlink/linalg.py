@@ -5,22 +5,17 @@ Everything here runs on Python's arbitrary-precision integers or on
 :class:`IntMatrix` stores only its nonzero entries, keyed by position, so a
 lifted surgery matrix (diagonal on every presentation) costs O(N) to build
 and to solve, not O(N^2); the dense form is derived on request.
-Determinants and solves share one fraction-free (Bareiss) forward
-elimination, run once per connected block: the components of the
-symmetrised nonzero pattern (i ~ j when entry (i, j) or (j, i) is nonzero)
-index the diagonal blocks of a simultaneous row and column permutation of
-the matrix, which leaves the determinant unchanged. A matrix finds its
-blocks once, on first use; a dense matrix is one block, and a 1x1 block is
-its diagonal entry. So ``det`` is the product of the blocks' determinants,
-and a solve divides by a 1x1 block in place and eliminates ``[block | b]``
-per coupled block. The back-substitution is fraction-free too: for the
-block's last pivot D ``D * z`` is integral by Cramer's rule, so it runs on
-integers with exact division. Every solve goes through
-``solve_numerators``, which eliminates only the blocks where b is nonzero
-and returns z as integer numerators over the lcm of z's denominators.
-``solve`` and ``inverse`` (column j solves for e_j) check ``det`` once and
-build their ``Fraction``s from those numerators, so every denominator
-divides ``|det|``. The Smith normal form uses a fixed pivot rule (smallest
+A diagonal matrix, which is what every presentation lifts to, is handled
+in place: ``det`` is the product of its diagonal, and a solve divides b by
+it entrywise. Any other matrix takes one fraction-free (Bareiss) forward
+elimination of the whole matrix: of m for ``det``, of ``[m | b]`` for a
+solve. The back-substitution is fraction-free too: for the last pivot D
+``D * z`` is integral by Cramer's rule, so it runs on integers with exact
+division. Every solve goes through ``solve_numerators``, which returns z
+as integer numerators over the lcm of z's denominators. ``solve`` and
+``inverse`` (column j solves for e_j) check ``det`` once and build their
+``Fraction``s from those numerators, so every denominator divides
+``|det|``. The Smith normal form uses a fixed pivot rule (smallest
 absolute value, ties broken in row-major order) so that outputs are
 deterministic.
 """
@@ -30,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 
@@ -48,8 +42,7 @@ class IntMatrix:
 
     Zeros are never stored, so two matrices are equal exactly when their
     entries are. The map is excluded from the hash and must not be mutated
-    after construction (the block split is cached on first use). ``to_rows``
-    gives the dense rows.
+    after construction. ``to_rows`` gives the dense rows.
     """
 
     rows: int
@@ -61,7 +54,7 @@ class IntMatrix:
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         for (i, j), v in self.nonzeros.items():
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise TypeError("IntMatrix entries must be ints")
             if not v:
                 raise ValueError(f"IntMatrix stores no zeros, got one at ({i}, {j})")
@@ -100,11 +93,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    @cached_property
-    def _split(self) -> list[list[int]]:
-        """``_blocks(self)``, found once and shared by ``det`` and the solves."""
-        return _blocks(self)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -154,108 +142,71 @@ def _eliminate(a: list[list[int]], n: int) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _blocks(m: IntMatrix) -> list[list[int]]:
-    """Connected components of the symmetrised nonzero pattern of the square m.
+def _is_diagonal(m: IntMatrix) -> bool:
+    """Whether every stored entry of m lies on the diagonal."""
+    return all(i == j for i, j in m.nonzeros)
 
-    Indices i and j share a component when a chain of nonzero entries, read
-    in either direction, joins them. A union-find over the stored entries
-    finds them in O(N + nnz). Components come in order of their least
-    index, each sorted, so a dense matrix is the single block 0..n-1.
+
+def _solve_dense(m: IntMatrix, b: Sequence[int]) -> tuple[int, list[int]]:
+    """``(D, y)`` for ``m z = b``: D is the last pivot and ``y[i] = D * z[i]``.
+
+    One elimination of ``[m | b]``, then fraction-free back-substitution
+    (every ``//`` is exact). Raises :class:`SingularError` when m is singular.
     """
     n = m.rows
-    parent = list(range(n))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j in m.nonzeros:
-        if i != j:
-            ri, rj = root(i), root(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(root(i), []).append(i)
-    return list(blocks.values())
-
-
-def _block_rows(m: IntMatrix, block: list[int]) -> list[list[int]]:
-    get = m.nonzeros.get
-    return [[get((i, j), 0) for j in block] for i in block]
-
-
-def _solve_block(m: IntMatrix, block: list[int], b: list[int]) -> tuple[int, list[int]]:
-    """``(D, y)`` for one block of ``m z = b``; ``b`` holds the right-hand side on the block.
-
-    D is the block's last pivot and ``y[r] = D * z[block[r]]``: one
-    elimination of ``[block | b]``, then fraction-free back-substitution
-    (every ``//`` is exact). The block has at least two indices. Raises
-    :class:`SingularError` when the block is singular.
-    """
-    size = len(block)
-    a = [row + [e] for row, e in zip(_block_rows(m, block), b)]
-    if _eliminate(a, size) == 0:
+    a = [row + [e] for row, e in zip(m.to_rows(), b)]
+    if _eliminate(a, n) == 0:
         raise SingularError("matrix is singular")
-    last = a[size - 1][size - 1]
-    y = [0] * size
-    for r in range(size - 1, -1, -1):
+    last = a[n - 1][n - 1]
+    y = [0] * n
+    for r in range(n - 1, -1, -1):
         row = a[r]
-        y[r] = (last * row[size] - sum(row[s] * y[s] for s in range(r + 1, size))) // row[r]
+        y[r] = (last * row[n] - sum(row[s] * y[s] for s in range(r + 1, n))) // row[r]
     return last, y
 
 
 def det(m: IntMatrix) -> int:
-    """Exact determinant: the product of the Bareiss determinants of m's blocks.
+    """Exact determinant: the product of a diagonal m's entries, else one Bareiss elimination.
 
-    A 1x1 block contributes its diagonal entry (0 when none is stored). The
-    0x0 determinant is 1 (empty product), which makes the empty-surgery case
-    of the surgery formula collapse to the base linking number.
+    The 0x0 determinant is 1 (empty product), which makes the empty-surgery
+    case of the surgery formula collapse to the base linking number.
     """
     if not m.is_square:
         raise NonSquareError(f"det of {m.rows}x{m.cols} matrix")
-    get = m.nonzeros.get
-    out = 1
-    for block in m._split:
-        if len(block) == 1:
-            out *= get((block[0], block[0]), 0)
-        else:
-            out *= _eliminate(_block_rows(m, block), len(block))
-        if out == 0:
-            break
-    return out
+    if _is_diagonal(m):
+        get = m.nonzeros.get
+        return math.prod(get((i, i), 0) for i in range(m.rows))
+    return _eliminate(m.to_rows(), m.rows)
 
 
 def solve_numerators(m: IntMatrix, b: Sequence[int]) -> tuple[dict[int, int], int]:
     """The solution of ``m z = b`` on integers: ``(w, d)`` with ``z[i] = w.get(i, 0) / d``.
 
     w holds the nonzero numerators and d > 0 is the lcm of z's denominators.
-    Only the blocks where b is nonzero are eliminated; a 1x1 block [a] is
-    solved in place, as ``z[i] = b[i] / a``. On every other block z is 0
-    because the caller has already checked that ``det(m) != 0``; a singular
-    block that b does not touch goes undetected here.
+    A diagonal m is solved in place, as ``z[i] = b[i] / m[i, i]`` wherever
+    b is nonzero; any other m takes one elimination of ``[m | b]``. The
+    caller has already checked that ``det(m) != 0``; a zero diagonal entry
+    of a diagonal m where b is 0 goes undetected here.
     """
     if not m.is_square:
         raise NonSquareError(f"cannot solve with a {m.rows}x{m.cols} matrix")
     if len(b) != m.rows:
         raise ValueError("vector dimension mismatch")
-    get = m.nonzeros.get
-    solved, d = [], 1  # (index, D * z[index], D) with D its block's last pivot
-    for block in m._split:
-        if len(block) == 1:
-            i = block[0]
-            if v := b[i]:
-                last = get((i, i), 0)
-                if not last:
+    if _is_diagonal(m):
+        get = m.nonzeros.get
+        solved, d = [], 1  # (index, b[index], its diagonal entry)
+        for i, v in enumerate(b):
+            if v:
+                pivot = get((i, i))
+                if not pivot:
                     raise SingularError("matrix is singular")
-                solved.append((i, v, last))
-                d = math.lcm(d, last // math.gcd(last, v))
-        elif any(b[i] for i in block):
-            last, y = _solve_block(m, block, [b[i] for i in block])
-            solved += ((i, v, last) for i, v in zip(block, y))
-            d = math.lcm(d, last // math.gcd(last, *y))
-    return {i: v * d // last for i, v, last in solved if v}, d
+                solved.append((i, v, pivot))
+                d = math.lcm(d, pivot // math.gcd(pivot, v))
+    else:
+        last, y = _solve_dense(m, b)
+        solved = [(i, v, last) for i, v in enumerate(y)]
+        d = abs(last) // math.gcd(last, *y)
+    return {i: v * d // pivot for i, v, pivot in solved if v}, d
 
 
 def solve(m: IntMatrix, b: Sequence[int]) -> list[Fraction]:
@@ -274,8 +225,8 @@ def inverse(m: IntMatrix) -> list[list[Fraction]]:
     """Exact inverse as a list of rows; every denominator divides ``|det(m)|``.
 
     After one ``det`` check (which also rejects a non-square m), column j is
-    :func:`solve_numerators` of e_j, which eliminates only j's block. Raises
-    :class:`SingularError` when m is singular.
+    :func:`solve_numerators` of e_j. Raises :class:`SingularError` when m is
+    singular.
     """
     if det(m) == 0:
         raise SingularError("matrix is singular")

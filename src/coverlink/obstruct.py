@@ -6,16 +6,17 @@ covers reads the m-fold cover's lift data off one sweep of that word
 lifted surgery curves, one eta lift's row of linkings with them, and the
 eta-lift linkings. It converts base linkings into branched-cover linkings
 via ``base - x^T A^{-1} y``; one exact solve ``z = A^{-1} x`` per degree, on
-integers over the blocks of A that x touches, yields every linking (an
-``int`` when eta's order is 1, else a ``Fraction``) and eta's order. The
-verdict then asks whether the meridian lift has odd order in first homology
-and whether the linking vector is nonzero and of uniform sign; both must
-hold (and m must be a prime power) to certify the obstruction. Every report
-is first checked against one table of theorems (``_INVARIANTS``). A failed
-row is a pipeline bug: a verdict raises :class:`InvariantViolationError`, and
-the :func:`cross_checks` ledger records the row as failed. ``json`` leaves
-its C encoder whenever ``indent`` is set, so :func:`report_to_json` writes
-the fixed report schema in ``json.dumps(indent=2)``'s layout itself.
+integers (in place when A is diagonal, as it is on every presentation),
+yields every linking (an ``int`` when eta's order is 1, else a
+``Fraction``) and eta's order. The verdict then asks whether the meridian
+lift has odd order in first homology and whether the linking vector is
+nonzero and of uniform sign; both must hold (and m must be a prime power)
+to certify the obstruction. Every report is first checked against one
+table of theorems (``_INVARIANTS``). A failed row is a pipeline bug: a
+verdict raises :class:`InvariantViolationError`, and the
+:func:`cross_checks` ledger records the row as failed. ``json`` leaves its
+C encoder whenever ``indent`` is set, so :func:`report_to_json` writes the
+fixed report schema in ``json.dumps(indent=2)``'s layout itself.
 """
 
 from __future__ import annotations

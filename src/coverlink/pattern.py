@@ -132,21 +132,21 @@ _CAPS: list[Cap] = []
 _CUPS: tuple[list[Cup], list[Cup]] = ([], [])
 
 
-def _cross_table(width: int) -> tuple[list[Cross], list[Cross]]:
-    """The shared crossing table, grown to hold every gap of a ``width``-strand stack."""
+def _grow_tables(width: int) -> tuple[list[Cross], list[Cross]]:
+    """Grow the shared event tables to every position of a ``width``-strand stack.
+
+    Returns the crossing table. The four tables grow together, so the cap
+    table's length tells whether they already hold ``width``.
+    """
+    if len(_CAPS) > width:
+        return _CROSSES
     for upper_over, row in enumerate(_CROSSES):
         row.extend(Cross(p, bool(upper_over)) for p in range(len(row), width))
-    return _CROSSES
-
-
-def _grow_gadget_tables(width: int) -> None:
-    """Grow the shared kink, cap and cup tables to every position of a ``width``-strand stack."""
-    if len(_CAPS) > width:  # the tables grow together
-        return
     for sign, kinks, cups in zip((-1, 1), _KINKS, _CUPS):
         kinks.extend(Kink(p, sign) for p in range(len(kinks), width + 1))
         cups.extend(Cup(p, sign) for p in range(len(cups), width + 1))
     _CAPS.extend(Cap(p) for p in range(len(_CAPS), width + 1))
+    return _CROSSES
 
 
 def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
@@ -196,8 +196,7 @@ def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:
             below += 1
             owner[h] = s >> 1
             orientations[h] = -sign if s & 1 else sign
-    crosses = _cross_table(width)
-    _grow_gadget_tables(width)
+    crosses = _grow_tables(width)
     events: list[Event] = []
     # A stable sort by slot keeps the clasp order within a slot.
     for i in sorted(range(len(clasps)), key=[c.slot for c in clasps].__getitem__):

@@ -40,7 +40,7 @@ from coverlink.pattern import (
     ClaspSpec,
     ValidationItem,
     ValidationReport,
-    _cross_table,
+    _grow_tables,
 )
 
 
@@ -902,7 +902,7 @@ class _Assembler:
         self._renumber(0)
 
     def _renumber(self, start: int) -> None:
-        _cross_table(len(self.stack))
+        _grow_tables(len(self.stack))
         for i in range(start, len(self.stack)):
             self.stack[i].pos = i
 

@@ -415,13 +415,13 @@ def test_mutated_solve_fails_linking_goldens(capsys, monkeypatch):
 
 
 def test_mutated_blocks_fail_selftest(capsys, monkeypatch):
-    # Deliberate mutation: a block split that ignores coupling solves every
-    # index on its own and must break the block goldens.
-    monkeypatch.setattr(coverlink.linalg, "_blocks", lambda m: [[i] for i in range(m.rows)])
+    # Deliberate mutation: a diagonal test that calls every matrix diagonal
+    # ignores the off-diagonal entries and must break the coupled goldens.
+    monkeypatch.setattr(coverlink.linalg, "_is_diagonal", lambda m: True)
     code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL det-blocks" in out and "FAIL solve-blocks" in out
+    assert all(f"FAIL {name}" in out for name in ("det-2x2", "det-blocks", "solve-blocks"))
 
 
 def test_unknown_file_reports_error(capsys):

@@ -14,7 +14,6 @@ from coverlink.linalg import (
     IntMatrix,
     NonSquareError,
     SingularError,
-    _blocks,
     _eliminate,
     det,
     inverse,
@@ -205,8 +204,7 @@ def _planted(rng, sizes, singular=()):
     Each off-diagonal pair inside a block is nonzero on both sides, on one
     side only, or zero; a chain of one-sided entries keeps every block
     connected. Blocks listed in ``singular`` get zero row sums. Rows and
-    columns then go through one random permutation; returns the matrix and
-    the index set of each block after it.
+    columns then go through one random permutation.
     """
     n = sum(sizes)
     rows = [[0] * n for _ in range(n)]
@@ -227,10 +225,7 @@ def _planted(rng, sizes, singular=()):
                 rows[i][i] -= sum(rows[i][s0 : s0 + size])
     perm = list(range(n))
     rng.shuffle(perm)  # new index i holds old index perm[i]
-    permuted = IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
-    where = {old: new for new, old in enumerate(perm)}
-    blocks = sorted(sorted(where[i] for i in range(s0, s0 + size)) for s0, size in zip(starts, sizes))
-    return permuted, blocks
+    return IntMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
 
 
 def _assert_matches_dense(m: IntMatrix, rng) -> None:
@@ -255,8 +250,7 @@ def test_block_det_and_solve_match_dense_on_planted_blocks(seed):
     sizes = [rng.choice([1, 1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 6))]
     coupled = [t for t, size in enumerate(sizes) if size > 1]
     singular = {rng.choice(coupled)} if coupled and seed % 4 == 0 else set()
-    m, blocks = _planted(rng, sizes, singular)
-    assert _blocks(m) == blocks
+    m = _planted(rng, sizes, singular)
     _assert_matches_dense(m, rng)
     if singular:
         assert det(m) == 0
@@ -264,23 +258,23 @@ def test_block_det_and_solve_match_dense_on_planted_blocks(seed):
 
 def test_block_det_and_solve_edge_cases():
     rng = random.Random(7)
-    assert _blocks(IntMatrix.zeros(0, 0)) == []
     assert det(IntMatrix.zeros(0, 0)) == 1 and solve(IntMatrix.zeros(0, 0), []) == []
     zero = IntMatrix.from_rows([[0]])
-    assert _blocks(zero) == [[0]]
     _assert_matches_dense(zero, rng)
-    # One-sided coupling, either way round, still joins the two indices.
+    # One-sided coupling, either way round.
     for rows in ([[2, 0, 1], [0, 3, 0], [0, 0, 5]], [[2, 0, 0], [0, 3, 0], [4, 0, 5]]):
-        m = IntMatrix.from_rows(rows)
-        assert _blocks(m) == [[0, 2], [1]]
-        _assert_matches_dense(m, rng)
+        _assert_matches_dense(IntMatrix.from_rows(rows), rng)
     # A singular 2x2 block inside a nonsingular rest.
     m = IntMatrix.from_rows([[3, 0, 0, 0], [0, 1, 0, 2], [0, 0, 7, 0], [0, 2, 0, 4]])
-    assert _blocks(m) == [[0], [1, 3], [2]] and det(m) == 0
+    assert det(m) == 0
     _assert_matches_dense(m, rng)
     dense = IntMatrix.from_rows([[rng.choice([-4, -1, 2, 5]) for _ in range(6)] for _ in range(6)])
-    assert _blocks(dense) == [list(range(6))]
     _assert_matches_dense(dense, rng)
+    # The block [[3, 1], [1, 2]] (det 5) on indices 0 and 3, with 1 and 2 alone.
+    m = IntMatrix.from_rows([[3, 0, 0, 1], [0, 5, 0, 0], [0, 0, 7, 0], [1, 0, 0, 2]])
+    assert det(m) == 175 and solve(m, [1, 1, 1, 0])[1] == Fraction(1, 5)
+    assert solve_numerators(m, [0, 1, 0, 0]) == ({1: 1}, 5)
+    assert inverse(m)[2][2] == Fraction(1, 7)
 
 
 # Block-diagonal systems: each block with its part of b, which may be all zero.
@@ -332,10 +326,13 @@ def test_solve_numerators_on_integers_and_singular_blocks():
     assert solve_numerators(m, [2, 0, 0]) == ({0: -2}, 3)
     assert solve_numerators(m, [0, 4, -6]) == ({1: -6, 2: 4}, 1)
     assert solve_numerators(m, [0, 0, 0]) == ({}, 1)
-    # A singular block that b touches raises; solve checks det first.
+    # A singular non-diagonal matrix raises whichever entries of b are
+    # nonzero; solve checks det first.
     singular = IntMatrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 5]])
     with pytest.raises(SingularError):
         solve_numerators(singular, [1, 0, 0])
+    with pytest.raises(SingularError):
+        solve_numerators(singular, [0, 0, 1])
     with pytest.raises(SingularError):
         solve(singular, [0, 0, 1])
     with pytest.raises(NonSquareError):
@@ -344,39 +341,28 @@ def test_solve_numerators_on_integers_and_singular_blocks():
         solve_numerators(m, [1, 2])
 
 
-def test_block_split_is_found_once_per_matrix(monkeypatch):
+def test_solve_numerators_solve_a_diagonal_matrix_in_place(monkeypatch):
+    # A diagonal matrix is never densified or eliminated; any other matrix
+    # takes one elimination of the whole [m | b].
     import coverlink.linalg
 
-    calls = []
-    real = coverlink.linalg._blocks
-    monkeypatch.setattr(coverlink.linalg, "_blocks", lambda m: calls.append(m) or real(m))
-    m = IntMatrix.from_rows([[3, 0, 0, 1], [0, 5, 0, 0], [0, 0, 7, 0], [1, 0, 0, 2]])
-    assert det(m) == 175 and solve(m, [1, 1, 1, 0])[1] == Fraction(1, 5)
-    assert solve_numerators(m, [0, 1, 0, 0]) == ({1: 1}, 5)
-    assert inverse(m)[2][2] == Fraction(1, 7)
-    assert calls == [m]
-
-
-def test_solve_numerators_solve_one_by_one_blocks_in_place(monkeypatch):
-    # Only a coupled block is eliminated; each 1x1 block divides in place.
-    import coverlink.linalg
-
-    real = coverlink.linalg._solve_block
-    eliminated = []
-    def recording(m, block, b):
-        eliminated.append(block)
-        return real(m, block, b)
-
-    monkeypatch.setattr(coverlink.linalg, "_solve_block", recording)
+    eliminate, to_rows = coverlink.linalg._eliminate, IntMatrix.to_rows
+    eliminated, densified = [], []
+    monkeypatch.setattr(
+        coverlink.linalg, "_eliminate", lambda rows, n: eliminated.append(n) or eliminate(rows, n)
+    )
+    monkeypatch.setattr(IntMatrix, "to_rows", lambda m: densified.append(m) or to_rows(m))
     diagonal = IntMatrix(4, 4, {(0, 0): -3, (1, 1): 4, (2, 2): 1, (3, 3): -6})
+    assert det(diagonal) == 72 and det(IntMatrix(2, 2, {(0, 0): 2})) == 0
     assert solve_numerators(diagonal, [2, 6, -5, 9]) == ({0: -4, 1: 9, 2: -30, 3: -9}, 6)
     assert solve(diagonal, [2, 6, -5, 9]) == [Fraction(-2, 3), Fraction(3, 2), -5, Fraction(-3, 2)]
-    assert solve_numerators(diagonal, [0, 0, 0, 0]) == ({}, 1) and not eliminated
+    assert solve_numerators(diagonal, [0, 0, 0, 0]) == ({}, 1)
     with pytest.raises(SingularError):
         solve_numerators(IntMatrix(2, 2, {(0, 0): 2}), [0, 1])
+    assert not eliminated and not densified
     mixed = IntMatrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 5]])
     assert solve_numerators(mixed, [1, 0, 10]) == ({0: 2, 1: -1, 2: 6}, 3)
-    assert eliminated == [[0, 1]]
+    assert eliminated == [3]
 
 
 def _in_column_span(m: IntMatrix, target: list) -> bool:
@@ -519,6 +505,8 @@ def test_int_matrix_rejects_bad_stored_entries():
         IntMatrix(2, 2, {(0, 0): 1.5})
     with pytest.raises(TypeError):
         IntMatrix(2, 2, {(1, 0): Fraction(1)})
+    with pytest.raises(TypeError):  # a bool is an int subclass, not an entry
+        IntMatrix(1, 1, {(0, 0): True})
     for key in ((2, 0), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="outside a 2x2 matrix"):
             IntMatrix(2, 2, {key: 1})

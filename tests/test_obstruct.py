@@ -217,29 +217,27 @@ def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
     assert (rep.h1_order, rep.eta_order) == (3375, 15) == (det(a), order_in_quotient(a, list(x)))
 
 
-def test_verdict_degree_splits_once_and_eliminates_only_coupled_blocks(monkeypatch):
+def test_verdict_degree_eliminates_a_coupled_matrix_once_for_det_and_once_to_solve(monkeypatch):
     # Three curves over three sheets: L1 and L2 link once in each sheet, so
     # {0, 1}, {3, 4} and {6, 7} are coupled blocks [[2, 1], [1, 2]] (det 3);
-    # L3's lifts {2}, {5}, {8} are 1x1 of framing 5. x touches {0, 1}, {2}
-    # and {5} only. So one split serves det and the solve; det eliminates all
-    # three coupled blocks, the solve only {0, 1}, and no 1x1 block is
-    # eliminated: z = (2/3, -1/3, 1/5, 0, 0, 1/5, 0, 0, 0), eta order 15, and
-    # the rows (0, 0, 0, 1, 0, 1, 0, 0, 1) and (0, 0, 1, 0, 0, 0, 1, 0, 1) of
-    # eta lifts 1 and 2 both give z.y = 1/5.
+    # L3's lifts {2}, {5}, {8} are 1x1 of framing 5. The matrix is not
+    # diagonal, so det and the solve each eliminate all of it once:
+    # z = (2/3, -1/3, 1/5, 0, 0, 1/5, 0, 0, 0), eta order 15, and the rows
+    # (0, 0, 0, 1, 0, 1, 0, 0, 1) and (0, 0, 1, 0, 0, 0, 1, 0, 1) of eta
+    # lifts 1 and 2 both give z.y = 1/5.
     import coverlink.linalg
 
     zero = [[0] * 3] * 3
     a = _block_circulant(3, ([[2, 1, 0], [1, 2, 0], [0, 0, 5]], zero, zero))
     lifted = LiftedData(a, (1, 0, 1, 0, 0, 1, 0, 0, 0), (0, 2, 2))
     monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
-    splits, eliminated = [], []
-    blocks, eliminate = coverlink.linalg._blocks, coverlink.linalg._eliminate
-    monkeypatch.setattr(coverlink.linalg, "_blocks", lambda m: splits.append(m) or blocks(m))
+    eliminated = []
+    eliminate = coverlink.linalg._eliminate
     monkeypatch.setattr(
         coverlink.linalg, "_eliminate", lambda rows, n: eliminated.append(n) or eliminate(rows, n)
     )
     rep = branched_linkings(ClaspPresentation(3, ()), 3)
-    assert splits == [a] and eliminated == [2, 2, 2, 2]
+    assert eliminated == [9, 9]
     assert (rep.h1_order, rep.eta_order) == (3375, 15)
     assert rep.linkings == (2 - Fraction(1, 5),) * 2
 
@@ -498,7 +496,43 @@ def test_verdict_path_never_densifies(monkeypatch):
     off_diagonal = sum(i != j for i, j in a.nonzeros)
     assert a.rows == 4096 and len(a.nonzeros) <= a.rows + off_diagonal
     assert off_diagonal == 0 and set(a.nonzeros.values()) <= {-1, 1}
-    # Full twists couple the lifts into blocks of up to 16 at m = 8.
+
+
+def test_verdict_path_solves_the_benchmark_shapes_without_elimination(monkeypatch):
+    # Every presentation the benchmark's workloads send lifts to a diagonal
+    # matrix, which det and the solve read in place: the ladder rungs
+    # (n, k, m), the sweep's windings 2..12 with a degree in {2, 3, 4} and
+    # up to 4 clasps, and normalized annular words of winding 4 and 6.
+    import coverlink.linalg
+
+    def eliminate(*_args):
+        raise AssertionError("the verdict path eliminated a matrix")
+
+    monkeypatch.setattr(coverlink.linalg, "_eliminate", eliminate)
+    runs = [
+        (random_presentation(n, k, s), (m,))
+        for n, k, m in ((8, 4, 8), (8, 8, 8), (16, 4, 16))
+        for s in range(3)
+    ]
+    runs += [
+        (random_presentation(n, k, s), degrees)
+        for n in range(2, 13)
+        if (degrees := tuple(m for m in (2, 3, 4) if n % m == 0))
+        for k in range(5)
+        for s in range(3)
+    ]
+    runs += [
+        (normalize(random_annular_word(n, s)).presentation, (2,))
+        for n in (4, 6)
+        for s in range(20)
+    ]
+    reports = [r for p, ms in runs for r in auto_verdict(p, ms).per_m]
+    assert len(runs) == 169 and all(r.h1_order == 1 for r in reports)
+
+
+def test_full_twists_couple_the_lifts(monkeypatch):
+    # Full twists couple the lifts into blocks of up to 16 at m = 8, which
+    # det and the solve eliminate whole.
     p = random_presentation(8, 3, 4)
     word = twist_surgery_pairs(compile_presentation(p), random.Random(4), 4)
     monkeypatch.setattr(coverlink.obstruct, "_checked_word", lambda q: word)
