@@ -41,7 +41,11 @@ _USER_ERRORS = (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; bytes that are not UTF-8 raise a ValueError that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _sniff(text: str) -> str:

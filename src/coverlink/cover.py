@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import compress, permutations
+from typing import NamedTuple
 
 from .diagram import AnnularWord, ComponentId, WordAnalysis, analyze
 from .diagram import WindingNotDivisibleError  # noqa: F401 (re-exported)
@@ -118,8 +119,7 @@ def lifted_eta_linkings(cd: CoverDiagram) -> dict[tuple[int, int], int]:
     return {(j, k): lk.get((a, b), (0,))[0] for (j, a), (k, b) in pairs}
 
 
-@dataclass(frozen=True)
-class LiftedData:
+class LiftedData(NamedTuple):
     """Lifted surgery data in lift-major order: L1^0..Lk^0, L1^1..Lk^1, ...
 
     ``matrix`` has lifted framings on the diagonal and pairwise lift linkings
@@ -139,8 +139,7 @@ class LiftedData:
 
 def _surgery_order(base_ana: WordAnalysis) -> list[ComponentId]:
     """The labelled non-eta components, by name: the order of lifts within a sheet."""
-    named = sorted((name, cid) for cid, name in base_ana.labels().items() if name != "eta")
-    return [cid for _, cid in named]
+    return list(base_ana._lift_layout[1])
 
 
 def lift_data(base: AnnularWord, m: int) -> LiftedData:
@@ -154,15 +153,13 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     """
     base_ana = analyze(base)
     framing, lk = base_ana.cover_tables(m)
-    surgery = _surgery_order(base_ana)
-    eta = base_ana.component_by_name("eta")
-    k = len(surgery)
+    eta, index = base_ana._lift_layout
+    k = len(index)
     size = k * m
-    # Lift-major index of L_c^b is b*k + (c's place in surgery). Only the
+    # Lift-major index of L_c^b is b*k + (c's place in the surgery order). Only the
     # nonzero framings and linkings are stored.
     nonzeros: dict[tuple[int, int], int] = {}
     eta_row = [0] * size
-    index = {cid: p for p, cid in enumerate(surgery)}
     for cid, p in index.items():
         if f := framing[cid]:
             for i in range(p, size, k):
@@ -175,10 +172,11 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
             for d in compress(range(m), row):
                 v = row[d]
                 nonzeros.update(((x * k + pa, (x + d) % m * k + pb), v) for x in range(m))
+    own = lk.get((eta, eta))
     return LiftedData(
         IntMatrix(size, size, nonzeros),
         tuple(eta_row),
-        (framing[eta], *lk.get((eta, eta), [0] * m)[1:]),
+        (framing[eta], *own[1:]) if own else (framing[eta],) + (0,) * (m - 1),
     )
 
 

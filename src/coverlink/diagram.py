@@ -12,9 +12,11 @@ Conventions:
   the strands at positions p and p+1.
 * Each strand carries an orientation: +1 for a curve running rightward
   (in the reading direction), -1 for leftward.
-* Crossing signs are never stored; they are computed from the two strand
-  orientations and the over/under flag:
-  ``sign = o_lower * o_upper * (-1 if upper_over else +1)``.
+* Crossing signs are never stored in a word; they are computed from the two
+  strand orientations and the over/under flag:
+  ``sign = o_lower * o_upper * (-1 if upper_over else +1)``. The sweep reads
+  them off an 8-entry table of :func:`crossing_sign`, built again whenever
+  that function is replaced.
 * A component's framing is its writhe: signed kinks plus signed
   self-crossings.
 * The sweep records each segment's two joins: a cup or cap partner, or a seam
@@ -24,15 +26,22 @@ Conventions:
   crossing counts by sheet delta: every cyclic cover's crossing data. A
   component's own row is folded once onto |delta|, since a self crossing at
   -delta joins the same lift pairs as one at delta.
-  ``WordAnalysis.cover_tables(m)`` folds each row by slices once per degree.
+  ``WordAnalysis.cover_tables(m)`` folds each row once per degree.
+* A run of at least ``_RUN`` crossings ``Cross(p), Cross(p + 1), ...`` with
+  one flag, all from the shared table ``_CROSSES``, is one sweep record: one
+  strand, the mover, passes each strand above it in turn. A compiled cable
+  is one run, and so is each braid slice of a presentation. When the crossed
+  strands lie in the mover's component at consecutive sheets, the pass adds
+  the whole run into that component's row as one slice.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import add
+from functools import cached_property, lru_cache
+from itertools import chain, compress, count, islice, repeat
+from operator import add, is_not, itemgetter
 from typing import NamedTuple
 
 
@@ -212,6 +221,28 @@ def crossing_sign(o_lower: int, o_upper: int, upper_over: bool) -> int:
     return o_lower * o_upper * (-1 if upper_over else 1)
 
 
+@lru_cache(maxsize=1)
+def _sign_table(sign) -> tuple[list, list]:
+    """``table[upper_over][o_lower][o_upper]`` is ``sign(o_lower, o_upper, upper_over)``.
+
+    An orientation of +1 or -1 indexes a 3-list directly. ``_sweep`` passes
+    the module's ``crossing_sign``, so the table follows any replacement.
+    """
+    return tuple(
+        [None, *([0, sign(o, 1, over), sign(o, -1, over)] for o in (1, -1))]
+        for over in (False, True)
+    )
+
+
+# The one crossing table every compile and the normalizer's random words share:
+# ``_CROSSES[upper_over][p]`` is ``Cross(p, upper_over)``, so a run of crossings is a
+# slice or a comprehension of shared events. Index 0 is never emitted. Events are
+# immutable values: sharing them changes no word or hash. ``pattern._grow_tables``
+# grows it.
+_CROSSES: tuple[list[Cross], list[Cross]] = ([], [])
+_RUN = 8  # the fewest crossings the sweep records as one run
+
+
 class _SweepResult(NamedTuple):
     """A checked word's segments, their joins, and the crossings and kinks on them.
 
@@ -221,6 +252,8 @@ class _SweepResult(NamedTuple):
     again to list its crossings in order. By this numbering the sweep of m
     concatenated copies is determined by the sweep of one:
     ``cover.build_cover`` reads each copy's edge segments off ``seam_ends``.
+    A crossing is a record of its own or part of a run record; ``flat_crossings``
+    lists them all alike, in event order.
     """
 
     seg_count: int
@@ -231,7 +264,35 @@ class _SweepResult(NamedTuple):
     ends: list[int]
     seam_ends: list[int]
     crossings: list[tuple[int, int, int, int]]  # (seg_lower, seg_upper, sign, event_index)
+    # (mover, crossed, signs, first_event_index): the mover is the lower segment of
+    # crossing i, at event first_event_index + i, with crossed[i] above it and sign signs[i].
+    runs: list[tuple[int, list[int], list[int], int]]
     kinks: list[tuple[int, int]]  # (segment, sign)
+
+    def flat_crossings(self) -> list[tuple[int, int, int, int]]:
+        """Every crossing as ``(seg_lower, seg_upper, sign, event_index)``, in event order."""
+        flat = self.crossings[:]
+        for mover, crossed, signs, first in self.runs:
+            flat += zip(repeat(mover), crossed, signs, count(first))
+        flat.sort(key=itemgetter(3))
+        return flat
+
+
+def _run_length(events: tuple, idx: int, row: list, p: int, most: int) -> int:
+    """How many of the events from ``idx`` on are ``row[p]``, ``row[p + 1]``, ..., up to ``most``.
+
+    0 when that is fewer than ``_RUN``; ``most`` must not reach past the
+    events or the row. The scan runs in C: a false start is rejected at its
+    first differing event, a cable's whole run is one slice comparison, and
+    any other run ends at its first differing event.
+    """
+    here, shared = events[idx : idx + most], row[p : p + most]
+    differs = map(is_not, here, shared)
+    if most < _RUN or any(islice(differs, _RUN)):
+        return 0
+    if here == tuple(shared):
+        return most
+    return next(compress(count(_RUN), differs))
 
 
 def _sweep(word: AnnularWord) -> _SweepResult:
@@ -239,22 +300,53 @@ def _sweep(word: AnnularWord) -> _SweepResult:
 
     Two lists carry the state: the live segments, bottom to top, and each
     segment's orientation, fixed at its birth; ``live`` is the live count.
+    At every ``_RUN``-th event a crossing ``Cross(p)`` may start a run: one
+    identity test asks whether the event ``_RUN - 1`` places on is the shared
+    ``Cross(p + _RUN - 1)`` of the same flag, and :func:`_run_length` finds
+    where the run ends. So a single crossing pays one modulo test, and a run
+    of at least ``2 * _RUN - 1`` crossings is recorded from its first
+    ``_RUN``-th event on. The events a run covers are skipped in C.
     """
     seam = word.seam_orientations
     width = live = len(seam)
-    starts = [~h for h in range(width)]
+    starts = list(range(-1, ~width, -1))  # ~h for every h < width
     ends = [0] * width
     segs = list(range(width))
     orient = list(seam)
     crossings: list[tuple[int, int, int, int]] = []
+    runs: list[tuple[int, list[int], list[int], int]] = []
     kinks: list[tuple[int, int]] = []
-    for idx, ev in enumerate(word.events):
+    events, table = word.events, _sign_table(crossing_sign)
+    # ahead[idx] is events[idx + reach], and a gap below ``limit`` has a shared
+    # crossing ``reach`` gaps higher.
+    reach = _RUN - 1
+    ahead = events[reach:] + (None,) * reach
+    limit = len(_CROSSES[0]) - reach
+    walk = enumerate(events)
+    for idx, ev in walk:
         if isinstance(ev, Cross):  # most events are crossings
             p = ev.position
             if not 1 <= p < live:
                 raise StrandCountMismatch(f"crossing at gap {p} with {live} live strands", idx)
+            if (
+                not idx % _RUN
+                and p < limit
+                and ahead[idx] is (row := _CROSSES[ev.upper_over])[p + reach]
+            ):
+                most = min(live - p, len(events) - idx, len(row) - p)
+                if size := _run_length(events, idx, row, p, most):
+                    mover, crossed = segs[p - 1], segs[p : p + size]
+                    signs = table[ev.upper_over][orient[mover]]
+                    if orient.count(o := orient[crossed[0]]) == len(orient):  # one orientation
+                        runs.append((mover, crossed, [signs[o]] * size, idx))
+                    else:
+                        side = map(orient.__getitem__, crossed)
+                        runs.append((mover, crossed, [*map(signs.__getitem__, side)], idx))
+                    segs[p - 1 : p + size] = (*crossed, mover)
+                    next(islice(walk, size - 2, None))  # skip the run's other events
+                    continue
             lo, up = segs[p - 1], segs[p]
-            crossings.append((lo, up, crossing_sign(orient[lo], orient[up], ev.upper_over), idx))
+            crossings.append((lo, up, table[ev.upper_over][orient[lo]][orient[up]], idx))
             segs[p - 1], segs[p] = up, lo
         elif isinstance(ev, Cup):
             p = ev.position
@@ -294,7 +386,7 @@ def _sweep(word: AnnularWord) -> _SweepResult:
                 f"seam strand {h + 1} re-glues with orientation {orient[seg]}, expected {seam[h]}"
             )
         ends[seg] = ~h
-    return _SweepResult(len(starts), starts, ends, segs, crossings, kinks)
+    return _SweepResult(len(starts), starts, ends, segs, crossings, runs, kinks)
 
 
 ComponentId = int
@@ -351,31 +443,65 @@ class WordAnalysis:
         signed count of base crossings whose copy in every sheet joins lift x
         of a to lift x + lo + i of b. The second is each component's signed
         kink count. One pass reads both off the flat lift table of ``analyze``.
-        A component's own row keeps d >= 0 only: a self crossing at -d joins
-        the same lift pairs as one at d, so after the pass each self row is
-        folded once onto |d|, with lo = 0, and every degree folds half a row.
+        A run whose crossed segments are consecutive, lie in the mover's
+        component and sit at consecutive sheets adds its signs to the
+        component's own row as one slice, after one row lookup; any other run
+        is read crossing by crossing, as single crossings are. A component's
+        own row keeps d >= 0 only: a self crossing at -d joins the same lift
+        pairs as one at d, so after the pass each self row is folded once
+        onto |d|, with lo = 0, and every degree folds half a row.
         """
         if self._tally is None:
             comp, sheet, span = self._segment_component, self._segment_sheet, self._sheet_range
             rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
-            for lo, up, sign, _ in self._sweep.crossings:
+
+            def new_row(a: int, b: int) -> tuple[int, list[int]]:
+                (a0, a1), (b0, b1) = span[a], span[b]
+                row = rows[a, b] = (b0 - a1, [0] * (b1 - b0 + a1 - a0 + 1))
+                return row
+
+            mixed = []  # the runs added crossing by crossing
+            for mover, crossed, signs, first in self._sweep.runs:
+                a, low, size = comp[mover], crossed[0], len(crossed)
+                sheets = sheet[low : low + size]  # the crossed strands' if they are consecutive
+                # Distinct segments, ascending from low to low + size - 1, are consecutive.
+                if (
+                    crossed[-1] - low == size - 1
+                    and crossed == sorted(crossed)
+                    and comp[low : low + size].count(a) == size
+                    and sheets == [*range(sheets[0], sheets[0] + size)]
+                ):
+                    if row := rows.get((a, a)):
+                        i = sheets[0] - sheet[mover] - row[0]
+                        row[1][i : i + size] = map(add, row[1][i : i + size], signs)
+                    else:  # a new row, as for a cable's one run
+                        lo, counts = new_row(a, a)
+                        i = sheets[0] - sheet[mover] - lo
+                        counts[i : i + size] = signs
+                else:
+                    mixed.append(zip(repeat(mover), crossed, signs, repeat(first)))
+            for lo, up, sign, _ in chain(self._sweep.crossings, *mixed):
                 a, b = comp[lo], comp[up]
                 if a > b:
                     a, b, lo, up = b, a, up, lo
-                row = rows.get((a, b))
-                if row is None:
-                    (a0, a1), (b0, b1) = span[a], span[b]
-                    row = rows[a, b] = (b0 - a1, [0] * (b1 - b0 + a1 - a0 + 1))
+                row = rows.get((a, b)) or new_row(a, b)
                 row[1][sheet[up] - sheet[lo] - row[0]] += sign
             for (a, b), (lo, c) in rows.items():
-                if a == b:  # the row spans -r..r
+                if a == b:  # the row spans -r..r; a cable's crossings all lie at d > 0
                     r = -lo
-                    rows[a, a] = (0, [c[r], *map(add, c[r + 1 :], c[r - 1 :: -1])])
+                    folded = [c[r], *map(add, c[r + 1 :], c[r - 1 :: -1])] if any(c[:r]) else c[r:]
+                    rows[a, a] = (0, folded)
             kinks = {c.cid: 0 for c in self.components}
             for seg, sign in self._sweep.kinks:
                 kinks[comp[seg]] += sign
             self._tally = (rows, kinks)
         return self._tally
+
+    @cached_property
+    def _lift_layout(self) -> tuple[ComponentId, dict[ComponentId, int]]:
+        """eta, and each other labelled component's place by name: the lift order in a sheet."""
+        named = sorted((name, cid) for cid, name in self._labels.items() if name != "eta")
+        return self.component_by_name("eta"), {cid: p for p, (_, cid) in enumerate(named)}
 
     def _check_degree(self, m: int) -> None:
         """Reject a cover degree below 1, or one that leaves some lift unclosed."""
@@ -392,10 +518,13 @@ class WordAnalysis:
         ``framing[a]`` is the framing of every lift of component a, and
         ``lk[(a, b)][d]`` is lk(L_a^x, L_b^(x+d)) for every x and 0 <= d < m;
         a pair with no row does not link. Each tally row folds to deltas mod m
-        by adding its m-chunks, or by m slice sums when it has more chunks than
-        m. A component's own row adds its mirror; a pair's other orientation is
-        its mirror. m = 1 gives the base word's own data. It rejects m < 1, and
-        an m not dividing every winding, whose lifts would not all be closed.
+        by the cheaper of two ways, as measured for m = 2..512: m slice sums,
+        one per residue, when the row holds more than log2(m) entries per
+        residue, else its m-chunks added up. A component's own row adds its
+        mirror, which makes it symmetric in d and m - d, so only d <= m/2 is
+        added and halved; a pair's other orientation is its mirror. m = 1
+        gives the base word's own data. It rejects m < 1, and an m not
+        dividing every winding, whose lifts would not all be closed.
         """
         self._check_degree(m)
         rows, kinks = self._lift_tally()
@@ -405,7 +534,7 @@ class WordAnalysis:
             if not any(counts):  # the pair's crossings cancel at every delta
                 continue
             size, s = len(counts), lo % m
-            if size > m * m:  # more chunks than residues: sum each residue's slice
+            if size > m * (m.bit_length() - 1):  # m slice sums cost about log2(m) chunk adds
                 row = [sum(counts[(r - lo) % m :: m]) for r in range(m)]
             else:  # place the entries up to the first wrap, then add each later m-chunk
                 row = [0] * m
@@ -414,12 +543,15 @@ class WordAnalysis:
                     row[: min(m, size - i)] = map(add, row, counts[i : i + m])
             if a == b:  # L_a^x meets L_a^(x+d) at the tally's deltas d and -d alike
                 framing[a] += row[0]
-                row = [0, *map(add, row[1:], row[:0:-1])]
+                k = m // 2
+                row = [*map(add, row[1 : k + 1], row[m - 1 : m - k - 1 : -1])]  # d = 1..m/2
             # Each odd entry leaves 1 in sum(row) - 2*sum(half).
-            lk[a, b] = half = [v >> 1 for v in row]
+            half = [v >> 1 for v in row]
             assert sum(row) == 2 * sum(half), "closed curves must cross evenly"
-            if a != b:
-                lk[b, a] = half[:1] + half[:0:-1]
+            if a == b:
+                lk[a, a] = [0, *half, *half[: (m - 1) // 2][::-1]]
+            else:
+                lk[a, b], lk[b, a] = half, half[:1] + half[:0:-1]
         return framing, lk
 
 
@@ -471,15 +603,21 @@ def analyze(word: AnnularWord) -> WordAnalysis:
         for seg in walk[cut:]:
             seg_sheet[seg] -= v
         periods.append(v)
-    # One pass over the seam: each component's seam strands, winding and sheets.
-    positions: list[list[int]] = [[] for _ in periods]
-    windings = [0] * len(periods)
-    sheets: list[list[int]] = [[] for _ in periods]
-    for h, o in enumerate(word.seam_orientations):
-        cid = seg_component[h]
-        positions[cid].append(h + 1)
-        windings[cid] += o
-        sheets[cid].append(seg_sheet[h])
+    # Each component's seam strands, winding and sheets: one pass over the seam, or
+    # its slices when one component holds every seam strand, as a cable does.
+    width = word.seam_width
+    if len(periods) == 1:
+        positions, windings = [range(1, width + 1)], [sum(word.seam_orientations)]
+        sheets = [seg_sheet[:width]]
+    else:
+        positions = [[] for _ in periods]
+        windings = [0] * len(periods)
+        sheets = [[] for _ in periods]
+        for h, o in enumerate(word.seam_orientations):
+            cid = seg_component[h]
+            positions[cid].append(h + 1)
+            windings[cid] += o
+            sheets[cid].append(seg_sheet[h])
     # A re-gluing goes up one sheet, so a component's sheets are its seam strands' and those + 1.
     components, sheet_range = [], []
     for cid, period in enumerate(periods):

@@ -65,7 +65,7 @@ def _curve(word: AnnularWord) -> list[_Passage]:
         raise MultiComponentError(f"diagram has {len(ana.components)} components")
     sweep = ana._sweep
     on_segment: list[list[_Passage]] = [[] for _ in range(sweep.seg_count)]
-    for lo, up, _, idx in sweep.crossings:
+    for lo, up, _, idx in sweep.flat_crossings():
         upper_over = word.events[idx].upper_over
         on_segment[lo].append(_passage((idx, "under" if upper_over else "over", 0)))
         on_segment[up].append(_passage((idx, "over" if upper_over else "under", 0)))
@@ -253,7 +253,7 @@ def normalize(word: AnnularWord) -> NormalizeResult:
         if event in by_event:
             by_event[event].append(pos)
     # _curve analysed this same word, so its sweep is a cache hit.
-    signs = {idx: sign for _, _, sign, idx in analyze(stripped)._sweep.crossings}
+    signs = {idx: sign for _, _, sign, idx in analyze(stripped)._sweep.flat_crossings()}
     changes: list[ChangeRecord] = []
     for slot, ev_idx in enumerate(flips):
         pos1, pos2 = by_event[ev_idx]

@@ -22,6 +22,7 @@ fixed report schema in ``json.dumps(indent=2)``'s layout itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
 from operator import mul
@@ -57,6 +58,10 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
+# ``CheckResult(...)`` runs the generated ``__new__``, a Python call; this builds it in C.
+_check = partial(tuple.__new__, CheckResult)
+
+
 @dataclass
 class ObstructionReport:
     m: int
@@ -73,10 +78,18 @@ class ObstructionReport:
     _texts: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def linking_texts(self) -> tuple[str, ...]:
-        """Each linking as :func:`format_rational` writes it, formatted once per linkings tuple."""
+        """Each linking as :func:`format_rational` writes it, once per linkings tuple.
+
+        Equal rationals have one text, so each distinct value is formatted once.
+        """
         linkings, texts = self._texts
         if linkings is not self.linkings:
-            texts = tuple(map(format_rational, self.linkings))
+            distinct = dict.fromkeys(self.linkings)
+            if len(distinct) == 1:  # one value, as at every degree of a cable
+                texts = (format_rational(*distinct),) * len(self.linkings)
+            else:
+                text_of = dict(zip(distinct, map(format_rational, distinct)))
+                texts = tuple(map(text_of.__getitem__, self.linkings))
             self._texts = (self.linkings, texts)
         return texts
 
@@ -203,7 +216,7 @@ def _branched(
     for name, degrees, check in _INVARIANTS:
         if degrees is None or m in degrees:
             ok, detail = check(p, report)
-            report.checks.append(CheckResult(name.format(m=m), ok, detail))
+            report.checks.append(_check((name.format(m=m), ok, detail)))
     return report, data
 
 

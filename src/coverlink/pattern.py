@@ -28,7 +28,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
-from .diagram import _check_token, _int_literal, _lines
+from .diagram import _CROSSES, _check_token, _int_literal, _lines
 
 
 class PatternError(Exception):
@@ -118,13 +118,8 @@ class ClaspPresentation:
                     raise GapOutOfRangeError(f"gap {g} outside 0..{self.n}")
 
 
-# The one crossing table every compile and the normalizer's random words share:
-# ``_CROSSES[upper_over][p]`` is ``Cross(p, upper_over)``, so a run of crossings is a
-# slice or a comprehension of shared events. Index 0 is never emitted. Events are
-# immutable values: sharing them changes no word or hash.
-_CROSSES: tuple[list[Cross], list[Cross]] = ([], [])
 # The gadget events every compile and the normalizer's random words share, indexed
-# the same way by position:
+# by position as the crossing table ``_CROSSES`` is:
 # ``_KINKS[sign > 0][p]`` is ``Kink(p, sign)``, ``_CAPS[p]`` is ``Cap(p)`` and
 # ``_CUPS[sign > 0][p]`` is ``Cup(p, sign)``, for sign +1 or -1.
 _KINKS: tuple[list[Kink], list[Kink]] = ([], [])

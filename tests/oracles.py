@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from coverlink.cover import CoverDiagram, LiftedData, _surgery_order
 from coverlink.diagram import (
@@ -259,6 +260,7 @@ class UnionFindSweep:
     kinks: list[tuple[int, int]]  # (segment, sign)
     # Live segments, bottom to top, before each event and after the last one.
     live_segments: list[tuple[int, ...]]
+    runs: tuple = ()  # every crossing is a record of its own
 
 
 def union_find_sweep(word: AnnularWord) -> UnionFindSweep:
@@ -401,7 +403,34 @@ def pair_stack_sweep(word: AnnularWord) -> _SweepResult:
             )
         ends[seg] = ~h
     seam_ends = [seg for seg, _ in live]
-    return _SweepResult(len(starts), starts, ends, seam_ends, crossings, kinks)
+    return _SweepResult(len(starts), starts, ends, seam_ends, crossings, [], kinks)
+
+
+def crossing_lift_tally(ana: WordAnalysis):
+    """``WordAnalysis._lift_tally`` as it was before the sweep kept runs: one step per crossing.
+
+    Reads the sweep's flat crossing view, so a run is tallied crossing by
+    crossing, each with its own row lookup.
+    """
+    comp, sheet, span = ana._segment_component, ana._segment_sheet, ana._sheet_range
+    rows: dict[tuple[int, int], tuple[int, list[int]]] = {}
+    for lo, up, sign, _ in ana._sweep.flat_crossings():
+        a, b = comp[lo], comp[up]
+        if a > b:
+            a, b, lo, up = b, a, up, lo
+        row = rows.get((a, b))
+        if row is None:
+            (a0, a1), (b0, b1) = span[a], span[b]
+            row = rows[a, b] = (b0 - a1, [0] * (b1 - b0 + a1 - a0 + 1))
+        row[1][sheet[up] - sheet[lo] - row[0]] += sign
+    for (a, b), (lo, c) in rows.items():
+        if a == b:  # the row spans -r..r
+            r = -lo
+            rows[a, a] = (0, [c[r], *map(add, c[r + 1 :], c[r - 1 :: -1])])
+    kinks = {c.cid: 0 for c in ana.components}
+    for seg, sign in ana._sweep.kinks:
+        kinks[comp[seg]] += sign
+    return rows, kinks
 
 
 def union_find_analyze(word: AnnularWord) -> WordAnalysis:

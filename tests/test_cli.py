@@ -430,6 +430,30 @@ def test_unknown_file_reports_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "compile", "obstruct"])
+@pytest.mark.parametrize(
+    "data, where",
+    [(b"\xffpattern v1\n", "invalid start byte at byte 0"),
+     (b"pattern v1\ncable 4\n\xc3(", "invalid continuation byte at byte 19")],
+)
+def test_non_utf8_input_is_reported_with_its_file_name(tmp_path, capsys, command, data, where):
+    f = tmp_path / "bin.pattern"
+    f.write_bytes(data)
+    assert main([command, str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {f}: not UTF-8 text ({where})\n"
+
+
+def test_input_keeps_universal_newlines(tmp_path, capsys):
+    f = tmp_path / "crlf.pattern"
+    f.write_bytes((CORPUS / "cable-6.pattern").read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["obstruct", str(f)]) == 0
+    crlf = capsys.readouterr().out
+    assert main(["obstruct", str(CORPUS / "cable-6.pattern")]) == 0
+    assert crlf == capsys.readouterr().out
+
+
 def test_invariant_violation_maps_to_exit_3(capsys, monkeypatch):
     import coverlink.cli
     import coverlink.obstruct as obs

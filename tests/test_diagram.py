@@ -31,6 +31,9 @@ from coverlink.diagram import (
     SeamMismatch,
     StrandCountMismatch,
     UnknownComponentError,
+    _CROSSES,
+    _RUN,
+    _SweepResult,
     _sweep,
     analyze,
     parse,
@@ -40,8 +43,10 @@ from coverlink.downhill import force_downhill, normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
 from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
 from coverlink.pattern import compile as compile_presentation
-from coverlink.pattern import validate
+from coverlink.pattern import _grow_tables, validate
+import oracles
 from oracles import (
+    crossing_lift_tally,
     keyed_cover_tables,
     locate_lift_tally,
     pair_stack_sweep,
@@ -125,10 +130,15 @@ def test_cycle_walk_matches_the_union_find_oracle():
     assert (covers, off_seam) == (104, 86)
 
 
+def _flat(sweep: _SweepResult) -> _SweepResult:
+    """The sweep with every run spelled out as single crossings, as the oracle records them."""
+    return sweep._replace(crossings=sweep.flat_crossings(), runs=[])
+
+
 def _sweep_outcome(sweep, word):
     """``(result, None)``, or ``(None, (class, message, event))`` when the sweep raises."""
     try:
-        return sweep(word), None
+        return _flat(sweep(word)), None
     except Exception as exc:  # the class, the message and the event at fault must agree
         return None, (type(exc), str(exc), getattr(exc, "event", None))
 
@@ -167,7 +177,7 @@ def test_sweep_matches_the_pair_stack_oracle():
     rng = random.Random(28)
     words += [random_event_word(rng) for _ in range(2000)]
     for word in words:
-        assert _sweep(word) == pair_stack_sweep(word)
+        assert _flat(_sweep(word)) == pair_stack_sweep(word)
     raised: dict[type, int] = {}
     for word in [_broken(rng, rng.choice(words[-2000:])) for _ in range(4000)]:
         got, error = _sweep_outcome(_sweep, word)
@@ -177,6 +187,98 @@ def test_sweep_matches_the_pair_stack_oracle():
     assert set(raised) == {
         StrandCountMismatch, OrientationMismatch, SeamMismatch, DiagramError
     }, raised
+
+
+def _hand_built_runs():
+    """Words whose crossings come from the shared table: runs at the edges of the rules."""
+    lower, upper = _grow_tables(24)
+    seam, wide = (1,) * 12, (1,) * 20
+    yield AnnularWord(seam, tuple(lower[1:12]))  # a run ending at the top gap
+    yield AnnularWord(seam, tuple(lower[1:9] + upper[9:12]))  # broken by a flag change
+    yield AnnularWord(seam, tuple(upper[1:12] + lower[1:12]))  # two runs, back to back
+    for size in (_RUN - 1, _RUN, 2 * _RUN - 1):
+        yield AnnularWord(wide, tuple(lower[2 : 2 + size]))
+        yield AnnularWord(wide, (Kink(3, 1), *lower[2 : 2 + size]))  # a run off the stride
+    yield AnnularWord(seam, tuple(lower[11:0:-1]))  # a descending run
+    mixed = (1, -1) * 6  # a run over strands of both orientations
+    yield AnnularWord(mixed, tuple(lower[1:12] + upper[1:12]))
+    # A run over two components: the mover passes a circle born below the top.
+    yield AnnularWord(seam, (Cup(5), *(Kink(1, 1),) * 7, *lower[1:14], Cap(4), *upper[11:0:-1]))
+    # A run up to the shared table's last gap, with live strands above it and an event after it.
+    top = len(lower)
+    yield AnnularWord((1,) * (top + 4), (*lower[top - 12 :], lower[3]))
+
+
+def _run_words():
+    yield from (cable_template(n) for n in range(2, 513))
+    for n in range(2, 20):
+        for k in range(5):
+            yield from (compile_presentation(random_presentation(n, k, s)) for s in range(2))
+    for n in range(2, 14):
+        yield from (random_annular_word(n, s) for s in range(4))
+    hand = list(_hand_built_runs())
+    yield from hand
+    yield from (parse(serialize(w)) for w in hand)  # events that are not the shared objects
+
+
+def test_runs_flatten_to_the_pair_stack_sweep_and_tally_alike():
+    analyze.cache_clear()
+    paths = {"slice": 0, "mixed": 0}
+    for word in _run_words():
+        sweep = _sweep(word)
+        assert _flat(sweep) == pair_stack_sweep(word)
+        ana = analyze(word)
+        assert ana._lift_tally() == crossing_lift_tally(ana)
+        comp = ana._segment_component
+        for mover, crossed, signs, first in sweep.runs:
+            assert len(crossed) >= _RUN and first % _RUN == 0
+            covered = word.events[first : first + len(crossed)]
+            assert all(ev is _CROSSES[ev.upper_over][ev.position] for ev in covered)
+            paths["slice" if {comp[c] for c in crossed} == {comp[mover]} else "mixed"] += 1
+    assert paths["slice"] > 500 and paths["mixed"] > 0, paths
+    analyze.cache_clear()
+
+
+def test_run_records_sit_where_the_shared_crossings_run():
+    hand = list(_hand_built_runs())
+    runs = [[(first, len(crossed)) for _, crossed, _, first in _sweep(w).runs] for w in hand]
+    assert runs == [
+        [(0, 11)],  # up to the top gap
+        [(0, 8)],  # up to the flag change
+        [(0, 11)],  # the second run starts off the stride, with 6 crossings after it
+        [], [],  # _RUN - 1 crossings
+        [(0, _RUN)], [],  # _RUN crossings, on and off the stride
+        [(0, 2 * _RUN - 1)], [(8, _RUN)],  # 2 * _RUN - 1 crossings: the stride catches _RUN
+        [],  # descending
+        [(0, 11)],  # over strands of both orientations
+        [(8, 13)],  # over a circle
+        [(0, 12)],  # up to the end of the shared table
+    ]
+    assert all(_sweep(parse(serialize(w))).runs == [] for w in hand)
+
+
+def test_sweep_and_tally_signs_follow_the_crossing_sign_hook(monkeypatch):
+    # A sign that is not a product of orientations: only (-1, +1, over) is positive.
+    def hook(o_lower, o_upper, upper_over):
+        return 1 if (o_lower, o_upper, upper_over) == (-1, 1, True) else -1
+
+    calls = []
+    monkeypatch.setattr(coverlink.diagram, "crossing_sign", lambda *a: calls.append(a) or hook(*a))
+    monkeypatch.setattr(oracles, "crossing_sign", hook)
+    analyze.cache_clear()
+    words = [*_hand_built_runs(), cable_template(64)]
+    words += [compile_presentation(random_presentation(9, k, k)) for k in range(4)]
+    for word in words:
+        sweep = _sweep(word)
+        want = pair_stack_sweep(word)
+        assert _flat(sweep) == want
+        # The tally of the run records equals the tally of the oracle's single crossings.
+        ana = analyze(word)
+        singles = dataclasses.replace(ana, _sweep=want, _tally=None)
+        assert ana._lift_tally() == singles._lift_tally()
+    assert {sign for w in words for _, _, sign, _ in _sweep(w).flat_crossings()} == {-1, 1}
+    assert len(calls) == 8  # the table, built once for the hook
+    analyze.cache_clear()
 
 
 @pytest.mark.parametrize(

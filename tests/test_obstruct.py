@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coverlink.diagram
 import coverlink.obstruct
 import coverlink.pattern
 from coverlink.cli import main
@@ -306,7 +307,7 @@ def test_cross_checks_record_a_mis_shifted_row_read(monkeypatch):
 
     def misread(data, m, preferred=0):
         row = data.eta_row
-        return real(dataclasses.replace(data, eta_row=row[preferred:] + row[:preferred]), m)
+        return real(data._replace(eta_row=row[preferred:] + row[:preferred]), m)
 
     monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", misread)
     checks = cross_checks(random_presentation(8, 2, 1))
@@ -745,18 +746,47 @@ def test_report_writer_matches_the_json_dumps_oracle():
 
 
 def test_report_formats_each_linking_once(monkeypatch):
+    # One format_rational call per distinct value per degree: equal rationals share a text.
     calls = []
     real = coverlink.obstruct.format_rational
     monkeypatch.setattr(coverlink.obstruct, "format_rational", lambda q: calls.append(q) or real(q))
     agg = auto_verdict(ClaspPresentation(64, (), name="cable-64"), (2, 4, 8, 16, 32, 64))
     written = report_to_json(agg)
-    linkings = [v for r in agg.per_m for v in r.linkings]
-    assert len(linkings) == 1 + 3 + 7 + 15 + 31 + 63 and calls == linkings
-    assert written == report_json(agg) and calls == linkings  # the dict reuses the texts
+    distinct = [v for r in agg.per_m for v in dict.fromkeys(r.linkings)]
+    assert distinct == [32, 16, 8, 4, 2, 1] and calls == distinct  # a cable degree has one value
+    assert written == report_json(agg) and calls == distinct  # the dict reuses the texts
+    # A mixed vector: 3 and Fraction(3, 1) are one value, as are 0 and Fraction(0).
+    mixed = (3, Fraction(3, 1), -2, 0, Fraction(1, 2), Fraction(0), Fraction(-7, 5), 3, -2)
+    calls.clear()
+    report = ObstructionReport(m=10, linkings=mixed)
+    assert report.linking_texts() == tuple(map(real, mixed))
+    assert calls == [3, -2, 0, Fraction(1, 2), Fraction(-7, 5)]
+    assert report.linking_texts() == tuple(map(real, mixed)) and len(calls) == 5
     # A report given new linkings formats the new ones.
-    report = agg.per_m[0]
     report.linkings = (Fraction(1, 2),)
     assert report.linking_texts() == ("1/2",)
+
+
+def test_cable_work_stays_per_sweep_and_per_degree(monkeypatch):
+    # A per-crossing or per-linking Python call on the cable path would show here.
+    sign_calls, sweeps, format_calls = [], [], []
+    real_sign, real_sweep = coverlink.diagram.crossing_sign, coverlink.diagram._sweep
+    real_format = coverlink.obstruct.format_rational
+    monkeypatch.setattr(
+        coverlink.diagram, "crossing_sign", lambda *a: sign_calls.append(a) or real_sign(*a)
+    )
+    monkeypatch.setattr(coverlink.diagram, "_sweep", lambda w: sweeps.append(w) or real_sweep(w))
+    monkeypatch.setattr(
+        coverlink.obstruct, "format_rational", lambda q: format_calls.append(q) or real_format(q)
+    )
+    analyze.cache_clear()
+    degrees = [2**i for i in range(1, 10)]  # every prime power dividing 512
+    agg = auto_verdict(ClaspPresentation(512, (), name="cable-512"), degrees)
+    report_to_json(agg)
+    analyze.cache_clear()
+    assert [r.linking_texts() for r in agg.per_m] == [(str(512 // m),) * (m - 1) for m in degrees]
+    assert sweeps and len(sign_calls) <= 8 * len(sweeps)
+    assert format_calls == [512 // m for m in degrees]
 
 
 def test_format_rational():
