@@ -137,11 +137,6 @@ class LiftedData(NamedTuple):
     eta_linkings: tuple[int, ...]
 
 
-def _surgery_order(base_ana: WordAnalysis) -> list[ComponentId]:
-    """The labelled non-eta components, by name: the order of lifts within a sheet."""
-    return list(base_ana._lift_layout[1])
-
-
 def lift_data(base: AnnularWord, m: int) -> LiftedData:
     """The lifted data of the m-fold cover, from the base word's equivariant tally.
 
@@ -153,7 +148,7 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     """
     base_ana = analyze(base)
     framing, lk = base_ana.cover_tables(m)
-    eta, index = base_ana._lift_layout
+    eta, index = base_ana.component_by_name("eta"), base_ana.lift_order
     k = len(index)
     size = k * m
     # Lift-major index of L_c^b is b*k + (c's place in the surgery order). Only the
@@ -187,7 +182,7 @@ def lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
     """
     framing, lk = cd.analysis.cover_tables(1)
     base_ana = analyze(cd.base)
-    order = [cd.lift(cid, a) for a in range(cd.m) for cid in _surgery_order(base_ana)]
+    order = [cd.lift(cid, a) for a in range(cd.m) for cid in base_ana.lift_order]
     index = {cid: i for i, cid in enumerate(order)}
     nonzeros = {(i, i): framing[cid] for cid, i in index.items() if framing[cid]}
     nonzeros.update(

@@ -30,18 +30,20 @@ Conventions:
 * A run of at least ``_RUN`` crossings ``Cross(p), Cross(p + 1), ...`` with
   one flag, all from the shared table ``_CROSSES``, is one sweep record: one
   strand, the mover, passes each strand above it in turn. A compiled cable
-  is one run, and so is each braid slice of a presentation. When the crossed
-  strands lie in the mover's component at consecutive sheets, the pass adds
-  the whole run into that component's row as one slice.
+  of winding above ``_RUN`` is one run; a shorter stretch, such as a braid
+  slice of a small presentation, costs less read crossing by crossing. When
+  the crossed strands lie in the mover's component at consecutive sheets,
+  the tally adds the whole run into that component's row as one slice.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
-from operator import add, is_not, itemgetter
+from operator import add, is_, is_not, itemgetter
 from typing import NamedTuple
 
 
@@ -175,7 +177,8 @@ class AnnularWord:
         for what in ("seam_orientations", "events", "labels"):
             if not isinstance(value := getattr(self, what), tuple):
                 raise ValueError(f"{what} must be a tuple, got {type(value).__name__}")
-        if seam.count(1) + seam.count(-1) != len(seam):
+        width = len(seam)
+        if seam.count(1) + seam.count(-1) != width or [*map(type, seam)].count(int) != width:
             raise ValueError("seam orientations must be +1 or -1")
         names = set()
         for label in labels:
@@ -240,7 +243,20 @@ def _sign_table(sign) -> tuple[list, list]:
 # immutable values: sharing them changes no word or hash. ``pattern._grow_tables``
 # grows it.
 _CROSSES: tuple[list[Cross], list[Cross]] = ([], [])
-_RUN = 8  # the fewest crossings the sweep records as one run
+_RUN = 16  # the fewest crossings the sweep records as one run; fewer cost less one by one
+# ``_AHEAD[id(row[p])]`` is ``row[p + _RUN - 1]`` for each row of ``_CROSSES`` and p >= 1:
+# the shared crossing a run from ``row[p]`` reaches, which ``_sweep`` tests. It grows with
+# the table.
+_AHEAD: dict[int, Cross] = {}
+
+
+def _grow_crosses(width: int) -> None:
+    """Grow the shared crossing table to every gap of a ``width``-strand stack."""
+    reach = _RUN - 1
+    for upper_over, row in enumerate(_CROSSES):
+        new = max(len(row) - reach, 1)  # the first crossing whose partner is new
+        row.extend(Cross(p, bool(upper_over)) for p in range(len(row), width))
+        _AHEAD.update(zip(map(id, row[new:]), row[new + reach :]))
 
 
 class _SweepResult(NamedTuple):
@@ -270,22 +286,30 @@ class _SweepResult(NamedTuple):
     kinks: list[tuple[int, int]]  # (segment, sign)
 
     def flat_crossings(self) -> list[tuple[int, int, int, int]]:
-        """Every crossing as ``(seg_lower, seg_upper, sign, event_index)``, in event order."""
-        flat = self.crossings[:]
+        """Every crossing as ``(seg_lower, seg_upper, sign, event_index)``, in event order.
+
+        Both lists are in event order and a run covers consecutive events, so
+        each run's crossings go in where the single crossings pass its first event.
+        """
+        flat, done = [], 0
         for mover, crossed, signs, first in self.runs:
+            cut = bisect_left(self.crossings, first, done, key=itemgetter(3))
+            flat += self.crossings[done:cut]
             flat += zip(repeat(mover), crossed, signs, count(first))
-        flat.sort(key=itemgetter(3))
+            done = cut
+        flat += self.crossings[done:]
         return flat
 
 
 def _run_length(events: tuple, idx: int, row: list, p: int, most: int) -> int:
     """How many of the events from ``idx`` on are ``row[p]``, ``row[p + 1]``, ..., up to ``most``.
 
-    0 when that is fewer than ``_RUN``; ``most`` must not reach past the
-    events or the row. The scan runs in C: a false start is rejected at its
-    first differing event, a cable's whole run is one slice comparison, and
-    any other run ends at its first differing event.
+    0 when that is fewer than ``_RUN``. A run ends at the last event or at
+    the shared table's last gap at the latest. The scan runs in C: a false
+    start is rejected at its first differing event, a cable's whole run is
+    one slice comparison, and any other run ends at its first differing event.
     """
+    most = min(most, len(events) - idx, len(row) - p)
     here, shared = events[idx : idx + most], row[p : p + most]
     differs = map(is_not, here, shared)
     if most < _RUN or any(islice(differs, _RUN)):
@@ -300,12 +324,14 @@ def _sweep(word: AnnularWord) -> _SweepResult:
 
     Two lists carry the state: the live segments, bottom to top, and each
     segment's orientation, fixed at its birth; ``live`` is the live count.
-    At every ``_RUN``-th event a crossing ``Cross(p)`` may start a run: one
-    identity test asks whether the event ``_RUN - 1`` places on is the shared
-    ``Cross(p + _RUN - 1)`` of the same flag, and :func:`_run_length` finds
-    where the run ends. So a single crossing pays one modulo test, and a run
-    of at least ``2 * _RUN - 1`` crossings is recorded from its first
-    ``_RUN``-th event on. The events a run covers are skipped in C.
+    Events are read one by one between the heads found before the pass: the
+    ``_RUN``-th events that are a shared ``Cross(p)`` whose partner in
+    ``_AHEAD``, ``Cross(p + _RUN - 1)`` of the same flag, sits ``_RUN - 1``
+    events on. At a head with ``p`` a live gap, :func:`_run_length` finds how
+    many shared crossings run there; at least ``_RUN`` are one record, and
+    their events are skipped. So a word pays one test per ``_RUN`` events,
+    and a run of at least ``2 * _RUN - 1`` crossings is recorded from its
+    first ``_RUN``-th event on.
     """
     seam = word.seam_orientations
     width = live = len(seam)
@@ -317,66 +343,63 @@ def _sweep(word: AnnularWord) -> _SweepResult:
     runs: list[tuple[int, list[int], list[int], int]] = []
     kinks: list[tuple[int, int]] = []
     events, table = word.events, _sign_table(crossing_sign)
-    # ahead[idx] is events[idx + reach], and a gap below ``limit`` has a shared
-    # crossing ``reach`` gaps higher.
-    reach = _RUN - 1
-    ahead = events[reach:] + (None,) * reach
-    limit = len(_CROSSES[0]) - reach
-    walk = enumerate(events)
-    for idx, ev in walk:
-        if isinstance(ev, Cross):  # most events are crossings
-            p = ev.position
-            if not 1 <= p < live:
-                raise StrandCountMismatch(f"crossing at gap {p} with {live} live strands", idx)
-            if (
-                not idx % _RUN
-                and p < limit
-                and ahead[idx] is (row := _CROSSES[ev.upper_over])[p + reach]
-            ):
-                most = min(live - p, len(events) - idx, len(row) - p)
-                if size := _run_length(events, idx, row, p, most):
-                    mover, crossed = segs[p - 1], segs[p : p + size]
-                    signs = table[ev.upper_over][orient[mover]]
-                    if orient.count(o := orient[crossed[0]]) == len(orient):  # one orientation
-                        runs.append((mover, crossed, [signs[o]] * size, idx))
-                    else:
-                        side = map(orient.__getitem__, crossed)
-                        runs.append((mover, crossed, [*map(signs.__getitem__, side)], idx))
-                    segs[p - 1 : p + size] = (*crossed, mover)
-                    next(islice(walk, size - 2, None))  # skip the run's other events
-                    continue
-            lo, up = segs[p - 1], segs[p]
-            crossings.append((lo, up, table[ev.upper_over][orient[lo]][orient[up]], idx))
-            segs[p - 1], segs[p] = up, lo
-        elif isinstance(ev, Cup):
-            p = ev.position
-            if not 1 <= p <= live + 1:
-                raise StrandCountMismatch(f"cup at position {p} with {live} live strands", idx)
-            lower = len(starts)
-            starts += (lower + 1, lower)
-            ends += (0, 0)
-            orient += (ev.sign, -ev.sign)
-            segs[p - 1 : p - 1] = (lower, lower + 1)
-            live += 2
-        elif isinstance(ev, Cap):
-            p = ev.position
-            if not 1 <= p < live:
-                raise StrandCountMismatch(f"cap at position {p} with {live} live strands", idx)
-            lo, up = segs[p - 1], segs[p]
-            if orient[lo] + orient[up] != 0:
-                raise OrientationMismatch(
-                    f"cap joins strands with orientations {orient[lo]}, {orient[up]}", idx
-                )
-            ends[lo], ends[up] = up, lo
-            del segs[p - 1 : p + 1]
-            live -= 2
-        elif isinstance(ev, Kink):
-            p = ev.position
-            if not 1 <= p <= live:
-                raise StrandCountMismatch(f"kink at position {p} with {live} live strands", idx)
-            kinks.append((segs[p - 1], ev.sign))
-        else:  # the constructor checks no event, so a word may hold anything
-            raise DiagramError(f"unknown event {ev!r}", idx)
+    # A run may start at every _RUN-th event that is a shared crossing with its partner
+    # _RUN - 1 events on: one test per head, before the pass.
+    last, reach = len(events), _RUN - 1
+    partners = map(_AHEAD.get, map(id, events[: last - reach : _RUN]))
+    heads = [*compress(range(0, last - reach, _RUN), map(is_, partners, events[reach::_RUN]))]
+    done = 0  # the events before this one are read
+    for head in (*heads, last):
+        if head < done:  # inside a run already recorded
+            continue
+        for idx, ev in enumerate(events[done:head], done):
+            if isinstance(ev, Cross):  # most events are crossings
+                p = ev.position
+                if not 1 <= p < live:
+                    raise StrandCountMismatch(f"crossing at gap {p} with {live} live strands", idx)
+                lo, up = segs[p - 1], segs[p]
+                crossings.append((lo, up, table[ev.upper_over][orient[lo]][orient[up]], idx))
+                segs[p - 1], segs[p] = up, lo
+            elif isinstance(ev, Cup):
+                p = ev.position
+                if not 1 <= p <= live + 1:
+                    raise StrandCountMismatch(f"cup at position {p} with {live} live strands", idx)
+                lower = len(starts)
+                starts += (lower + 1, lower)
+                ends += (0, 0)
+                orient += (ev.sign, -ev.sign)
+                segs[p - 1 : p - 1] = (lower, lower + 1)
+                live += 2
+            elif isinstance(ev, Cap):
+                p = ev.position
+                if not 1 <= p < live:
+                    raise StrandCountMismatch(f"cap at position {p} with {live} live strands", idx)
+                lo, up = segs[p - 1], segs[p]
+                if orient[lo] + orient[up] != 0:
+                    raise OrientationMismatch(
+                        f"cap joins strands with orientations {orient[lo]}, {orient[up]}", idx
+                    )
+                ends[lo], ends[up] = up, lo
+                del segs[p - 1 : p + 1]
+                live -= 2
+            elif isinstance(ev, Kink):
+                p = ev.position
+                if not 1 <= p <= live:
+                    raise StrandCountMismatch(f"kink at position {p} with {live} live strands", idx)
+                kinks.append((segs[p - 1], ev.sign))
+            else:  # the constructor checks no event, so a word may hold anything
+                raise DiagramError(f"unknown event {ev!r}", idx)
+        if head == last:
+            break
+        done, ev = head, events[head]
+        if isinstance(ev, Cross) and 1 <= (p := ev.position) < live:
+            row = _CROSSES[ev.upper_over]
+            if size := _run_length(events, head, row, p, live - p):
+                mover, crossed = segs[p - 1], segs[p : p + size]
+                signs = table[ev.upper_over][orient[mover]]
+                runs.append((mover, crossed, [signs[orient[seg]] for seg in crossed], head))
+                segs[p - 1 : p + size] = (*crossed, mover)
+                done = head + size
 
     if live != width:
         raise SeamMismatch(f"word ends with {live} strands, seam has {width}")
@@ -413,6 +436,7 @@ class WordAnalysis:
     _sheet_range: list[tuple[int, int]] = field(repr=False, default_factory=list)
     _tally: tuple[dict, dict] | None = field(repr=False, default=None)
     _labels: dict[ComponentId, str] = field(repr=False, default_factory=dict)
+    _lift_order: dict[ComponentId, int] | None = field(repr=False, default=None)
 
     def component_of_segment(self, segment: int) -> ComponentId:
         if not 0 <= segment < len(self._segment_component):
@@ -497,11 +521,13 @@ class WordAnalysis:
             self._tally = (rows, kinks)
         return self._tally
 
-    @cached_property
-    def _lift_layout(self) -> tuple[ComponentId, dict[ComponentId, int]]:
-        """eta, and each other labelled component's place by name: the lift order in a sheet."""
-        named = sorted((name, cid) for cid, name in self._labels.items() if name != "eta")
-        return self.component_by_name("eta"), {cid: p for p, (_, cid) in enumerate(named)}
+    @property
+    def lift_order(self) -> dict[ComponentId, int]:
+        """Each labelled non-eta component's place by name: the order of lifts within a sheet."""
+        if self._lift_order is None:
+            named = sorted((name, cid) for cid, name in self._labels.items() if name != "eta")
+            self._lift_order = {cid: p for p, (_, cid) in enumerate(named)}
+        return self._lift_order
 
     def _check_degree(self, m: int) -> None:
         """Reject a cover degree below 1, or one that leaves some lift unclosed."""

@@ -22,8 +22,8 @@ fixed report schema in ``json.dumps(indent=2)``'s layout itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -58,10 +58,6 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-# ``CheckResult(...)`` runs the generated ``__new__``, a Python call; this builds it in C.
-_check = partial(tuple.__new__, CheckResult)
-
-
 @dataclass
 class ObstructionReport:
     m: int
@@ -81,15 +77,18 @@ class ObstructionReport:
         """Each linking as :func:`format_rational` writes it, once per linkings tuple.
 
         Equal rationals have one text, so each distinct value is formatted once.
+        The linkings are read as runs of equal values, one text repeated per run:
+        a cable's vector at any degree is one run.
         """
         linkings, texts = self._texts
         if linkings is not self.linkings:
-            distinct = dict.fromkeys(self.linkings)
-            if len(distinct) == 1:  # one value, as at every degree of a cable
-                texts = (format_rational(*distinct),) * len(self.linkings)
-            else:
-                text_of = dict(zip(distinct, map(format_rational, distinct)))
-                texts = tuple(map(text_of.__getitem__, self.linkings))
+            text_of: dict[int | Fraction, str] = {}
+            parts: list[str] = []
+            for value, run in groupby(self.linkings):
+                if (text := text_of.get(value)) is None:
+                    text = text_of[value] = format_rational(value)
+                parts += repeat(text, len([*run]))
+            texts = tuple(parts)
             self._texts = (self.linkings, texts)
         return texts
 
@@ -216,7 +215,7 @@ def _branched(
     for name, degrees, check in _INVARIANTS:
         if degrees is None or m in degrees:
             ok, detail = check(p, report)
-            report.checks.append(_check((name.format(m=m), ok, detail)))
+            report.checks.append(CheckResult(name.format(m=m), ok, detail))
     return report, data
 
 

@@ -28,7 +28,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
-from .diagram import _CROSSES, _check_token, _int_literal, _lines
+from .diagram import _CROSSES, _check_token, _grow_crosses, _int_literal, _lines
 
 
 class PatternError(Exception):
@@ -135,8 +135,7 @@ def _grow_tables(width: int) -> tuple[list[Cross], list[Cross]]:
     """
     if len(_CAPS) > width:
         return _CROSSES
-    for upper_over, row in enumerate(_CROSSES):
-        row.extend(Cross(p, bool(upper_over)) for p in range(len(row), width))
+    _grow_crosses(width)
     for sign, kinks, cups in zip((-1, 1), _KINKS, _CUPS):
         kinks.extend(Kink(p, sign) for p in range(len(kinks), width + 1))
         cups.extend(Cup(p, sign) for p in range(len(cups), width + 1))

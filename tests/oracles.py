@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from coverlink.cover import CoverDiagram, LiftedData, _surgery_order
+from coverlink.cover import CoverDiagram, LiftedData
 from coverlink.diagram import (
     AnnularWord,
     _SweepResult,
@@ -127,7 +127,7 @@ def cover_eta_rows(cd: CoverDiagram) -> tuple[tuple[int, ...], ...]:
     """
     base_ana = analyze(cd.base)
     lk = keyed_cover_tables(cd.analysis, 1)[1]
-    order = [cd.lift(cid, b) for b in range(cd.m) for cid in _surgery_order(base_ana)]
+    order = [cd.lift(cid, b) for b in range(cd.m) for cid in base_ana.lift_order]
     eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
     return tuple(tuple(lk.get((eta, c, 0), 0) for c in order) for eta in eta_lifts)
 
@@ -186,7 +186,7 @@ def pairwise_lifted_linking_matrix(cd: CoverDiagram) -> LiftedData:
     """
     base_ana = analyze(cd.base)
     framing, keyed = keyed_cover_tables(cd.analysis, 1)
-    order = [cd.lift(cid, a) for a in range(cd.m) for cid in _surgery_order(base_ana)]
+    order = [cd.lift(cid, a) for a in range(cd.m) for cid in base_ana.lift_order]
     eta_lifts = cd.lifts_of(base_ana.component_by_name("eta"))
 
     def lk(a: ComponentId, b: ComponentId) -> int:

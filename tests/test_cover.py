@@ -13,7 +13,6 @@ import pytest
 import coverlink.cover
 from coverlink.cover import (
     WindingNotDivisibleError,
-    _surgery_order,
     build_cover,
     lift_data,
     lifted_eta_linkings,
@@ -152,7 +151,7 @@ def test_matrix_symmetric_and_lift_major_ordering():
     a = data.matrix
     assert all(a[i, j] == a[j, i] for i in range(a.rows) for j in range(a.rows))
     ana = analyze(word)
-    order = [f"{ana.labels()[c]}.{b}" for b in range(2) for c in _surgery_order(ana)]
+    order = [f"{ana.labels()[c]}.{b}" for b in range(2) for c in ana.lift_order]
     assert order == ["L1.0", "L2.0", "L1.1", "L2.1"]
 
 

@@ -31,6 +31,7 @@ from coverlink.diagram import (
     SeamMismatch,
     StrandCountMismatch,
     UnknownComponentError,
+    _AHEAD,
     _CROSSES,
     _RUN,
     _SweepResult,
@@ -191,22 +192,25 @@ def test_sweep_matches_the_pair_stack_oracle():
 
 def _hand_built_runs():
     """Words whose crossings come from the shared table: runs at the edges of the rules."""
-    lower, upper = _grow_tables(24)
-    seam, wide = (1,) * 12, (1,) * 20
-    yield AnnularWord(seam, tuple(lower[1:12]))  # a run ending at the top gap
-    yield AnnularWord(seam, tuple(lower[1:9] + upper[9:12]))  # broken by a flag change
-    yield AnnularWord(seam, tuple(upper[1:12] + lower[1:12]))  # two runs, back to back
-    for size in (_RUN - 1, _RUN, 2 * _RUN - 1):
+    r = _RUN
+    lower, upper = _grow_tables(3 * r)
+    seam, wide = (1,) * (r + 4), (1,) * (2 * r + 4)
+    yield AnnularWord(seam, tuple(lower[1 : r + 4]))  # a run ending at the top gap
+    yield AnnularWord(seam, tuple(lower[1 : r + 1] + upper[r + 1 : r + 4]))  # a flag change
+    yield AnnularWord(seam, tuple(upper[1 : r + 4] + lower[1 : r + 4]))  # two runs, back to back
+    for size in (r - 1, r, 2 * r - 1):
         yield AnnularWord(wide, tuple(lower[2 : 2 + size]))
         yield AnnularWord(wide, (Kink(3, 1), *lower[2 : 2 + size]))  # a run off the stride
-    yield AnnularWord(seam, tuple(lower[11:0:-1]))  # a descending run
-    mixed = (1, -1) * 6  # a run over strands of both orientations
-    yield AnnularWord(mixed, tuple(lower[1:12] + upper[1:12]))
+    yield AnnularWord(seam, tuple(lower[r + 3 : 0 : -1]))  # a descending run
+    mixed = (1, -1) * (r // 2 + 2)  # a run over strands of both orientations
+    yield AnnularWord(mixed, tuple(lower[1 : r + 4] + upper[1 : r + 4]))
     # A run over two components: the mover passes a circle born below the top.
-    yield AnnularWord(seam, (Cup(5), *(Kink(1, 1),) * 7, *lower[1:14], Cap(4), *upper[11:0:-1]))
+    yield AnnularWord(
+        seam, (Cup(5), *(Kink(1, 1),) * (r - 1), *lower[1 : r + 6], Cap(4), *upper[r + 3 : 0 : -1])
+    )
     # A run up to the shared table's last gap, with live strands above it and an event after it.
     top = len(lower)
-    yield AnnularWord((1,) * (top + 4), (*lower[top - 12 :], lower[3]))
+    yield AnnularWord((1,) * (top + 4), (*lower[top - r - 4 :], lower[3]))
 
 
 def _run_words():
@@ -235,26 +239,38 @@ def test_runs_flatten_to_the_pair_stack_sweep_and_tally_alike():
             covered = word.events[first : first + len(crossed)]
             assert all(ev is _CROSSES[ev.upper_over][ev.position] for ev in covered)
             paths["slice" if {comp[c] for c in crossed} == {comp[mover]} else "mixed"] += 1
-    assert paths["slice"] > 500 and paths["mixed"] > 0, paths
+    # Each cable with at least _RUN crossings is one run, added as one slice.
+    assert paths["slice"] >= 512 - _RUN and paths["mixed"] > 0, paths
     analyze.cache_clear()
 
 
 def test_run_records_sit_where_the_shared_crossings_run():
     hand = list(_hand_built_runs())
     runs = [[(first, len(crossed)) for _, crossed, _, first in _sweep(w).runs] for w in hand]
+    r = _RUN
     assert runs == [
-        [(0, 11)],  # up to the top gap
-        [(0, 8)],  # up to the flag change
-        [(0, 11)],  # the second run starts off the stride, with 6 crossings after it
+        [(0, r + 3)],  # up to the top gap
+        [(0, r)],  # up to the flag change
+        [(0, r + 3)],  # the second run starts off the stride, with 6 crossings after it
         [], [],  # _RUN - 1 crossings
-        [(0, _RUN)], [],  # _RUN crossings, on and off the stride
-        [(0, 2 * _RUN - 1)], [(8, _RUN)],  # 2 * _RUN - 1 crossings: the stride catches _RUN
+        [(0, r)], [],  # _RUN crossings, on and off the stride
+        [(0, 2 * r - 1)], [(r, r)],  # 2 * _RUN - 1 crossings: the stride catches _RUN
         [],  # descending
-        [(0, 11)],  # over strands of both orientations
-        [(8, 13)],  # over a circle
-        [(0, 12)],  # up to the end of the shared table
+        [(0, r + 3)],  # over strands of both orientations
+        [(r, r + 5)],  # over a circle
+        [(0, r + 4)],  # up to the end of the shared table
     ]
     assert all(_sweep(parse(serialize(w))).runs == [] for w in hand)
+
+
+def test_run_partners_grow_with_the_crossing_table():
+    # Grown a little at a time, the index equals one built from the whole table.
+    for width in (2, _RUN - 1, _RUN, _RUN + 1, 2 * _RUN + 3, len(_CROSSES[0]) + 5):
+        _grow_tables(width)
+        want = {
+            id(row[p]): row[p + _RUN - 1] for row in _CROSSES for p in range(1, len(row) - _RUN + 1)
+        }
+        assert _AHEAD == want
 
 
 def test_sweep_and_tally_signs_follow_the_crossing_sign_hook(monkeypatch):
@@ -302,11 +318,14 @@ def test_sweep_and_tally_signs_follow_the_crossing_sign_hook(monkeypatch):
         (lambda: Kink(1, True), "kink sign must be +1 or -1, got True"),
         (lambda: Cup(1, 0), "cup sign must be +1 or -1, got 0"),
         (lambda: Cup(1, -1.0), "cup sign must be +1 or -1, got -1.0"),
+        (lambda: AnnularWord((1.0, 1), (Cross(1, False),)), "seam orientations must be +1 or -1"),
+        (lambda: AnnularWord((True, -1), (Cross(1, False),)), "seam orientations must be +1 or -1"),
     ],
     ids=[
         "list-seam", "list-events", "list-labels", "list-label", "long-label", "bool-label",
         "float-label", "float-cross", "bool-cross", "str-flag", "int-flag", "float-cup",
         "bool-cap", "str-kink", "two-kink", "bool-kink", "zero-cup", "float-cup-sign",
+        "float-seam", "bool-seam",
     ],
 )
 def test_words_hold_only_what_their_text_form_reads_back(build, message):

@@ -17,7 +17,6 @@ import coverlink.pattern
 from coverlink.cli import main
 from coverlink.cover import (
     LiftedData,
-    _surgery_order,
     build_cover,
     lift_data,
     lifted_eta_linkings,
@@ -927,7 +926,7 @@ def test_clasp_calculus_rows_and_linkings_match_the_pipeline(p):
     ana = analyze(word)
     labels = ana.labels()
     # Lifts sit in label-name order within a sheet: L10 before L2.
-    place = {labels[cid]: i for i, cid in enumerate(_surgery_order(ana))}
+    place = {labels[cid]: i for i, cid in enumerate(ana.lift_order)}
     valid = validate(word).passed
     for m in _divisors(p.n):
         rows, linkings = clasp_calculus(p, m)
