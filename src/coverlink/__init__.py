@@ -59,7 +59,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "AnnularWord",

@@ -9,9 +9,11 @@ framing from the equivariant tally of one sweep of the base word (the
 classical equivariant lift: lk(L_a^x, L_b^y) depends only on y - x). By the
 same equivariance one eta lift's linkings with the surgery lifts give every
 eta lift's, so the lift data stores that one row, in integers. Verdicts use
-it. :func:`build_cover` builds the m-copy cover word itself, counted by the
-same rules as the base: it sweeps the m copies once and names their lifts
-from the base sweep's seam joins. It serves ``coverlink cover``, the
+it. The data of a degree dividing a finer one is also the fold of the finer
+one's (:func:`_fold`, the transfer identity), which a report at several
+degrees reads instead of a lift. :func:`build_cover` builds the m-copy cover
+word itself, counted by the same rules as the base: it sweeps the m copies
+once and names their lifts from the base sweep's seam joins. It serves ``coverlink cover``, the
 ``direct-count-m*`` ledger row of zero-clasp patterns, the selftest's
 ``lift-oracle-m*`` checks and the tests, as an oracle: :func:`lifted_linking_matrix`
 and :func:`lifted_eta_linkings` read the cover word's base table whole.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import compress, permutations
+from operator import add
 from typing import NamedTuple
 
 from .diagram import AnnularWord, ComponentId, WordAnalysis, analyze
@@ -145,6 +148,8 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
     one slice per surgery curve, its deck linkings one slice of eta's own
     row, and the matrix the surgery pairs' nonzero entries, in O(k*m + nnz).
     Requires m >= 1 dividing every component's winding; ``cover_tables`` checks it.
+    A report at several degrees lifts only the finest ones and folds the
+    rest from them (:func:`_fold`).
     """
     base_ana = analyze(base)
     framing, lk = base_ana.cover_tables(m)
@@ -172,6 +177,58 @@ def lift_data(base: AnnularWord, m: int) -> LiftedData:
         IntMatrix(size, size, nonzeros),
         tuple(eta_row),
         (framing[eta], *own[1:]) if own else (framing[eta],) + (0,) * (m - 1),
+    )
+
+
+def _chunk_sums(row: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """Entry i is the sum of ``row[j]`` over j = i mod ``size``; ``size`` divides ``len(row)``.
+
+    The chunks of ``size`` entries are added up, one C-level ``map`` per
+    chunk: a report folds each degree from its smallest multiple, so there
+    are few chunks (two along a chain of powers of 2).
+    """
+    out = row[:size]
+    for i in range(size, len(row), size):
+        out = tuple(map(add, out, row[i : i + size]))
+    return out
+
+
+def _fold(data: LiftedData, m: int) -> LiftedData:
+    """The lifted data of the m-fold cover, from that of a cover of degree M, m dividing M.
+
+    The M-fold cover covers the m-fold one, lift t of a curve lying over
+    lift t mod m, so the preimage of L_b^j is the union of the L_b^t with
+    t = j mod m, and lk(L_a^0, L_b^j) at degree m is the sum of
+    lk(L_a^0, L_b^t) at degree M over those t: the transfer identity. In the
+    tally's terms, both read the same crossings, grouped by sheet delta mod m
+    or mod M. So every field folds by chunk sums: ``eta_row`` in chunks of
+    k*m, and ``eta_linkings`` in chunks of m. Entry 0 of ``eta_linkings``
+    and the matrix diagonal are framings: at a = b and j = 0 the sum starts
+    with the framing of L_a^0 and adds its linkings with L_a^t at the
+    nonzero multiples t of m. These add up to the m-fold framing: the tally
+    counts a self crossing at sheet delta t and at -t alike, and t -> M - t
+    permutes the nonzero multiples of m, so those linkings sum to the
+    tally's count at those deltas, which is what the m-fold framing adds to
+    the kinks. The matrix folds the same way: the
+    sheet-0 rows (lifts L^0) keep their entries with each column re-keyed
+    mod k*m, the zeros among the sums are dropped, and the deck repeats the
+    rows over the m sheets (row x*k + i, column (x*k + j) mod k*m). With no
+    surgery curve the empty matrix is shared.
+    """
+    k = len(data.eta_row) // len(data.eta_linkings)
+    size = k * m
+    eta_linkings = _chunk_sums(data.eta_linkings, m)
+    if not size:
+        return LiftedData(data.matrix, (), eta_linkings)
+    row0: dict[tuple[int, int], int] = {}
+    for (i, j), v in data.matrix.nonzeros.items():
+        if i < k:
+            key = i, j % size
+            row0[key] = row0.get(key, 0) + v
+    entries = [(i, j, v) for (i, j), v in row0.items() if v]
+    nonzeros = {(x + i, (x + j) % size): v for x in range(0, size, k) for i, j, v in entries}
+    return LiftedData(
+        IntMatrix(size, size, nonzeros), _chunk_sums(data.eta_row, size), eta_linkings
     )
 
 

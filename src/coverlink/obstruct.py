@@ -1,8 +1,9 @@
 """Surgery-formula evaluation, homology bookkeeping, and the sign verdict.
 
-A report compiles and validates its presentation once, and every degree it
-covers reads the m-fold cover's lift data off one sweep of that word
-(``cover.lift_data``), in integers: the framed linking matrix A of the
+A report compiles and validates its presentation once. Each prime's finest
+degree it covers reads the m-fold cover's lift data off one sweep of that
+word (``cover.lift_data``), and every coarser degree folds the data of a
+finer one (``cover._fold``), in integers: the framed linking matrix A of the
 lifted surgery curves, one eta lift's row of linkings with them, and the
 eta-lift linkings. It converts base linkings into branched-cover linkings
 via ``base - x^T A^{-1} y``; one exact solve ``z = A^{-1} x`` per degree, on
@@ -26,10 +27,10 @@ from fractions import Fraction
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from . import pattern as pat
-from .cover import LiftedData, build_cover, lift_data, lifted_eta_linkings
+from .cover import LiftedData, _fold, build_cover, lift_data, lifted_eta_linkings
 from .diagram import AnnularWord
 from .linalg import IntMatrix, det, solve_numerators
 from .pattern import ClaspPresentation, ClaspSpec, add_cancelling_pair
@@ -70,27 +71,38 @@ class ObstructionReport:
     condition2_reason: str = ""
     verdict: str = "Unevaluated"
     checks: list[CheckResult] = field(default_factory=list)
-    # The linkings this report last formatted, and their texts.
-    _texts: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
+    # The linkings this report last read, their texts and their distinct values.
+    _read: tuple = field(default=(None, (), ()), init=False, repr=False, compare=False)
+
+    def _read_linkings(self) -> tuple[tuple[str, ...], Collection[int | Fraction]]:
+        """Each linking as :func:`format_rational` writes it, and the distinct linkings.
+
+        Read once per linkings tuple. Equal rationals have one text, so each
+        distinct value is formatted once. A vector of one value, as a cable's
+        is at every degree, is one text repeated, found by one C-level count;
+        any other is read as runs of equal values, one text repeated per run.
+        """
+        linkings, texts, values = self._read
+        if linkings is not self.linkings:
+            linkings = self.linkings
+            text_of: dict[int | Fraction, str] = {}
+            if linkings and linkings.count(linkings[0]) == len(linkings):
+                texts = (format_rational(linkings[0]),) * len(linkings)
+                text_of[linkings[0]] = texts[0]
+            else:
+                parts: list[str] = []
+                for value, run in groupby(linkings):
+                    if (text := text_of.get(value)) is None:
+                        text = text_of[value] = format_rational(value)
+                    parts += repeat(text, len([*run]))
+                texts = tuple(parts)
+            values = text_of.keys()
+            self._read = (linkings, texts, values)
+        return texts, values
 
     def linking_texts(self) -> tuple[str, ...]:
-        """Each linking as :func:`format_rational` writes it, once per linkings tuple.
-
-        Equal rationals have one text, so each distinct value is formatted once.
-        The linkings are read as runs of equal values, one text repeated per run:
-        a cable's vector at any degree is one run.
-        """
-        linkings, texts = self._texts
-        if linkings is not self.linkings:
-            text_of: dict[int | Fraction, str] = {}
-            parts: list[str] = []
-            for value, run in groupby(self.linkings):
-                if (text := text_of.get(value)) is None:
-                    text = text_of[value] = format_rational(value)
-                parts += repeat(text, len([*run]))
-            texts = tuple(parts)
-            self._texts = (self.linkings, texts)
-        return texts
+        """Each linking as :func:`format_rational` writes it, read once per linkings tuple."""
+        return self._read_linkings()[0]
 
 
 def cha_ko(base_lk: Fraction | int, a: IntMatrix, x: Sequence[int], y: Sequence[int]) -> Fraction:
@@ -197,17 +209,16 @@ _INVARIANTS = (
 )
 
 
-def _branched(
-    p: ClaspPresentation, word: AnnularWord, m: int
-) -> tuple[ObstructionReport, LiftedData]:
-    """The report of degree m on p's checked word, plus its lifted data.
+def _branched(p: ClaspPresentation, data: LiftedData) -> ObstructionReport:
+    """The report of p at the degree of its lifted data ``data``.
 
-    Every row of the invariant table that holds at m is checked and recorded
-    in the report's ledger, failed or not; :func:`_checked_report` raises on
-    a failed row, :func:`cross_checks` only records it.
+    Every row of the invariant table that holds at that degree is checked
+    and recorded in the report's ledger, failed or not;
+    :func:`_checked_report` raises on a failed row, :func:`cross_checks`
+    only records it.
     """
-    data = lift_data(word, m)
-    h1 = abs(det(data.matrix))
+    m = len(data.eta_linkings)
+    h1 = abs(det(data.matrix)) if data.eta_row else 1  # no surgery curve: the empty det
     if h1 == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
     linkings, eta_order = _linkings_from_data(data, m)
@@ -216,15 +227,15 @@ def _branched(
         if degrees is None or m in degrees:
             ok, detail = check(p, report)
             report.checks.append(CheckResult(name.format(m=m), ok, detail))
-    return report, data
+    return report
 
 
-def _checked_report(p: ClaspPresentation, word: AnnularWord, m: int) -> ObstructionReport:
-    """The report of degree m; its first failed invariant row raises InvariantViolationError."""
-    report = _branched(p, word, m)[0]
+def _checked_report(p: ClaspPresentation, data: LiftedData) -> ObstructionReport:
+    """The report at data's degree; a failed invariant row raises InvariantViolationError."""
+    report = _branched(p, data)
     for c in report.checks:
         if not c.passed:
-            raise InvariantViolationError(f"{c.name} fails at m={m}: {c.detail}")
+            raise InvariantViolationError(f"{c.name} fails at m={report.m}: {c.detail}")
     return report
 
 
@@ -237,7 +248,7 @@ def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
     :class:`InvariantViolationError`: it indicates a pipeline bug, never a
     property of the input data.
     """
-    return _checked_report(p, _checked_word(p), m)
+    return _checked_report(p, lift_data(_checked_word(p), m))
 
 
 def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
@@ -255,7 +266,8 @@ def _decide(report: ObstructionReport) -> None:
     order = report.eta_order
     report.condition1 = order % 2 == 1
     report.condition1_reason = f"eta lift has order {order} in H1"
-    low, high = min(report.linkings, default=0), max(report.linkings, default=0)
+    values = report._read_linkings()[1]
+    low, high = (min(values), max(values)) if values else (0, 0)
     nonzero = low != 0 or high != 0
     nonneg, nonpos = low >= 0, high <= 0
     if not nonzero:
@@ -288,15 +300,31 @@ class AggregateReport:
     aggregate: str
 
 
+def _planned_data(word: AnnularWord, degrees: Sequence[int]) -> dict[int, LiftedData]:
+    """The lifted data of each degree, planned from the finest down.
+
+    A degree with a multiple among the degrees is folded from the smallest
+    such multiple (see ``cover._fold``); any other, each prime's finest, is
+    lifted with ``lift_data``. Every degree must divide the word's windings.
+    """
+    data: dict[int, LiftedData] = {}
+    for m in sorted(set(degrees), reverse=True):
+        source = next((d for d in reversed(data) if d % m == 0), None)
+        data[m] = lift_data(word, m) if source is None else _fold(data[source], m)
+    return data
+
+
 def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -> AggregateReport:
     """Run the verdict for each m; the aggregate is Obstructed if any m is.
 
     The presentation is compiled and validated once, at the first degree
-    that divides its winding, and every later degree reuses that word. The
+    that divides its winding. The lifted data of every dividing degree then
+    comes from one lift per finest degree, folded down to the others
+    (:func:`_planned_data`), and each degree runs its own surgery solve. The
     reports and the order in which errors surface are those of
     ``[verdict(p, m) for m in m_list]``.
     """
-    word = None
+    data = None
     reports = []
     for m in m_list:
         if m < 2:
@@ -310,9 +338,10 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
                 CheckResult("m-divides-winding", False, f"{m} does not divide {p.n}")
             )
         else:
-            if word is None:
-                word = _checked_word(p)
-            report = _checked_report(p, word, m)
+            if data is None:
+                degrees = [d for d in m_list if d >= 2 and p.n % d == 0]
+                data = _planned_data(_checked_word(p), degrees)
+            report = _checked_report(p, data[m])
             _decide(report)
         reports.append(report)
     if any(r.verdict == "Obstructed" for r in reports):
@@ -346,8 +375,8 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     pairs = [(d, m) for m in divisors for d in divisors if d < m and m % d == 0]
     needed = sorted({*degrees, *(m for pair in pairs for m in pair)})
     word = _checked_word(p) if needed else None
-    runs = {m: _branched(p, word, m) for m in needed}
-    reports = {m: rep for m, (rep, _data) in runs.items()}
+    lifted = {m: lift_data(word, m) for m in needed}
+    reports = {m: _branched(p, data) for m, data in lifted.items()}
 
     # Transfer: for d | m, lk_d[j] sums lk_m[k] over 0 < k < m with k = j mod d.
     for d, m in pairs:
@@ -367,7 +396,7 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
             )
         )
     for m in degrees:
-        rep, data = runs[m]
+        rep, data = reports[m], lifted[m]
         checks.extend(rep.checks)
         # Over all sheets a surgery curve's lifts link eta_0 as the curve
         # links eta in the base, which validation requires to be 0.
@@ -408,7 +437,7 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
         checks.append(
             CheckResult(
                 f"cancelling-pair-m{m0}",
-                _branched(doubled, _checked_word(doubled), m0)[0].linkings
+                _branched(doubled, lift_data(_checked_word(doubled), m0)).linkings
                 == reports[m0].linkings,
                 "linkings unchanged by a cancelling clasp pair",
             )

@@ -4,6 +4,7 @@ The one-sweep ``lift_data`` is checked bit for bit against the cover word.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ import coverlink.diagram
 from coverlink.diagram import AnnularWord, Cap, Cross, Cup, analyze, parse, serialize
 from coverlink.downhill import normalize, random_annular_word
 from coverlink.pattern import ClaspPresentation, ClaspSpec, cable_template, compile, random_presentation
+from coverlink.pattern import parse as parse_pattern
 from coverlink.obstruct import auto_verdict
 from oracles import (
     block_circulant_split,
@@ -298,6 +300,56 @@ def test_lift_data_matches_cover_word_with_asymmetric_blocks():
             asymmetric += any(b.to_rows() != [list(r) for r in zip(*b.to_rows())] for b in blocks)
             coupled += any(i != j for i, j in a.nonzeros)
     assert asymmetric and coupled
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+CABLE_WINDINGS = (64, 96, 128, 192, 256, 384, 512)
+
+
+def _relabelled(word, name):
+    """The word with its label ``name`` renamed ``eta`` and every other label kept."""
+    labels = tuple(("eta" if label == name else label, pos) for label, pos in word.labels)
+    return dataclasses.replace(word, labels=labels)
+
+
+def _fold_words():
+    """Words whose lifts the fold is checked on, each with its label eta."""
+    for n in range(2, 25):
+        for k in range(5):
+            for seed in range(3):
+                yield compile(random_presentation(n, k, seed))
+    for seed in range(6):
+        annular = random_annular_word(4 + 2 * (seed % 3), seed)
+        yield _relabelled(annular, annular.labels[0][0])
+        yield compile(normalize(annular).presentation)
+    for path in sorted(CORPUS.glob("*.pattern")):
+        yield compile(parse_pattern(path.read_text(encoding="utf-8")))
+    yield from map(cable_template, CABLE_WINDINGS)
+    # Cover words with eta's lift 0 as eta: every other lift of eta is a surgery
+    # curve linking it, so these lift to non-diagonal matrices.
+    for n, k, seed in ((8, 3, 1), (8, 2, 4), (16, 2, 0), (12, 1, 2)):
+        word = compile(random_presentation(n, k, seed))
+        for m in (2, 4):
+            yield _relabelled(build_cover(word, m).word, "eta.0")
+
+
+def test_fold_of_the_finer_lift_is_the_lift_bit_for_bit():
+    # The transfer identity as an algorithm: the lifted data of degree M folds to
+    # that of every m dividing M, field by field, entry by entry.
+    pairs = coupled = 0
+    for word in _fold_words():
+        g = math.gcd(*(c.winding for c in analyze(word).components))
+        divisors = [d for d in range(1, g + 1) if g % d == 0]
+        lifts = {d: lift_data(word, d) for d in divisors}
+        for big in divisors:
+            for m in divisors:
+                if big % m == 0:
+                    folded = coverlink.cover._fold(lifts[big], m)
+                    assert folded == lifts[m], (word, big, m)
+                    assert all(type(v) is int for v in folded.eta_row + folded.eta_linkings)
+                    pairs += 1
+                    coupled += any(i != j for i, j in folded.matrix.nonzeros)
+    assert pairs > 3000 and coupled > 20
 
 
 def test_lift_data_winding_not_divisible_like_build_cover():

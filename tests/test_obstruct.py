@@ -632,13 +632,40 @@ def test_auto_verdict_compiles_once_across_degrees(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])
 def test_auto_verdict_equals_per_degree_verdicts(n):
-    ms = (3, 2, 5, 4, 8, 6, 9, 12)
-    for k in range(4):
-        for seed in range(3):
-            p = random_presentation(n, k, seed)
-            agg = auto_verdict(p, ms)
-            assert agg.per_m == [verdict(p, m) for m in ms]
-            assert [r.m for r in agg.per_m] == list(ms)
+    # Folded degrees, in any order and repeated, read as their own lifts do.
+    for ms in ((3, 2, 5, 4, 8, 6, 9, 12), (8, 2, 4, 2), (4, 2, 2)):
+        for k in range(4):
+            for seed in range(3):
+                p = random_presentation(n, k, seed)
+                agg = auto_verdict(p, ms)
+                assert agg.per_m == [verdict(p, m) for m in ms]
+                assert [r.m for r in agg.per_m] == list(ms)
+
+
+@pytest.mark.parametrize("n", [64, 96, 128, 192, 256, 384, 512])
+def test_auto_verdict_equals_per_degree_verdicts_on_cables(n):
+    p = ClaspPresentation(n, (), name=f"cable-{n}")
+    ms = [m for m in range(2, n + 1) if n % m == 0 and coverlink.obstruct._prime_power(m)]
+    agg = auto_verdict(p, ms)
+    assert agg.per_m == [verdict(p, m) for m in ms]
+    assert report_to_json(agg) == report_json(agg)
+
+
+def test_verdict_and_cross_checks_lift_every_degree_themselves(monkeypatch):
+    # The transfer rows compare per-degree lifts, so they check the fold only
+    # while no per-degree report is folded.
+    def no_fold(data, m):
+        raise AssertionError("a per-degree report folded its lifted data")
+
+    monkeypatch.setattr(coverlink.obstruct, "_fold", no_fold)
+    presentations = (ClaspPresentation(16, ()), random_presentation(16, 3, 0))
+    for p in (*presentations, random_presentation(12, 2, 1)):
+        assert [verdict(p, m).m for m in (2, 4, 8, 16, 3)] == [2, 4, 8, 16, 3]
+        checks = cross_checks(p)
+        assert checks and all(c.passed for c in checks), [c for c in checks if not c.passed]
+        assert any(c.name.startswith("transfer-") for c in checks)
+    with pytest.raises(AssertionError, match="folded"):
+        auto_verdict(ClaspPresentation(16, ()), (2, 4))
 
 
 def test_auto_verdict_error_precedence(monkeypatch):
@@ -866,17 +893,22 @@ def test_decide_and_palindrome_row_on_rational_vectors(case):
 
 
 @pytest.mark.parametrize(
-    "p, degrees, validation_folds",
+    "p, degrees, validation_folds, lifted",
     [
         # A zero-clasp cable has no surgery curve, so validation reads no linking.
-        (ClaspPresentation(512, (), name="cable-512"), tuple(2**e for e in range(1, 10)), []),
-        (random_presentation(8, 3, 0), (2, 4, 8), [1]),
+        (ClaspPresentation(512, ()), tuple(2**e for e in range(1, 10)), [], [512]),
+        (random_presentation(8, 3, 0), (2, 4, 8), [1], [8]),
+        # Each prime's finest degree is lifted, in any order of the m-list.
+        (ClaspPresentation(384, ()), (3, 2, 128, 64), [], [128, 3]),
     ],
-    ids=["cable-512", "clasped-8"],
+    ids=["cable-512", "clasped-8", "cable-384"],
 )
-def test_report_folds_the_lift_tally_once_per_degree(monkeypatch, p, degrees, validation_folds):
-    # The tally is built once per report and folded once per degree, plus
-    # once at m = 1 for the base linkings that validation reads.
+def test_report_folds_the_lift_tally_once_per_degree(
+    monkeypatch, p, degrees, validation_folds, lifted
+):
+    # The tally is built once per report and folded once per prime's finest
+    # degree, plus once at m = 1 for the base linkings that validation reads;
+    # every coarser degree folds the lifted data of a finer one.
     builds, folds = [], []
     tally, tables = WordAnalysis._lift_tally, WordAnalysis.cover_tables
     monkeypatch.setattr(
@@ -888,7 +920,7 @@ def test_report_folds_the_lift_tally_once_per_degree(monkeypatch, p, degrees, va
     analyze.cache_clear()
     report = auto_verdict(p, degrees)
     assert builds.count(True) == 1
-    assert folds == [*validation_folds, *degrees]
+    assert folds == [*validation_folds, *lifted]
     assert [r.m for r in report.per_m] == list(degrees)
 
 
