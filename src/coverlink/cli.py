@@ -120,7 +120,7 @@ def cmd_cover(args) -> int:
     base_ana = dia.analyze(word)
     names = base_ana.labels()
     print("# lift map (name.copy -> cover component)")
-    for (cid, j), cover_cid in sorted(cd.lift_map.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+    for (cid, j), cover_cid in sorted(cd.lift_map.items()):
         name = names.get(cid, f"component{cid}")
         print(f"# lift {name}.{j} component {cover_cid}")
     return 0
@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--m", type=_degree, default=2, help="cover degree (default 2)")
         if m_list:
             sp.add_argument(
-                "--m-list", default="2,4", help="comma-separated cover degrees (default 2,4)"
+                "--m-list",
+                default=",".join(map(str, obs.DEFAULT_M_LIST)),
+                help="comma-separated cover degrees (default %(default)s)",
             )
         if fmt:
             sp.add_argument("--format", choices=("text", "json"), default="text")

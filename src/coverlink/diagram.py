@@ -39,7 +39,6 @@ Conventions:
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
@@ -288,17 +287,13 @@ class _SweepResult(NamedTuple):
     def flat_crossings(self) -> list[tuple[int, int, int, int]]:
         """Every crossing as ``(seg_lower, seg_upper, sign, event_index)``, in event order.
 
-        Both lists are in event order and a run covers consecutive events, so
-        each run's crossings go in where the single crossings pass its first event.
+        The single crossings and each run record's crossings, sorted by event index.
         """
-        flat, done = [], 0
-        for mover, crossed, signs, first in self.runs:
-            cut = bisect_left(self.crossings, first, done, key=itemgetter(3))
-            flat += self.crossings[done:cut]
-            flat += zip(repeat(mover), crossed, signs, count(first))
-            done = cut
-        flat += self.crossings[done:]
-        return flat
+        runs = (
+            zip(repeat(mover), crossed, signs, count(first))
+            for mover, crossed, signs, first in self.runs
+        )
+        return sorted(chain(self.crossings, *runs), key=itemgetter(3))
 
 
 def _run_length(events: tuple, idx: int, row: list, p: int, most: int) -> int:

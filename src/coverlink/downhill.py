@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
@@ -43,11 +42,6 @@ class _Passage(NamedTuple):
     direction: int = 0  # seam crossings only: +1 rightward, -1 leftward
 
 
-# ``_Passage(...)`` runs the generated ``__new__``, a Python call per passage;
-# ``tuple.__new__`` builds the same named tuple in C.
-_passage = partial(tuple.__new__, _Passage)
-
-
 def _curve(word: AnnularWord) -> list[_Passage]:
     """Ordered passages of the single closed curve, along its orientation.
 
@@ -67,8 +61,8 @@ def _curve(word: AnnularWord) -> list[_Passage]:
     on_segment: list[list[_Passage]] = [[] for _ in range(sweep.seg_count)]
     for lo, up, _, idx in sweep.flat_crossings():
         upper_over = word.events[idx].upper_over
-        on_segment[lo].append(_passage((idx, "under" if upper_over else "over", 0)))
-        on_segment[up].append(_passage((idx, "over" if upper_over else "under", 0)))
+        on_segment[lo].append(_Passage(idx, "under" if upper_over else "over"))
+        on_segment[up].append(_Passage(idx, "over" if upper_over else "under"))
     passages: list[_Passage] = []
     seg, forward = 0, True
     while True:
@@ -207,18 +201,14 @@ class NormalizeResult:
 def normalize(word: AnnularWord) -> NormalizeResult:
     """Emit the cable-plus-clasps presentation realizing the input pattern.
 
-    Kinks are stripped first (isotopies; the pattern curve carries no framing
-    data). The crossing-change traversal reads the one walk both along and
-    against the curve's orientation and keeps whichever needs fewer changes
-    (ties prefer along); the result is Reversed exactly when the emitted data
-    describes the input curve run backwards.
+    Kinks are stripped first, into a new word (isotopies; the pattern curve
+    carries no framing data). The crossing-change traversal reads the one
+    walk both along and against the curve's orientation and keeps whichever
+    needs fewer changes (ties prefer along); the result is Reversed exactly
+    when the emitted data describes the input curve run backwards.
     """
-    kept = [ev for ev in word.events if not isinstance(ev, Kink)]
-    stripped = (
-        word
-        if len(kept) == len(word.events)  # no kink: the input word, already hashed, serves
-        else AnnularWord(word.seam_orientations, tuple(kept), word.labels)
-    )
+    kept = tuple(ev for ev in word.events if not isinstance(ev, Kink))
+    stripped = AnnularWord(word.seam_orientations, kept, word.labels)
     ana = analyze(stripped)
     if len(ana.components) != 1:
         raise MultiComponentError(f"diagram has {len(ana.components)} components")

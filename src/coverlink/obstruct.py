@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
 from operator import mul
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import pattern as pat
 from .cover import LiftedData, _fold, build_cover, lift_data, lifted_eta_linkings
@@ -71,32 +70,25 @@ class ObstructionReport:
     condition2_reason: str = ""
     verdict: str = "Unevaluated"
     checks: list[CheckResult] = field(default_factory=list)
-    # The linkings this report last read, their texts and their distinct values.
+    # The linkings this report last read, their texts and the values among them.
     _read: tuple = field(default=(None, (), ()), init=False, repr=False, compare=False)
 
-    def _read_linkings(self) -> tuple[tuple[str, ...], Collection[int | Fraction]]:
-        """Each linking as :func:`format_rational` writes it, and the distinct linkings.
+    def _read_linkings(self) -> tuple[tuple[str, ...], tuple[int | Fraction, ...]]:
+        """Each linking as :func:`format_rational` writes it, and the values among the linkings.
 
-        Read once per linkings tuple. Equal rationals have one text, so each
-        distinct value is formatted once. A vector of one value, as a cable's
-        is at every degree, is one text repeated, found by one C-level count;
-        any other is read as runs of equal values, one text repeated per run.
+        Read once per linkings tuple. A vector of one value, as a cable's is
+        at every degree, is one text repeated, found by one C-level count,
+        and its values are that one linking; any other vector is formatted
+        entry by entry, and its values are the linkings themselves.
         """
         linkings, texts, values = self._read
         if linkings is not self.linkings:
-            linkings = self.linkings
-            text_of: dict[int | Fraction, str] = {}
+            linkings = values = self.linkings
             if linkings and linkings.count(linkings[0]) == len(linkings):
+                values = linkings[:1]
                 texts = (format_rational(linkings[0]),) * len(linkings)
-                text_of[linkings[0]] = texts[0]
             else:
-                parts: list[str] = []
-                for value, run in groupby(linkings):
-                    if (text := text_of.get(value)) is None:
-                        text = text_of[value] = format_rational(value)
-                    parts += repeat(text, len([*run]))
-                texts = tuple(parts)
-            values = text_of.keys()
+                texts = tuple(map(format_rational, linkings))
             self._read = (linkings, texts, values)
         return texts, values
 
