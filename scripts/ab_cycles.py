@@ -6,13 +6,14 @@
 Each tree is a checkout root holding ``src/coverlink``. Both are imported
 into one interpreter, each as a package of its own name. The ops, their
 inputs and the timed work of an op come from this checkout's
-``perfbench/workloads.py``, imported as it is. Before any timing, every op
+``perfbench/workloads.py``, and the modules a tree is loaded with from its
+``perfbench/run.py``, both imported as they are. Before any timing, every op
 runs once on each tree, and the script exits 1 without timing anything if a
 pattern text or a report differs between the two.
 
-A round runs ``--cycles`` whole workload cycles on each tree, alternating:
-a cycle on one tree, then the same cycle on the other, with the tree that
-goes first alternating by round. The ``analyze`` cache is cleared before
+A round runs ``CYCLES[workload]`` whole workload cycles on each tree,
+alternating: a cycle on one tree, then the same cycle on the other, with the
+tree that goes first alternating by round. The ``analyze`` cache is cleared before
 each op, outside the timed region, as the benchmark clears it. A round's
 ratio is B's ops/s over A's. Per workload the script prints each tree's
 median ops/s, the paired median ratio, the ratio's quartiles and the rounds
@@ -38,9 +39,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import MODULES  # noqa: E402
 from workloads import CYCLE, WORKLOADS, make_input, run_op, spec  # noqa: E402
 
-MODULES = ("pattern", "diagram", "cover", "obstruct", "linalg", "downhill")
 # Cycles per tree per round: about 0.1 s of ops each on a 2-core Xeon.
 CYCLES = {"ladder": 30, "sweep": 6, "cables": 30}
 
@@ -131,19 +132,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("b", type=Path, help="checkout root of tree B (the change)")
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--rounds", type=int, default=41)
-    ap.add_argument("--cycles", type=int, help="cycles per tree per round (default: per workload)")
     ap.add_argument("--load-order", choices=("ab", "ba"), default="ab")
     args = ap.parse_args(argv)
-    if args.rounds < 1 or (args.cycles is not None and args.cycles < 1):
-        ap.error("--rounds and --cycles must be at least 1")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     trees = {}
     for t in args.load_order:
         trees[t] = load_tree(getattr(args, t).resolve(), f"_ab_cycles_{t}")
     print(f"A {args.a}  B {args.b}  load order {args.load_order}  rounds {args.rounds}")
     refused = False
     for workload in args.workloads:
-        cycles = args.cycles or CYCLES[workload]
-        timed = compare(workload, trees, args.load_order, args.rounds, cycles)
+        timed = compare(workload, trees, args.load_order, args.rounds, CYCLES[workload])
         if timed is None:
             refused = True
         else:
