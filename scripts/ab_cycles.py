@@ -13,8 +13,8 @@ pattern text or a report differs between the two.
 
 A round runs ``CYCLES[workload]`` whole workload cycles on each tree,
 alternating: a cycle on one tree, then the same cycle on the other, with the
-tree that goes first alternating by round. The ``analyze`` cache is cleared before
-each op, outside the timed region, as the benchmark clears it. A round's
+tree that goes first alternating by round. The ``analyze`` cache is cleared
+before each op, outside the timed region, as the benchmark clears it. A round's
 ratio is B's ops/s over A's. Per workload the script prints each tree's
 median ops/s, the paired median ratio, the ratio's quartiles and the rounds
 B won. ``--load-order ba`` imports B and builds its inputs first; the load
