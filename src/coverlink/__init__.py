@@ -44,7 +44,6 @@ from .downhill import (
 from .obstruct import (
     ObstructionReport,
     auto_verdict,
-    branched_linkings,
     cha_ko,
     cross_checks,
     verdict,
@@ -59,7 +58,7 @@ from .pattern import (
 )
 from .pattern import compile as compile_presentation
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "AnnularWord",
@@ -76,7 +75,6 @@ __all__ = [
     "add_cancelling_pair",
     "analyze",
     "auto_verdict",
-    "branched_linkings",
     "build_cover",
     "cable_template",
     "cha_ko",

@@ -136,8 +136,8 @@ def cmd_linkings(args) -> int:
         sys.stdout.write(obs.report_to_json(agg))
         return 0
     print(f"pattern {p.name or 'unnamed'} (winding {p.n}), cover degree {args.m}")
-    for k, v in enumerate(report.linkings, start=1):
-        print(f"  lk(eta, t^{k} eta) = {obs.format_rational(v)}")
+    for k, text in enumerate(report.linking_texts, start=1):
+        print(f"  lk(eta, t^{k} eta) = {text}")
     print(f"  |H1| = {report.h1_order}")
     print(f"  eta order = {report.eta_order}")
     return 0
@@ -242,7 +242,7 @@ def _selftest_checks(seed: int):
         for deg in range(2, n + 1):
             if n % deg:
                 continue
-            rep = obs.branched_linkings(p, deg)
+            rep = obs.verdict(p, deg)
             want = (Fraction(n, deg),) * (deg - 1)
             yield check(f"cable-{n}-m{deg}", rep.linkings, want)
 

@@ -12,9 +12,11 @@ yields every linking (an ``int`` when eta's order is 1, else a
 ``Fraction``) and eta's order. The verdict then asks whether the meridian
 lift has odd order in first homology and whether the linking vector is
 nonzero and of uniform sign; both must hold (and m must be a prime power)
-to certify the obstruction. Every report is first checked against one
-table of theorems (``_INVARIANTS``). A failed row is a pipeline bug: a
-verdict raises :class:`InvariantViolationError`, and the
+to certify the obstruction. Each degree's report is built once, in
+``_branched``, and is immutable: its linking texts, its checks against one
+table of theorems (``_INVARIANTS``), both conditions and the verdict are
+all decided there, and every reader takes its fields. A failed row is a
+pipeline bug: a verdict raises :class:`InvariantViolationError`, and the
 :func:`cross_checks` ledger records the row as failed. ``json`` leaves its
 C encoder whenever ``indent`` is set, so :func:`report_to_json` writes the
 fixed report schema in ``json.dumps(indent=2)``'s layout itself.
@@ -22,7 +24,7 @@ fixed report schema in ``json.dumps(indent=2)``'s layout itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
 from operator import mul
@@ -58,43 +60,18 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(NamedTuple):  # one degree's report, built once and immutable
     m: int
-    linkings: tuple[int | Fraction, ...] = ()
-    h1_order: int = 0
-    eta_order: int = 0
-    condition1: bool = False
-    condition1_reason: str = ""
-    condition2: bool = False
-    condition2_reason: str = ""
-    verdict: str = "Unevaluated"
-    checks: list[CheckResult] = field(default_factory=list)
-    # The linkings this report last read, their texts and the values among them.
-    _read: tuple = field(default=(None, (), ()), init=False, repr=False, compare=False)
-
-    def _read_linkings(self) -> tuple[tuple[str, ...], tuple[int | Fraction, ...]]:
-        """Each linking as :func:`format_rational` writes it, and the values among the linkings.
-
-        Read once per linkings tuple. A vector of one value, as a cable's is
-        at every degree, is one text repeated, found by one C-level count,
-        and its values are that one linking; any other vector is formatted
-        entry by entry, and its values are the linkings themselves.
-        """
-        linkings, texts, values = self._read
-        if linkings is not self.linkings:
-            linkings = values = self.linkings
-            if linkings and linkings.count(linkings[0]) == len(linkings):
-                values = linkings[:1]
-                texts = (format_rational(linkings[0]),) * len(linkings)
-            else:
-                texts = tuple(map(format_rational, linkings))
-            self._read = (linkings, texts, values)
-        return texts, values
-
-    def linking_texts(self) -> tuple[str, ...]:
-        """Each linking as :func:`format_rational` writes it, read once per linkings tuple."""
-        return self._read_linkings()[0]
+    linkings: tuple[int | Fraction, ...]
+    linking_texts: tuple[str, ...]  # each linking as format_rational writes it
+    h1_order: int
+    eta_order: int
+    condition1: bool
+    condition1_reason: str
+    condition2: bool
+    condition2_reason: str
+    verdict: str
+    checks: tuple[CheckResult, ...]
 
 
 def cha_ko(base_lk: Fraction | int, a: IntMatrix, x: Sequence[int], y: Sequence[int]) -> Fraction:
@@ -174,26 +151,25 @@ def _checked_word(p: ClaspPresentation) -> AnnularWord:
     return word
 
 
-def _palindromic(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
+def _palindromic(p: ClaspPresentation, m: int, linkings, texts, h1: int) -> tuple[bool, str]:
     # Rationals in lowest terms are equal iff their texts are, and the detail needs the texts.
-    text = report.linking_texts()
-    return text == text[::-1], "(" + ", ".join(text) + ")"
+    return texts == texts[::-1], "(" + ", ".join(texts) + ")"
 
 
-def _h1_odd(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
-    return report.h1_order % 2 == 1, f"|H1| = {report.h1_order}"
+def _h1_odd(p: ClaspPresentation, m: int, linkings, texts, h1: int) -> tuple[bool, str]:
+    return h1 % 2 == 1, f"|H1| = {h1}"
 
 
-def _parity(p: ClaspPresentation, report: ObstructionReport) -> tuple[bool, str]:
-    k0 = p.n // report.m  # m divides n at every degree a report is made for
-    val = (report.linkings[report.m // 2 - 1] - k0) * report.h1_order
+def _parity(p: ClaspPresentation, m: int, linkings, texts, h1: int) -> tuple[bool, str]:
+    k0 = p.n // m  # m divides n at every degree a report is made for
+    val = (linkings[m // 2 - 1] - k0) * h1
     return val.denominator == 1 and int(val) % 2 == 0, f"(lk - {k0})*|H1| = {val}"
 
 
 # The theorems every report is checked against, in ledger order: (name, the
-# degrees the theorem holds at or None for every degree, check(p, report) ->
-# (ok, detail)). A failure is a pipeline bug, never a property of the input.
-# The parity form is a theorem only at m = 2 and 4.
+# degrees the theorem holds at or None for every degree, check(p, m, linkings,
+# texts, |H1|) -> (ok, detail)). A failure is a pipeline bug, never a property
+# of the input. The parity form is a theorem only at m = 2 and 4.
 _INVARIANTS = (
     ("linkings-palindromic", None, _palindromic),
     ("h1-odd", (2, 4, 8), _h1_odd),
@@ -201,46 +177,62 @@ _INVARIANTS = (
 )
 
 
-def _branched(p: ClaspPresentation, data: LiftedData) -> ObstructionReport:
-    """The report of p at the degree of its lifted data ``data``.
+def _decide(m: int, values, eta_order: int, checks: tuple[CheckResult, ...]) -> tuple:
+    """The report's fields from condition1 on; m not a prime power adds a failed row to checks."""
+    condition1 = eta_order % 2 == 1
+    low, high = (min(values), max(values)) if values else (0, 0)
+    if low == 0 and high == 0:
+        condition2, reason2 = False, "condition (2) fails: all zero"
+    elif low >= 0 or high <= 0:
+        sign = "non-negative" if low >= 0 else "non-positive"
+        condition2, reason2 = True, f"linkings all {sign} and not all zero"
+    else:
+        condition2, reason2 = False, "condition (2) fails: mixed signs"
+    decision = "Obstructed" if condition1 and condition2 else "Inconclusive"
+    if not _prime_power(m):
+        decision = "NotApplicable"
+        checks += (CheckResult("m-prime-power", False, f"m={m} is not a prime power"),)
+    reason1 = f"eta lift has order {eta_order} in H1"
+    return condition1, reason1, condition2, reason2, decision, checks
 
-    Every row of the invariant table that holds at that degree is checked
-    and recorded in the report's ledger, failed or not;
-    :func:`_checked_report` raises on a failed row, :func:`cross_checks`
-    only records it.
+
+def _branched(p: ClaspPresentation, data: LiftedData) -> ObstructionReport:
+    """The report of p at the degree of ``data``, built once and immutable.
+
+    Its linkings are formatted, checked and decided here. A vector of one
+    value, as a cable's is at every degree, is one text repeated, found by
+    one C-level count, with min and max read off that one linking. Each
+    invariant row that holds at the degree is recorded, failed or not, before
+    any ``m-prime-power`` row; :func:`_checked_report` raises on a failed
+    invariant row, :func:`cross_checks` only records it.
     """
     m = len(data.eta_linkings)
     h1 = abs(det(data.matrix)) if data.eta_row else 1  # no surgery curve: the empty det
     if h1 == 0:
         raise NotRationalHomologySphereError("surgery matrix is singular")
     linkings, eta_order = _linkings_from_data(data, m)
-    report = ObstructionReport(m=m, linkings=linkings, h1_order=h1, eta_order=eta_order)
+    if linkings and linkings.count(linkings[0]) == len(linkings):
+        values = linkings[:1]
+        texts = (format_rational(linkings[0]),) * len(linkings)
+    else:
+        values = linkings
+        texts = tuple(map(format_rational, linkings))
+    checks = []
     for name, degrees, check in _INVARIANTS:
         if degrees is None or m in degrees:
-            ok, detail = check(p, report)
-            report.checks.append(CheckResult(name.format(m=m), ok, detail))
-    return report
+            ok, detail = check(p, m, linkings, texts, h1)
+            checks.append(CheckResult(name.format(m=m), ok, detail))
+    decided = _decide(m, values, eta_order, tuple(checks))
+    return ObstructionReport(m, linkings, texts, h1, eta_order, *decided)
 
 
 def _checked_report(p: ClaspPresentation, data: LiftedData) -> ObstructionReport:
     """The report at data's degree; a failed invariant row raises InvariantViolationError."""
     report = _branched(p, data)
     for c in report.checks:
-        if not c.passed:
+        if not c.passed and c.name != "m-prime-power":
             raise InvariantViolationError(f"{c.name} fails at m={report.m}: {c.detail}")
     return report
-
-
-def branched_linkings(p: ClaspPresentation, m: int) -> ObstructionReport:
-    """Compute lk(eta, t^k eta) for k = 1..m-1 plus |H1| and eta's order.
-
-    Requires m to divide the cable winding and the compiled word to validate.
-    A failed row of the invariant table (for example a non-palindromic
-    vector, or an even |H1| at m in {2, 4, 8}) raises
-    :class:`InvariantViolationError`: it indicates a pipeline bug, never a
-    property of the input data.
-    """
-    return _checked_report(p, lift_data(_checked_word(p), m))
 
 
 def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
@@ -248,40 +240,11 @@ def verdict(p: ClaspPresentation, m: int) -> ObstructionReport:
 
     NotApplicable when m is not a prime power or does not divide the
     winding; otherwise Obstructed iff eta's lift has odd order in H1 and the
-    linking vector is nonzero with all entries of one sign.
+    linking vector is nonzero with all entries of one sign. A failed
+    invariant row raises :class:`InvariantViolationError`: a pipeline bug,
+    never a property of the input data.
     """
     return auto_verdict(p, (m,)).per_m[0]
-
-
-def _decide(report: ObstructionReport) -> None:
-    """Fill in the report's two conditions and its verdict from its linkings."""
-    order = report.eta_order
-    report.condition1 = order % 2 == 1
-    report.condition1_reason = f"eta lift has order {order} in H1"
-    values = report._read_linkings()[1]
-    low, high = (min(values), max(values)) if values else (0, 0)
-    nonzero = low != 0 or high != 0
-    nonneg, nonpos = low >= 0, high <= 0
-    if not nonzero:
-        report.condition2 = False
-        report.condition2_reason = "condition (2) fails: all zero"
-    elif nonneg or nonpos:
-        report.condition2 = True
-        report.condition2_reason = (
-            f"linkings all {'non-negative' if nonneg else 'non-positive'} and not all zero"
-        )
-    else:
-        report.condition2 = False
-        report.condition2_reason = "condition (2) fails: mixed signs"
-    if not _prime_power(report.m):
-        report.verdict = "NotApplicable"
-        report.checks.append(
-            CheckResult("m-prime-power", False, f"m={report.m} is not a prime power")
-        )
-    elif report.condition1 and report.condition2:
-        report.verdict = "Obstructed"
-    else:
-        report.verdict = "Inconclusive"
 
 
 @dataclass
@@ -322,19 +285,15 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
         if m < 2:
             raise ValueError(f"verdict needs m >= 2, got {m}")
         if p.n % m:
-            report = ObstructionReport(m=m, verdict="NotApplicable")
-            report.condition1_reason = report.condition2_reason = (
-                f"m={m} does not divide winding {p.n}"
-            )
-            report.checks.append(
-                CheckResult("m-divides-winding", False, f"{m} does not divide {p.n}")
-            )
+            reason = f"m={m} does not divide winding {p.n}"
+            row = CheckResult("m-divides-winding", False, f"{m} does not divide {p.n}")
+            fields = (False, reason, False, reason, "NotApplicable", (row,))
+            report = ObstructionReport(m, (), (), 0, 0, *fields)
         else:
             if data is None:
                 degrees = [d for d in m_list if d >= 2 and p.n % d == 0]
                 data = _planned_data(_checked_word(p), degrees)
             report = _checked_report(p, data[m])
-            _decide(report)
         reports.append(report)
     if any(r.verdict == "Obstructed" for r in reports):
         agg = "Obstructed"
@@ -409,8 +368,6 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     # obstructs at m = 2 or 4; for 8 | n, it does or every linking there is 0.
     if 2 in reports:
         low = [reports[m] for m in (2, 4) if m in reports]
-        for rep in low:
-            _decide(rep)
         zero = not any(v for rep in low for v in rep.linkings)
         ok = any(rep.verdict == "Obstructed" for rep in low) or (n % 8 == 0 and zero)
         detail = ", ".join(f"m{rep.m} {rep.verdict}" for rep in low)
@@ -468,7 +425,7 @@ def report_to_dict(agg: AggregateReport) -> dict:
         "per_m": [
             {
                 "m": r.m,
-                "linkings": list(r.linking_texts()),
+                "linkings": list(r.linking_texts),
                 "h1": r.h1_order,
                 "eta_order": r.eta_order,
                 "condition1": r.condition1,
@@ -506,7 +463,7 @@ def _json_degree(r: ObstructionReport) -> str:
         f'\n          "detail": {_json_str(c.detail)}\n        }}'
         for c in r.checks
     ]
-    texts = r.linking_texts()
+    texts = r.linking_texts
     linkings = f'[\n        "{_LINKING_SEP.join(texts)}"\n      ]' if texts else "[]"
     return (
         f'{{\n      "m": {r.m},\n      "linkings": {linkings},'
@@ -531,7 +488,7 @@ def report_to_text(agg: AggregateReport) -> str:
     for r in agg.per_m:
         lines.append(f"  m={r.m}: verdict {r.verdict}")
         if r.linkings:
-            lines.append(f"    linkings ({', '.join(r.linking_texts())})")
+            lines.append(f"    linkings ({', '.join(r.linking_texts)})")
             lines.append(f"    |H1| {r.h1_order}, eta order {r.eta_order}")
         lines.append(f"    condition1 {r.condition1}: {r.condition1_reason}")
         lines.append(f"    condition2 {r.condition2}: {r.condition2_reason}")

@@ -19,7 +19,6 @@ from coverlink.downhill import (
 )
 from coverlink.obstruct import (
     auto_verdict,
-    branched_linkings,
     cross_checks,
     verdict,
 )
@@ -63,10 +62,10 @@ def test_criterion_1_cable_goldens():
         for m in range(2, n + 1):
             if n % m:
                 continue
-            rep = branched_linkings(p, m)
+            rep = verdict(p, m)
             ok = ok and rep.linkings == (Fraction(n, m),) * (m - 1)
-    ok = ok and branched_linkings(ClaspPresentation(6, ()), 2).linkings == (Fraction(3),)
-    ok = ok and branched_linkings(ClaspPresentation(8, ()), 4).linkings == (Fraction(2),) * 3
+    ok = ok and verdict(ClaspPresentation(6, ()), 2).linkings == (Fraction(3),)
+    ok = ok and verdict(ClaspPresentation(8, ()), 4).linkings == (Fraction(2),) * 3
     _report("1 cable goldens (lk = n/m for n <= 12, m | n)", ok)
 
 
@@ -118,8 +117,8 @@ def test_criterion_5_doubling_identity():
     """100 seeded presentations with 4 | n: lk_2 equals twice lk_4 (adjacent lifts)."""
     ok = True
     for p in _sweep_presentations((4, 8, 12), 100):
-        lk2 = branched_linkings(p, 2).linkings[0]
-        lk4 = branched_linkings(p, 4).linkings[0]
+        lk2 = verdict(p, 2).linkings[0]
+        lk4 = verdict(p, 4).linkings[0]
         ok = ok and lk2 == 2 * lk4
     _report("5 doubling identity lk_2 = 2 lk_4 (100 instances)", ok)
 
@@ -142,7 +141,7 @@ def test_criterion_6_structural_invariants():
                     block_circulant_split(a, m)
                 except Exception:
                     ok = False
-            rep = branched_linkings(p, m)
+            rep = verdict(p, m)
             ok = ok and all(
                 rep.linkings[j - 1] == rep.linkings[m - j - 1] for j in range(1, m)
             )
@@ -168,9 +167,7 @@ def test_criterion_7_differential_tests():
             framing=1 if i % 3 else -1,
         )
         doubled = add_cancelling_pair(p, template)
-        ok = ok and (
-            branched_linkings(p, 2).linkings == branched_linkings(doubled, 2).linkings
-        )
+        ok = ok and verdict(p, 2).linkings == verdict(doubled, 2).linkings
     for p in _sweep_presentations((6, 8), 20):
         checks = {c.name: c.passed for c in cross_checks(p)}
         ok = ok and all(
@@ -179,7 +176,7 @@ def test_criterion_7_differential_tests():
     for n in (2, 4, 6, 8, 10, 12):
         p = ClaspPresentation(n, ())
         direct = lifted_eta_linkings(build_cover(cable_template(n), 2))[(0, 1)]
-        ok = ok and branched_linkings(p, 2).linkings[0] == direct
+        ok = ok and verdict(p, 2).linkings[0] == direct
     _report("7 differential tests (cancelling pair, deck relabel, dual route)", ok)
 
 

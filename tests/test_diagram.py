@@ -414,7 +414,7 @@ def _fold_path(a, b, lo, counts, m):
     size, s = len(counts), lo % m
     if a == b:
         return "self"
-    if size > m * m:
+    if size > m * (m.bit_length() - 1):  # cover_tables' own rule
         return "slice sums"
     if size > m:
         return "chunks"

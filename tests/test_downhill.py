@@ -30,7 +30,7 @@ from coverlink.downhill import (
     reduce_returning,
 )
 from coverlink.cover import lift_data
-from coverlink.obstruct import auto_verdict, branched_linkings
+from coverlink.obstruct import auto_verdict, verdict
 from coverlink.pattern import cable_template, compile, validate
 
 
@@ -163,7 +163,7 @@ def test_normalize_single_flip_gives_one_clasp_with_parity():
     word = _flip(cable_template(6), 3)
     result = normalize(word)
     assert len(result.presentation.clasps) == 1
-    rep = branched_linkings(result.presentation, 2)
+    rep = verdict(result.presentation, 2)
     from fractions import Fraction
 
     val = (rep.linkings[0] - Fraction(3)) * rep.h1_order

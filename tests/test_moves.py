@@ -7,6 +7,8 @@ path. At every degree m dividing the windings:
 
 * an R2 insertion ``Cross(p, f), Cross(p, not f)`` at an event index where p
   is a live gap leaves ``cover_tables(m)`` and ``lift_data`` unchanged;
+* so does R3 on a same-flag triple: ``Cross(g, f) Cross(h, f) Cross(g, f)``
+  with h = g ± 1 becomes ``Cross(h, f) Cross(g, f) Cross(h, f)``;
 * the mirror (every crossing flag flipped, every kink negated) negates every
   framing and linking;
 * reversing ``eta`` negates eta's rows with each clasp and leaves the
@@ -28,7 +30,7 @@ from coverlink.cover import LiftedData, lift_data
 from coverlink.diagram import _CROSSES, AnnularWord, Cap, Cross, Cup, Kink, analyze
 from coverlink.downhill import random_annular_word
 from coverlink.linalg import IntMatrix
-from coverlink.obstruct import ObstructionReport, _decide, _prime_power
+from coverlink.obstruct import _decide, _prime_power
 from coverlink.pattern import _KINKS, _grow_tables, cable_template, compile, random_presentation
 
 
@@ -133,6 +135,22 @@ def _r2(word: AnnularWord, idx: int, p: int, flag: bool) -> AnnularWord:
     return dataclasses.replace(word, events=word.events[:idx] + pair + word.events[idx:])
 
 
+def _r3_sites(word: AnnularWord):
+    """Each same-flag triple ``Cross(g, f) Cross(h, f) Cross(g, f)``, h = g ± 1: (index, g, h, f)."""
+    events = word.events
+    for idx in range(len(events) - 2):
+        a, b, c = events[idx : idx + 3]
+        if type(a) is type(b) is Cross and a == c and b.upper_over == a.upper_over:
+            if abs(b.position - a.position) == 1:
+                yield idx, a.position, b.position, a.upper_over
+
+
+def _r3(word: AnnularWord, idx: int, g: int, h: int, flag: bool) -> AnnularWord:
+    crosses = _grow_tables(max(g, h) + 1)[flag]
+    triple = (crosses[h], crosses[g], crosses[h])
+    return dataclasses.replace(word, events=word.events[:idx] + triple + word.events[idx + 3 :])
+
+
 def _check_moves(words) -> int:
     """Assert every move on every word; the number of (move, degree) pairs compared."""
     rng = random.Random("moves")
@@ -150,6 +168,28 @@ def _check_moves(words) -> int:
 def test_moves_transform_the_lift_tables_as_they_transform_the_curves():
     analyze.cache_clear()
     assert _check_moves(_words()) == 1400
+
+
+def test_r3_on_same_flag_triples_keeps_the_lift_tables():
+    analyze.cache_clear()
+    words = [
+        compile(random_presentation(n, k, seed))
+        for n in (2, 3, 4, 6, 8, 12, 16)
+        for k in range(7)
+        for seed in range(3)
+    ]
+    words += [_as_eta(random_annular_word(n, seed)) for n in range(2, 13) for seed in range(30)]
+    sites, kinds = 0, set()
+    for word in words:
+        moves = list(_r3_sites(word))
+        if moves:
+            tables = _tables(word)
+        for idx, g, h, flag in moves:
+            assert _tables(_r3(word, idx, g, h, flag)) == tables, (word, idx, g, h, flag)
+            sites += 1
+            kinds.add((flag, h - g))
+    # Enough triples of every (flag, direction) kind that the test checks something.
+    assert sites >= 31 and kinds == {(f, d) for f in (False, True) for d in (-1, 1)}
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -176,15 +216,14 @@ def test_direct_reading_of_random_annular_words_follows_the_theorems():
     for n in range(2, 25):
         for seed in range(30):
             word = _as_eta(random_annular_word(n, seed))
-            reports = {}
+            verdicts = {}
             for m in filter(_prime_power, range(2, n + 1)):
                 if n % m == 0:
                     vector = lift_data(word, m).eta_linkings[1:]
                     assert vector == vector[::-1], (n, seed, m)
-                    reports[m] = report = ObstructionReport(m, vector, 1, 1)
-                    _decide(report)
+                    verdicts[m] = _decide(m, vector, 1, ())[4]  # the decided verdict
                     degrees += 1
             if n % 2 == 0 and n % 8:
-                assert any(reports[m].verdict == "Obstructed" for m in (2, 4) if m in reports)
+                assert any(verdicts[m] == "Obstructed" for m in (2, 4) if m in verdicts)
                 words += 1
     assert (degrees, words) == (1350, 270)

@@ -34,7 +34,6 @@ from coverlink.obstruct import (
     NotRationalHomologySphereError,
     PatternValidationError,
     auto_verdict,
-    branched_linkings,
     cha_ko,
     cross_checks,
     format_rational,
@@ -157,7 +156,7 @@ def _reference_linkings(word, m):
 def test_branched_linkings_match_inverse_reference(m):
     for seed in range(20):
         p = random_presentation(m * (1 + seed % 2), 1 + seed % 4, seed)
-        rep = branched_linkings(p, m)
+        rep = verdict(p, m)
         want = _reference_linkings(compile_presentation(p), m)
         assert (rep.linkings, rep.h1_order, rep.eta_order) == want
 
@@ -213,7 +212,7 @@ def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
     x = (1, 1, 0, 0, 0, 0)
     lifted = LiftedData(a, x, (0, 0, 0))
     monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
-    rep = branched_linkings(ClaspPresentation(3, ()), 3)
+    rep = verdict(ClaspPresentation(3, ()), 3)
     assert (rep.h1_order, rep.eta_order) == (3375, 15) == (det(a), order_in_quotient(a, list(x)))
 
 
@@ -236,7 +235,7 @@ def test_verdict_degree_eliminates_a_coupled_matrix_once_for_det_and_once_to_sol
     monkeypatch.setattr(
         coverlink.linalg, "_eliminate", lambda rows, n: eliminated.append(n) or eliminate(rows, n)
     )
-    rep = branched_linkings(ClaspPresentation(3, ()), 3)
+    rep = verdict(ClaspPresentation(3, ()), 3)
     assert eliminated == [9, 9]
     assert (rep.h1_order, rep.eta_order) == (3375, 15)
     assert rep.linkings == (2 - Fraction(1, 5),) * 2
@@ -540,8 +539,8 @@ def test_full_twists_couple_the_lifts(monkeypatch):
 
 
 def test_branched_linkings_cable_goldens():
-    assert branched_linkings(ClaspPresentation(6, ()), 2).linkings == (Fraction(3),)
-    rep = branched_linkings(ClaspPresentation(8, ()), 4)
+    assert verdict(ClaspPresentation(6, ()), 2).linkings == (Fraction(3),)
+    rep = verdict(ClaspPresentation(8, ()), 4)
     assert rep.linkings == (Fraction(2),) * 3
     assert rep.h1_order == 1
 
@@ -550,7 +549,7 @@ def test_branched_linkings_parity_property():
     for seed in range(12):
         n = random.Random(seed).choice([2, 4, 6, 8])
         p = random_presentation(n, (seed % 5) + 1, seed)
-        rep = branched_linkings(p, 2)
+        rep = verdict(p, 2)
         val = (rep.linkings[0] - Fraction(n, 2)) * rep.h1_order
         assert val.denominator == 1 and int(val) % 2 == 0
         assert rep.h1_order % 2 == 1
@@ -756,9 +755,12 @@ def _reports_to_write():
     # No presentation takes this name, so it goes straight into the report.
     named = auto_verdict(ClaspPresentation(6, ()), (2, 3))
     yield dataclasses.replace(named, pattern='q"\\é\t\u2028')
-    odd = ObstructionReport(4, (Fraction(-7, 5), 0, Fraction(10**30, 3)), 5, 3, True)
-    odd.checks.append(CheckResult("odd", False, ""))
-    yield AggregateReport("", 0, [odd, ObstructionReport(9)], "")
+    linkings = (Fraction(-7, 5), 0, Fraction(10**30, 3))
+    texts = tuple(map(format_rational, linkings))
+    odd_row = (CheckResult("odd", False, ""),)
+    odd = ObstructionReport(4, linkings, texts, 5, 3, True, "", False, "", "", odd_row)
+    empty = ObstructionReport(9, (), (), 0, 0, False, "", False, "", "", ())
+    yield AggregateReport("", 0, [odd, empty], "")
 
 
 def test_report_writer_matches_the_json_dumps_oracle():
@@ -771,6 +773,22 @@ def test_report_writer_matches_the_json_dumps_oracle():
         assert part in text
 
 
+@pytest.mark.parametrize(
+    "p, degrees",
+    [(random_presentation(8, 3, 0), (2, 3, 4, 8)), (ClaspPresentation(6, ()), (2, 3, 4, 6))],
+    ids=["clasped-8", "cable-6"],
+)
+def test_a_built_report_is_immutable(p, degrees):
+    # Each degree's report is decided where it is built; no reader can change it.
+    reports = auto_verdict(p, degrees).per_m
+    assert "NotApplicable" in {r.verdict for r in reports}  # a degree not dividing n too
+    for report in reports:
+        with pytest.raises(AttributeError):
+            report.verdict = "Obstructed"
+        with pytest.raises(AttributeError):
+            report.linkings = (Fraction(1, 2),)
+
+
 def test_report_formats_each_linking_once(monkeypatch):
     # A cable degree's linkings are one value: one format_rational call per degree.
     calls = []
@@ -781,10 +799,6 @@ def test_report_formats_each_linking_once(monkeypatch):
     distinct = [v for r in agg.per_m for v in dict.fromkeys(r.linkings)]
     assert distinct == [32, 16, 8, 4, 2, 1] and calls == distinct  # a cable degree has one value
     assert written == report_json(agg) and calls == distinct  # the dict reuses the texts
-    # A report given new linkings formats the new ones.
-    report = agg.per_m[0]
-    report.linkings = (Fraction(1, 2),)
-    assert report.linking_texts() == ("1/2",)
 
 
 def test_cable_work_stays_per_sweep_and_per_degree(monkeypatch):
@@ -804,7 +818,7 @@ def test_cable_work_stays_per_sweep_and_per_degree(monkeypatch):
     agg = auto_verdict(ClaspPresentation(512, (), name="cable-512"), degrees)
     report_to_json(agg)
     analyze.cache_clear()
-    assert [r.linking_texts() for r in agg.per_m] == [(str(512 // m),) * (m - 1) for m in degrees]
+    assert [r.linking_texts for r in agg.per_m] == [(str(512 // m),) * (m - 1) for m in degrees]
     assert sweeps and len(sign_calls) <= 8 * len(sweeps)
     assert format_calls == [512 // m for m in degrees]
 
@@ -877,13 +891,15 @@ _SIGN_CASES = {
 @pytest.mark.parametrize("case", list(_SIGN_CASES))
 def test_decide_and_palindrome_row_on_rational_vectors(case):
     (m, order, linkings), decided, palindrome = _SIGN_CASES[case]
-    report = coverlink.obstruct.ObstructionReport(m=m, linkings=linkings, eta_order=order)
-    assert coverlink.obstruct._palindromic(ClaspPresentation(m, ()), report) == palindrome
-    coverlink.obstruct._decide(report)
+    texts = tuple(map(format_rational, linkings))
+    p = ClaspPresentation(m, ())
+    assert coverlink.obstruct._palindromic(p, m, linkings, texts, 0) == palindrome
+    fields = coverlink.obstruct._decide(m, linkings, order, ())
+    report = ObstructionReport(m, linkings, texts, 0, order, *fields)
     assert report.condition1 == (order % 2 == 1)
     assert report.condition1_reason == f"eta lift has order {order} in H1"
     assert (report.condition2, report.condition2_reason, report.verdict) == decided
-    assert report.checks == []
+    assert report.checks == ()
 
 
 @pytest.mark.parametrize(
