@@ -5,20 +5,21 @@ degree it covers reads the m-fold cover's lift data off one sweep of that
 word (``cover.lift_data``), and every coarser degree folds the data of a
 finer one (``cover._fold``), in integers: the framed linking matrix A of the
 lifted surgery curves, one eta lift's row of linkings with them, and the
-eta-lift linkings. It converts base linkings into branched-cover linkings
-via ``base - x^T A^{-1} y``; one exact solve ``z = A^{-1} x`` per degree, on
-integers (in place when A is diagonal, as it is on every presentation),
-yields every linking (an ``int`` when eta's order is 1, else a
-``Fraction``) and eta's order. The verdict then asks whether the meridian
-lift has odd order in first homology and whether the linking vector is
-nonzero and of uniform sign; both must hold (and m must be a prime power)
+eta-lift linkings. Every compiled presentation lifts to A = diag(+-1) (no
+two surgery lifts link, and each carries one kink), so a linking,
+``base - x^T A^{-1} y``, is the base linking less each surgery curve's
+framed cyclic autocorrelation of its eta row, an ``int``; any other lift is
+a pipeline bug (:func:`_linkings_from_data`). :func:`cha_ko`, the general
+solve, is the ledger's independent path. The verdict then asks whether the
+meridian lift has odd order in first homology and whether the linking vector
+is nonzero and of uniform sign; both must hold (and m must be a prime power)
 to certify the obstruction. Each degree's report is built once, in
 ``_branched``, and is immutable: its linking texts, its checks against one
-table of theorems (``_INVARIANTS``), both conditions and the verdict are
-all decided there, and every reader takes its fields. A failed row is a
-pipeline bug: a verdict raises :class:`InvariantViolationError`, and the
-:func:`cross_checks` ledger records the row as failed. ``json`` leaves its
-C encoder whenever ``indent`` is set, so :func:`report_to_json` writes the
+table of theorems (``_INVARIANTS``), both conditions and the verdict are all
+decided there, and every reader takes its fields. A failed row is a pipeline
+bug: a verdict raises :class:`InvariantViolationError`, and the
+:func:`cross_checks` ledger records the row as failed. ``json`` leaves its C
+encoder whenever ``indent`` is set, so :func:`report_to_json` writes the
 fixed report schema in ``json.dumps(indent=2)``'s layout itself.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps' C encoder
-from operator import mul
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from . import pattern as pat
@@ -105,41 +106,36 @@ def _prime_power(m: int) -> bool:
     return True  # m itself is prime
 
 
-def _linkings_from_data(
-    data: LiftedData, m: int, preferred: int = 0
-) -> tuple[tuple[int | Fraction, ...], int]:
-    """Linkings lk(eta, t^k eta) for k = 1..m-1, and eta's order in H1.
+def _linkings_from_data(data: LiftedData, m: int) -> tuple[tuple[int, ...], int]:
+    """Linkings lk(eta, t^j eta) for j = 1..m-1, and eta's order in H1, 1.
 
-    x and y_k are the rows of eta lifts ``preferred`` and ``preferred + k``,
-    read by index off the one ``eta_row`` (see ``LiftedData``). One solve
-    ``z = A^{-1} x`` serves every k: A is symmetric, so
-    ``x^T A^{-1} y_k = z . y_k``. For nonsingular A, d*x lies in the column
-    span of A iff d*z is integral, so eta's order is the lcm of the
-    denominators of z. ``solve_numerators`` gives z = w / order with w
-    integral, so each linking is ``base_k - (w . y_k) / order``. y_k is the
-    eta row rotated by (preferred + k) sheets, one slice of the row written
-    twice, and the dot product is one ``sum(map(mul, ...))`` against w laid
-    out densely. A linking is an ``int`` when the order is 1, else a
-    ``Fraction``; with no surgery curve the base's integer linkings pass
-    through. The caller has checked that A is nonsingular.
+    The theorem: no two surgery lifts link and each carries one kink, so
+    A = diag(f) with every f = +-1, and ``A^{-1} = A``. Eta lift j's row is
+    ``eta_row`` rotated by j sheets, so with k surgery curves and r_c =
+    ``eta_row[c::k]`` curve c's row over the sheets, lk_j = ``eta_linkings[j]``
+    less the sum, over curves c and pairs of nonzero entries with
+    b1 - b2 = j mod m, of f * r_c[b1] * r_c[b2], f the framing of lift b1 of
+    c. A lift that is not diag(+-1) raises InvariantViolationError.
     """
     row, size = data.eta_row, len(data.eta_row)
     if not size:
         return data.eta_linkings[1:], 1
-    sheet = size // m
-    cut = size - preferred * sheet % size
-    w, order = solve_numerators(data.matrix, row[cut:] + row[:cut])
-    dense = [0] * size
-    for i, v in w.items():
-        dense[i] = v
-    twice = row + row  # twice[size - s + i] is row[(i - s) % size]
-    linkings = []
-    for k in range(1, m):
-        start = size - (preferred + k) * sheet % size
-        dot = sum(map(mul, dense, twice[start : start + size]))
-        base = data.eta_linkings[k]
-        linkings.append(base - dot if order == 1 else Fraction(base * order - dot, order))
-    return tuple(linkings), order
+    nonzeros, lifts = data.matrix.nonzeros, range(size)
+    framing = [*map(nonzeros.get, zip(lifts, lifts))]
+    if len(nonzeros) != size or not {*framing} <= {1, -1}:
+        off = [ij for ij in nonzeros if ij[0] != ij[1]]
+        bad = off[0] if off else next((i, i) for i, f in enumerate(framing) if f not in (1, -1))
+        detail = f"entry {bad} is {nonzeros.get(bad, 0)}"
+        raise InvariantViolationError(f"lifted matrix is not diag(+-1) at m={m}: {detail}")
+    k = size // m
+    lags = [0] * m
+    for c in range(k):
+        support = [(b, v) for b, v in enumerate(row[c::k]) if v]
+        for b1, v1 in support:
+            fv = framing[b1 * k + c] * v1
+            for b2, v2 in support:
+                lags[(b1 - b2) % m] += fv * v2
+    return tuple(map(sub, data.eta_linkings[1:], lags[1:])), 1
 
 
 def _checked_word(p: ClaspPresentation) -> AnnularWord:
@@ -208,8 +204,6 @@ def _branched(p: ClaspPresentation, data: LiftedData) -> ObstructionReport:
     """
     m = len(data.eta_linkings)
     h1 = abs(det(data.matrix)) if data.eta_row else 1  # no surgery curve: the empty det
-    if h1 == 0:
-        raise NotRationalHomologySphereError("surgery matrix is singular")
     linkings, eta_order = _linkings_from_data(data, m)
     if linkings and linkings.count(linkings[0]) == len(linkings):
         values = linkings[:1]
@@ -275,7 +269,7 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
     The presentation is compiled and validated once, at the first degree
     that divides its winding. The lifted data of every dividing degree then
     comes from one lift per finest degree, folded down to the others
-    (:func:`_planned_data`), and each degree runs its own surgery solve. The
+    (:func:`_planned_data`), and each degree reads its own linkings. The
     reports and the order in which errors surface are those of
     ``[verdict(p, m) for m in m_list]``.
     """
@@ -314,8 +308,9 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
     each degree 2, 4 and 8 dividing n, recording a failed row rather than
     raising, and adds the transfer identity at each pair of degrees d | m
     dividing n with m <= 16, then, at degrees 2, 4 and 8, divisibility of
-    |H1|, the lifted eta vector's shape, deck-relabel invariance, the paper's
-    mod-8 theorem (``hedden-mod8``) and cancelling-pair invariance. One checked
+    |H1|, the lifted eta vector's shape, deck relabelling (:func:`cha_ko` read
+    from eta lift 1), the paper's mod-8 theorem (``hedden-mod8``) and
+    cancelling-pair invariance. One checked
     word serves every degree and the direct count; the cancelling-pair
     presentation is compiled on its own.
     """
@@ -355,15 +350,12 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
         if k:
             sums = tuple(sum(data.eta_row[c::k]) for c in range(k))
             checks.append(CheckResult(f"vector-shape-m{m}", not any(sums), f"sheet sums {sums}"))
-        # Deck-relabel invariance: any preferred lift gives the same vector.
-        shifted, _order = _linkings_from_data(data, m, preferred=1)
-        checks.append(
-            CheckResult(
-                f"deck-relabel-m{m}",
-                shifted == rep.linkings,
-                "linkings invariant under shifting the preferred lift",
-            )
-        )
+        # Deck relabelling through cha_ko: rows[j] is eta lift 1 + j's row.
+        row, size, base = data.eta_row, len(data.eta_row), data.eta_linkings
+        rows = [row[size - j * k :] + row[: size - j * k] for j in range(1, m + 1)]
+        lks = tuple(cha_ko(base[j], data.matrix, rows[0], rows[j]) for j in range(1, m))
+        detail = f"cha_ko from eta lift 1: {_fmt_linkings(lks)}"
+        checks.append(CheckResult(f"deck-relabel-m{m}", lks == rep.linkings, detail))
     # The paper's theorem: for even n with 8 not dividing n, the sign test
     # obstructs at m = 2 or 4; for 8 | n, it does or every linking there is 0.
     if 2 in reports:

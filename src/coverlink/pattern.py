@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
@@ -112,6 +113,8 @@ class ClaspPresentation:
             raise PatternError(f"clasps must be a tuple of ClaspSpec, got {self.clasps!r}")
         if self.n < 2:
             raise PatternError(f"cable winding must be at least 2, got {self.n}")
+        if (width := self.n + 2 * len(self.clasps)) > sys.maxsize:  # no list indexes its seam
+            raise PatternError(f"cable {self.n} needs a seam of {width} strands, too many to index")
         for c in self.clasps:
             for g in (c.gap_enter, c.gap_exit):
                 if not 0 <= g <= self.n:
@@ -352,6 +355,7 @@ def serialize(p: ClaspPresentation) -> str:
 def parse(text: str) -> ClaspPresentation:
     name: str | None = None
     n: int | None = None
+    cable_line = 1
     clasps: list[ClaspSpec] = []
     lines = _lines(text)
     lineno, line = next(lines, (1, ""))
@@ -368,6 +372,7 @@ def parse(text: str) -> ClaspPresentation:
         elif toks[0] == "cable":
             if n is not None:
                 raise PatternSyntaxError("duplicate cable line", lineno)
+            cable_line = lineno
             try:
                 (tok,) = toks[1:]  # a ValueError unless there is exactly one
                 n = _int_literal(tok, "cable")
@@ -402,8 +407,8 @@ def parse(text: str) -> ClaspPresentation:
         raise PatternSyntaxError("missing cable line", 1)
     try:
         return ClaspPresentation(n, tuple(clasps), name=name or "")
-    except PatternError as exc:
-        raise PatternSyntaxError(str(exc), 1) from exc
+    except PatternError as exc:  # each such error reads the cable line's winding
+        raise PatternSyntaxError(str(exc), cable_line) from exc
 
 
 def to_json(p: ClaspPresentation) -> str:

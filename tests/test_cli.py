@@ -398,16 +398,18 @@ def test_mutated_snf_fails_order_goldens(capsys, monkeypatch):
 
 
 def test_mutated_solve_fails_linking_goldens(capsys, monkeypatch):
-    # Deliberate mutation: a sign-flipped solve on the verdict path (negated
-    # numerators over the same denominator) must break the winding-8 linking
-    # goldens.
-    real = coverlink.obstruct.solve_numerators
+    # Deliberate mutation: a flipped framing sign on the verdict's lift (every
+    # diagonal entry negated, still diag(+-1)) must break the winding-8
+    # linking goldens.
+    real = coverlink.obstruct.lift_data
 
-    def flipped(m, b):
-        w, d = real(m, b)
-        return {i: -v for i, v in w.items()}, d
+    def flipped(word, m):
+        data = real(word, m)
+        a = data.matrix
+        negated = {ij: -v for ij, v in a.nonzeros.items()}
+        return data._replace(matrix=IntMatrix(a.rows, a.cols, negated))
 
-    monkeypatch.setattr(coverlink.obstruct, "solve_numerators", flipped)
+    monkeypatch.setattr(coverlink.obstruct, "lift_data", flipped)
     code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 1
@@ -422,6 +424,31 @@ def test_mutated_blocks_fail_selftest(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert all(f"FAIL {name}" in out for name in ("det-2x2", "det-blocks", "solve-blocks"))
+
+
+def test_mutated_sheet_offset_fails_the_lift_oracle(capsys, monkeypatch):
+    # Deliberate mutation: the flat lift table puts one component's segments
+    # one sheet off before the tally reads it. The one-sweep lift data then
+    # names that curve's lifts one off from the cover word's, which the
+    # selftest's lift-oracle rows catch.
+    real = coverlink.diagram.WordAnalysis._lift_tally
+
+    def offset(self):
+        if self._tally is None and len(self.components) > 1:
+            cid, comp = len(self.components) - 1, self._segment_component
+            self._segment_sheet = [v + (comp[s] == cid) for s, v in enumerate(self._segment_sheet)]
+            self._sheet_range[cid] = tuple(v + 1 for v in self._sheet_range[cid])
+        return real(self)
+
+    monkeypatch.setattr(coverlink.diagram.WordAnalysis, "_lift_tally", offset)
+    coverlink.diagram.analyze.cache_clear()
+    try:
+        code = main(["selftest"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert all(f"FAIL lift-oracle-m{m}:" in out for m in (2, 4, 8))
+    finally:
+        coverlink.diagram.analyze.cache_clear()
 
 
 def test_unknown_file_reports_error(capsys):
@@ -443,6 +470,29 @@ def test_non_utf8_input_is_reported_with_its_file_name(tmp_path, capsys, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {f}: not UTF-8 text ({where})\n"
+
+
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 10**20])
+@pytest.mark.parametrize("reader", ["text", "json"])
+@pytest.mark.parametrize(
+    "command", [["obstruct"], ["compile"], ["validate"], ["cover", "--m", "2"], ["normalize"]],
+    ids=["obstruct", "compile", "validate", "cover", "normalize"],
+)
+def test_a_cable_too_wide_to_index_is_a_located_error(tmp_path, capsys, command, reader, n):
+    # Only windings above sys.maxsize: they fail before any list is allocated.
+    f = tmp_path / f"wide.{reader}"
+    if reader == "text":
+        f.write_text(f"pattern v1\nname wide\ncable {n}\n", encoding="utf-8")
+        where, flags = 3, []
+    else:
+        f.write_text(json.dumps({"pattern": "v1", "cable": n}), encoding="utf-8")
+        where, flags = 1, ["--json"]
+    assert main([*command, str(f), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: line {where}: cable {n} needs a seam of {n} strands, too many to index\n"
+    )
 
 
 def test_input_keeps_universal_newlines(tmp_path, capsys):

@@ -20,22 +20,26 @@ for even n with 8 not dividing n, Obstructed at m = 2 or m = 4.
 """
 
 import dataclasses
+import inspect
 import math
 import random
+import textwrap
+from itertools import count, islice
 
 import pytest
 
 import coverlink.diagram
 from coverlink.cover import LiftedData, lift_data
-from coverlink.diagram import _CROSSES, AnnularWord, Cap, Cross, Cup, Kink, analyze
+from coverlink.diagram import _CROSSES, AnnularWord, Cap, Cross, Cup, Kink, WordAnalysis, analyze
 from coverlink.downhill import random_annular_word
 from coverlink.linalg import IntMatrix
 from coverlink.obstruct import _decide, _prime_power
 from coverlink.pattern import _KINKS, _grow_tables, cable_template, compile, random_presentation
+from oracles import random_event_word
 
 
 def _as_eta(word: AnnularWord) -> AnnularWord:
-    """A one-component word with that component labelled ``eta``."""
+    """The word with the component through seam strand 1, its only label, labelled ``eta``."""
     return dataclasses.replace(word, labels=(("eta", 1),))
 
 
@@ -47,6 +51,9 @@ def _words():
     for seed in range(6):
         yield _as_eta(random_annular_word((2, 3, 4, 6, 8, 12)[seed], seed))
     yield cable_template(64)  # one run record, which an R2 insertion can split
+    # Any number of components of any windings, the others unlabelled.
+    event_words = (random_event_word(random.Random(f"moves-{seed}")) for seed in count())
+    yield from islice((_as_eta(w) for w in event_words if w.seam_width), 40)
 
 
 def _tables(word: AnnularWord) -> dict:
@@ -89,6 +96,7 @@ def _eta_reversed_tables(word: AnnularWord, tables: dict) -> dict:
 
 def _mirror(word: AnnularWord) -> AnnularWord:
     """Every crossing flag flipped and every kink negated, from the shared tables."""
+    _grow_tables(max((ev.position for ev in word.events), default=0) + 1)
     events = []
     for ev in word.events:
         if isinstance(ev, Cross):
@@ -167,7 +175,7 @@ def _check_moves(words) -> int:
 
 def test_moves_transform_the_lift_tables_as_they_transform_the_curves():
     analyze.cache_clear()
-    assert _check_moves(_words()) == 1400
+    assert _check_moves(_words()) == 1620
 
 
 def test_r3_on_same_flag_triples_keeps_the_lift_tables():
@@ -205,6 +213,25 @@ def test_a_mis_signed_orientation_pair_fails_the_moves(monkeypatch, pair):
     try:
         with pytest.raises(AssertionError):
             _check_moves(_words())
+    finally:
+        analyze.cache_clear()
+
+
+def test_a_self_row_fold_that_files_minus_d_under_the_wrong_d_fails_the_moves(monkeypatch):
+    # Deliberate mutation: the tally folds a component's own row onto |d|
+    # with its negative half unreversed, so a self crossing at -d lands under
+    # r + 1 - d. An R2 insertion's two self crossings sit at d and -d with
+    # opposite signs, so they stop cancelling, and
+    # test_moves_transform_the_lift_tables_as_they_transform_the_curves fails.
+    source = textwrap.dedent(inspect.getsource(WordAnalysis._lift_tally))
+    fold = "c[r - 1 :: -1]"  # the deltas -1, ..., -r, against 1, ..., r
+    assert source.count(fold) == 1
+    namespace: dict = {}
+    exec(source.replace(fold, "c[:r]"), vars(coverlink.diagram), namespace)
+    monkeypatch.setattr(WordAnalysis, "_lift_tally", namespace["_lift_tally"])
+    try:
+        with pytest.raises(AssertionError):
+            test_moves_transform_the_lift_tables_as_they_transform_the_curves()
     finally:
         analyze.cache_clear()
 

@@ -24,7 +24,7 @@ from coverlink.cover import (
 )
 from coverlink.diagram import WordAnalysis, analyze
 from coverlink.downhill import normalize, random_annular_word
-from coverlink.linalg import IntMatrix, det, inverse, order_in_quotient
+from coverlink.linalg import IntMatrix, det, inverse, order_in_quotient, solve_numerators
 from coverlink.obstruct import (
     _INVARIANTS,
     _linkings_from_data,
@@ -57,6 +57,7 @@ from oracles import (
     cover_eta_rows,
     per_k_linkings,
     report_json,
+    rotated_eta_rows,
     twist_surgery_pairs,
 )
 from test_linalg import _pivoting_block_diagonal, square_and_vector
@@ -162,19 +163,26 @@ def test_branched_linkings_match_inverse_reference(m):
 
 
 def test_linkings_from_twisted_lifts_match_inverse_reference():
-    # Every seeded compiled word lifts to a diagonal matrix; full twists
-    # between surgery curves couple the lifts, so the solve meets real blocks.
+    # Every seeded compiled word lifts to diag(+-1); full twists between
+    # surgery curves couple the lifts. The verdict's read raises on a coupled
+    # lift, and cha_ko's general solve, read from each eta lift's row, still
+    # matches the full inverse.
     coupled = 0
     for seed in range(12):
         p = random_presentation(8, 2 + seed % 3, seed)
         word = twist_surgery_pairs(compile_presentation(p), random.Random(seed), 4)
         for m in (2, 4, 8):
             data = lift_data(word, m)
-            a = data.matrix
-            coupled += any(a[i, j] for i in range(a.rows) for j in range(a.rows) if i != j)
-            linkings, order = _linkings_from_data(data, m)
-            want, _h1, want_order = _reference_linkings(word, m)
-            assert (linkings, order) == (want, want_order), (seed, m)
+            want, _h1, _order = _reference_linkings(word, m)
+            rows = rotated_eta_rows(data.eta_row, m)
+            got = tuple(cha_ko(data.eta_linkings[k], data.matrix, rows[0], rows[k]) for k in range(1, m))
+            assert got == want, (seed, m)
+            if any(i != j for i, j in data.matrix.nonzeros):
+                coupled += 1
+                with pytest.raises(InvariantViolationError, match=f"^lifted matrix is not diag.+ at m={m}: "):
+                    _linkings_from_data(data, m)
+            else:
+                assert _linkings_from_data(data, m) == (want, 1), (seed, m)
     assert coupled
 
 
@@ -194,33 +202,67 @@ def test_linkings_from_data_coupled_block_and_unit_blocks():
     # Two curves over three sheets. L1 has framing 2 and links each of its
     # other lifts once, so its lifts 0, 2, 4 form the coupled circulant block
     # [[2, 1, 1], [1, 2, 1], [1, 1, 2]] (det 4); L2's lifts 1, 3, 5 are blocks
-    # of framing 5. With eta_row x = (1, 1, 0, 0, 0, 0),
-    # z = (3/4, 1/5, -1/4, 0, -1/4, 0): eta order 20; lift 1's row
-    # (0, 0, 1, 1, 0, 0) and lift 2's (0, 0, 0, 0, 1, 1) both give z.y = -1/4.
+    # of framing 5. No compiled presentation lifts so, and the verdict's read
+    # names the first entry off the diagonal. The general formula still reads
+    # it: with eta_row x = (1, 1, 0, 0, 0, 0), z = (3/4, 1/5, -1/4, 0, -1/4, 0),
+    # eta order 20; lift 1's row (0, 0, 1, 1, 0, 0) and lift 2's
+    # (0, 0, 0, 0, 1, 1) both give z.y = -1/4.
     a = _block_circulant(3, ([[2, 0], [0, 5]], [[1, 0], [0, 0]], [[1, 0], [0, 0]]))
-    lifted = LiftedData(a, (1, 1, 0, 0, 0, 0), (0, 1, 1))
-    linkings, order = _linkings_from_data(lifted, 3)
-    assert linkings == (Fraction(5, 4), Fraction(5, 4))
-    assert order == 20 == order_in_quotient(a, [1, 1, 0, 0, 0, 0])
+    x = (1, 1, 0, 0, 0, 0)
+    lifted = LiftedData(a, x, (0, 1, 1))
+    with pytest.raises(InvariantViolationError, match=r"at m=3: entry \(0, 2\) is 1$"):
+        _linkings_from_data(lifted, 3)
+    rows = rotated_eta_rows(x, 3)
+    assert [cha_ko(1, a, x, y) for y in rows[1:]] == [Fraction(5, 4), Fraction(5, 4)]
+    assert order_in_quotient(a, list(x)) == 20
 
 
 def test_branched_linkings_eta_order_is_lcm_of_denominators(monkeypatch):
-    # Seeded presentations all have |H1| = 1, so the verdict path gets a lift
-    # with A = diag(3, 5) in each of three sheets and x = (1, 1) in sheet 0:
-    # z = (1/3, 1/5, 0, 0, 0, 0), eta order 15.
+    # Seeded presentations all lift to diag(+-1), with |H1| = 1 and eta order
+    # 1. A lift with A = diag(3, 5) in each of three sheets and x = (1, 1) in
+    # sheet 0 would give z = (1/3, 1/5, 0, 0, 0, 0), eta order 15: the verdict
+    # raises on it, and the general formula's linkings have denominators of
+    # lcm 15.
     a = _block_circulant(3, ([[3, 0], [0, 5]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]))
     x = (1, 1, 0, 0, 0, 0)
     lifted = LiftedData(a, x, (0, 0, 0))
     monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
-    rep = verdict(ClaspPresentation(3, ()), 3)
-    assert (rep.h1_order, rep.eta_order) == (3375, 15) == (det(a), order_in_quotient(a, list(x)))
+    with pytest.raises(InvariantViolationError, match=r"at m=3: entry \(0, 0\) is 3$"):
+        verdict(ClaspPresentation(3, ()), 3)
+    w, d = solve_numerators(a, x)  # z = w / d
+    assert (w, d) == ({0: 5, 1: 3}, 15) and d == order_in_quotient(a, list(x))
+    assert det(a) == 3375
 
 
-def test_verdict_degree_eliminates_a_coupled_matrix_once_for_det_and_once_to_solve(monkeypatch):
+@pytest.mark.parametrize(
+    "matrix, entry",
+    [
+        (_block_circulant(3, ([[2, 0], [0, 5]], [[1, 0], [0, 0]], [[1, 0], [0, 0]])), "(0, 2) is 1"),
+        (_block_circulant(3, ([[3, 0], [0, 5]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])), "(0, 0) is 3"),
+        (IntMatrix(6, 6, {(i, i): 1 for i in range(6) if i != 4}), "(4, 4) is 0"),
+    ],
+    ids=["coupled", "diag-3-5", "missing-entry"],
+)
+def test_a_lift_that_is_not_unit_diagonal_exits_3(monkeypatch, tmp_path, capsys, matrix, entry):
+    # Only a pipeline bug lifts a presentation to anything but diag(+-1).
+    lifted = LiftedData(matrix, (1, 1, 0, 0, 0, 0), (0, 1, 1))
+    monkeypatch.setattr(coverlink.obstruct, "lift_data", lambda word, m: lifted)
+    path = tmp_path / "cable-3.pattern"
+    path.write_text(serialize(ClaspPresentation(3, (), name="cable-3")), encoding="utf-8")
+    assert main(["obstruct", str(path), "--m-list", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"invariant violation: lifted matrix is not diag(+-1) at m=3: entry {entry}\n"
+    )
+
+
+def test_verdict_degree_eliminates_a_coupled_matrix_once_for_det_then_raises(monkeypatch):
     # Three curves over three sheets: L1 and L2 link once in each sheet, so
     # {0, 1}, {3, 4} and {6, 7} are coupled blocks [[2, 1], [1, 2]] (det 3);
     # L3's lifts {2}, {5}, {8} are 1x1 of framing 5. The matrix is not
-    # diagonal, so det and the solve each eliminate all of it once:
+    # diagonal, so det eliminates all of it once, and the linking read, which
+    # runs no solve, raises. The general formula reads it:
     # z = (2/3, -1/3, 1/5, 0, 0, 1/5, 0, 0, 0), eta order 15, and the rows
     # (0, 0, 0, 1, 0, 1, 0, 0, 1) and (0, 0, 1, 0, 0, 0, 1, 0, 1) of eta
     # lifts 1 and 2 both give z.y = 1/5.
@@ -235,21 +277,22 @@ def test_verdict_degree_eliminates_a_coupled_matrix_once_for_det_and_once_to_sol
     monkeypatch.setattr(
         coverlink.linalg, "_eliminate", lambda rows, n: eliminated.append(n) or eliminate(rows, n)
     )
-    rep = verdict(ClaspPresentation(3, ()), 3)
-    assert eliminated == [9, 9]
-    assert (rep.h1_order, rep.eta_order) == (3375, 15)
-    assert rep.linkings == (2 - Fraction(1, 5),) * 2
+    with pytest.raises(InvariantViolationError, match=r"at m=3: entry \(0, 1\) is 1$"):
+        verdict(ClaspPresentation(3, ()), 3)
+    assert eliminated == [9]
+    x, *ys = rotated_eta_rows(lifted.eta_row, 3)
+    assert [cha_ko(2, a, x, y) for y in ys] == [2 - Fraction(1, 5)] * 2
 
 
-# One planted failure per row of the invariant table, on the (m,1)-cable at
-# degree m: (row, m, name in coverlink.obstruct to stub, stub).
+# One planted failure per row of the invariant table, on a one-clasp
+# presentation of winding m at degree m: (row, m, name in coverlink.obstruct
+# to stub, stub).
 _VIOLATIONS = [
     # A non-palindromic vector at m = 3.
     ("linkings-palindromic", 3, "_linkings_from_data",
      lambda data, m: ((Fraction(1), Fraction(2)), 1)),
-    # A lifted matrix with even det at m = 2: A = diag(2, 2), so |H1| = 4.
-    ("h1-odd", 2, "lift_data",
-     lambda word, m: LiftedData(IntMatrix.from_rows([[2, 0], [0, 2]]), (0, 0), (0, 1))),
+    # An even |H1| at m = 2, from a planted determinant.
+    ("h1-odd", 2, "det", lambda a: 4),
     # An odd parity value at m = 2, n = 2, with |H1| = 1: (2 - 1) * 1 = 1.
     ("parity-m2", 2, "_linkings_from_data", lambda data, m: ((Fraction(2),), 1)),
 ]
@@ -262,10 +305,10 @@ def test_every_invariant_row_has_a_violation_case():
 @pytest.mark.parametrize("row, m, target, stub", _VIOLATIONS, ids=[v[0] for v in _VIOLATIONS])
 def test_invariant_violation_raises_and_exits_3(monkeypatch, tmp_path, capsys, row, m, target, stub):
     monkeypatch.setattr(coverlink.obstruct, target, stub)
-    p = ClaspPresentation(m, (), name=f"cable-{m}")
+    p = random_presentation(m, 1, 0)
     with pytest.raises(InvariantViolationError, match=f"^{row} fails at m={m}: "):
         auto_verdict(p, (m,))
-    path = tmp_path / "cable.pattern"
+    path = tmp_path / "one-clasp.pattern"
     path.write_text(serialize(p), encoding="utf-8")
     assert main(["obstruct", str(path), "--m-list", str(m)]) == 3
     err = capsys.readouterr().err
@@ -274,7 +317,7 @@ def test_invariant_violation_raises_and_exits_3(monkeypatch, tmp_path, capsys, r
 
 def test_cross_checks_record_a_failed_invariant_row(monkeypatch, tmp_path, capsys):
     # The verdict raises on the odd parity value; the ledger records it as failed.
-    stub = lambda data, m, preferred=0: ((2,), 1)  # noqa: E731
+    stub = lambda data, m: ((2,), 1)  # noqa: E731
     monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", stub)
     p = ClaspPresentation(2, (), name="cable-2")
     checks = cross_checks(p)
@@ -300,15 +343,35 @@ def test_cross_checks_record_a_nonzero_sheet_sum(monkeypatch):
 
 
 def test_cross_checks_record_a_mis_shifted_row_read(monkeypatch):
-    # Reads eta lift j's row shifted by j lifts rather than by j sheets.
+    # The autocorrelation reads the eta row one lift off, so each curve's
+    # framing meets the next curve's row.
     real = _linkings_from_data
 
-    def misread(data, m, preferred=0):
+    def misread(data, m):
         row = data.eta_row
-        return real(data._replace(eta_row=row[preferred:] + row[:preferred]), m)
+        return real(data._replace(eta_row=row[1:] + row[:1]), m)
 
     monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", misread)
     checks = cross_checks(random_presentation(8, 2, 1))
+    assert [c.name for c in checks if not c.passed] == [
+        "deck-relabel-m2", "deck-relabel-m4", "deck-relabel-m8"
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_checks_record_a_flipped_framing_on_the_linking_read(monkeypatch, seed):
+    # The verdict's read sees every lifted framing negated. Its vector stays
+    # palindromic and consistent across degrees, so only the deck-relabel
+    # rows, which read the real lift through cha_ko, can catch it.
+    real = _linkings_from_data
+
+    def flipped(data, m):
+        a = data.matrix
+        negated = {ij: -v for ij, v in a.nonzeros.items()}
+        return real(data._replace(matrix=IntMatrix(a.rows, a.cols, negated)), m)
+
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", flipped)
+    checks = cross_checks(random_presentation(8, 3, seed))
     assert [c.name for c in checks if not c.passed] == [
         "deck-relabel-m2", "deck-relabel-m4", "deck-relabel-m8"
     ]
@@ -325,19 +388,20 @@ def test_cross_checks_check_the_vector_shape_at_every_degree():
 @pytest.mark.parametrize(
     "m, bump, failed",
     [
-        # Palindromic bumps of one degree's linkings keep that degree's own rows
-        # and deck relabelling; only the transfer rows that read it can fail.
-        (8, (1, 0, 0, 0, 0, 0, 1), ["transfer-m2-m8", "transfer-m4-m8"]),
-        (8, (0, 1, 0, 0, 0, 1, 0), ["transfer-m4-m8"]),
-        (2, (2,), ["two-vs-four-doubling", "transfer-m2-m8"]),
+        # Palindromic bumps of one degree's linkings keep that degree's own
+        # rows; the transfer rows that read it and its deck-relabel row, which
+        # reads the lift through the general surgery formula, can fail.
+        (8, (1, 0, 0, 0, 0, 0, 1), ["transfer-m2-m8", "transfer-m4-m8", "deck-relabel-m8"]),
+        (8, (0, 1, 0, 0, 0, 1, 0), ["transfer-m4-m8", "deck-relabel-m8"]),
+        (2, (2,), ["two-vs-four-doubling", "transfer-m2-m8", "deck-relabel-m2"]),
     ],
     ids=["m8-odd-k", "m8-k-2-mod-4", "m2"],
 )
 def test_cross_checks_record_a_broken_transfer(monkeypatch, m, bump, failed):
     real = _linkings_from_data
 
-    def bumped(data, degree, preferred=0):
-        linkings, order = real(data, degree, preferred)
+    def bumped(data, degree):
+        linkings, order = real(data, degree)
         if degree == m:
             linkings = tuple(v + b for v, b in zip(linkings, bump))
         return linkings, order
@@ -385,8 +449,8 @@ def test_cross_checks_record_a_broken_transfer_at_every_divisor_pair(monkeypatch
     # A palindromic bump of degree m's linkings fails exactly the transfer rows that read m.
     real = _linkings_from_data
 
-    def bumped(data, degree, preferred=0):
-        linkings, order = real(data, degree, preferred)
+    def bumped(data, degree):
+        linkings, order = real(data, degree)
         if degree == m:
             linkings = (linkings[0] + 1, *linkings[1:-1], linkings[-1] + 1)
         return linkings, order
@@ -424,17 +488,23 @@ def _lifted_samples():
 
 
 def test_linkings_match_the_per_k_fraction_oracle():
-    # One rotation of the eta row per k gives the old Fraction values, as ints at order 1.
-    orders: dict[str, set[int]] = {"compiled": set(), "planted": set()}
+    # The autocorrelation gives the old solve's Fraction values, read from
+    # every preferred eta lift, as ints. A planted lift that is not
+    # diag(+-1) raises instead.
+    kinds = {"compiled": 0, "planted": 0, "raised": 0}
     for data, m, kind in _lifted_samples():
+        a = data.matrix.nonzeros
+        if a.keys() != {(i, i) for i in range(data.matrix.rows)} or not {*a.values()} <= {1, -1}:
+            with pytest.raises(InvariantViolationError):
+                _linkings_from_data(data, m)
+            kinds["raised"] += 1
+            continue
+        got, order = _linkings_from_data(data, m)
+        assert order == 1 and all(type(v) is int for v in got)
         for preferred in range(m):
-            got, order = _linkings_from_data(data, m, preferred)
-            want, want_order = per_k_linkings(data, m, preferred)
-            assert (got, order) == (want, want_order), (data, m, preferred)
-            assert [type(v) is int for v in got] == [order == 1] * (m - 1)
-            assert list(map(format_rational, got)) == list(map(format_rational, want))
-            orders[kind].add(order)
-    assert orders == {"compiled": {1}, "planted": {1, 3, 4, 6, 7, 10, 12, 35}}
+            assert per_k_linkings(data, m, preferred) == (got, 1), (data, m, preferred)
+        kinds[kind] += 1
+    assert kinds == {"compiled": 255, "planted": 1, "raised": 3}
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -443,8 +513,8 @@ def test_cross_checks_record_a_broken_mod8_theorem(monkeypatch, n):
     # and a cable's linkings are not all 0: only the theorem's row can fail.
     real = _linkings_from_data
 
-    def even_order(data, m, preferred=0):
-        return real(data, m, preferred)[0], 2
+    def even_order(data, m):
+        return real(data, m)[0], 2
 
     monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", even_order)
     checks = cross_checks(ClaspPresentation(n, ()))
@@ -455,7 +525,7 @@ def test_cross_checks_record_a_broken_mod8_theorem(monkeypatch, n):
 
 @pytest.mark.parametrize("n, passed", [(4, False), (8, True)])
 def test_cross_checks_excuse_all_zero_linkings_only_when_8_divides_n(monkeypatch, n, passed):
-    zero = lambda data, m, preferred=0: ((0,) * (m - 1), 1)  # noqa: E731
+    zero = lambda data, m: ((0,) * (m - 1), 1)  # noqa: E731
     monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", zero)
     rows = [c for c in cross_checks(ClaspPresentation(n, ())) if c.name == "hedden-mod8"]
     detail = "m2 Inconclusive, m4 Inconclusive, all linkings 0"
@@ -498,16 +568,20 @@ def test_verdict_path_never_densifies(monkeypatch):
 
 
 def test_verdict_path_solves_the_benchmark_shapes_without_elimination(monkeypatch):
-    # Every presentation the benchmark's workloads send lifts to a diagonal
-    # matrix, which det and the solve read in place: the ladder rungs
-    # (n, k, m), the sweep's windings 2..12 with a degree in {2, 3, 4} and
-    # up to 4 clasps, and normalized annular words of winding 4 and 6.
+    # Every presentation the benchmark's workloads send lifts to diag(+-1),
+    # which det reads in place and whose linkings need no solve: the ladder
+    # rungs (n, k, m), the sweep's windings 2..12 with a degree in {2, 3, 4}
+    # and up to 4 clasps, and normalized annular words of winding 4 and 6.
     import coverlink.linalg
 
     def eliminate(*_args):
         raise AssertionError("the verdict path eliminated a matrix")
 
+    def solve(*_args):
+        raise AssertionError("the verdict path ran a solve")
+
     monkeypatch.setattr(coverlink.linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(coverlink.obstruct, "solve_numerators", solve)
     runs = [
         (random_presentation(n, k, s), (m,))
         for n, k, m in ((8, 4, 8), (8, 8, 8), (16, 4, 16))
@@ -531,11 +605,14 @@ def test_verdict_path_solves_the_benchmark_shapes_without_elimination(monkeypatc
 
 def test_full_twists_couple_the_lifts(monkeypatch):
     # Full twists couple the lifts into blocks of up to 16 at m = 8, which
-    # det and the solve eliminate whole.
+    # det eliminates whole. No compiled presentation lifts so: the verdict
+    # raises at the first degree.
     p = random_presentation(8, 3, 4)
     word = twist_surgery_pairs(compile_presentation(p), random.Random(4), 4)
+    assert [abs(det(lift_data(word, m).matrix)) for m in (2, 4, 8)] == [85, 10285, 109113565]
     monkeypatch.setattr(coverlink.obstruct, "_checked_word", lambda q: word)
-    assert [r.h1_order for r in auto_verdict(p, (2, 4, 8)).per_m] == [85, 10285, 109113565]
+    with pytest.raises(InvariantViolationError, match="^lifted matrix is not diag.+ at m=2: "):
+        auto_verdict(p, (2, 4, 8))
 
 
 def test_branched_linkings_cable_goldens():
