@@ -37,7 +37,20 @@ _USER_ERRORS = (
     nrm.NotDownhillError,
     OSError,
     ValueError,
+    MemoryError,  # a size read from the input that no list or tuple can hold
+    OverflowError,
 )
+
+
+def _failure(exc: Exception, path: str) -> int:
+    """Print the one line that reports ``exc`` from reading ``path``, and return the exit code."""
+    if isinstance(exc, obs.InvariantViolationError):
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
+    if isinstance(exc, (MemoryError, OverflowError)):
+        exc = f"{path}: too large to build ({str(exc) or type(exc).__name__})"
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _read(path: str) -> str:
@@ -102,9 +115,7 @@ def cmd_validate(args) -> int:
     for item in report.items:
         status = "ok" if item.ok else ("warning" if item.warning else "FAIL")
         print(f"{status:8} {item.name:22} {item.component:12} {item.detail}")
-    if not report.passed:
-        return 2
-    return 0
+    return 0 if report.passed else 2
 
 
 def cmd_compile(args) -> int:
@@ -189,12 +200,8 @@ def cmd_corpus(args) -> int:
             agg = obs.auto_verdict(p, m_list)
             out = obs.report_to_json(agg) if args.format == "json" else obs.report_to_text(agg)
             sys.stdout.write(out)
-        except obs.InvariantViolationError as exc:
-            print(f"invariant violation: {exc}", file=sys.stderr)
-            worst = max(worst, 3)
-        except _USER_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            worst = max(worst, 2)
+        except (obs.InvariantViolationError, *_USER_ERRORS) as exc:
+            worst = max(worst, _failure(exc, str(f)))
     return worst
 
 
@@ -309,15 +316,10 @@ def _selftest_checks(seed: int):
 def cmd_selftest(_args) -> int:
     raw = os.environ.get("HEDDEN_SEED")
     seed = DEFAULT_SEED if raw is None else dia._int_literal(raw.strip(), "HEDDEN_SEED")
-    failures = 0
-    count = 0
-    for name, passed, detail in _selftest_checks(seed):
-        count += 1
-        if not passed:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
-        else:
-            print(f"pass {name}")
+    failures = count = 0
+    for count, (name, passed, detail) in enumerate(_selftest_checks(seed), 1):
+        failures += not passed
+        print(f"pass {name}" if passed else f"FAIL {name}: {detail}")
     print(f"{count - failures}/{count} checks passed (seed {seed})")
     return 0 if failures == 0 else 1
 
@@ -366,12 +368,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except obs.InvariantViolationError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (obs.InvariantViolationError, *_USER_ERRORS) as exc:
+        return _failure(exc, getattr(args, "file", args.command))
 
 
 if __name__ == "__main__":

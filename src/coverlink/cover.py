@@ -76,12 +76,13 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     base_ana._check_degree(m)
     width, seam_ends = base.seam_width, base_ana._sweep.seam_ends
     born = base_ana._sweep.seg_count - width  # cup-born segments per copy
+    # First the m copies' events, so a degree no tuple can hold fails before any copy is made.
+    word_plain = AnnularWord(base.seam_orientations, base.events * m)
     edge = [list(range(width))]  # edge[j][h]: the segment at copy j's left-edge position h + 1
-    for j in range(1, m):
+    for j in range(1, m if width else 1):  # with no seam strand, no lift is named off the edge
         prev = edge[-1]
         edge.append([prev[s] if s < width else s + (j - 1) * born for s in seam_ends])
 
-    word_plain = AnnularWord(base.seam_orientations, base.events * m)
     cover_ana = analyze(word_plain)
     lift_map: dict[tuple[ComponentId, int], ComponentId] = {}
     for comp in base_ana.components:

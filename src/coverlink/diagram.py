@@ -27,13 +27,13 @@ Conventions:
   component's own row is folded once onto |delta|, since a self crossing at
   -delta joins the same lift pairs as one at delta.
   ``WordAnalysis.cover_tables(m)`` folds each row once per degree.
-* A run of at least ``_RUN`` crossings ``Cross(p), Cross(p + 1), ...`` with
-  one flag, all from the shared table ``_CROSSES``, is one sweep record: one
-  strand, the mover, passes each strand above it in turn. A compiled cable
-  of winding above ``_RUN`` is one run; a shorter stretch, such as a braid
-  slice of a small presentation, costs less read crossing by crossing. When
-  the crossed strands lie in the mover's component at consecutive sheets,
-  the tally adds the whole run into that component's row as one slice.
+* A run of at least ``_RUN`` crossings ``Cross(p), Cross(p + 1), ...`` of one
+  flag, from the shared table ``_CROSSES`` and starting at an event index
+  divisible by ``_RUN``, is one sweep record: the mover passes each strand
+  above it in turn. A compiled cable of winding above ``_RUN`` is one run; a
+  shorter stretch, such as a braid slice of a small presentation, costs less
+  read crossing by crossing. When the crossed strands lie in the mover's
+  component at consecutive sheets, the tally adds the whole run as one slice.
 """
 
 from __future__ import annotations
@@ -236,26 +236,39 @@ def _sign_table(sign) -> tuple[list, list]:
     )
 
 
-# The one crossing table every compile and the normalizer's random words share:
-# ``_CROSSES[upper_over][p]`` is ``Cross(p, upper_over)``, so a run of crossings is a
-# slice or a comprehension of shared events. Index 0 is never emitted. Events are
-# immutable values: sharing them changes no word or hash. ``pattern._grow_tables``
-# grows it.
+# The shared event tables every compile and the normalizer's random words draw from:
+# ``_CROSSES[upper_over][p]`` is ``Cross(p, upper_over)``, ``_KINKS[sign > 0][p]`` is
+# ``Kink(p, sign)``, ``_CAPS[p]`` is ``Cap(p)`` and ``_CUPS[sign > 0][p]`` is ``Cup(p, sign)``,
+# so a run of crossings is a slice of shared events. Index 0 is never emitted. Events are
+# immutable values: sharing them changes no word or hash. ``_grow_tables`` grows them.
 _CROSSES: tuple[list[Cross], list[Cross]] = ([], [])
+_KINKS: tuple[list[Kink], list[Kink]] = ([], [])
+_CAPS: list[Cap] = []
+_CUPS: tuple[list[Cup], list[Cup]] = ([], [])
 _RUN = 16  # the fewest crossings the sweep records as one run; fewer cost less one by one
 # ``_AHEAD[id(row[p])]`` is ``row[p + _RUN - 1]`` for each row of ``_CROSSES`` and p >= 1:
-# the shared crossing a run from ``row[p]`` reaches, which ``_sweep`` tests. It grows with
-# the table.
+# the shared crossing a run from ``row[p]`` reaches, which ``_sweep`` tests.
 _AHEAD: dict[int, Cross] = {}
 
 
-def _grow_crosses(width: int) -> None:
-    """Grow the shared crossing table to every gap of a ``width``-strand stack."""
+def _grow_tables(width: int) -> tuple[list[Cross], list[Cross]]:
+    """Grow the shared event tables to every position of a ``width``-strand stack.
+
+    Returns the crossing table. The tables grow together, so the cap table's
+    length tells whether they already hold ``width``.
+    """
+    if len(_CAPS) > width:
+        return _CROSSES
     reach = _RUN - 1
     for upper_over, row in enumerate(_CROSSES):
         new = max(len(row) - reach, 1)  # the first crossing whose partner is new
         row.extend(Cross(p, bool(upper_over)) for p in range(len(row), width))
         _AHEAD.update(zip(map(id, row[new:]), row[new + reach :]))
+    for sign, kinks, cups in zip((-1, 1), _KINKS, _CUPS):
+        kinks.extend(Kink(p, sign) for p in range(len(kinks), width + 1))
+        cups.extend(Cup(p, sign) for p in range(len(cups), width + 1))
+    _CAPS.extend(Cap(p) for p in range(len(_CAPS), width + 1))
+    return _CROSSES
 
 
 class _SweepResult(NamedTuple):

@@ -20,8 +20,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
-from .pattern import _CAPS, _CUPS, ClaspPresentation, ClaspSpec, _grow_tables, cable_template
+from .diagram import _CAPS, _CUPS, AnnularWord, Cap, Cross, Cup, Event, Kink, _grow_tables
+from .diagram import analyze
+from .pattern import ClaspPresentation, ClaspSpec, cable_template
 
 
 class MultiComponentError(Exception):

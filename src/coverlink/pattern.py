@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
-from .diagram import AnnularWord, Cap, Cross, Cup, Event, Kink, analyze
-from .diagram import _CROSSES, _check_token, _grow_crosses, _int_literal, _lines
+from .diagram import _CAPS, _CUPS, _KINKS, AnnularWord, Event, analyze
+from .diagram import _check_token, _grow_tables, _int_literal, _lines
 
 
 class PatternError(Exception):
@@ -119,31 +119,6 @@ class ClaspPresentation:
             for g in (c.gap_enter, c.gap_exit):
                 if not 0 <= g <= self.n:
                     raise GapOutOfRangeError(f"gap {g} outside 0..{self.n}")
-
-
-# The gadget events every compile and the normalizer's random words share, indexed
-# by position as the crossing table ``_CROSSES`` is:
-# ``_KINKS[sign > 0][p]`` is ``Kink(p, sign)``, ``_CAPS[p]`` is ``Cap(p)`` and
-# ``_CUPS[sign > 0][p]`` is ``Cup(p, sign)``, for sign +1 or -1.
-_KINKS: tuple[list[Kink], list[Kink]] = ([], [])
-_CAPS: list[Cap] = []
-_CUPS: tuple[list[Cup], list[Cup]] = ([], [])
-
-
-def _grow_tables(width: int) -> tuple[list[Cross], list[Cross]]:
-    """Grow the shared event tables to every position of a ``width``-strand stack.
-
-    Returns the crossing table. The four tables grow together, so the cap
-    table's length tells whether they already hold ``width``.
-    """
-    if len(_CAPS) > width:
-        return _CROSSES
-    _grow_crosses(width)
-    for sign, kinks, cups in zip((-1, 1), _KINKS, _CUPS):
-        kinks.extend(Kink(p, sign) for p in range(len(kinks), width + 1))
-        cups.extend(Cup(p, sign) for p in range(len(cups), width + 1))
-    _CAPS.extend(Cap(p) for p in range(len(_CAPS), width + 1))
-    return _CROSSES
 
 
 def _compile_word(n: int, clasps: tuple[ClaspSpec, ...]) -> AnnularWord:

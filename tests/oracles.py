@@ -16,6 +16,7 @@ from operator import add
 from coverlink.cover import CoverDiagram, LiftedData
 from coverlink.diagram import (
     AnnularWord,
+    _CROSSES,
     _SweepResult,
     Cap,
     Component,
@@ -30,19 +31,13 @@ from coverlink.diagram import (
     StrandCountMismatch,
     WordAnalysis,
     analyze,
+    _grow_tables,
     crossing_sign,
 )
 from coverlink.downhill import _Passage
 from coverlink.linalg import IntMatrix, NonSquareError, solve_numerators
 from coverlink.obstruct import AggregateReport, report_to_dict
-from coverlink.pattern import (
-    _CROSSES,
-    ClaspPresentation,
-    ClaspSpec,
-    ValidationItem,
-    ValidationReport,
-    _grow_tables,
-)
+from coverlink.pattern import ClaspPresentation, ClaspSpec, ValidationItem, ValidationReport
 
 
 class NotBlockCirculantError(ValueError):

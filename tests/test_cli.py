@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -493,6 +495,75 @@ def test_a_cable_too_wide_to_index_is_a_located_error(tmp_path, capsys, command,
     assert captured.err == (
         f"error: line {where}: cable {n} needs a seam of {n} strands, too many to index\n"
     )
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _cli_in_a_child(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process held to 1 GiB of address space and a minute."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "coverlink", *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_address_space,
+    )
+
+
+# Only sizes that fail on the size arithmetic, before anything is allocated: a winding of
+# sys.maxsize or one less, and a degree of sys.maxsize or 10**20.
+@pytest.mark.parametrize("reader", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, n",
+    [(["compile"], sys.maxsize), (["validate"], sys.maxsize), (["cover", "--m", "2"], sys.maxsize),
+     (["normalize"], sys.maxsize), (["obstruct"], sys.maxsize - 1)],
+    ids=["compile", "validate", "cover", "normalize", "obstruct"],
+)
+def test_a_cable_too_wide_to_hold_is_a_located_error(tmp_path, command, n, reader):
+    f = tmp_path / f"wide.{reader}"
+    if reader == "text":
+        f.write_text(f"pattern v1\ncable {n}\n", encoding="utf-8")
+    else:
+        f.write_text(json.dumps({"pattern": "v1", "cable": n}), encoding="utf-8")
+        command = [*command, "--json"]
+    done = _cli_in_a_child(*command, str(f))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == f"error: {f}: too large to build (MemoryError)\n"
+
+
+@pytest.mark.parametrize("m", [sys.maxsize, 10**20])
+def test_a_cover_degree_too_large_to_hold_is_a_located_error(tmp_path, m):
+    # A circle has winding 0, so every degree divides it: the m copies must fail at once.
+    f = tmp_path / "circle.annular"
+    f.write_text("annular v1\nseam 0\ncup 1 +\ncap 1\n", encoding="utf-8")
+    done = _cli_in_a_child("cover", "--m", str(m), str(f))
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith(f"error: {f}: too large to build (")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_the_cover_of_an_empty_word_needs_no_copy(tmp_path):
+    # No event and no seam strand: the cover at any degree a tuple can count is the same
+    # empty word, and one no tuple can count is too large to build.
+    f = tmp_path / "empty.annular"
+    f.write_text("annular v1\nseam 0\n", encoding="utf-8")
+    done = _cli_in_a_child("cover", "--m", str(sys.maxsize), str(f))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "annular v1\nseam 0\n# lift map (name.copy -> cover component)\n"
+    done = _cli_in_a_child("cover", "--m", str(10**20), str(f))
+    assert done.returncode == 2 and done.stderr.startswith(f"error: {f}: too large to build (")
+
+
+def test_corpus_runs_every_file_after_one_too_large_to_hold(tmp_path):
+    wide = tmp_path / "a-wide.pattern"
+    wide.write_text(f"pattern v1\ncable {sys.maxsize - 1}\n", encoding="utf-8")
+    shutil.copy(CORPUS / "cable-6.pattern", tmp_path / "b-cable-6.pattern")
+    done = _cli_in_a_child("corpus", "--m-list", "2", str(tmp_path))
+    assert done.returncode == 2
+    assert done.stderr == f"error: {wide}: too large to build (MemoryError)\n"
+    assert done.stdout.startswith("== a-wide.pattern\n== b-cable-6.pattern\n")
+    assert done.stdout.endswith("aggregate: Obstructed\n")
 
 
 def test_input_keeps_universal_newlines(tmp_path, capsys):

@@ -32,9 +32,13 @@ from coverlink.diagram import (
     StrandCountMismatch,
     UnknownComponentError,
     _AHEAD,
+    _CAPS,
     _CROSSES,
+    _CUPS,
+    _KINKS,
     _RUN,
     _SweepResult,
+    _grow_tables,
     _sweep,
     analyze,
     parse,
@@ -44,7 +48,7 @@ from coverlink.downhill import force_downhill, normalize, random_annular_word
 from coverlink.obstruct import auto_verdict
 from coverlink.pattern import ClaspPresentation, cable_template, random_presentation
 from coverlink.pattern import compile as compile_presentation
-from coverlink.pattern import _grow_tables, validate
+from coverlink.pattern import validate
 import oracles
 from oracles import (
     crossing_lift_tally,
@@ -264,13 +268,30 @@ def test_run_records_sit_where_the_shared_crossings_run():
 
 
 def test_run_partners_grow_with_the_crossing_table():
-    # Grown a little at a time, the index equals one built from the whole table.
+    # Grown a little at a time, the run index equals one built from the whole crossing
+    # table, and every table holds its event at each position: the crossing rows each
+    # gap below the widest width asked for, the kink, cup and cap tables each position
+    # up to it.
+    tables = (*_CROSSES, *_KINKS, *_CUPS, _CAPS)
     for width in (2, _RUN - 1, _RUN, _RUN + 1, 2 * _RUN + 3, len(_CROSSES[0]) + 5):
-        _grow_tables(width)
+        assert _grow_tables(width) is _CROSSES
         want = {
             id(row[p]): row[p + _RUN - 1] for row in _CROSSES for p in range(1, len(row) - _RUN + 1)
         }
         assert _AHEAD == want
+        held = len(_CAPS)
+        assert held > width and [*map(len, tables)] == [held - 1] * 2 + [held] * 5
+        for flag, row in enumerate(_CROSSES):
+            assert row == [Cross(p, bool(flag)) for p in range(held - 1)]
+        for sign, kinks, cups in zip((-1, 1), _KINKS, _CUPS):
+            assert kinks == [Kink(p, sign) for p in range(held)]
+            assert cups == [Cup(p, sign) for p in range(held)]
+        assert _CAPS == [Cap(p) for p in range(held)]
+        # A call at a width already held changes no table.
+        before = [[*map(id, table)] for table in tables], dict(_AHEAD)
+        for again in (width, width // 2, held - 1):
+            _grow_tables(again)
+            assert ([[*map(id, table)] for table in tables], _AHEAD) == before
 
 
 def test_sweep_and_tally_signs_follow_the_crossing_sign_hook(monkeypatch):

@@ -30,11 +30,12 @@ import pytest
 
 import coverlink.diagram
 from coverlink.cover import LiftedData, lift_data
-from coverlink.diagram import _CROSSES, AnnularWord, Cap, Cross, Cup, Kink, WordAnalysis, analyze
+from coverlink.diagram import _CROSSES, _KINKS, AnnularWord, Cap, Cross, Cup, Kink, WordAnalysis
+from coverlink.diagram import _grow_tables, analyze
 from coverlink.downhill import random_annular_word
 from coverlink.linalg import IntMatrix
 from coverlink.obstruct import _decide, _prime_power
-from coverlink.pattern import _KINKS, _grow_tables, cable_template, compile, random_presentation
+from coverlink.pattern import cable_template, compile, random_presentation
 from oracles import random_event_word
 
 

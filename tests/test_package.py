@@ -120,3 +120,28 @@ def test_selftest_runs_on_the_newest_python_found():
     if exe is None:
         pytest.skip("no working pyenv Python 3.1x interpreter found")
     _assert_selftest_pinned(exe)
+
+
+_EVENT_TABLES = {"_CROSSES", "_KINKS", "_CAPS", "_CUPS", "_AHEAD"}
+
+
+def _module_level_targets(path: Path) -> set[str]:
+    """The names a module's top-level assignments bind or assign into."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_only_diagram_binds_the_shared_event_tables():
+    # One module holds and grows the events the compiler, the normalizer and the sweep share.
+    binders = {path.name: _module_level_targets(path) & _EVENT_TABLES for path in SOURCES}
+    assert {name: found for name, found in binders.items() if found} == {
+        "diagram.py": _EVENT_TABLES
+    }

@@ -18,14 +18,11 @@ from hypothesis import strategies as st
 
 from coverlink.cli import main
 from coverlink.cover import build_cover
-from coverlink.diagram import AnnularWord, Cap, Cross, Cup, Kink, analyze
+from coverlink.diagram import _CAPS, _CROSSES, _CUPS, _KINKS, AnnularWord, Cap, Cross, Cup, Kink
+from coverlink.diagram import analyze
 from coverlink.diagram import serialize as serialize_word
 from coverlink.downhill import normalize, random_annular_word
 from coverlink.pattern import (
-    _CAPS,
-    _CROSSES,
-    _CUPS,
-    _KINKS,
     ClaspPresentation,
     ClaspSpec,
     GapOutOfRangeError,
@@ -138,12 +135,13 @@ def test_compiled_words_are_pinned():
 
 
 def test_compile_pin_holds_in_a_fresh_interpreter():
-    # A fresh process starts with an empty crossing table, and compiling the sample
-    # largest-first grows it to full width at once: no word depends on its growth.
+    # A fresh process starts with empty event tables, and compiling the sample
+    # largest-first grows them to full width at once: no word depends on their growth.
     code = (
-        "import coverlink.pattern as pat\n"
+        "from coverlink import diagram as dia, pattern as pat\n"
         "from test_pattern import _compile_digest, _compile_sample\n"
-        "assert pat._CROSSES == ([], [])\n"
+        "assert dia._CROSSES == dia._KINKS == dia._CUPS == ([], [])\n"
+        "assert dia._CAPS == [] and dia._AHEAD == {}\n"
         "words = [pat.compile(p) for p in reversed(list(_compile_sample()))]\n"
         "print(*_compile_digest(words[::-1]))\n"
     )
