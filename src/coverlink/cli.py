@@ -2,10 +2,11 @@
 selftest, and a corpus runner.
 
 Exit codes: 0 on success (a computed Obstructed or Inconclusive verdict is
-success); 2 for input or validation failures; 3 for internal invariant
-violations (for example an even first-homology order at a cover of degree
-2, 4 or 8), which indicate a pipeline or encoding bug rather than a property
-of the data.
+success); 2 for input or validation failures; 3 for any internal invariant
+violation (``InvariantViolationError``, for example an even first-homology
+order at a cover of degree 2, 4 or 8), which indicates a pipeline or
+encoding bug rather than a property of the data. An input's kind is read
+from its first line: ``annular v1``, ``pattern v1``, or a leading ``{`` for JSON.
 The environment variable ``HEDDEN_SEED`` overrides the default seed of the
 seeded self-test sweeps; like ``--m``, it must be an ASCII integer.
 """
@@ -72,9 +73,9 @@ def _sniff(text: str) -> str:
     )
 
 
-def _load_pattern(path: str, force_json: bool) -> pat.ClaspPresentation:
+def _load_pattern(path: str) -> pat.ClaspPresentation:
     text = _read(path)
-    kind = "json" if force_json else _sniff(text)
+    kind = _sniff(text)
     if kind == "json":
         return pat.from_json(text)
     if kind != "pattern":
@@ -82,9 +83,9 @@ def _load_pattern(path: str, force_json: bool) -> pat.ClaspPresentation:
     return pat.parse(text)
 
 
-def _load_word(path: str, force_json: bool) -> dia.AnnularWord:
+def _load_word(path: str) -> dia.AnnularWord:
     text = _read(path)
-    kind = "json" if force_json else _sniff(text)
+    kind = _sniff(text)
     if kind == "annular":
         return dia.parse(text)
     if kind == "json":
@@ -111,7 +112,7 @@ def _parse_m_list(raw: str) -> tuple[int, ...]:
 
 
 def cmd_validate(args) -> int:
-    report = pat.validate(_load_word(args.file, args.json))
+    report = pat.validate(_load_word(args.file))
     for item in report.items:
         status = "ok" if item.ok else ("warning" if item.warning else "FAIL")
         print(f"{status:8} {item.name:22} {item.component:12} {item.detail}")
@@ -119,13 +120,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    p = _load_pattern(args.file, args.json)
+    p = _load_pattern(args.file)
     sys.stdout.write(dia.serialize(pat.compile(p)))
     return 0
 
 
 def cmd_cover(args) -> int:
-    word = _load_word(args.file, args.json)
+    word = _load_word(args.file)
     cd = cov.build_cover(word, args.m)
     sys.stdout.write(dia.serialize(cd.word))
     base_ana = dia.analyze(word)
@@ -138,7 +139,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_linkings(args) -> int:
-    p = _load_pattern(args.file, args.json)
+    p = _load_pattern(args.file)
     report = obs.verdict(p, args.m)  # rejects m < 2 first
     if p.n % args.m:
         raise ValueError(f"{args.file}: m={args.m} does not divide winding {p.n}")
@@ -155,7 +156,7 @@ def cmd_linkings(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    p = _load_pattern(args.file, args.json)
+    p = _load_pattern(args.file)
     agg = obs.auto_verdict(p, _parse_m_list(args.m_list))
     out = obs.report_to_json(agg) if args.format == "json" else obs.report_to_text(agg)
     sys.stdout.write(out)
@@ -163,7 +164,7 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    word = _load_word(args.file, args.json)
+    word = _load_word(args.file)
     result = nrm.normalize(word)
     sys.stdout.write(pat.serialize(result.presentation))
     print(f"# orientation {result.orientation}")
@@ -196,7 +197,7 @@ def cmd_corpus(args) -> int:
     for f in files:
         print(f"== {f.name}")
         try:
-            p = _load_pattern(str(f), force_json=f.suffix == ".json")
+            p = _load_pattern(str(f))
             agg = obs.auto_verdict(p, m_list)
             out = obs.report_to_json(agg) if args.format == "json" else obs.report_to_text(agg)
             sys.stdout.write(out)
@@ -337,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, *, file=True, m=False, m_list=False, fmt=False):
         sp = sub.add_parser(name, help=help_text)
         if file:
-            sp.add_argument("file", help="input file")
-            sp.add_argument("--json", action="store_true", help="input is the JSON pattern schema")
+            sp.add_argument("file", help="input file (annular v1, pattern v1, or JSON)")
         if m:
             sp.add_argument("--m", type=_degree, default=2, help="cover degree (default 2)")
         if m_list:

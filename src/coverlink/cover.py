@@ -27,13 +27,9 @@ from itertools import compress, permutations
 from operator import add
 from typing import NamedTuple
 
-from .diagram import AnnularWord, ComponentId, WordAnalysis, analyze
+from .diagram import AnnularWord, ComponentId, InvariantViolationError, WordAnalysis, analyze
 from .diagram import WindingNotDivisibleError  # noqa: F401 (re-exported)
 from .linalg import IntMatrix
-
-
-class LiftStructureError(Exception):
-    """Internal inconsistency in the lift bookkeeping."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def build_cover(base: AnnularWord, m: int) -> CoverDiagram:
     if len(set(lift_map.values())) != len(lift_map) or len(lift_map) != len(
         cover_ana.components
     ):
-        raise LiftStructureError("lifts are not m distinct components per base component")
+        raise InvariantViolationError("lifts are not m distinct components per base component")
 
     deck: dict[ComponentId, ComponentId] = {}
     for (cid, j), cover_cid in lift_map.items():

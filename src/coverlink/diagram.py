@@ -77,6 +77,10 @@ class UnknownComponentError(DiagramError):
     """No component at the requested segment, seam position or label."""
 
 
+class InvariantViolationError(Exception):
+    """A structural invariant failed: pipeline or encoding bug, never data."""
+
+
 class WindingNotDivisibleError(Exception):
     """A component's winding is not divisible by the cover degree."""
 
@@ -581,7 +585,8 @@ class WordAnalysis:
                 row = [*map(add, row[1 : k + 1], row[m - 1 : m - k - 1 : -1])]  # d = 1..m/2
             # Each odd entry leaves 1 in sum(row) - 2*sum(half).
             half = [v >> 1 for v in row]
-            assert sum(row) == 2 * sum(half), "closed curves must cross evenly"
+            if sum(row) != 2 * sum(half):
+                raise InvariantViolationError(f"closed curves must cross evenly: {a}, {b} at m={m}")
             if a == b:
                 lk[a, a] = [0, *half, *half[: (m - 1) // 2][::-1]]
             else:
@@ -656,7 +661,8 @@ def analyze(word: AnnularWord) -> WordAnalysis:
     components, sheet_range = [], []
     for cid, period in enumerate(periods):
         seam, winding = tuple(positions[cid]), windings[cid]
-        assert abs(period) == abs(winding), "sheet offsets must close up by the winding"
+        if abs(period) != abs(winding):
+            raise InvariantViolationError(f"component {cid}'s sheet offsets close at {period}")
         components.append(Component(cid, seam, winding, len(seam)))
         sheet_range.append((min(sheets[cid], default=0), max(sheets[cid], default=-1) + 1))
     labels: dict[ComponentId, str] = {}

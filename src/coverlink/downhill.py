@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diagram import _CAPS, _CUPS, AnnularWord, Cap, Cross, Cup, Event, Kink, _grow_tables
-from .diagram import analyze
+from .diagram import InvariantViolationError, analyze
 from .pattern import ClaspPresentation, ClaspSpec, cable_template
 
 
@@ -108,7 +108,8 @@ def _flip_events(word: AnnularWord, flips: list[int]) -> AnnularWord:
     crosses = _grow_tables(max(events[idx].position for idx in flips) + 1)
     for idx in flips:
         ev = events[idx]
-        assert isinstance(ev, Cross)
+        if not isinstance(ev, Cross):
+            raise InvariantViolationError(f"event {idx} to flip is not a crossing")
         events[idx] = crosses[not ev.upper_over][ev.position]
     return AnnularWord(word.seam_orientations, tuple(events), word.labels)
 
@@ -177,7 +178,8 @@ def _strand_heights(passages: list[_Passage], n: int) -> list[int]:
             stack.pop()
         else:
             stack.append(i)
-    assert len(stack) == n, "uncancelled seam crossings must be the cable's n strands"
+    if len(stack) != n:
+        raise InvariantViolationError(f"{len(stack)} seam crossings survive, not the cable's {n}")
     return [-bisect_left(stack, a) % n + 1 for a in arc_of_passage]
 
 
@@ -330,6 +332,6 @@ def random_annular_word(n: int, seed: int) -> AnnularWord:
     word = AnnularWord(
         tuple(-1 if s in outward else 1 for s in seam_order), tuple(events), (("pattern", 1),)
     )
-    ana = analyze(word)
-    assert len(ana.components) == 1 and ana.components[0].winding == n
+    if [c.winding for c in analyze(word).components] != [n]:
+        raise InvariantViolationError(f"random word is not one curve of winding {n}")
     return word

@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 from . import pattern as pat
 from .cover import LiftedData, _fold, build_cover, lift_data, lifted_eta_linkings
 from .diagram import AnnularWord
+from .diagram import InvariantViolationError  # noqa: F401 (re-exported)
 from .linalg import IntMatrix, det, solve_numerators
 from .pattern import ClaspPresentation, ClaspSpec, add_cancelling_pair
 
@@ -42,10 +43,6 @@ DEFAULT_M_LIST = (2, 4)
 
 class NotRationalHomologySphereError(Exception):
     """Surgery matrix is singular: the surgered manifold has infinite H1."""
-
-
-class InvariantViolationError(Exception):
-    """A structural invariant failed: pipeline or encoding bug, never data."""
 
 
 class PatternValidationError(Exception):
@@ -298,52 +295,38 @@ def auto_verdict(p: ClaspPresentation, m_list: Sequence[int] = DEFAULT_M_LIST) -
     return AggregateReport(p.name or "unnamed", p.n, reports, agg)
 
 
-_TRANSFER_MAX = 16  # the largest degree m of a transfer row
-
-
 def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
-    """Structural consistency ledger for a presentation.
+    """Structural consistency ledger for a presentation, at every degree dividing n.
 
-    Collects the own report checks (palindrome, odd |H1|, parity forms) of
-    each degree 2, 4 and 8 dividing n, recording a failed row rather than
-    raising, and adds the transfer identity at each pair of degrees d | m
-    dividing n with m <= 16, then, at degrees 2, 4 and 8, divisibility of
-    |H1|, the lifted eta vector's shape, deck relabelling (:func:`cha_ko` read
-    from eta lift 1), the paper's mod-8 theorem (``hedden-mod8``) and
-    cancelling-pair invariance. One checked
-    word serves every degree and the direct count; the cancelling-pair
-    presentation is compiled on its own.
+    Each degree m >= 2 dividing n is lifted and reported on its own, with no
+    fold, so the transfer rows compare independent paths. Each degree adds,
+    in this order and recording a failed row rather than raising: the
+    transfer identity from each smaller degree d dividing m, its report's own
+    rows (palindrome, and odd |H1| and the parity form where they hold; not
+    ``m-prime-power``, a verdict condition rather than a theorem), the
+    lifted eta vector's sheet sums (``vector-shape``) and deck relabelling
+    (:func:`cha_ko` read from eta lift 1). Then, at m = 2 and 4, divisibility
+    of |H1| and the paper's mod-8 theorem (``hedden-mod8``); and at the
+    least degree, cancelling-pair invariance and, for a cable, the direct
+    count on the m-copy cover word. One checked word serves every degree and
+    the direct count; the cancelling-pair presentation is compiled on its own.
     """
     checks: list[CheckResult] = []
     n = p.n
-    degrees = [m for m in (2, 4, 8) if n % m == 0]
-    divisors = [m for m in range(2, _TRANSFER_MAX + 1) if n % m == 0]
-    pairs = [(d, m) for m in divisors for d in divisors if d < m and m % d == 0]
-    needed = sorted({*degrees, *(m for pair in pairs for m in pair)})
-    word = _checked_word(p) if needed else None
-    lifted = {m: lift_data(word, m) for m in needed}
-    reports = {m: _branched(p, data) for m, data in lifted.items()}
-
-    # Transfer: for d | m, lk_d[j] sums lk_m[k] over 0 < k < m with k = j mod d.
-    for d, m in pairs:
-        lk_d, lk_m = reports[d].linkings, reports[m].linkings
-        sums = tuple(sum(lk_m[j - 1 :: d]) for j in range(1, d))
-        detail = f"lk_{d} = {_fmt_linkings(lk_d)}, sums {_fmt_linkings(sums)}"
-        if (d, m) == (2, 4):  # this row keeps the name and detail of the doubling check
-            detail = f"lk_2 = {lk_d[0]}, 2*lk_4(adjacent) = {2 * lk_m[0]}"
-        name = "two-vs-four-doubling" if (d, m) == (2, 4) else f"transfer-m{d}-m{m}"
-        checks.append(CheckResult(name, sums == tuple(lk_d), detail))
-    if 4 in reports:
-        checks.append(
-            CheckResult(
-                "h1-divisibility",
-                reports[4].h1_order % reports[2].h1_order == 0,
-                f"|H1(2)| = {reports[2].h1_order} divides |H1(4)| = {reports[4].h1_order}",
-            )
-        )
+    degrees = [m for m in range(2, n + 1) if n % m == 0]  # n >= 2, so n itself is one
+    word = _checked_word(p)
+    reports: dict[int, ObstructionReport] = {}
     for m in degrees:
-        rep, data = reports[m], lifted[m]
-        checks.extend(rep.checks)
+        data = lift_data(word, m)
+        rep = _branched(p, data)
+        # Transfer: for d | m, lk_d[j] sums lk_m[k] over 0 < k < m with k = j mod d.
+        for d in [d for d in reports if m % d == 0]:
+            lk_d = reports[d].linkings
+            sums = tuple(sum(rep.linkings[j - 1 :: d]) for j in range(1, d))
+            detail = f"lk_{d} = {_fmt_linkings(lk_d)}, sums {_fmt_linkings(sums)}"
+            checks.append(CheckResult(f"transfer-m{d}-m{m}", sums == lk_d, detail))
+        reports[m] = rep
+        checks.extend(c for c in rep.checks if c.name != "m-prime-power")
         # Over all sheets a surgery curve's lifts link eta_0 as the curve
         # links eta in the base, which validation requires to be 0.
         k = len(data.eta_row) // m
@@ -356,6 +339,10 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
         lks = tuple(cha_ko(base[j], data.matrix, rows[0], rows[j]) for j in range(1, m))
         detail = f"cha_ko from eta lift 1: {_fmt_linkings(lks)}"
         checks.append(CheckResult(f"deck-relabel-m{m}", lks == rep.linkings, detail))
+    if 4 in reports:
+        h2, h4 = reports[2].h1_order, reports[4].h1_order
+        detail = f"|H1(2)| = {h2} divides |H1(4)| = {h4}"
+        checks.append(CheckResult("h1-divisibility", h4 % h2 == 0, detail))
     # The paper's theorem: for even n with 8 not dividing n, the sign test
     # obstructs at m = 2 or 4; for 8 | n, it does or every linking there is 0.
     if 2 in reports:
@@ -364,36 +351,25 @@ def cross_checks(p: ClaspPresentation) -> list[CheckResult]:
         ok = any(rep.verdict == "Obstructed" for rep in low) or (n % 8 == 0 and zero)
         detail = ", ".join(f"m{rep.m} {rep.verdict}" for rep in low)
         checks.append(CheckResult("hedden-mod8", ok, detail + (", all linkings 0" if zero else "")))
-    if degrees:
-        m0 = degrees[0]
-        template = ClaspSpec(
-            slot=max((c.slot for c in p.clasps), default=0) + 1,
-            gap_enter=0,
-            gap_exit=min(2, n),
-            weave="ou" * min(2, n),
-            clasp_sign=1,
-            framing=1,
-        )
-        doubled = add_cancelling_pair(p, template)
-        checks.append(
-            CheckResult(
-                f"cancelling-pair-m{m0}",
-                _branched(doubled, lift_data(_checked_word(doubled), m0)).linkings
-                == reports[m0].linkings,
-                "linkings unchanged by a cancelling clasp pair",
-            )
-        )
-        # Zero-clasp route: the surgery formula must agree with direct counts
-        # on the m-copy cover word, independent of the verdict's lift data.
-        if not p.clasps:
-            direct = lifted_eta_linkings(build_cover(word, m0))[(0, 1)]
-            checks.append(
-                CheckResult(
-                    f"direct-count-m{m0}",
-                    direct == reports[m0].linkings[0],
-                    f"signed-count path = {direct}",
-                )
-            )
+    m0 = degrees[0]
+    template = ClaspSpec(
+        slot=max((c.slot for c in p.clasps), default=0) + 1,
+        gap_enter=0,
+        gap_exit=min(2, n),
+        weave="ou" * min(2, n),
+        clasp_sign=1,
+        framing=1,
+    )
+    doubled = add_cancelling_pair(p, template)
+    lk = _branched(doubled, lift_data(_checked_word(doubled), m0)).linkings
+    detail = "linkings unchanged by a cancelling clasp pair"
+    checks.append(CheckResult(f"cancelling-pair-m{m0}", lk == reports[m0].linkings, detail))
+    # Zero-clasp route: the surgery formula must agree with direct counts
+    # on the m-copy cover word, independent of the verdict's lift data.
+    if not p.clasps:
+        direct = lifted_eta_linkings(build_cover(word, m0))[(0, 1)]
+        detail = f"signed-count path = {direct}"
+        checks.append(CheckResult(f"direct-count-m{m0}", direct == reports[m0].linkings[0], detail))
     return checks
 
 

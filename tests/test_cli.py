@@ -327,9 +327,31 @@ def test_json_pattern_input(tmp_path, capsys):
 
     f = tmp_path / "p.json"
     f.write_text(to_json(random_presentation(6, 2, 5)))
-    code, out = run(capsys, "obstruct", str(f), "--json", "--m-list", "2")
+    code, out = run(capsys, "obstruct", str(f), "--m-list", "2")
     assert code == 0
     assert "Obstructed" in out
+
+
+def test_corpus_reads_each_file_by_its_first_line(tmp_path, capsys):
+    # A .json file holding the text form reads as a pattern, as any file does.
+    from coverlink.pattern import random_presentation, to_json
+
+    (tmp_path / "a.json").write_text(to_json(random_presentation(6, 2, 5)), encoding="utf-8")
+    shutil.copy(CORPUS / "cable-6.pattern", tmp_path / "b.json")
+    code, out = run(capsys, "corpus", "--m-list", "2", str(tmp_path))
+    assert code == 0
+    assert out.count("aggregate: Obstructed\n") == 2
+
+
+@pytest.mark.parametrize("command", ["obstruct", "compile", "validate", "cover", "normalize"])
+def test_json_input_is_detected_not_flagged(tmp_path, capsys, command):
+    # A leading '{' marks JSON input, so no command takes a --json flag.
+    f = tmp_path / "p.json"
+    f.write_text('{"pattern": "v1", "cable": 4}', encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f), "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):
@@ -485,11 +507,11 @@ def test_a_cable_too_wide_to_index_is_a_located_error(tmp_path, capsys, command,
     f = tmp_path / f"wide.{reader}"
     if reader == "text":
         f.write_text(f"pattern v1\nname wide\ncable {n}\n", encoding="utf-8")
-        where, flags = 3, []
+        where = 3
     else:
         f.write_text(json.dumps({"pattern": "v1", "cable": n}), encoding="utf-8")
-        where, flags = 1, ["--json"]
-    assert main([*command, str(f), *flags]) == 2
+        where = 1
+    assert main([*command, str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -526,7 +548,6 @@ def test_a_cable_too_wide_to_hold_is_a_located_error(tmp_path, command, n, reade
         f.write_text(f"pattern v1\ncable {n}\n", encoding="utf-8")
     else:
         f.write_text(json.dumps({"pattern": "v1", "cable": n}), encoding="utf-8")
-        command = [*command, "--json"]
     done = _cli_in_a_child(*command, str(f))
     assert (done.returncode, done.stdout) == (2, ""), done.stderr
     assert done.stderr == f"error: {f}: too large to build (MemoryError)\n"
@@ -586,3 +607,31 @@ def test_invariant_violation_maps_to_exit_3(capsys, monkeypatch):
     code = main(["obstruct", str(CORPUS / "cable-6.pattern")])
     assert code == 3
     assert "invariant violation" in capsys.readouterr().err
+
+
+def _one_violation_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith("invariant violation: ") and "Traceback" not in captured.err
+    return captured.err
+
+
+def test_lifts_that_do_not_close_up_exit_3(capsys, monkeypatch):
+    # Every lift lands on one cover component, so build_cover's lift map is not m per base one.
+    monkeypatch.setattr(coverlink.diagram.WordAnalysis, "component_of_segment", lambda self, s: 0)
+    assert main(["cover", "--m", "2", str(CORPUS / "cable-6.pattern")]) == 3
+    assert "lifts are not m distinct components" in _one_violation_line(capsys)
+
+
+def test_an_odd_crossing_count_in_the_cover_tables_exits_3(capsys, monkeypatch):
+    # One more crossing in a pair's tally row: two closed curves cannot cross oddly.
+    real = coverlink.diagram.WordAnalysis._lift_tally
+
+    def odd(self):
+        rows, kinks = real(self)
+        ab, (lo, counts) = next(iter(rows.items()))
+        return {**rows, ab: (lo, [counts[0] + 1, *counts[1:]])}, kinks
+
+    monkeypatch.setattr(coverlink.diagram.WordAnalysis, "_lift_tally", odd)
+    assert main(["obstruct", "--m-list", "2", str(CORPUS / "w8-mixed-sign.pattern")]) == 3
+    assert "closed curves must cross evenly: " in _one_violation_line(capsys)

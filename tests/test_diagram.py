@@ -26,6 +26,7 @@ from coverlink.diagram import (
     Cup,
     DiagramError,
     DiagramSyntaxError,
+    InvariantViolationError,
     Kink,
     OrientationMismatch,
     SeamMismatch,
@@ -498,7 +499,7 @@ def test_cover_tables_assert_closed_curves_cross_evenly(key, m):
     ana = analyze(compile_presentation(random_presentation(4, 2, 0)))
     rows, kinks = ana._lift_tally()
     planted = dataclasses.replace(ana, _tally=(_plant(rows, *key), kinks))
-    with pytest.raises(AssertionError, match="closed curves must cross evenly"):
+    with pytest.raises(InvariantViolationError, match="closed curves must cross evenly"):
         planted.cover_tables(m)
 
 

@@ -393,7 +393,7 @@ def test_cross_checks_check_the_vector_shape_at_every_degree():
         # reads the lift through the general surgery formula, can fail.
         (8, (1, 0, 0, 0, 0, 0, 1), ["transfer-m2-m8", "transfer-m4-m8", "deck-relabel-m8"]),
         (8, (0, 1, 0, 0, 0, 1, 0), ["transfer-m4-m8", "deck-relabel-m8"]),
-        (2, (2,), ["two-vs-four-doubling", "transfer-m2-m8", "deck-relabel-m2"]),
+        (2, (2,), ["deck-relabel-m2", "transfer-m2-m4", "transfer-m2-m8"]),
     ],
     ids=["m8-odd-k", "m8-k-2-mod-4", "m2"],
 )
@@ -413,40 +413,35 @@ def test_cross_checks_record_a_broken_transfer(monkeypatch, m, bump, failed):
 
 def test_cross_checks_check_the_transfer_at_every_divisor_pair():
     def transfer_rows(p):
-        rows = ("two-vs-four-doubling", "transfer-")
-        return [(c.name, c.detail) for c in cross_checks(p) if c.name.startswith(rows)]
+        return [(c.name, c.detail) for c in cross_checks(p) if c.name.startswith("transfer-")]
 
     assert transfer_rows(ClaspPresentation(8, ())) == [
-        ("two-vs-four-doubling", "lk_2 = 4, 2*lk_4(adjacent) = 4"),
+        ("transfer-m2-m4", "lk_2 = (4), sums (4)"),
         ("transfer-m2-m8", "lk_2 = (4), sums (4)"),
         ("transfer-m4-m8", "lk_4 = (2, 2, 2), sums (2, 2, 2)"),
     ]
-    assert [name for name, _ in transfer_rows(random_presentation(4, 2, 1))] == [
-        "two-vs-four-doubling"
-    ]
-    # Every pair d | m of degrees dividing n, up to m = 16, odd degrees too.
     assert transfer_rows(random_presentation(6, 2, 1)) == [
         ("transfer-m2-m6", "lk_2 = (-1), sums (-1)"),
         ("transfer-m3-m6", "lk_3 = (0, 0), sums (0, 0)"),
     ]
-    assert [name for name, _ in transfer_rows(random_presentation(24, 3, 2))] == [
-        "two-vs-four-doubling",
-        "transfer-m2-m6", "transfer-m3-m6",
-        "transfer-m2-m8", "transfer-m4-m8",
-        "transfer-m2-m12", "transfer-m3-m12", "transfer-m4-m12", "transfer-m6-m12",
-    ]
-    assert [name for name, _ in transfer_rows(ClaspPresentation(32, ()))][-3:] == [
-        "transfer-m2-m16", "transfer-m4-m16", "transfer-m8-m16"
-    ]
     assert transfer_rows(ClaspPresentation(9, ())) == [
         ("transfer-m3-m9", "lk_3 = (3, 3), sums (3, 3)")
     ]
-    assert transfer_rows(ClaspPresentation(34, ())) == transfer_rows(ClaspPresentation(7, ())) == []
+    # Every pair d | m of degrees dividing n, odd degrees and n itself too,
+    # ordered by m and then by d.
+    inputs = (random_presentation(4, 2, 1), random_presentation(24, 3, 2), ClaspPresentation(32, ()))
+    for p in (*inputs, ClaspPresentation(34, ())):
+        degrees = [m for m in range(2, p.n + 1) if p.n % m == 0]
+        want = [f"transfer-m{d}-m{m}" for m in degrees for d in degrees if d < m and m % d == 0]
+        assert [name for name, _ in transfer_rows(p)] == want
+    assert want[-2:] == ["transfer-m2-m34", "transfer-m17-m34"]
+    assert transfer_rows(ClaspPresentation(7, ())) == []
 
 
-@pytest.mark.parametrize("n, m", [(6, 3), (9, 3), (12, 6), (16, 16)])
+@pytest.mark.parametrize("n, m", [(6, 3), (9, 3), (12, 6), (16, 16), (48, 24), (25, 5)])
 def test_cross_checks_record_a_broken_transfer_at_every_divisor_pair(monkeypatch, n, m):
-    # A palindromic bump of degree m's linkings fails exactly the transfer rows that read m.
+    # A palindromic bump of degree m's linkings fails exactly the transfer
+    # rows that read m and m's deck-relabel row, in ledger order.
     real = _linkings_from_data
 
     def bumped(data, degree):
@@ -457,14 +452,32 @@ def test_cross_checks_record_a_broken_transfer_at_every_divisor_pair(monkeypatch
 
     monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", bumped)
     failed = [c.name for c in cross_checks(random_presentation(n, 2, 5)) if not c.passed]
-    divisors = [d for d in range(2, 17) if n % d == 0]
-    want = [
-        "two-vs-four-doubling" if (d, e) == (2, 4) else f"transfer-m{d}-m{e}"
-        for e in divisors
-        for d in divisors
-        if d < e and e % d == 0 and m in (d, e)
-    ]
-    assert want and failed == want
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    want = []
+    for e in divisors:
+        want += [f"transfer-m{d}-m{e}" for d in divisors if d < e and e % d == 0 and m in (d, e)]
+        want += [f"deck-relabel-m{e}"] * (e == m)
+    assert failed == want and len(want) > 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_checks_catch_a_framing_flip_above_m16(monkeypatch, seed):
+    # The verdict's read negates every lifted framing only when m > 16, so
+    # only rows at m = 32 can see it: its deck-relabel row and the transfer
+    # rows from the degrees below.
+    real = _linkings_from_data
+
+    def flipped(data, m):
+        if m > 16:
+            a = data.matrix
+            negated = {ij: -v for ij, v in a.nonzeros.items()}
+            data = data._replace(matrix=IntMatrix(a.rows, a.cols, negated))
+        return real(data, m)
+
+    monkeypatch.setattr(coverlink.obstruct, "_linkings_from_data", flipped)
+    failed = [c.name for c in cross_checks(random_presentation(32, 3, seed)) if not c.passed]
+    below = ["transfer-m2-m32", "transfer-m4-m32"] if seed else []
+    assert failed == [*below, "transfer-m8-m32", "transfer-m16-m32", "deck-relabel-m32"]
 
 
 
@@ -769,15 +782,38 @@ def test_cross_checks_compile_the_presentation_and_its_cancelling_pair(monkeypat
     assert [len(q.clasps) for q in compiled] == [len(p.clasps), len(p.clasps) + 2]
 
 
-def test_cross_checks_compile_nothing_without_a_divisor_pair(monkeypatch):
-    # No degree 2, 4 or 8 and no transfer pair: no row, so nothing to compile.
+def test_cross_checks_give_odd_n_rows_at_every_divisor(monkeypatch):
+    # 7 and 25 have no degree 2, 4 or 8: each divisor still gets its rows,
+    # the least one the cancelling pair and the direct count, and p and its
+    # cancelling pair are each compiled once.
     compiled = _count_compiles(monkeypatch)
-    for n in (7, 25):  # 25's only degree up to 16 is 5
-        assert cross_checks(ClaspPresentation(n, ())) == []
-    assert compiled == []
-    # A transfer pair alone compiles the word once.
-    nine = ClaspPresentation(9, ())
-    assert [c.name for c in cross_checks(nine)] == ["transfer-m3-m9"] and compiled == [nine]
+    seven = ClaspPresentation(7, ())
+    assert [c.name for c in cross_checks(seven)] == [
+        "linkings-palindromic", "deck-relabel-m7", "cancelling-pair-m7", "direct-count-m7"
+    ]
+    twenty_five = ClaspPresentation(25, ())
+    checks = cross_checks(twenty_five)
+    assert [c.name for c in checks] == [
+        "linkings-palindromic", "deck-relabel-m5",
+        "transfer-m5-m25", "linkings-palindromic", "deck-relabel-m25",
+        "cancelling-pair-m5", "direct-count-m5",
+    ]
+    assert all(c.passed for c in checks)
+    assert [q.n for q in compiled] == [7, 7, 25, 25]
+    assert [len(q.clasps) for q in compiled] == [0, 2, 0, 2]
+
+
+def test_cross_checks_pass_with_rows_at_every_divisor():
+    for n in (16, 24, 32, 48, 64):
+        degrees = [m for m in range(2, n + 1) if n % m == 0]
+        for k in range(5):
+            for seed in range(4):
+                checks = cross_checks(random_presentation(n, k, seed))
+                assert [c.name for c in checks if not c.passed] == [], (n, k, seed)
+                names = {c.name for c in checks}
+                for m in degrees:
+                    assert f"deck-relabel-m{m}" in names
+                    assert (f"vector-shape-m{m}" in names) == (k > 0)
 
 
 def test_cross_checks_all_pass():
@@ -789,7 +825,8 @@ def test_cross_checks_all_pass():
 
 def test_cross_checks_cable_values():
     checks = {c.name: c for c in cross_checks(ClaspPresentation(8, ()))}
-    assert checks["two-vs-four-doubling"].passed
+    assert checks["transfer-m2-m4"].passed
+    assert checks["transfer-m2-m4"].detail == "lk_2 = (4), sums (4)"
     assert checks["direct-count-m2"].passed
 
 

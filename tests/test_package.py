@@ -145,3 +145,15 @@ def test_only_diagram_binds_the_shared_event_tables():
     assert {name: found for name, found in binders.items() if found} == {
         "diagram.py": _EVENT_TABLES
     }
+
+
+def test_sources_hold_no_assert_statement():
+    # ``python -O`` strips an assert, so an invariant the pipeline relies on raises
+    # InvariantViolationError instead, which the CLI reports as exit 3.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES and found == []

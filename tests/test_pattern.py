@@ -353,7 +353,7 @@ def test_from_json_rejects_names_the_text_form_cannot_carry(name, tmp_path, caps
     assert exc.value.line == 1
     path = tmp_path / "named.json"
     path.write_text(doc, encoding="utf-8")
-    assert main(["obstruct", str(path), "--json"]) == 2
+    assert main(["obstruct", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: line 1: name must be one token")
 
 
